@@ -34,7 +34,6 @@ from .evolution import (
     cfl_timestep,
     duhamel_picard,
     evolve,
-    scheme_stationary_profile,
     step,
 )
 from .fluxes import FluxModel, builtin_flux
@@ -117,7 +116,6 @@ __all__ = [
     "residual_floor",
     "run_scenario",
     "save_family",
-    "scheme_stationary_profile",
     "semigroup_trials",
     "sign_changes",
     "solve_dp_w",

@@ -11,12 +11,13 @@ Under the CFL restriction dt <= h / max|d_u f| the explicit half is monotone
 and the implicit half is an M-matrix solve, so the full step preserves
 ordering, contracts L1 distances between solutions and conserves mass exactly
 on periodic domains; the verification harness leans on those three facts.
+Pinned domains hold one ghost cell at zero on each side: runs evolve the
+perturbation under a flux normalized about w_p, for which zero is the pinned
+state w_p itself and an exact fixed point.
 
-The Engquist-Osher split integrals are evaluated in closed form, which is
-exact for fluxes that are quadratic polynomials in u at fixed x -- true for
-every built-in model and anything obtained from one by shifting about a
-background profile.  Non-quadratic fluxes are rejected up front rather than
-silently mis-integrated.
+Every flux is quadratic in u, so the Engquist-Osher split integrals have a
+closed form in the coefficients f(0, x), d_u f(0, x) and d_uu f(0, x), which
+are read once per step.
 
 ``duhamel_picard`` provides the independent short-time oracle: it iterates
 the integral (Duhamel) form of the equation with a sampled mass-one heat
@@ -34,8 +35,7 @@ from scipy.linalg import solve_banded
 
 from .diagnostics import DiagnosticsSeries
 from .fluxes import FluxModel
-from .grids import CellGrid, LineGrid, Profile
-from .stationary import NewtonConfig, StationarySolveError, _bordered_newton
+from .grids import LineGrid
 
 __all__ = [
     "CFLError",
@@ -45,7 +45,6 @@ __all__ = [
     "cfl_timestep",
     "duhamel_picard",
     "evolve",
-    "scheme_stationary_profile",
     "step",
 ]
 
@@ -64,46 +63,34 @@ class StepPolicy:
 
     cfl_fraction: float = 0.9
     dt_max: float = 0.1
-    scheme: str = "engquist_osher_imex"
 
     def __post_init__(self):
         if not 0 < self.cfl_fraction <= 1:
             raise ValueError(f"cfl_fraction must lie in (0, 1], got {self.cfl_fraction}")
         if not self.dt_max > 0:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
-        if self.scheme != "engquist_osher_imex":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
 class State:
-    """Solution samples on a line grid together with the background profile.
+    """Solution samples on a line grid at one time.
 
-    ``background`` is the stationary profile of the running flux tiled over
-    the domain; pinned boundaries freeze ghost cells at it and the diagnostics
-    measure distances against it.
+    Runs store the perturbation v = u - w_p of the normalized flux, so the
+    stationary profile is the zero state; pinned ghost cells sit at zero.
     """
 
     grid: LineGrid
     u: np.ndarray
     time: float
-    background: np.ndarray
 
     def __post_init__(self):
-        for name in ("u", "background"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != (self.grid.n_total,):
-                raise ValueError(
-                    f"{name} has shape {arr.shape}, expected ({self.grid.n_total},)"
-                )
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        tiled = self.background.reshape(self.grid.n_periods, -1)
-        if not np.array_equal(tiled, np.broadcast_to(tiled[0], tiled.shape)):
-            raise ValueError("background must tile the cell profile exactly")
-
-    def perturbation(self) -> np.ndarray:
-        return self.u - self.background
+        arr = np.array(self.u, dtype=float)
+        if arr.shape != (self.grid.n_total,):
+            raise ValueError(
+                f"u has shape {arr.shape}, expected ({self.grid.n_total},)"
+            )
+        arr.setflags(write=False)
+        object.__setattr__(self, "u", arr)
 
 
 def _max_speed(flux: FluxModel, u: np.ndarray, x: np.ndarray) -> float:
@@ -121,41 +108,31 @@ def cfl_timestep(state: State, flux: FluxModel, policy: StepPolicy) -> float:
 def _eo_interface_flux(
     flux: FluxModel, u_left: np.ndarray, u_right: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """Engquist-Osher flux F(a, b; x) in closed form for quadratic-in-u models.
+    """Engquist-Osher flux F(a, b; x) in closed form.
 
-    With sonic point u* where d_u f(u*, x) = 0 the split integrals collapse to
-    f(max(a, u*)) + f(min(b, u*)) - f(u*) for convex f, the mirrored clipping
-    for concave f, and plain upwinding when f is linear in u.
+    With f = f0 + f1 u + f2 u^2 / 2 and sonic point u* = -f1 / f2 the split
+    integrals collapse to f(max(a, u*)) + f(min(b, u*)) - f(u*) for convex f,
+    the mirrored clipping for concave f, and plain upwinding when f is linear
+    in u.  The coefficients come from three model calls at u = 0; f at the
+    clipped states is plain arithmetic.
     """
-    if not flux.quadratic_in_u:
-        raise NotImplementedError(
-            "closed-form Engquist-Osher flux needs a quadratic-in-u model"
-        )
     zeros = np.zeros_like(x)
-    slope0 = flux.d_u(zeros, x)
-    curve = flux.d_uu(zeros, x)
-    linear = np.abs(curve) < 1e-13
-    safe_curve = np.where(linear, 1.0, curve)
-    u_star = np.where(linear, 0.0, -slope0 / safe_curve)
-    convex = curve > 0
+    f0 = flux.eval(zeros, x)
+    f1 = flux.d_u(zeros, x)
+    f2 = flux.d_uu(zeros, x)
+    linear = np.abs(f2) < 1e-13
+    u_star = np.where(linear, 0.0, -f1 / np.where(linear, 1.0, f2))
+    convex = f2 > 0
     a_eff = np.where(convex, np.maximum(u_left, u_star), np.minimum(u_left, u_star))
     b_eff = np.where(convex, np.minimum(u_right, u_star), np.maximum(u_right, u_star))
-    quadratic = (
-        flux.eval(a_eff, x) + flux.eval(b_eff, x) - flux.eval(u_star, x)
-    )
-    upwind = (
-        flux.eval(zeros, x)
-        + np.maximum(slope0, 0.0) * u_left
-        + np.minimum(slope0, 0.0) * u_right
-    )
+
+    def f(u):
+        return f0 + f1 * u + 0.5 * f2 * u * u
+
+    # for a normalized flux (f0 = 0) f(u*) cancels bit for bit: F(0, 0) = 0
+    quadratic = f(a_eff) + f(b_eff) - f(u_star)
+    upwind = f0 + np.maximum(f1, 0.0) * u_left + np.minimum(f1, 0.0) * u_right
     return np.where(linear, upwind, quadratic)
-
-
-def _eo_slopes(flux, u_left, u_right, x):
-    """dF/da and dF/db of the Engquist-Osher flux (positive/negative parts)."""
-    da = np.maximum(flux.d_u(u_left, x), 0.0)
-    db = np.minimum(flux.d_u(u_right, x), 0.0)
-    return da, db
 
 
 def _solve_tridiagonal(lam: float, rhs: np.ndarray) -> np.ndarray:
@@ -199,8 +176,8 @@ def step(state: State, flux: FluxModel, dt: float) -> State:
     """Advance one IMEX step; raises CFLError if dt breaks monotonicity.
 
     Periodic domains conserve the discrete mass exactly (up to solver
-    roundoff); pinned domains exchange mass through the frozen-ghost
-    boundaries, which the run-level diagnostics monitor.
+    roundoff); pinned domains exchange mass with the zero ghost cells, which
+    the run-level diagnostics monitor.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -224,19 +201,13 @@ def step(state: State, flux: FluxModel, dt: float) -> State:
         u_star = u - dt * divergence
         u_new = _solve_cyclic_tridiagonal(lam, u_star)
     else:
-        bg = state.background
-        # two ghost cells on each side, frozen at the (periodic) background
-        padded = np.concatenate([bg[-2:], u, bg[:2]])
+        # one ghost cell on each side, held at zero
+        padded = np.concatenate([[0.0], u, [0.0]])
         interfaces = np.arange(n + 1) * h
-        flux_vals = _eo_interface_flux(
-            flux, padded[1 : n + 2], padded[2 : n + 3], interfaces
-        )
+        flux_vals = _eo_interface_flux(flux, padded[:-1], padded[1:], interfaces)
         divergence = (flux_vals[1:] - flux_vals[:-1]) / h
         u_star = u - dt * divergence
-        rhs = u_star.copy()
-        rhs[0] += lam * bg[-1]
-        rhs[-1] += lam * bg[0]
-        u_new = _solve_tridiagonal(lam, rhs)
+        u_new = _solve_tridiagonal(lam, u_star)
 
     return replace(state, u=u_new, time=state.time + dt)
 
@@ -290,60 +261,6 @@ def evolve(
         if snaps.size and np.any(np.abs(snaps - target) <= 1e-14):
             observe(current)
     return current, series
-
-
-def scheme_stationary_profile(
-    flux: FluxModel,
-    mean: float,
-    grid: CellGrid,
-    cfg: Optional[NewtonConfig] = None,
-    initial: Optional[np.ndarray] = None,
-) -> Profile:
-    """Stationary profile of the discrete scheme itself (not the PDE stencil).
-
-    Solves (F_{i+1/2} - F_{i-1/2})/h = D2 w with the same Engquist-Osher
-    interface flux and Laplacian the stepper uses, in bordered Newton form, so
-    the returned profile is an exact fixed point of ``step`` up to solver
-    roundoff.  Backgrounds for evolution runs must come from here (or be
-    identically zero for a normalized flux).
-    """
-    cfg = cfg or NewtonConfig()
-    if not np.isclose(grid.period, flux.period, rtol=1e-12, atol=0.0):
-        raise ValueError(f"grid period {grid.period} != flux period {flux.period}")
-    n = grid.n_cells
-    h = grid.h
-    interfaces = np.arange(n) * h
-
-    p = float(mean)
-
-    # Newton on the deviation d = w - p: the Laplacian acts on d so its
-    # 1/h^2 roundoff floor tracks the profile variation rather than |p|
-    def residual(d):
-        w = p + d
-        fvals = _eo_interface_flux(flux, np.roll(w, 1), w, interfaces)
-        conv = (np.roll(fvals, -1) - fvals) / h
-        lap = (np.roll(d, -1) - 2.0 * d + np.roll(d, 1)) / h**2
-        return conv - lap
-
-    def jacobian(d):
-        # interface i sits between cells i-1 and i
-        w = p + d
-        da, db = _eo_slopes(flux, np.roll(w, 1), w, interfaces)
-        J = np.zeros((n, n))
-        idx = np.arange(n)
-        up = (idx + 1) % n
-        dn = (idx - 1) % n
-        J[idx, idx] = (np.roll(da, -1) - db) / h + 2.0 / h**2
-        J[idx, up] = np.roll(db, -1) / h - 1.0 / h**2
-        J[idx, dn] = -da / h - 1.0 / h**2
-        return J
-
-    if initial is None:
-        from .stationary import solve_stationary
-
-        initial = solve_stationary(flux, mean, grid, cfg).values
-    dev = _bordered_newton(residual, jacobian, np.asarray(initial, float) - p, 0.0, cfg)
-    return Profile(grid, p + dev)
 
 
 def _wrapped_offsets(n: int, h: float, length: float) -> np.ndarray:

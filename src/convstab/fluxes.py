@@ -1,24 +1,30 @@
-"""Flux models f(u, x): periodic in x, twice differentiable in u.
+"""Flux models f(u, x): periodic in x, quadratic in u.
 
-A :class:`FluxModel` bundles vectorized callables for f and its partial
-derivatives.  The built-in labels cover the test matrix:
+Every flux is
 
-* ``constant_flux_burgers``   f = u^2/2
-* ``forced_burgers``          f = u^2/2 + A sin(2 pi x / T) u
-* ``periodic_advection``      f = a0 (1 + A cos(2 pi x / T)) u,  |A| < 1
-* ``custom_table``            f = c0(x) + c1(x) u + c2(x) u^2/2 with tabulated
-                              periodic coefficients (cubic-spline interpolated)
+    f(u, x) = c0(x) + c1(x) u + c2(x) u^2 / 2
 
-All built-ins (and anything derived from them by shifting about a background
-profile) are quadratic polynomials in u at fixed x; the monotone interface
-flux in the evolution module exploits that to evaluate the Engquist-Osher
-integrals in closed form, so ``quadratic_in_u`` is validated at construction.
+with periodic coefficients.  One constructor turns the three coefficients
+into the vectorized callables of a :class:`FluxModel`; the built-in labels
+are coefficient declarations:
+
+* ``constant_flux_burgers``   c2 = 1
+* ``forced_burgers``          c1 = A sin(2 pi x / T),  c2 = 1
+* ``periodic_advection``      c1 = a0 (1 + A cos(2 pi x / T)),  |A| < 1
+* ``custom_table``            c0, c1, c2 constants or tabulated periodic
+                              samples (cubic-spline interpolated)
+
+Shifting about a stationary profile (``normalize_about_wp``) keeps f
+quadratic in u; the evolution module relies on that to evaluate the
+Engquist-Osher flux from f(0, x), d_u f(0, x) and d_uu f(0, x) alone.  Once
+normalized, f(0, .) = 0 and the zero state -- the value at which pinned
+ghost cells sit -- is an exact fixed point of the scheme.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -26,11 +32,12 @@ from scipy.interpolate import CubicSpline
 __all__ = [
     "FluxModel",
     "builtin_flux",
-    "check_derivative_consistency",
-    "check_periodicity",
 ]
 
 ArrayFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+XFn = Callable[[np.ndarray], np.ndarray]
+# a constant, or a pair (c, dc/dx) of vectorized periodic functions of x
+Coefficient = Union[float, Tuple[XFn, XFn]]
 
 
 @dataclass(frozen=True)
@@ -38,9 +45,9 @@ class FluxModel:
     """Vectorized flux f(u, x) with one period T in x.
 
     ``eval``, ``d_u``, ``d_uu`` and ``d_x`` accept broadcastable arrays and
-    return arrays of the broadcast shape.  ``quadratic_in_u`` declares that
-    d_uu does not depend on u (true for every built-in); the time stepper
-    refuses fluxes without that guarantee.
+    return arrays of the broadcast shape.  f must be quadratic in u (d_uu
+    independent of u): the time stepper's Engquist-Osher flux is exact only
+    for such models.
     """
 
     label: str
@@ -49,7 +56,6 @@ class FluxModel:
     d_u: ArrayFn
     d_uu: ArrayFn
     d_x: ArrayFn
-    quadratic_in_u: bool = True
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -57,159 +63,104 @@ class FluxModel:
             raise ValueError(f"flux period must be positive, got {self.period}")
 
 
-def _broadcast(u, x):
-    u = np.asarray(u, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return np.broadcast_arrays(u, x)
+def _value_and_slope(coefficient: Coefficient) -> Tuple[XFn, XFn]:
+    if isinstance(coefficient, tuple):
+        return coefficient
+    value = float(coefficient)
+    return (lambda x: value), (lambda x: 0.0)
+
+
+def _quadratic_flux(
+    label: str,
+    period: float,
+    c0: Coefficient,
+    c1: Coefficient,
+    c2: Coefficient,
+    params: Mapping[str, float],
+) -> FluxModel:
+    """FluxModel of f = c0(x) + c1(x) u + c2(x) u^2 / 2.
+
+    Constant coefficients stay Python floats, so a constant term costs one
+    scalar-array operation per evaluation.
+    """
+    (v0, s0), (v1, s1), (v2, s2) = (_value_and_slope(c) for c in (c0, c1, c2))
+
+    def f(u, x):
+        u, x = np.broadcast_arrays(np.asarray(u, float), np.asarray(x, float))
+        return v0(x) + v1(x) * u + 0.5 * v2(x) * u * u
+
+    def fu(u, x):
+        u, x = np.broadcast_arrays(np.asarray(u, float), np.asarray(x, float))
+        return v1(x) + v2(x) * u
+
+    def fuu(u, x):
+        u, x = np.broadcast_arrays(np.asarray(u, float), np.asarray(x, float))
+        return v2(x) + np.zeros_like(u)
+
+    def fx(u, x):
+        u, x = np.broadcast_arrays(np.asarray(u, float), np.asarray(x, float))
+        return s0(x) + s1(x) * u + 0.5 * s2(x) * u * u
+
+    return FluxModel(label, period, f, fu, fuu, fx, params=dict(params))
+
+
+def _take_period(params: dict) -> float:
+    return float(params.pop("period", params.pop("T", 1.0)))
 
 
 def _constant_burgers(params: dict) -> FluxModel:
-    period = float(params.pop("period", params.pop("T", 1.0)))
-
-    def f(u, x):
-        u, x = _broadcast(u, x)
-        return 0.5 * u * u
-
-    def fu(u, x):
-        u, x = _broadcast(u, x)
-        return u.copy()
-
-    def fuu(u, x):
-        u, x = _broadcast(u, x)
-        return np.ones_like(u)
-
-    def fx(u, x):
-        u, x = _broadcast(u, x)
-        return np.zeros_like(u)
-
-    return FluxModel("constant_flux_burgers", period, f, fu, fuu, fx,
-                     params={"period": period})
+    period = _take_period(params)
+    return _quadratic_flux("constant_flux_burgers", period, 0.0, 0.0, 1.0,
+                           {"period": period})
 
 
 def _forced_burgers(params: dict) -> FluxModel:
     amplitude = float(params.pop("amplitude", params.pop("A", 0.5)))
-    period = float(params.pop("period", params.pop("T", 1.0)))
+    period = _take_period(params)
     k = 2.0 * np.pi / period
-
-    def forcing(x):
-        return amplitude * np.sin(k * x)
-
-    def f(u, x):
-        u, x = _broadcast(u, x)
-        return 0.5 * u * u + forcing(x) * u
-
-    def fu(u, x):
-        u, x = _broadcast(u, x)
-        return u + forcing(x)
-
-    def fuu(u, x):
-        u, x = _broadcast(u, x)
-        return np.ones_like(u)
-
-    def fx(u, x):
-        u, x = _broadcast(u, x)
-        return amplitude * k * np.cos(k * x) * u
-
-    return FluxModel("forced_burgers", period, f, fu, fuu, fx,
-                     params={"amplitude": amplitude, "period": period})
+    forcing = (lambda x: amplitude * np.sin(k * x),
+               lambda x: amplitude * k * np.cos(k * x))
+    return _quadratic_flux("forced_burgers", period, 0.0, forcing, 1.0,
+                           {"amplitude": amplitude, "period": period})
 
 
 def _periodic_advection(params: dict) -> FluxModel:
     a0 = float(params.pop("a0", 1.0))
     amplitude = float(params.pop("amplitude", params.pop("A", 0.5)))
-    period = float(params.pop("period", params.pop("T", 1.0)))
+    period = _take_period(params)
     if not abs(amplitude) < 1.0:
         raise ValueError(
             f"periodic_advection requires |amplitude| < 1, got {amplitude}"
         )
     k = 2.0 * np.pi / period
-
-    def speed(x):
-        return a0 * (1.0 + amplitude * np.cos(k * x))
-
-    def f(u, x):
-        u, x = _broadcast(u, x)
-        return speed(x) * u
-
-    def fu(u, x):
-        u, x = _broadcast(u, x)
-        return speed(x) + np.zeros_like(u)
-
-    def fuu(u, x):
-        u, x = _broadcast(u, x)
-        return np.zeros_like(u)
-
-    def fx(u, x):
-        u, x = _broadcast(u, x)
-        return -a0 * amplitude * k * np.sin(k * x) * u
-
-    return FluxModel("periodic_advection", period, f, fu, fuu, fx,
-                     params={"a0": a0, "amplitude": amplitude, "period": period})
+    speed = (lambda x: a0 * (1.0 + amplitude * np.cos(k * x)),
+             lambda x: -a0 * amplitude * k * np.sin(k * x))
+    return _quadratic_flux("periodic_advection", period, 0.0, speed, 0.0,
+                           {"a0": a0, "amplitude": amplitude, "period": period})
 
 
-class _PeriodicCoefficient:
-    """Scalar or tabulated periodic coefficient c(x) with derivative."""
-
-    def __init__(self, data, period: float):
-        if np.ndim(data) == 0:
-            self._const = float(data)
-            self._spline = None
-            self._dspline = None
-        else:
-            samples = np.asarray(data, dtype=float)
-            if samples.ndim != 1 or samples.size < 4:
-                raise ValueError(
-                    "tabulated coefficients need a 1-D table with >= 4 samples"
-                )
-            knots = np.linspace(0.0, period, samples.size + 1)
-            closed = np.concatenate([samples, samples[:1]])
-            self._spline = CubicSpline(knots, closed, bc_type="periodic")
-            self._dspline = self._spline.derivative()
-            self._const = None
-        self._period = period
-
-    def _wrap(self, x):
-        return np.mod(x, self._period)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._spline is None:
-            return np.full(x.shape, self._const)
-        return self._spline(self._wrap(x))
-
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._spline is None:
-            return np.zeros(x.shape)
-        return self._dspline(self._wrap(x))
+def _table_coefficient(data, period: float) -> Coefficient:
+    """A scalar stays constant; a table becomes a periodic cubic spline."""
+    if np.ndim(data) == 0:
+        return float(data)
+    samples = np.asarray(data, dtype=float)
+    if samples.ndim != 1 or samples.size < 4:
+        raise ValueError("tabulated coefficients need a 1-D table with >= 4 samples")
+    knots = np.linspace(0.0, period, samples.size + 1)
+    spline = CubicSpline(knots, np.concatenate([samples, samples[:1]]),
+                         bc_type="periodic")
+    dspline = spline.derivative()
+    return (lambda x: spline(np.mod(x, period)),
+            lambda x: dspline(np.mod(x, period)))
 
 
 def _custom_table(params: dict) -> FluxModel:
-    period = float(params.pop("period", params.pop("T", 1.0)))
+    period = _take_period(params)
     if not period > 0:
         raise ValueError(f"custom_table needs period > 0, got {period}")
-    c0 = _PeriodicCoefficient(params.pop("const", 0.0), period)
-    c1 = _PeriodicCoefficient(params.pop("linear", 0.0), period)
-    c2 = _PeriodicCoefficient(params.pop("quadratic", 0.0), period)
-
-    def f(u, x):
-        u, x = _broadcast(u, x)
-        return c0(x) + c1(x) * u + 0.5 * c2(x) * u * u
-
-    def fu(u, x):
-        u, x = _broadcast(u, x)
-        return c1(x) + c2(x) * u
-
-    def fuu(u, x):
-        u, x = _broadcast(u, x)
-        return c2(x) + np.zeros_like(u)
-
-    def fx(u, x):
-        u, x = _broadcast(u, x)
-        return c0.derivative(x) + c1.derivative(x) * u + 0.5 * c2.derivative(x) * u * u
-
-    return FluxModel("custom_table", period, f, fu, fuu, fx,
-                     params={"period": period})
+    c0, c1, c2 = (_table_coefficient(params.pop(name, 0.0), period)
+                  for name in ("const", "linear", "quadratic"))
+    return _quadratic_flux("custom_table", period, c0, c1, c2, {"period": period})
 
 
 _BUILDERS = {
@@ -236,43 +187,3 @@ def builtin_flux(label: str, params: Optional[Mapping] = None) -> FluxModel:
     if work:
         raise ValueError(f"unused flux parameters for {label!r}: {sorted(work)}")
     return flux
-
-
-def check_periodicity(flux: FluxModel, n_samples: int = 1000, seed: int = 0) -> float:
-    """Max scaled violation of f(u, x + T) == f(u, x) over random samples."""
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-3.0, 3.0, n_samples)
-    x = rng.uniform(0.0, flux.period, n_samples)
-    worst = 0.0
-    for fn in (flux.eval, flux.d_u, flux.d_x):
-        a = fn(u, x)
-        b = fn(u, x + flux.period)
-        scale = 1.0 + np.abs(a)
-        worst = max(worst, float(np.max(np.abs(a - b) / scale)))
-    return worst
-
-
-def check_derivative_consistency(
-    flux: FluxModel, n_samples: int = 200, seed: int = 0, step: float = 1e-5
-) -> dict:
-    """Relative gap between d_u/d_x callables and central differences of eval.
-
-    Returns the max relative error per derivative; a correct model stays well
-    below 1e-5 at the default step.
-    """
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-2.0, 2.0, n_samples)
-    x = rng.uniform(0.0, flux.period, n_samples)
-
-    fd_u = (flux.eval(u + step, x) - flux.eval(u - step, x)) / (2 * step)
-    fd_x = (flux.eval(u, x + step) - flux.eval(u, x - step)) / (2 * step)
-    fd_uu = (flux.d_u(u + step, x) - flux.d_u(u - step, x)) / (2 * step)
-
-    def rel(err, ref):
-        return float(np.max(np.abs(err) / (1.0 + np.abs(ref))))
-
-    return {
-        "d_u": rel(flux.d_u(u, x) - fd_u, fd_u),
-        "d_x": rel(flux.d_x(u, x) - fd_x, fd_x),
-        "d_uu": rel(flux.d_uu(u, x) - fd_uu, fd_uu),
-    }

@@ -28,9 +28,10 @@ __all__ = [
 
 NormKind = Literal["L1", "L2", "Linf"]
 
-# "pinned_to_wp" freezes ghost cells at the background profile (the domain is a
-# truncation of the line, perturbations must stay away from the edges);
-# "periodic" wraps the domain into a torus of n_periods periods.
+# "pinned_to_wp" holds ghost cells at zero in the normalized variables, i.e. at
+# the stationary profile w_p (the domain is a truncation of the line,
+# perturbations must stay away from the edges); "periodic" wraps the domain
+# into a torus of n_periods periods.
 BoundaryMode = Literal["pinned_to_wp", "periodic"]
 
 

@@ -440,12 +440,7 @@ class RunSetup:
     policy: StepPolicy
 
     def initial_state(self) -> State:
-        return State(
-            grid=self.line_grid,
-            u=self.initial.copy(),
-            time=0.0,
-            background=np.zeros(self.line_grid.n_total),
-        )
+        return State(grid=self.line_grid, u=self.initial.copy(), time=0.0)
 
     def snapshot_times(self) -> np.ndarray:
         sched = self.config.schedule.times(self.config.t_end)
@@ -659,7 +654,6 @@ def semigroup_trials(
     policy = policy or StepPolicy()
     h = grid.h
     rng = np.random.default_rng(seed)
-    zeros = np.zeros(grid.n_total)
     records: List[dict] = []
 
     for trial in range(trials):
@@ -670,8 +664,8 @@ def semigroup_trials(
             ("ordered", base, base + bump),
             ("unordered", base, other),
         ):
-            u_state = State(grid, u_init, 0.0, zeros)
-            v_state = State(grid, v_init, 0.0, zeros)
+            u_state = State(grid, u_init, 0.0)
+            v_state = State(grid, v_init, 0.0)
             mass_gap0 = float(h * (u_state.u - v_state.u).sum())
             l1_prev = norm(u_state.u - v_state.u, h, "L1")
             worst_comparison = 0.0

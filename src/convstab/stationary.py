@@ -22,10 +22,9 @@ that stencil telescopes to the constancy of the discrete flux
 
     (b_i theta_i + b_{i+1} theta_{i+1}) / 2 + (theta_{i+1} - theta_i) / h = const,
 
-so the same discrete solution is reachable either by the bordered linear solve
-or by a one-step recurrence ("quadrature" of the once-integrated form).  Both
-paths are implemented and must agree; the recurrence is the default since it
-is O(n) and positivity is transparent.
+so the weight follows from a one-step recurrence ("quadrature" of the
+once-integrated form) in O(n), with positivity transparent.  The tests hold it
+to a bordered linear solve of the same stencil.
 """
 
 from __future__ import annotations
@@ -510,7 +509,6 @@ def normalize_about_wp(flux: FluxModel, background: Profile) -> FluxModel:
         d_u=fv,
         d_uu=fvv,
         d_x=fx,
-        quadratic_in_u=flux.quadratic_in_u,
         params=dict(flux.params),
     )
 
@@ -524,15 +522,12 @@ def _require_normalized(flux: FluxModel, x: np.ndarray) -> None:
         )
 
 
-def solve_theta(
-    flux: FluxModel, grid: CellGrid, method: str = "recurrence"
-) -> Profile:
+def solve_theta(flux: FluxModel, grid: CellGrid) -> Profile:
     """Positive periodic weight theta with unit mean for the energy diagnostic.
 
     Solves D1(b * theta) + D2 theta = 0 with b = d_u f(0, .), which requires a
-    normalized flux (f(0, .) = 0).  ``method`` selects the one-step recurrence
-    on the constant discrete flux (default) or the bordered linear solve; both
-    produce the same discrete solution and the tests hold them to 1e-9.
+    normalized flux (f(0, .) = 0), by the one-step recurrence on the constant
+    discrete flux.
     """
     x = grid.centers()
     _require_normalized(flux, x)
@@ -543,30 +538,17 @@ def solve_theta(
             "weight recurrence needs h * max|b| < 2; refine the grid"
         )
 
-    if method == "recurrence":
-        b_next = np.roll(b, -1)
-        denom = 1.0 / h + 0.5 * b_next
-        r = (1.0 / h - 0.5 * b) / denom
-        s = 1.0 / denom
-        # homogeneous and forced prefix solutions of theta_{i+1} = r_i theta_i + Phi s_i
-        A = np.concatenate([[1.0], np.cumprod(r)])
-        B = np.concatenate([[0.0], A[1:] * np.cumsum(s / A[1:])])
-        if B[-1] == 0.0:
-            raise StationarySolveError("degenerate weight recurrence")
-        phi = (1.0 - A[-1]) / B[-1]
-        theta = A[:-1] + phi * B[:-1]
-    elif method == "bordered":
-        lap, dif = _periodic_operators(grid.n_cells, h)
-        n = grid.n_cells
-        A = np.zeros((n + 1, n + 1))
-        A[:n, :n] = dif * b[np.newaxis, :] + lap
-        A[:n, n] = 1.0
-        A[n, :n] = 1.0 / n
-        rhs = np.zeros(n + 1)
-        rhs[n] = 1.0
-        theta = np.linalg.solve(A, rhs)[:n]
-    else:
-        raise ValueError(f"unknown weight method {method!r}")
+    b_next = np.roll(b, -1)
+    denom = 1.0 / h + 0.5 * b_next
+    r = (1.0 / h - 0.5 * b) / denom
+    s = 1.0 / denom
+    # homogeneous and forced prefix solutions of theta_{i+1} = r_i theta_i + Phi s_i
+    A = np.concatenate([[1.0], np.cumprod(r)])
+    B = np.concatenate([[0.0], A[1:] * np.cumsum(s / A[1:])])
+    if B[-1] == 0.0:
+        raise StationarySolveError("degenerate weight recurrence")
+    phi = (1.0 - A[-1]) / B[-1]
+    theta = A[:-1] + phi * B[:-1]
 
     theta = theta / theta.mean()
     if theta.min() <= 0.0:

@@ -35,7 +35,7 @@ def load_snapshots(result):
         t = float(path.name[10:-4])
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         v = data[:, 1] - data[:, 2]
-        states.append(cs.State(grid, v, t, np.zeros(grid.n_total)))
+        states.append(cs.State(grid, v, t))
     return states
 
 
@@ -117,7 +117,7 @@ def test_criterion_4_duhamel_oracle():
     grid = cs.LineGrid(cs.CellGrid(64, 1.0), 8, "periodic")
     x = grid.centers()
     u0 = 0.3 * np.exp(-((x - 4.0) ** 2) / 0.25)
-    out = cs.duhamel_picard(cs.State(grid, u0.copy(), 0.0, np.zeros(grid.n_total)),
+    out = cs.duhamel_picard(cs.State(grid, u0.copy(), 0.0),
                             cs.builtin_flux("custom_table"), 0.1)
     dx = x[:, None] - x[None, :]
     K = np.zeros_like(dx)
@@ -135,7 +135,7 @@ def test_criterion_4_duhamel_oracle():
         xf = fine.centers()
         v0 = 0.3 * (np.exp(-((xf - 3.0) ** 2) / 0.125) - np.exp(-((xf - 5.0) ** 2) / 0.125))
         v0 -= v0.mean()
-        state = lambda: cs.State(fine, v0.copy(), 0.0, np.zeros(fine.n_total))
+        state = lambda: cs.State(fine, v0.copy(), 0.0)
         pic = cs.duhamel_picard(state(), flux, t)
         imex, _ = cs.evolve(state(), flux, t, cs.StepPolicy(dt_max=t / (8 * n)),
                             snapshot_times=(t,))
@@ -190,7 +190,7 @@ def test_criterion_5_entropy_suite(canonical):
             times.append(state.time)
             return {}
 
-        cs.evolve(cs.State(line, v0, 0.0, np.zeros(line.n_total)), g, 3.0,
+        cs.evolve(cs.State(line, v0, 0.0), g, 3.0,
                   cs.StepPolicy(dt_max=0.02 * 32 / n),
                   snapshot_times=np.linspace(1.0, 3.0, n_snap), observers=[observe])
         residuals.append(cs.entropy_balance_check(fields, times).max_residual)

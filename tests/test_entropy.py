@@ -42,7 +42,7 @@ def constant_family():
 
 def state_on(family, values, n_periods=2):
     grid = LineGrid(family.grid, n_periods, "periodic")
-    return State(grid, np.asarray(values, float), 0.0, np.zeros(grid.n_total))
+    return State(grid, np.asarray(values, float), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ pin the backward-Euler O(dt) error before any property tests rely on it.
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import convstab as cs
+from convstab.evolution import _eo_interface_flux
 
 
 def forced():
@@ -19,8 +21,8 @@ def periodic_line(n_cells=64, n_periods=8, period=1.0):
     return cs.LineGrid(cs.CellGrid(n_cells, period), n_periods, "periodic")
 
 
-def zero_background_state(grid, u):
-    return cs.State(grid, np.asarray(u, float), 0.0, np.zeros(grid.n_total))
+def initial_state(grid, u):
+    return cs.State(grid, np.asarray(u, float), 0.0)
 
 
 def random_zero_mean(grid, seed, amplitude=0.3):
@@ -47,27 +49,56 @@ def wrapped_heat_matrix(x, length, h, t):
 # stationary states are fixed points
 
 
-def test_zero_state_is_an_exact_fixed_point_of_a_normalized_flux():
+@pytest.mark.parametrize("boundary_mode", ["periodic", "pinned_to_wp"])
+def test_zero_state_is_an_exact_fixed_point_of_a_normalized_flux(boundary_mode):
+    # pinned ghost cells sit at zero, so the pinned step is held to the same
+    # exact fixed point as the periodic one
     cell = cs.CellGrid(64, 1.0)
     g = cs.normalize_about_wp(forced(), cs.solve_stationary(forced(), 0.7, cell))
-    grid = cs.LineGrid(cell, 4, "periodic")
-    state = zero_background_state(grid, np.zeros(grid.n_total))
+    grid = cs.LineGrid(cell, 4, boundary_mode)
+    state = initial_state(grid, np.zeros(grid.n_total))
     final, _ = cs.evolve(state, g, 1.0, cs.StepPolicy(dt_max=0.05))
     assert np.all(final.u == 0.0), "zero data under a normalized flux must stay zero"
 
 
-def test_scheme_stationary_profile_is_a_discrete_fixed_point():
-    cell = cs.CellGrid(128, 1.0)
-    flux = forced()
-    w = cs.scheme_stationary_profile(flux, 0.7, cell)
-    grid = cs.LineGrid(cell, 4, "periodic")
-    bg = grid.tile(w)
-    state = cs.State(grid, bg.copy(), 0.0, bg)
-    policy = cs.StepPolicy(dt_max=0.01)
-    one = cs.step(state, flux, cs.cfl_timestep(state, flux, policy))
-    assert np.abs(one.u - bg).max() < 1e-12, "one step should not move the scheme profile"
-    final, _ = cs.evolve(state, flux, 1.0, policy)
-    assert np.abs(final.u - bg).max() < 1e-11, "drift over t=1 beyond linear-solver roundoff"
+# ---------------------------------------------------------------------------
+# the Engquist-Osher closed form against its definition
+
+
+def _eo_by_quadrature(flux, a, b, x):
+    """F(a, b) = f(0) + int_0^a max(f_u, 0) + int_0^b min(f_u, 0), split at u*."""
+    fu = lambda u: float(flux.d_u(u, x))
+    f1, f2 = fu(0.0), float(flux.d_uu(0.0, x))
+    sonic = [-f1 / f2] if f2 != 0.0 else []
+
+    def integral(end, part):
+        lo, hi = sorted((0.0, end))
+        knots = [lo] + [s for s in sonic if lo < s < hi] + [hi]
+        total = sum(quad(lambda u: part(fu(u), 0.0), p, q)[0]
+                    for p, q in zip(knots[:-1], knots[1:]))
+        return total if end >= 0.0 else -total
+
+    return float(flux.eval(0.0, x)) + integral(a, max) + integral(b, min)
+
+
+@pytest.mark.parametrize("flux", [
+    forced(),                                                      # convex
+    cs.builtin_flux("periodic_advection", {"amplitude": 0.5}),     # linear
+    cs.builtin_flux("custom_table", {                              # concave
+        "const": [0.1, -0.2, 0.3, 0.0, -0.1],
+        "linear": [0.4, -0.3, 0.6, 0.1, -0.5],
+        "quadratic": [-1.0, -0.6, -1.4, -0.8, -1.2],
+    }),
+], ids=["forced_burgers", "periodic_advection", "concave_custom_table"])
+def test_eo_closed_form_matches_its_definition(flux):
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.0, flux.period, 60)
+    a = rng.uniform(-2.0, 2.0, x.size)
+    b = rng.uniform(-2.0, 2.0, x.size)
+    closed = _eo_interface_flux(flux, a, b, x)
+    ref = np.array([_eo_by_quadrature(flux, ai, bi, xi) for ai, bi, xi in zip(a, b, x)])
+    gap = np.abs(closed - ref).max()
+    assert gap < 1e-14, f"closed-form vs quadrature Engquist-Osher flux: {gap:.2e}"
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +108,7 @@ def test_scheme_stationary_profile_is_a_discrete_fixed_point():
 def test_cfl_timestep_formula():
     grid = periodic_line()
     u = np.full(grid.n_total, 2.0)
-    state = zero_background_state(grid, u)
+    state = initial_state(grid, u)
     flux = cs.builtin_flux("constant_flux_burgers")  # max |d_u f| = 2
     policy = cs.StepPolicy(cfl_fraction=0.5, dt_max=10.0)
     assert cs.cfl_timestep(state, flux, policy) == pytest.approx(0.5 * grid.h / 2.0, rel=1e-14)
@@ -87,7 +118,7 @@ def test_cfl_timestep_formula():
 
 def test_step_rejects_cfl_violation():
     grid = periodic_line()
-    state = zero_background_state(grid, np.full(grid.n_total, 2.0))
+    state = initial_state(grid, np.full(grid.n_total, 2.0))
     with pytest.raises(cs.CFLError):
         cs.step(state, cs.builtin_flux("constant_flux_burgers"), 10.0 * grid.h)
 
@@ -95,8 +126,8 @@ def test_step_rejects_cfl_violation():
 def test_step_is_deterministic():
     grid = periodic_line()
     u = random_zero_mean(grid, 7)
-    a = cs.step(zero_background_state(grid, u), forced(), 0.001)
-    b = cs.step(zero_background_state(grid, u), forced(), 0.001)
+    a = cs.step(initial_state(grid, u), forced(), 0.001)
+    b = cs.step(initial_state(grid, u), forced(), 0.001)
     assert np.array_equal(a.u, b.u)
 
 
@@ -105,8 +136,6 @@ def test_policy_validation():
         cs.StepPolicy(cfl_fraction=0.0)
     with pytest.raises(ValueError):
         cs.StepPolicy(dt_max=-1.0)
-    with pytest.raises(ValueError):
-        cs.StepPolicy(scheme="lax_friedrichs")
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +150,7 @@ def test_diffusion_matches_wrapped_heat_kernel():
     ref = wrapped_heat_matrix(x, grid.length, grid.h, t_end) @ u0
     gaps = {}
     for steps in (400, 800):
-        state = zero_background_state(grid, u0.copy())
+        state = initial_state(grid, u0.copy())
         final, _ = cs.evolve(state, cs.builtin_flux("custom_table"), t_end,
                              cs.StepPolicy(dt_max=t_end / steps))
         gaps[steps] = np.abs(final.u - ref).max()
@@ -137,7 +166,7 @@ def test_diffusion_matches_wrapped_heat_kernel():
 def test_mass_is_conserved_on_periodic_domains():
     grid = periodic_line()
     u0 = random_zero_mean(grid, 21) + 0.4
-    state = zero_background_state(grid, u0)
+    state = initial_state(grid, u0)
     final, _ = cs.evolve(state, forced(), 1.0, cs.StepPolicy(dt_max=0.01))
     drift = abs(grid.h * final.u.sum() - grid.h * u0.sum())
     assert drift < 1e-11, f"mass drift {drift:.3e}"
@@ -148,8 +177,8 @@ def test_comparison_principle():
     lo = random_zero_mean(grid, 3)
     hi = lo + 0.05 + 0.05 * (1 + np.sin(grid.centers()))
     policy = cs.StepPolicy(dt_max=0.01)
-    a, _ = cs.evolve(zero_background_state(grid, lo), forced(), 0.5, policy)
-    b, _ = cs.evolve(zero_background_state(grid, hi), forced(), 0.5, policy)
+    a, _ = cs.evolve(initial_state(grid, lo), forced(), 0.5, policy)
+    b, _ = cs.evolve(initial_state(grid, hi), forced(), 0.5, policy)
     excess = float(np.max(a.u - b.u))
     assert excess <= 1e-12, f"ordered data must stay ordered, excess {excess:.3e}"
 
@@ -159,8 +188,8 @@ def test_l1_contraction():
     u0 = random_zero_mean(grid, 5)
     v0 = random_zero_mean(grid, 6)
     policy = cs.StepPolicy(dt_max=0.01)
-    a, _ = cs.evolve(zero_background_state(grid, u0), forced(), 0.5, policy)
-    b, _ = cs.evolve(zero_background_state(grid, v0), forced(), 0.5, policy)
+    a, _ = cs.evolve(initial_state(grid, u0), forced(), 0.5, policy)
+    b, _ = cs.evolve(initial_state(grid, v0), forced(), 0.5, policy)
     before = cs.norm(u0 - v0, grid.h, "L1")
     after = cs.norm(a.u - b.u, grid.h, "L1")
     assert after <= before + 1e-10, f"L1 distance grew: {before:.6f} -> {after:.6f}"
@@ -175,13 +204,13 @@ def test_snapshots_land_exactly_and_resume_is_bitwise():
     u0 = random_zero_mean(grid, 9)
     policy = cs.StepPolicy(dt_max=0.013)
     times = (0.4, 1.0, 1.7)
-    full, series = cs.evolve(zero_background_state(grid, u0), forced(), 2.0, policy,
+    full, series = cs.evolve(initial_state(grid, u0), forced(), 2.0, policy,
                              snapshot_times=times)
     assert np.array_equal(series.times, np.array(times))
 
     # resuming from a snapshot with the same remaining snapshot list replays
     # the identical step sequence
-    half, _ = cs.evolve(zero_background_state(grid, u0), forced(), 1.0, policy,
+    half, _ = cs.evolve(initial_state(grid, u0), forced(), 1.0, policy,
                         snapshot_times=(0.4, 1.0))
     assert half.time == 1.0
     resumed, _ = cs.evolve(half, forced(), 2.0, policy, snapshot_times=(1.7,))
@@ -190,7 +219,7 @@ def test_snapshots_land_exactly_and_resume_is_bitwise():
 
 def test_evolve_validates_times():
     grid = periodic_line()
-    state = zero_background_state(grid, np.zeros(grid.n_total))
+    state = initial_state(grid, np.zeros(grid.n_total))
     with pytest.raises(ValueError):
         cs.evolve(state, forced(), -1.0)
     with pytest.raises(ValueError):
@@ -206,7 +235,7 @@ def test_picard_with_zero_flux_is_plain_convolution():
     x = grid.centers()
     u0 = 0.3 * np.exp(-((x - 4.0) ** 2) / 0.25)
     t = 0.1
-    out = cs.duhamel_picard(zero_background_state(grid, u0.copy()),
+    out = cs.duhamel_picard(initial_state(grid, u0.copy()),
                             cs.builtin_flux("custom_table"), t)
     ref = wrapped_heat_matrix(x, grid.length, grid.h, t) @ u0
     gap = np.abs(out.u - ref).max()
@@ -219,8 +248,8 @@ def test_picard_agrees_with_the_scheme_at_short_times():
     u0 = 0.3 * np.exp(-((x - 4.0) ** 2) / 0.25)
     u0 -= u0.mean()
     t = 0.05
-    pic = cs.duhamel_picard(zero_background_state(grid, u0.copy()), forced(), t)
-    imex, _ = cs.evolve(zero_background_state(grid, u0.copy()), forced(), t,
+    pic = cs.duhamel_picard(initial_state(grid, u0.copy()), forced(), t)
+    imex, _ = cs.evolve(initial_state(grid, u0.copy()), forced(), t,
                         cs.StepPolicy(dt_max=t / 64), snapshot_times=(t,))
     gap = np.abs(pic.u - imex.u).max()
     assert gap < 1e-2, f"independent solvers disagree by {gap:.3e} at t={t}"
@@ -230,18 +259,18 @@ def test_picard_diverges_for_long_horizons():
     grid = cs.LineGrid(cs.CellGrid(64, 1.0), 8, "periodic")
     x = grid.centers()
     u0 = 6.0 * np.exp(-((x - 4.0) ** 2) / 0.25)
-    state = zero_background_state(grid, u0)
+    state = initial_state(grid, u0)
     with pytest.raises(cs.PicardDivergenceError):
         cs.duhamel_picard(state, cs.builtin_flux("constant_flux_burgers"), 10.0)
 
 
 def test_picard_input_validation():
     pinned = cs.LineGrid(cs.CellGrid(64, 1.0), 8, "pinned_to_wp")
-    state = zero_background_state(pinned, np.zeros(pinned.n_total))
+    state = initial_state(pinned, np.zeros(pinned.n_total))
     with pytest.raises(ValueError):
         cs.duhamel_picard(state, forced(), 0.1)
     grid = periodic_line()
-    ok = zero_background_state(grid, np.zeros(grid.n_total))
+    ok = initial_state(grid, np.zeros(grid.n_total))
     with pytest.raises(ValueError):
         cs.duhamel_picard(ok, forced(), -0.1)
     with pytest.raises(ValueError):
@@ -252,18 +281,7 @@ def test_picard_input_validation():
 # state container
 
 
-def test_state_requires_matching_shapes_and_tiling_background():
+def test_state_requires_matching_shape():
     grid = periodic_line(n_cells=8, n_periods=2)
     with pytest.raises(ValueError):
-        cs.State(grid, np.zeros(5), 0.0, np.zeros(grid.n_total))
-    ragged = np.zeros(grid.n_total)
-    ragged[0] = 1.0  # not a tiling of one period
-    with pytest.raises(ValueError):
-        cs.State(grid, np.zeros(grid.n_total), 0.0, ragged)
-
-
-def test_state_perturbation_is_u_minus_background():
-    grid = periodic_line(n_cells=8, n_periods=2)
-    bg = np.tile(np.arange(8.0), 2)
-    state = cs.State(grid, bg + 0.5, 0.0, bg)
-    assert np.array_equal(state.perturbation(), np.full(16, 0.5))
+        cs.State(grid, np.zeros(5), 0.0)

@@ -49,7 +49,6 @@ def test_constant_flux_burgers_closed_form():
     assert np.array_equal(flux.eval(u, x), 0.5 * u * u)
     assert np.array_equal(flux.d_u(u, x), u)
     assert np.all(flux.d_x(u, x) == 0.0)
-    assert flux.quadratic_in_u
 
 
 def test_forced_burgers_closed_form_and_zero_at_origin():
@@ -69,7 +68,6 @@ def test_periodic_advection_is_linear_in_u():
     a = 1.0 + 0.5 * np.cos(2 * np.pi * x)
     assert np.allclose(flux.eval(u, x), a * u, atol=1e-15)
     assert np.all(flux.d_uu(u, x) == 0.0)
-    assert not flux.quadratic_in_u or np.all(flux.d_uu(u, x) == 0.0)
 
 
 def test_custom_table_defaults_to_zero_flux():

@@ -278,12 +278,31 @@ def test_theta_matches_exponential_closed_form():
     assert gap < 1e-9, f"closed-form weight gap {gap:.3e}"
 
 
+def _theta_bordered(flux, grid):
+    """Dense bordered solve of D1(b theta) + D2 theta = 0 with <theta> = 1."""
+    n, h = grid.n_cells, grid.h
+    x = grid.centers()
+    b = flux.d_u(np.zeros_like(x), x)
+    idx = np.arange(n)
+    up, dn = (idx + 1) % n, (idx - 1) % n
+    A = np.zeros((n + 1, n + 1))
+    A[idx, idx] = -2.0 / h**2
+    A[idx, up] = 1.0 / h**2 + 0.5 * b[up] / h
+    A[idx, dn] = 1.0 / h**2 - 0.5 * b[dn] / h
+    A[:n, n] = 1.0
+    A[n, :n] = 1.0 / n
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    theta = np.linalg.solve(A, rhs)[:n]
+    return theta / theta.mean()
+
+
 def test_theta_two_solvers_agree():
     grid = CellGrid(128, 1.0)
     g = normalize_about_wp(forced(), solve_stationary(forced(), 0.7, grid))
-    rec = solve_theta(g, grid, method="recurrence")
-    bor = solve_theta(g, grid, method="bordered")
-    gap = np.abs(rec.values - bor.values).max()
+    rec = solve_theta(g, grid)
+    bor = _theta_bordered(g, grid)
+    gap = np.abs(rec.values - bor).max()
     assert gap < 1e-9, f"recurrence vs bordered: {gap:.3e}"
     assert rec.values.min() > 0
     assert abs(rec.values.mean() - 1.0) < 1e-13
