@@ -119,13 +119,16 @@ def residual_floor(values: np.ndarray, grid: CellGrid) -> float:
     The stored samples carry rounding of order eps * sup|w|; the second
     difference amplifies that by 4 / h^2, so no stored profile can certify a
     residual below roughly 2 eps sup|w| / h^2 no matter how far the solver
-    iterated (its internal criterion acts on the mean-free deviation, which
-    is rounded at its own, much smaller scale).  Checks on stored profiles
-    should allow tolerance + residual_floor; the factor 4 adds headroom for
-    the flux-difference term.
+    iterated.  Checks on stored profiles should allow tolerance +
+    residual_floor; the factor 4 adds headroom for the flux-difference term.
+    Newton itself stops at tolerance plus the same floor taken at the scale of
+    the mean-free deviation w - p, which is much smaller.
     """
-    scale = max(1.0, float(np.abs(values).max()))
-    return 4.0 * np.finfo(float).eps * scale / grid.h**2
+    return _roundoff_floor(max(1.0, float(np.abs(values).max())), grid.h)
+
+
+def _roundoff_floor(scale: float, h: float) -> float:
+    return 4.0 * np.finfo(float).eps * scale / h**2
 
 
 def _cell_jacobian(flux: FluxModel, values: np.ndarray, grid: CellGrid) -> np.ndarray:
@@ -134,11 +137,14 @@ def _cell_jacobian(flux: FluxModel, values: np.ndarray, grid: CellGrid) -> np.nd
     return -lap + dif * fu[np.newaxis, :]
 
 
-def _bordered_newton(residual_fn, jacobian_fn, w0, mean_target, cfg: NewtonConfig):
+def _bordered_newton(residual_fn, jacobian_fn, w0, mean_target, cfg: NewtonConfig,
+                     h: float):
     """Damped Newton on the bordered system (residual + lambda, mean constraint).
 
-    Returns the converged profile values; raises StationarySolveError with the
-    last residual on failure.
+    w is the mean-free deviation on a grid of spacing h.  Newton stops once
+    the residual and the mean gap are within cfg.tolerance plus the round-off
+    floor 4 eps sup|w| / h^2.  Returns the converged values; raises
+    StationarySolveError with the last residual on failure.
     """
     w = np.array(w0, dtype=float)
     n = w.size
@@ -149,9 +155,15 @@ def _bordered_newton(residual_fn, jacobian_fn, w0, mean_target, cfg: NewtonConfi
         gap = wv.mean() - mean_target
         return base, gap, float(np.sqrt(np.sum((base + lv) ** 2) + gap**2))
 
+    def floor():
+        return _roundoff_floor(float(np.abs(w).max()), h)
+
+    def converged():
+        return max(np.abs(base).max(), abs(gap)) <= cfg.tolerance + floor()
+
     base, gap, f_now = merit(w, lam)
     for _ in range(cfg.max_iterations):
-        if max(np.abs(base).max(), abs(gap)) <= cfg.tolerance:
+        if converged():
             return w
         J = jacobian_fn(w)
         A = np.zeros((n + 1, n + 1))
@@ -183,11 +195,12 @@ def _bordered_newton(residual_fn, jacobian_fn, w0, mean_target, cfg: NewtonConfi
         if not accepted:
             # stalled in roundoff; the final test below decides honestly
             break
-    if max(np.abs(base).max(), abs(gap)) <= cfg.tolerance:
+    if converged():
         return w
     raise StationarySolveError(
         f"no convergence (residual {np.abs(base).max():.3e}, "
-        f"mean gap {gap:.3e}, tolerance {cfg.tolerance:.1e})"
+        f"mean gap {gap:.3e}, tolerance {cfg.tolerance:.1e} + "
+        f"round-off floor {floor():.1e})"
     )
 
 
@@ -205,13 +218,15 @@ def solve_stationary(
     flux : FluxModel
     mean : target cell average p
     grid : CellGrid whose period must match the flux period
-    cfg : Newton settings (defaults are tight: residual sup norm <= 1e-11)
+    cfg : Newton settings (defaults are tight: residual sup norm <= 1e-11 plus
+          the round-off floor)
     initial : optional warm-start values; defaults to the constant profile
 
     Returns
     -------
     Profile with cell average exactly ``mean`` and discrete residual
-    ``-D2 w + D1 f(w, .)`` below ``cfg.tolerance`` in sup norm.
+    ``-D2 w + D1 f(w, .)`` below ``cfg.tolerance`` plus the round-off floor of
+    the deviation w - p (see ``residual_floor``) in sup norm.
     """
     cfg = cfg or NewtonConfig()
     if not np.isclose(grid.period, flux.period, rtol=1e-12, atol=0.0):
@@ -237,7 +252,7 @@ def solve_stationary(
         if initial is None
         else np.asarray(initial, float) - p
     )
-    dev = _bordered_newton(residual_dev, jacobian_dev, d0, 0.0, cfg)
+    dev = _bordered_newton(residual_dev, jacobian_dev, d0, 0.0, cfg, h)
     return Profile(grid, p + dev)
 
 

@@ -5,12 +5,15 @@ independently of the FFT path used by the solver, and the scheme order checks
 pin the backward-Euler O(dt) error before any property tests rely on it.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import convstab as cs
-from convstab.evolution import _eo_interface_flux
+from convstab import evolution
+from convstab.evolution import _eo_flux, _quadratic_at
 
 
 def forced():
@@ -89,13 +92,17 @@ def _eo_by_quadrature(flux, a, b, x):
         "linear": [0.4, -0.3, 0.6, 0.1, -0.5],
         "quadratic": [-1.0, -0.6, -1.4, -0.8, -1.2],
     }),
-], ids=["forced_burgers", "periodic_advection", "concave_custom_table"])
+    # a tiny quadratic puts the sonic point -f1/f2 at -+1e10
+    cs.builtin_flux("custom_table", {"linear": 1.0, "quadratic": 1e-10}),
+    cs.builtin_flux("custom_table", {"linear": -1.0, "quadratic": 1e-10}),
+], ids=["forced_burgers", "periodic_advection", "concave_custom_table",
+        "tiny_quadratic_rightward", "tiny_quadratic_leftward"])
 def test_eo_closed_form_matches_its_definition(flux):
     rng = np.random.default_rng(11)
     x = rng.uniform(0.0, flux.period, 60)
     a = rng.uniform(-2.0, 2.0, x.size)
     b = rng.uniform(-2.0, 2.0, x.size)
-    closed = _eo_interface_flux(flux, a, b, x)
+    closed = _eo_flux(_quadratic_at(flux, x), a, b)
     ref = np.array([_eo_by_quadrature(flux, ai, bi, xi) for ai, bi, xi in zip(a, b, x)])
     gap = np.abs(closed - ref).max()
     assert gap < 1e-14, f"closed-form vs quadrature Engquist-Osher flux: {gap:.2e}"
@@ -123,12 +130,70 @@ def test_step_rejects_cfl_violation():
         cs.step(state, cs.builtin_flux("constant_flux_burgers"), 10.0 * grid.h)
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+def test_step_raises_when_the_diffusion_solve_fails(dt):
+    # a zero flux passes the CFL guard at any dt, so the solve sees lam = dt / h^2
+    grid = periodic_line()
+    state = initial_state(grid, random_zero_mean(grid, 8))
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        cs.step(state, cs.builtin_flux("custom_table"), dt)
+
+
 def test_step_is_deterministic():
     grid = periodic_line()
     u = random_zero_mean(grid, 7)
     a = cs.step(initial_state(grid, u), forced(), 0.001)
     b = cs.step(initial_state(grid, u), forced(), 0.001)
     assert np.array_equal(a.u, b.u)
+
+
+def _counting(flux, counts):
+    """Copy of ``flux`` whose four callables count their calls in counts[0]."""
+    def counted(fn):
+        def call(*args):
+            counts[0] += 1
+            return fn(*args)
+        return call
+    return replace(flux, **{name: counted(getattr(flux, name))
+                            for name in ("eval", "d_u", "d_uu", "d_x")})
+
+
+def test_flux_is_sampled_once_per_flux_and_grid(monkeypatch):
+    cell = cs.CellGrid(64, 1.0)
+    g = cs.normalize_about_wp(forced(), cs.solve_stationary(forced(), 0.7, cell))
+    grid = cs.LineGrid(cell, 4, "periodic")
+    u0 = random_zero_mean(grid, 4)
+    steps = [0]
+
+    def counted_step(*args):
+        steps[0] += 1
+        return step(*args)
+
+    step = evolution.step
+    monkeypatch.setattr(evolution, "step", counted_step)
+    calls = {}
+    for n_steps in (10, 100):
+        steps[0], counts = 0, [0]
+        cs.evolve(initial_state(grid, u0), _counting(g, counts), 0.02,
+                  cs.StepPolicy(dt_max=0.02 / n_steps))
+        assert steps[0] == n_steps
+        calls[n_steps] = counts[0]
+    assert 0 < calls[10] == calls[100], f"model calls per run: {calls}"
+
+    # alternating fluxes and grids: each step must match a step on a freshly
+    # built flux, so a memo keyed on too little shows up here
+    builders = (forced, lambda: cs.builtin_flux("periodic_advection", {"amplitude": 0.5}))
+    fluxes = [build() for build in builders]
+    grids = (periodic_line(64, 2), periodic_line(32, 4),
+             cs.LineGrid(cs.CellGrid(64, 1.0), 2, "pinned_to_wp"))
+    states = [initial_state(gr, random_zero_mean(gr, k)) for k, gr in enumerate(grids)]
+    order = [(0, 0), (0, 0), (0, 1), (1, 1), (1, 2), (0, 2), (0, 0), (1, 0)]
+    fresh = [cs.step(states[gi], builders[fi](), 1e-3).u for fi, gi in order]
+    for (fi, gi), want in zip(order, fresh):
+        # the state carries an equal copy of the grid: the memo compares grids
+        # by equality, not identity
+        state = replace(states[gi], grid=replace(grids[gi]))
+        assert np.array_equal(cs.step(state, fluxes[fi], 1e-3).u, want)
 
 
 def test_policy_validation():

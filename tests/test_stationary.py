@@ -67,6 +67,18 @@ def test_residuals_meet_tolerance_plus_storage_floor():
         assert abs(prof.values.mean() - p) < 1e-13, f"p={p}: mean off by {prof.values.mean() - p:.2e}"
 
 
+@pytest.mark.parametrize("n_cells", [512, 1024])
+@pytest.mark.parametrize("p", [-2.0, 0.0, 2.0])
+def test_newton_converges_on_fine_grids(n_cells, p):
+    # the tolerance alone sits below the 1/h^2 round-off floor at these sizes
+    grid = CellGrid(n_cells, 1.0)
+    prof = solve_stationary(forced(), p, grid)
+    res = np.abs(cell_residual(forced(), prof.values, grid)).max()
+    cap = NewtonConfig().tolerance + residual_floor(prof.values, grid)
+    assert res <= cap, f"n={n_cells}, p={p}: residual {res:.3e} above {cap:.3e}"
+    assert abs(prof.values.mean() - p) < 1e-13
+
+
 def test_residual_floor_formula():
     grid = CellGrid(128, 1.0)
     values = np.full(128, 2.0)
