@@ -47,12 +47,11 @@ class FamilyRangeError(ValueError):
     """A state value falls outside the p-range the family covers."""
 
 
-def _gather_eval(coeffs: np.ndarray, j: np.ndarray,
-                 s: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Evaluate a per-cell piecewise polynomial at interval j, offset s."""
-    acc = coeffs[0, j, cells].copy()
-    for k in range(1, coeffs.shape[0]):
-        acc = acc * s + coeffs[k, j, cells]
+def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Evaluate per-cell polynomials (coefficient rows, highest first) at s."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * s + c
     return acc
 
 
@@ -106,7 +105,7 @@ class FamilyInterpolant:
         cells = np.asarray(cells, dtype=int)
         self._check_cells(cells, p.size)
         j, s = self._locate(p)
-        return _gather_eval(self._w_coeffs, j, s, cells)
+        return _horner(self._w_coeffs[:, j, cells], s)
 
     def dp_at(self, p, cells) -> np.ndarray:
         """Mean-derivative table interpolated at per-cell p values."""
@@ -114,7 +113,7 @@ class FamilyInterpolant:
         cells = np.asarray(cells, dtype=int)
         self._check_cells(cells, p.size)
         j, s = self._locate(p)
-        return _gather_eval(self._dp_coeffs, j, s, cells)
+        return _horner(self._dp_coeffs[:, j, cells], s)
 
     def profile_integral(self, p, cells) -> np.ndarray:
         """integral_{p_min}^{p} w_q(x_i) dq, exact for the interpolant."""
@@ -122,7 +121,7 @@ class FamilyInterpolant:
         cells = np.asarray(cells, dtype=int)
         self._check_cells(cells, p.size)
         j, s = self._locate(p)
-        return _gather_eval(self._w_anti, j, s, cells)
+        return _horner(self._w_anti[:, j, cells], s)
 
     def invert(self, u, cells) -> np.ndarray:
         """Per-cell inverse pi with w_pi(x_i) = u_i, by bracketed bisection.
@@ -155,17 +154,21 @@ class FamilyInterpolant:
         exact = np.abs(table[k, np.arange(u.size)] - u) == 0.0
         exact_hi = np.abs(table[k + 1, np.arange(u.size)] - u) == 0.0
 
-        lo = self._p[k].copy()
-        hi = self._p[k + 1].copy()
+        # the bracket k is fixed, so its cubic is gathered once.  At a midpoint
+        # equal to p_{k+1} profile_at would read interval k + 1, but that only
+        # occurs once lo and hi = p_{k+1} are adjacent, where pi = p_{k+1} anyway
+        coeffs = self._w_coeffs[:, k, cells]
+        lo, hi = p_lo, p_hi = self._p[k], self._p[k + 1]
         for _ in range(64):
             mid = 0.5 * (lo + hi)
-            w_mid = self.profile_at(mid, cells)
-            go_right = w_mid < u
-            lo = np.where(go_right, mid, lo)
-            hi = np.where(go_right, hi, mid)
+            go_right = _horner(coeffs, mid - p_lo) < u
+            lo_new, hi_new = np.where(go_right, mid, lo), np.where(go_right, hi, mid)
+            if np.array_equal(lo_new, lo) and np.array_equal(hi_new, hi):
+                break  # a fixed point of the deterministic update
+            lo, hi = lo_new, hi_new
         pi = 0.5 * (lo + hi)
-        pi = np.where(exact, self._p[k], pi)
-        pi = np.where(exact_hi, self._p[k + 1], pi)
+        pi = np.where(exact, p_lo, pi)
+        pi = np.where(exact_hi, p_hi, pi)
         return pi
 
 

@@ -35,11 +35,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .diagnostics import DiagnosticsSeries
 from .fluxes import FluxModel
-from .grids import LineGrid
+from .grids import LineGrid, _cyclic_tridiagonal, _tridiagonal
 
 __all__ = [
     "CFLError",
@@ -161,30 +160,14 @@ def cfl_timestep(state: State, flux: FluxModel, policy: StepPolicy) -> float:
 
 
 def _diffusion_solve(lam: float, rhs: np.ndarray, periodic: bool) -> np.ndarray:
-    """Backward Euler: solve tridiag(-lam, 1 + 2 lam, -lam) u = rhs.
-
-    On periodic domains the -lam corners go in by Sherman-Morrison: one LAPACK
-    call solves a modified tridiagonal matrix for rhs and the rank-one vector.
-    """
-    n = rhs.size
-    diag = np.full(n, 1.0 + 2.0 * lam)
-    cols = rhs.reshape(n, 1)
-    if periodic:
-        gamma = -(1.0 + 2.0 * lam)
-        diag[0] -= gamma
-        diag[-1] -= lam * lam / gamma
-        cols = np.zeros((n, 2), order="F")
-        cols[:, 0], cols[0, 1], cols[-1, 1] = rhs, gamma, -lam
-    off = np.full(n - 1, -lam)
-    *_, sol, info = dgtsv(off, diag, off.copy(), cols, True, True, True, True)
-    if info != 0 or not np.isfinite(sol).all():
-        raise np.linalg.LinAlgError(
-            f"diffusion solve failed (LAPACK dgtsv info={info}, lam={lam:.3e})")
-    y = sol[:, 0]
+    """Backward Euler: solve tridiag(-lam, 1 + 2 lam, -lam) u = rhs, with -lam
+    corners on periodic domains (Sherman-Morrison, one LAPACK call)."""
+    diag = np.full(rhs.size, 1.0 + 2.0 * lam)
+    off = np.full(rhs.size, -lam)
     if not periodic:
-        return y
-    z = sol[:, 1]
-    return y - (y[0] - lam * y[-1] / gamma) / (1.0 + z[0] - lam * z[-1] / gamma) * z
+        return _tridiagonal(off, diag, off, rhs[:, None])[:, 0]
+    sol, row = _cyclic_tridiagonal(off, diag, off, rhs[:, None])
+    return sol[:, 0] - row[0] / row[1] * sol[:, 1]
 
 
 def step(state: State, flux: FluxModel, dt: float) -> State:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 __all__ = [
     "BoundaryMode",
@@ -175,3 +176,36 @@ def primitive(u: np.ndarray, h: float) -> np.ndarray:
     if u.size == 0:
         raise ValueError("primitive of an empty sample array is undefined")
     return h * np.cumsum(u)
+
+
+def _tridiagonal(lower, diag, upper, columns) -> np.ndarray:
+    """Solve the tridiagonal system with rows lower[i] x[i-1] + diag[i] x[i] +
+    upper[i] x[i+1] (lower[0], upper[-1] unread) for (n, k) columns in one
+    LAPACK dgtsv call; a nonzero info or a non-finite result raises LinAlgError."""
+    *_, sol, info = dgtsv(lower[1:], diag, upper[:-1], columns)
+    if info != 0 or not np.isfinite(sol).all():
+        raise np.linalg.LinAlgError(f"tridiagonal solve failed (LAPACK dgtsv info={info})")
+    return sol
+
+
+def _cyclic_tridiagonal(lower, diag, upper, columns) -> tuple:
+    """Sherman-Morrison pieces of the cyclic tridiagonal A whose row i reads
+    lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1], indices mod n.
+
+    With g = -diag[0], A = T + u v^T for u = (g, 0, ..., upper[-1]) and
+    v = (1, 0, ..., lower[0] / g); T, the tridiagonal part with diag[0] - g and
+    diag[-1] - upper[-1] lower[0] / g, must be invertible, A need not be.
+    Returns X = T^-1 [columns, u] (one dgtsv call) and the row v^T X with 1
+    added to its last entry.
+    """
+    n, k = diag.size, np.shape(columns)[1]
+    gamma = -diag[0]
+    d = np.array(diag, dtype=float)
+    d[0] -= gamma
+    d[-1] -= upper[-1] * lower[0] / gamma
+    cols = np.zeros((n, k + 1), order="F")
+    cols[:, :k], cols[0, k], cols[-1, k] = columns, gamma, upper[-1]
+    sol = _tridiagonal(lower, d, upper, cols)
+    row = sol[0] + lower[0] * sol[-1] / gamma
+    row[k] = 1.0 + sol[0, k] + lower[0] * sol[-1, k] / gamma
+    return sol, row

@@ -554,14 +554,13 @@ class RunResult:
     family_path: Optional[str] = None
 
 
-def _write_snapshot(path, x: np.ndarray, u: np.ndarray, background: np.ndarray) -> None:
-    lines = ["x,u,background"]
-    for xi, ui, bi in zip(x, u, background):
-        # repr of a Python float is the shortest digit string that parses
-        # back to the same double, so the file round-trips bit for bit
-        lines.append(f"{float(xi)!r},{float(ui)!r},{float(bi)!r}")
+def _write_snapshot(path, x_text: List[str], u: np.ndarray, background_text: List[str]) -> None:
+    # repr of a Python float is the shortest digit string that parses back to
+    # the same double, so the file round-trips bit for bit; the x and
+    # background columns are the same in every snapshot and come formatted
+    rows = map(",".join, zip(x_text, map(repr, u.tolist()), background_text))
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x,u,background\n" + "\n".join(rows) + "\n")
 
 
 def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None,
@@ -600,11 +599,12 @@ def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None,
             snap_dir = out_dir / "snapshots"
             snap_dir.mkdir(exist_ok=True)
             snapshots_dir = str(snap_dir)
-            x = setup.line_grid.centers()
+            x_text = list(map(repr, setup.line_grid.centers().tolist()))
             bg = setup.line_grid.tile(setup.w_p)
+            bg_text = list(map(repr, bg.tolist()))
             for state in snapshot_states:
                 name = f"snapshot_t{state.time!r}.csv"
-                _write_snapshot(snap_dir / name, x, state.u + bg, bg)
+                _write_snapshot(snap_dir / name, x_text, state.u + bg, bg_text)
 
     return RunResult(
         setup=setup,

@@ -14,6 +14,10 @@ where lambda converges to zero automatically and the scalar constraint row
 pins the mean exactly.  A damped Newton iteration with warm-started
 continuation in p builds the whole family w_p together with the derivative
 profiles dw/dp, which solve the linearized bordered system and have unit mean.
+The Jacobian -D2 + D1 diag(d_u f) is cyclic tridiagonal, so every bordered
+solve costs O(n): the periodic corners and the border enter a tridiagonal
+LAPACK solve as a rank-two (Woodbury) update, on the same solver the time
+stepper uses for its diffusion half.
 
 The module also provides the positive periodic weight used by the
 weighted-energy diagnostic.  Once the flux is normalized so that f(0, .) = 0,
@@ -31,14 +35,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .fluxes import FluxModel, builtin_flux
-from .grids import CellGrid, Profile
+from .grids import CellGrid, Profile, _cyclic_tridiagonal
 
 __all__ = [
     "NewtonConfig",
@@ -74,22 +77,6 @@ class NewtonConfig:
             raise ValueError("tolerance must be positive and max_iterations >= 1")
         if self.continuation_step <= 0:
             raise ValueError("continuation_step must be positive")
-
-
-@lru_cache(maxsize=32)
-def _periodic_operators(n: int, h: float):
-    """Dense periodic Laplacian and centered first-difference matrices."""
-    lap = np.zeros((n, n))
-    dif = np.zeros((n, n))
-    idx = np.arange(n)
-    up = (idx + 1) % n
-    dn = (idx - 1) % n
-    lap[idx, idx] = -2.0 / h**2
-    lap[idx, up] = 1.0 / h**2
-    lap[idx, dn] = 1.0 / h**2
-    dif[idx, up] = 0.5 / h
-    dif[idx, dn] = -0.5 / h
-    return lap, dif
 
 
 def _lap_apply(w: np.ndarray, h: float) -> np.ndarray:
@@ -131,28 +118,51 @@ def _roundoff_floor(scale: float, h: float) -> float:
     return 4.0 * np.finfo(float).eps * scale / h**2
 
 
-def _cell_jacobian(flux: FluxModel, values: np.ndarray, grid: CellGrid) -> np.ndarray:
-    lap, dif = _periodic_operators(grid.n_cells, grid.h)
-    fu = flux.d_u(values, grid.centers())
-    return -lap + dif * fu[np.newaxis, :]
+def _bordered_solve(fu: np.ndarray, h: float, rhs: np.ndarray, gap: float) -> tuple:
+    """(d, lambda) with J d + lambda = rhs and <d> = gap, in O(n).
+
+    J = -D2 + D1 diag(fu) is cyclic tridiagonal with 1^T J = 0, so it is
+    singular on its own.  Its periodic corners and the border both go in by a
+    Woodbury update with two vectors: one dgtsv call solves the corner-modified
+    tridiagonal T for rhs, the ones vector and the corner vector, and a 2x2
+    Schur system gives the corner weight s = v^T d and lambda.
+    """
+    lower = -1.0 / h**2 - np.roll(fu, 1) / (2.0 * h)
+    upper = -1.0 / h**2 + np.roll(fu, -1) / (2.0 * h)
+    diag = np.full(fu.size, 2.0 / h**2)
+    columns = np.column_stack([rhs, np.ones_like(rhs)])
+    try:
+        sol, row = _cyclic_tridiagonal(lower, diag, upper, columns)
+    except np.linalg.LinAlgError as exc:
+        raise StationarySolveError(f"bordered Jacobian solve failed: {exc}") from exc
+    y, e, z = sol.T
+    # [[1 + v^T z, v^T e], [<z>, <e>]] (s, lambda) = (v^T y, <y> - gap); a
+    # determinant lost to cancellation (or NaN) means the system is singular
+    a, b, c, d = row[2], row[1], z.mean(), e.mean()
+    det = a * d - b * c
+    if not abs(det) > 4.0 * np.finfo(float).eps * max(abs(a * d), abs(b * c)):
+        raise StationarySolveError(f"bordered Jacobian is singular (n={fu.size})")
+    r0, r1 = row[0], y.mean() - gap
+    s, lam = (d * r0 - b * r1) / det, (a * r1 - c * r0) / det
+    return y - s * z - lam * e, lam
 
 
-def _bordered_newton(residual_fn, jacobian_fn, w0, mean_target, cfg: NewtonConfig,
-                     h: float):
+def _bordered_newton(residual_fn, speed_fn, w0, cfg: NewtonConfig, h: float):
     """Damped Newton on the bordered system (residual + lambda, mean constraint).
 
-    w is the mean-free deviation on a grid of spacing h.  Newton stops once
-    the residual and the mean gap are within cfg.tolerance plus the round-off
-    floor 4 eps sup|w| / h^2.  Returns the converged values; raises
-    StationarySolveError with the last residual on failure.
+    w is the mean-free deviation on a grid of spacing h.  speed_fn(w) gives
+    d_u f at the cell centers, which fixes the cyclic tridiagonal Jacobian
+    J = -D2 + D1 diag(d_u f); each step solves the bordered system in O(n)
+    (``_bordered_solve``).  Newton stops once the residual and the mean gap are
+    within cfg.tolerance plus the round-off floor 4 eps sup|w| / h^2.  Returns
+    the converged values; raises StationarySolveError with the last residual.
     """
     w = np.array(w0, dtype=float)
-    n = w.size
     lam = 0.0
 
     def merit(wv, lv):
         base = residual_fn(wv)
-        gap = wv.mean() - mean_target
+        gap = wv.mean()
         return base, gap, float(np.sqrt(np.sum((base + lv) ** 2) + gap**2))
 
     def floor():
@@ -165,26 +175,12 @@ def _bordered_newton(residual_fn, jacobian_fn, w0, mean_target, cfg: NewtonConfi
     for _ in range(cfg.max_iterations):
         if converged():
             return w
-        J = jacobian_fn(w)
-        A = np.zeros((n + 1, n + 1))
-        A[:n, :n] = J
-        A[:n, n] = 1.0
-        A[n, :n] = 1.0 / n
-        rhs = np.empty(n + 1)
-        rhs[:n] = -(base + lam)
-        rhs[n] = -gap
-        try:
-            delta = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise StationarySolveError(
-                f"bordered Jacobian is singular (n={n}): {exc}"
-            ) from exc
-
+        delta_w, delta_lam = _bordered_solve(speed_fn(w), h, -(base + lam), -gap)
         s = 1.0
         accepted = False
         for _ in range(25):
-            w_try = w + s * delta[:n]
-            lam_try = lam + s * delta[n]
+            w_try = w + s * delta_w
+            lam_try = lam + s * delta_lam
             base_try, gap_try, f_try = merit(w_try, lam_try)
             if f_try <= (1.0 - 1e-4 * s) * f_now or f_try < cfg.tolerance:
                 w, lam = w_try, lam_try
@@ -244,15 +240,12 @@ def solve_stationary(
     def residual_dev(d):
         return -_lap_apply(d, h) + _cdiff_apply(flux.eval(p + d, x), h)
 
-    def jacobian_dev(d):
-        return _cell_jacobian(flux, p + d, grid)
-
     d0 = (
         np.zeros(grid.n_cells)
         if initial is None
         else np.asarray(initial, float) - p
     )
-    dev = _bordered_newton(residual_dev, jacobian_dev, d0, 0.0, cfg, h)
+    dev = _bordered_newton(residual_dev, lambda d: flux.d_u(p + d, x), d0, cfg, h)
     return Profile(grid, p + dev)
 
 
@@ -266,23 +259,9 @@ def solve_dp_w(
     strictly positive (a nonpositive value flags an under-resolved grid and
     raises).
     """
-    cfg = cfg or NewtonConfig()
     grid = profile.grid
-    n = grid.n_cells
-    J = _cell_jacobian(flux, profile.values, grid)
-    A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = J
-    A[:n, n] = 1.0
-    A[n, :n] = 1.0 / n
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise StationarySolveError(
-            f"singular linearization at mean {profile.mean}: {exc}"
-        ) from exc
-    phi = sol[:n]
+    fu = flux.d_u(profile.values, grid.centers())
+    phi, _ = _bordered_solve(fu, grid.h, np.zeros(grid.n_cells), 1.0)
     if phi.min() <= 0.0:
         raise StationarySolveError(
             f"mean-derivative profile is not positive (min {phi.min():.3e}); "

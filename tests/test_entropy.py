@@ -78,6 +78,40 @@ def test_invert_p_matches_the_vector_path(forced_family):
     assert p == pytest.approx(0.4, abs=1e-8)
 
 
+def _invert_by_profile_at(interp, u, cells):
+    """The bisection as first written: 64 halvings, each through profile_at."""
+    table = interp._values[:, cells]
+    u = np.clip(u, table[0], table[-1])
+    k = np.clip((u[None, :] >= table).sum(axis=0) - 1, 0, interp._p.size - 2)
+    exact = table[k, np.arange(u.size)] == u
+    exact_hi = table[k + 1, np.arange(u.size)] == u
+    lo, hi = interp._p[k].copy(), interp._p[k + 1].copy()
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        go_right = interp.profile_at(mid, cells) < u
+        lo, hi = np.where(go_right, mid, lo), np.where(go_right, hi, mid)
+    pi = np.where(exact, interp._p[k], 0.5 * (lo + hi))
+    return np.where(exact_hi, interp._p[k + 1], pi)
+
+
+def test_invert_matches_the_profile_at_bisection_bit_for_bit(forced_family):
+    interp = FamilyInterpolant(forced_family)
+    table = forced_family.values_table()
+    m, n = table.shape
+    rng = np.random.default_rng(31)
+    cells = np.tile(np.arange(n), 6)
+    rows = rng.integers(0, m, cells.size)
+    knots = table[rows, cells]
+    # one ulp below an inner knot: the bisection's midpoint rounds onto p_{k+1}
+    below_inner = np.nextafter(table[rng.integers(1, m - 1, cells.size), cells], -np.inf)
+    last = interp.profile_at(rng.uniform(forced_family.p_grid[-2], 1.0, cells.size), cells)
+    spread = rng.uniform(table[0, cells], table[-1, cells])
+    for u in (knots, below_inner, last, spread, table[0, cells], table[-1, cells]):
+        got, want = interp.invert(u, cells), _invert_by_profile_at(interp, u, cells)
+        assert got.tobytes() == want.tobytes(), (
+            f"{np.count_nonzero(got != want)} cells differ, max {np.abs(got - want).max():.2e}")
+
+
 def test_inversion_rejects_values_outside_the_family(forced_family):
     with pytest.raises(FamilyRangeError):
         invert_p(forced_family, 5.0, 0)

@@ -18,7 +18,7 @@ from convstab import (
     run_scenario,
     semigroup_trials,
 )
-from convstab.scenarios import ScenarioConfig
+from convstab.scenarios import ScenarioConfig, _write_snapshot
 
 
 def base_document():
@@ -235,6 +235,17 @@ def test_snapshot_files_round_trip_the_final_state(tmp_path, prepared):
     background = np.tile(prepared.w_p.values, prepared.config.n_periods)
     assert np.array_equal(data[:, 2], background)
     assert np.array_equal(data[:, 1], result.final_state.u + background)
+
+
+def test_snapshot_rows_match_per_value_formatting(tmp_path):
+    # reference: every value formatted on its own, as the writer first did
+    rng = np.random.default_rng(4)
+    x, u, bg = rng.standard_normal((3, 50)) * np.logspace(-300, 300, 50)
+    u[:3] = [0.0, -0.0, 1e-320]
+    _write_snapshot(tmp_path / "s.csv", list(map(repr, x.tolist())), u,
+                    list(map(repr, bg.tolist())))
+    rows = [f"{float(a)!r},{float(b)!r},{float(c)!r}" for a, b, c in zip(x, u, bg)]
+    assert (tmp_path / "s.csv").read_text() == "\n".join(["x,u,background"] + rows) + "\n"
 
 
 def test_run_scenario_populates_every_column(tmp_path, prepared):

@@ -29,6 +29,7 @@ from convstab import (
     solve_stationary,
     solve_theta,
 )
+from convstab.stationary import _bordered_solve
 
 
 def forced(amplitude=0.5):
@@ -67,7 +68,7 @@ def test_residuals_meet_tolerance_plus_storage_floor():
         assert abs(prof.values.mean() - p) < 1e-13, f"p={p}: mean off by {prof.values.mean() - p:.2e}"
 
 
-@pytest.mark.parametrize("n_cells", [512, 1024])
+@pytest.mark.parametrize("n_cells", [512, 1024, 2048])
 @pytest.mark.parametrize("p", [-2.0, 0.0, 2.0])
 def test_newton_converges_on_fine_grids(n_cells, p):
     # the tolerance alone sits below the 1/h^2 round-off floor at these sizes
@@ -77,6 +78,25 @@ def test_newton_converges_on_fine_grids(n_cells, p):
     cap = NewtonConfig().tolerance + residual_floor(prof.values, grid)
     assert res <= cap, f"n={n_cells}, p={p}: residual {res:.3e} above {cap:.3e}"
     assert abs(prof.values.mean() - p) < 1e-13
+
+
+def test_family_builds_at_2048_cells():
+    # build_family validates the family (_family_checks) before returning it
+    family = build_family(forced(), -2.0, 2.0, 16, CellGrid(2048, 1.0))
+    assert family.alpha == pytest.approx(0.922046, abs=1e-6)
+
+
+def _nan_speed(flux):
+    return FluxModel("nan_speed", flux.period, flux.eval,
+                     lambda u, x: np.full(np.shape(u), np.nan), flux.d_uu, flux.d_x)
+
+
+def test_non_finite_jacobian_raises():
+    grid = CellGrid(64, 1.0)
+    with pytest.raises(StationarySolveError):
+        solve_stationary(_nan_speed(forced()), 0.7, grid)
+    with pytest.raises(StationarySolveError):
+        solve_dp_w(_nan_speed(forced()), solve_stationary(forced(), 0.7, grid))
 
 
 def test_residual_floor_formula():
@@ -307,6 +327,39 @@ def _theta_bordered(flux, grid):
     rhs[n] = 1.0
     theta = np.linalg.solve(A, rhs)[:n]
     return theta / theta.mean()
+
+
+def _bordered_dense(fu, h, rhs, gap):
+    """Dense solve of [J 1; 1^T/n 0] (d, lambda) = (rhs, gap), J = -D2 + D1 diag(fu)."""
+    n = fu.size
+    idx = np.arange(n)
+    up, dn = (idx + 1) % n, (idx - 1) % n
+    A = np.zeros((n + 1, n + 1))
+    A[idx, idx] = 2.0 / h**2
+    A[idx, up] = -1.0 / h**2 + 0.5 * fu[up] / h
+    A[idx, dn] = -1.0 / h**2 - 0.5 * fu[dn] / h
+    A[:n, n] = 1.0
+    A[n, :n] = 1.0 / n
+    sol = np.linalg.solve(A, np.append(rhs, gap))
+    return sol[:n], sol[n]
+
+
+@pytest.mark.parametrize("n_cells", [64, 128])
+@pytest.mark.parametrize("p", [-2.0, 0.3, 2.0])
+def test_bordered_solves_match_the_dense_oracle(n_cells, p):
+    grid = CellGrid(n_cells, 1.0)
+    flux, x = forced(), grid.centers()
+    prof = solve_stationary(flux, p, grid)
+    # one Newton update from a perturbed start, as _bordered_newton takes it
+    guess = prof.values + 0.05 * np.sin(2 * np.pi * x) + 0.01
+    rhs, gap = -cell_residual(flux, guess, grid), p - guess.mean()
+    fu = flux.d_u(guess, x)
+    d, lam = _bordered_solve(fu, grid.h, rhs, gap)
+    d_ref, lam_ref = _bordered_dense(fu, grid.h, rhs, gap)
+    assert np.abs(d - d_ref).max() < 1e-10 and abs(lam - lam_ref) < 1e-10
+    dp = solve_dp_w(flux, prof).values
+    dp_ref = _bordered_dense(flux.d_u(prof.values, x), grid.h, np.zeros(n_cells), 1.0)[0]
+    assert np.abs(dp - dp_ref).max() < 1e-10
 
 
 def test_theta_two_solvers_agree():
