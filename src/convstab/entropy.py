@@ -1,8 +1,10 @@
 """Entropy built on the stationary family: pi = p(u, x), eta, dispersion fits.
 
 For each cell x_i the family profiles give a strictly increasing table
-p -> w_p(x_i).  A monotone piecewise-cubic interpolant (PCHIP) in p extends
-the table between knots; inverting it defines pi(t, x) = p(u(t, x), x), and
+p -> w_p(x_i).  A monotone piecewise-cubic interpolant (PCHIP, Fritsch &
+Carlson 1980) in p extends the table between knots; its coefficients are
+computed here with the arithmetic of scipy's ``PchipInterpolator``, so they
+equal scipy's bit for bit.  Inverting it defines pi(t, x) = p(u(t, x), x), and
 
     eta(u, x) = integral_0^{pi} (u - w_p(x)) dp
 
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .evolution import State
+from .grids import _next, _prev
 from .stationary import StationaryFamily
 
 __all__ = [
@@ -55,14 +57,72 @@ def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _pchip_end(h0, h1, m0, m1):
+    """Moler's shape-preserving one-sided three-point slope at an end knot."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    flipped = np.sign(d) != np.sign(m0)
+    steep = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(flipped, 0.0, np.where(steep, 3.0 * m0, d))
+
+
+def _pchip_coefficients(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(4, len(p) - 1, n) cubic coefficients of the monotone PCHIP through the
+    rows of y at knots p, highest power first in s = p - p_j.
+
+    Fritsch-Butland weighted harmonic-mean slopes inside (zero at flat runs
+    and sign changes), Moler's three-point slopes at the ends, then the cubic
+    Hermite coefficients.  The arithmetic is that of
+    ``scipy.interpolate.PchipInterpolator(p, y, axis=0).c``, bit for bit.
+    """
+    hk = np.diff(p)[:, None]
+    mk = (y[1:] - y[:-1]) / hk
+    if y.shape[0] == 2:
+        dk = np.concatenate([mk, mk])
+    else:
+        smk = np.sign(mk)
+        flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+        w1 = 2 * hk[1:] + hk[:-1]
+        w2 = hk[1:] + 2 * hk[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = 1.0 / ((w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2))
+        dk = np.concatenate([
+            _pchip_end(hk[0], hk[1], mk[0], mk[1])[None],
+            np.where(flat, 0.0, inner),
+            _pchip_end(hk[-1], hk[-2], mk[-1], mk[-2])[None],
+        ])
+    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+    return np.stack((t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1]))
+
+
+def _antiderivative(p: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of the continuous antiderivative that vanishes at p[0].
+
+    Each interval's constant is the previous interval's antiderivative at its
+    right end, summed as c4 + c3 s + c2 s^2 + c1 s^3 + c0 s^4 with s^k built by
+    repeated multiplication: the arithmetic of ``PPoly.antiderivative``.
+    """
+    anti = np.zeros((5,) + coeffs.shape[1:])
+    anti[:4] = coeffs / np.array([4.0, 3.0, 2.0, 1.0])[:, None, None]
+    for j in range(1, coeffs.shape[1]):
+        s, prev = p[j] - p[j - 1], anti[:, j - 1]
+        acc, power = 0.0 + prev[4], 1.0
+        for c in prev[3::-1]:
+            power = power * s
+            acc = acc + c * power
+        anti[4, j] = acc
+    return anti
+
+
 @dataclass(frozen=True)
 class FamilyInterpolant:
     """Monotone-in-p interpolant of a stationary family, per cell.
 
-    Wraps two PCHIP interpolants over the family's p-knots: one for the
-    profile table w_p(x_i) and one for the mean-derivative table.  All
-    evaluations accept per-cell p arrays (interval lookup plus Horner on the
-    gathered cubic coefficients), which is what the entropy field needs --
+    Holds the cubic coefficients of two PCHIPs over the family's p-knots
+    (one for the profile table w_p(x_i), one for the mean-derivative table)
+    and of the profile PCHIP's antiderivative, built in this module with the
+    arithmetic of scipy's ``PchipInterpolator`` and ``PPoly.antiderivative``.
+    All evaluations accept per-cell p arrays (interval lookup plus Horner on
+    the gathered cubic coefficients), which is what the entropy field needs --
     every cell sits at its own pi.
     """
 
@@ -72,13 +132,12 @@ class FamilyInterpolant:
         values = self.family.values_table()
         dp = self.family.dp_table()
         p = np.asarray(self.family.p_grid, dtype=float)
-        w_interp = PchipInterpolator(p, values, axis=0, extrapolate=False)
-        dp_interp = PchipInterpolator(p, dp, axis=0, extrapolate=False)
+        w_coeffs = _pchip_coefficients(p, values)
         object.__setattr__(self, "_p", p)
         object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_w_coeffs", w_interp.c)
-        object.__setattr__(self, "_w_anti", w_interp.antiderivative().c)
-        object.__setattr__(self, "_dp_coeffs", dp_interp.c)
+        object.__setattr__(self, "_w_coeffs", w_coeffs)
+        object.__setattr__(self, "_w_anti", _antiderivative(p, w_coeffs))
+        object.__setattr__(self, "_dp_coeffs", _pchip_coefficients(p, dp))
 
     @property
     def p_min(self) -> float:
@@ -123,10 +182,24 @@ class FamilyInterpolant:
         j, s = self._locate(p)
         return _horner(self._w_anti[:, j, cells], s)
 
+    def _bracket(self, u: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Per cell, the largest k <= M - 1 with values[k, cell] <= u, by
+        binary search down the cell's column (columns increase strictly, and
+        u >= values[0, cell] once clipped)."""
+        lo = np.zeros(u.size, dtype=int)
+        hi = np.full(u.size, self._p.size - 1)
+        for _ in range((self._p.size - 2).bit_length()):
+            mid = (lo + hi) // 2
+            right = self._values[mid, cells] <= u
+            lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+        return lo
+
     def invert(self, u, cells) -> np.ndarray:
         """Per-cell inverse pi with w_pi(x_i) = u_i, by bracketed bisection.
 
-        Values matching a knot profile exactly return the knot's p exactly.
+        The knot bracket comes from a binary search down each cell's column
+        of the family table, so no (M+1) x len(u) table is gathered.  Values
+        matching a knot profile exactly return the knot's p exactly.
         Values outside the family's bracket at their cell raise
         FamilyRangeError (a relative slack of 1e-10 absorbs roundoff by
         clamping to the end knot).
@@ -134,8 +207,7 @@ class FamilyInterpolant:
         u = np.asarray(u, dtype=float)
         cells = np.asarray(cells, dtype=int)
         self._check_cells(cells, u.size)
-        table = self._values[:, cells]  # (M+1, len(u)) increasing in axis 0
-        lo_vals, hi_vals = table[0], table[-1]
+        lo_vals, hi_vals = self._values[0, cells], self._values[-1, cells]
         slack = 1e-10 * (1.0 + np.abs(u))
         below = u < lo_vals - slack
         above = u > hi_vals + slack
@@ -148,11 +220,9 @@ class FamilyInterpolant:
             )
         u = np.clip(u, lo_vals, hi_vals)
 
-        # bracket: row index k with table[k] <= u < table[k+1], per column
-        k = (u[None, :] >= table).sum(axis=0) - 1
-        k = np.clip(k, 0, self._p.size - 2)
-        exact = np.abs(table[k, np.arange(u.size)] - u) == 0.0
-        exact_hi = np.abs(table[k + 1, np.arange(u.size)] - u) == 0.0
+        k = self._bracket(u, cells)
+        exact = self._values[k, cells] == u
+        exact_hi = self._values[k + 1, cells] == u
 
         # the bracket k is fixed, so its cubic is gathered once.  At a midpoint
         # equal to p_{k+1} profile_at would read interval k + 1, but that only
@@ -235,7 +305,7 @@ def eta_field(
 
     h = state.grid.h
     if state.grid.boundary_mode == "periodic":
-        dpi = (np.roll(pi, -1) - np.roll(pi, 1)) / (2.0 * h)
+        dpi = (_next(pi) - _prev(pi)) / (2.0 * h)
     else:
         dpi = np.gradient(pi, h)
     dpw = interp.dp_at(pi, cells)

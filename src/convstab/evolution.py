@@ -38,7 +38,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsSeries
 from .fluxes import FluxModel
-from .grids import LineGrid, _cyclic_tridiagonal, _tridiagonal
+from .grids import LineGrid, _cyclic_solve, _next, _prev, _tridiagonal
 
 __all__ = [
     "CFLError",
@@ -166,8 +166,7 @@ def _diffusion_solve(lam: float, rhs: np.ndarray, periodic: bool) -> np.ndarray:
     off = np.full(rhs.size, -lam)
     if not periodic:
         return _tridiagonal(off, diag, off, rhs[:, None])[:, 0]
-    sol, row = _cyclic_tridiagonal(off, diag, off, rhs[:, None])
-    return sol[:, 0] - row[0] / row[1] * sol[:, 1]
+    return _cyclic_solve(off, diag, off, rhs)
 
 
 def step(state: State, flux: FluxModel, dt: float) -> State:
@@ -188,8 +187,8 @@ def step(state: State, flux: FluxModel, dt: float) -> State:
     faces = _sampled(flux, grid)[0]
     periodic = grid.boundary_mode == "periodic"
     if periodic:
-        flux_vals = _eo_flux(faces, np.roll(u, 1), u)
-        divergence = (np.roll(flux_vals, -1) - flux_vals) / h
+        flux_vals = _eo_flux(faces, _prev(u), u)
+        divergence = (_next(flux_vals) - flux_vals) / h
     else:
         # one ghost cell on each side, held at zero
         padded = np.concatenate([[0.0], u, [0.0]])

@@ -12,7 +12,8 @@ are coefficient declarations:
 * ``forced_burgers``          c1 = A sin(2 pi x / T),  c2 = 1
 * ``periodic_advection``      c1 = a0 (1 + A cos(2 pi x / T)),  |A| < 1
 * ``custom_table``            c0, c1, c2 constants or tabulated periodic
-                              samples (cubic-spline interpolated)
+                              samples at uniform knots k T / n, interpolated
+                              by the periodic cubic spline of ``grids``
 
 Shifting about a stationary profile (``normalize_about_wp``) keeps f
 quadratic in u; the evolution module relies on that to evaluate the
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Tuple, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+
+from .grids import _periodic_spline
 
 __all__ = [
     "FluxModel",
@@ -146,12 +148,7 @@ def _table_coefficient(data, period: float) -> Coefficient:
     samples = np.asarray(data, dtype=float)
     if samples.ndim != 1 or samples.size < 4:
         raise ValueError("tabulated coefficients need a 1-D table with >= 4 samples")
-    knots = np.linspace(0.0, period, samples.size + 1)
-    spline = CubicSpline(knots, np.concatenate([samples, samples[:1]]),
-                         bc_type="periodic")
-    dspline = spline.derivative()
-    return (lambda x: spline(np.mod(x, period)),
-            lambda x: dspline(np.mod(x, period)))
+    return _periodic_spline(0.0, period, samples)
 
 
 def _custom_table(params: dict) -> FluxModel:

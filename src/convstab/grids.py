@@ -7,6 +7,10 @@ computational line domain is an integer number of periods so that periodic
 profiles restrict to it exactly.  Midpoint quadrature keeps the discrete mass
 bookkeeping of the finite-volume scheme exact, which the conservation and
 contraction checks rely on.
+
+The module also holds the periodic helpers the other modules share:
+wrap-around shifts, the (cyclic) tridiagonal LAPACK solve, and the periodic
+cubic spline built on that solve.
 """
 
 from __future__ import annotations
@@ -178,6 +182,17 @@ def primitive(u: np.ndarray, h: float) -> np.ndarray:
     return h * np.cumsum(u)
 
 
+def _prev(a: np.ndarray) -> np.ndarray:
+    """a[i - 1] with periodic wrap (np.roll(a, 1) on a 1-d array, without the
+    ravel and recursive call np.roll makes when no axis is given)."""
+    return np.concatenate((a[-1:], a[:-1]))
+
+
+def _next(a: np.ndarray) -> np.ndarray:
+    """a[i + 1] with periodic wrap (np.roll(a, -1) on a 1-d array)."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def _tridiagonal(lower, diag, upper, columns) -> np.ndarray:
     """Solve the tridiagonal system with rows lower[i] x[i-1] + diag[i] x[i] +
     upper[i] x[i+1] (lower[0], upper[-1] unread) for (n, k) columns in one
@@ -209,3 +224,45 @@ def _cyclic_tridiagonal(lower, diag, upper, columns) -> tuple:
     row = sol[0] + lower[0] * sol[-1] / gamma
     row[k] = 1.0 + sol[0, k] + lower[0] * sol[-1, k] / gamma
     return sol, row
+
+
+def _cyclic_solve(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve the invertible cyclic tridiagonal system (rows as in
+    ``_cyclic_tridiagonal``) for one right-hand side."""
+    sol, row = _cyclic_tridiagonal(lower, diag, upper, rhs[:, None])
+    return sol[:, 0] - row[0] / row[1] * sol[:, 1]
+
+
+def _periodic_spline(x0: float, period: float, samples) -> tuple:
+    """Periodic cubic spline through samples[i] at x0 + i h, h = period / n.
+
+    The knot second derivatives M solve the cyclic system
+    M[i-1] + 4 M[i] + M[i+1] = 6 (y[i+1] - 2 y[i] + y[i-1]) / h^2 in one
+    ``_cyclic_solve`` call.  Returns vectorized (value, slope) callables
+    of x that wrap any real x into [x0, x0 + period).
+    """
+    y = np.asarray(samples, dtype=float)
+    n = y.size
+    h = period / n
+    ones = np.ones(n)
+    rhs = 6.0 * (_next(y) - 2.0 * y + _prev(y)) / h**2
+    m = _cyclic_solve(ones, 4.0 * ones, ones, rhs)
+    m_next = _next(m)
+    # the cubic on [x_i, x_i + h] in s = x - x_i, highest power first
+    coeffs = np.stack([(m_next - m) / (6.0 * h), 0.5 * m,
+                       (_next(y) - y) / h - h * (2.0 * m + m_next) / 6.0, y])
+
+    def locate(x):
+        t = np.mod(np.asarray(x, dtype=float) - x0, period)
+        i = np.clip((t / h).astype(int), 0, n - 1)
+        return coeffs[:, i], t - i * h
+
+    def value(x):
+        (a, b, c, d), s = locate(x)
+        return ((a * s + b) * s + c) * s + d
+
+    def slope(x):
+        (a, b, c, _), s = locate(x)
+        return (3.0 * a * s + 2.0 * b) * s + c
+
+    return value, slope

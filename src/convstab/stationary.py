@@ -38,10 +38,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .fluxes import FluxModel, builtin_flux
-from .grids import CellGrid, Profile, _cyclic_tridiagonal
+from .grids import CellGrid, Profile, _cyclic_tridiagonal, _next, _periodic_spline, _prev
 
 __all__ = [
     "NewtonConfig",
@@ -80,11 +79,11 @@ class NewtonConfig:
 
 
 def _lap_apply(w: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(w, -1) - 2.0 * w + np.roll(w, 1)) / h**2
+    return (_next(w) - 2.0 * w + _prev(w)) / h**2
 
 
 def _cdiff_apply(g: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(g, -1) - np.roll(g, 1)) / (2.0 * h)
+    return (_next(g) - _prev(g)) / (2.0 * h)
 
 
 def cell_residual(flux: FluxModel, values: np.ndarray, grid: CellGrid) -> np.ndarray:
@@ -127,8 +126,8 @@ def _bordered_solve(fu: np.ndarray, h: float, rhs: np.ndarray, gap: float) -> tu
     tridiagonal T for rhs, the ones vector and the corner vector, and a 2x2
     Schur system gives the corner weight s = v^T d and lambda.
     """
-    lower = -1.0 / h**2 - np.roll(fu, 1) / (2.0 * h)
-    upper = -1.0 / h**2 + np.roll(fu, -1) / (2.0 * h)
+    lower = -1.0 / h**2 - _prev(fu) / (2.0 * h)
+    upper = -1.0 / h**2 + _next(fu) / (2.0 * h)
     diag = np.full(fu.size, 2.0 / h**2)
     columns = np.column_stack([rhs, np.ones_like(rhs)])
     try:
@@ -249,9 +248,7 @@ def solve_stationary(
     return Profile(grid, p + dev)
 
 
-def solve_dp_w(
-    flux: FluxModel, profile: Profile, cfg: Optional[NewtonConfig] = None
-) -> Profile:
+def solve_dp_w(flux: FluxModel, profile: Profile) -> Profile:
     """Derivative dw/dp of the stationary profile with respect to its mean.
 
     Solves the linearization of the cell problem about ``profile`` in bordered
@@ -389,7 +386,7 @@ def build_family(
                     f"continuation failed at p={target_p}: {exc}"
                 ) from exc
             midway = advance(source.mean + 0.5 * dp, source, source_dp, depth + 1)
-            midway_dp = solve_dp_w(flux, midway, cfg)
+            midway_dp = solve_dp_w(flux, midway)
             return advance(target_p, midway, midway_dp, depth + 1)
 
     for j, p in enumerate(p_grid):
@@ -404,10 +401,10 @@ def build_family(
                     target = p_grid[j - 1] + step_p * k / n_sub
                     current = advance(target, current, current_dp)
                     if k < n_sub:
-                        current_dp = solve_dp_w(flux, current, cfg)
+                        current_dp = solve_dp_w(flux, current)
             else:
                 current = advance(p, current, current_dp)
-        current_dp = solve_dp_w(flux, current, cfg)
+        current_dp = solve_dp_w(flux, current)
         profiles.append(current)
         dp_profiles.append(current_dp)
 
@@ -456,24 +453,14 @@ def load_family(path) -> StationaryFamily:
 def normalize_about_wp(flux: FluxModel, background: Profile) -> FluxModel:
     """Shift the flux so the given stationary profile becomes the zero state.
 
-    Returns g(v, x) = f(v + w(x), x) - f(w(x), x) with w interpolated by a
-    periodic cubic spline through the profile samples.  g(0, .) vanishes
-    identically, which the weight solver and the normalized evolution runs
-    require.
+    Returns g(v, x) = f(v + w(x), x) - f(w(x), x) with w the periodic cubic
+    spline through the profile samples at the cell centers (``grids``'
+    spline: one cyclic tridiagonal solve, any real x wrapped into the
+    period).  g(0, .) vanishes identically, which the weight solver and the
+    normalized evolution runs require.
     """
     grid = background.grid
-    period = grid.period
-    x0 = grid.centers()[0]
-    knots = np.concatenate([grid.centers(), [x0 + period]])
-    closed = np.concatenate([background.values, background.values[:1]])
-    spline = CubicSpline(knots, closed, bc_type="periodic")
-    dspline = spline.derivative()
-
-    def wrap(x):
-        return np.mod(np.asarray(x, dtype=float) - x0, period) + x0
-
-    def w_of(x):
-        return spline(wrap(x))
+    w_of, dw_of = _periodic_spline(grid.centers()[0], grid.period, background.values)
 
     def f(v, x):
         v = np.asarray(v, dtype=float)
@@ -489,7 +476,7 @@ def normalize_about_wp(flux: FluxModel, background: Profile) -> FluxModel:
     def fx(v, x):
         v = np.asarray(v, dtype=float)
         w = w_of(x)
-        ws = dspline(wrap(x))
+        ws = dw_of(x)
         return (
             flux.d_x(v + w, x)
             - flux.d_x(w, x)
@@ -532,7 +519,7 @@ def solve_theta(flux: FluxModel, grid: CellGrid) -> Profile:
             "weight recurrence needs h * max|b| < 2; refine the grid"
         )
 
-    b_next = np.roll(b, -1)
+    b_next = _next(b)
     denom = 1.0 / h + 0.5 * b_next
     r = (1.0 / h - 0.5 * b) / denom
     s = 1.0 / denom

@@ -5,10 +5,14 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 configuration problems,
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import convstab
 from convstab import cli
 
 
@@ -257,3 +261,15 @@ def test_default_output_directory_comes_from_the_config(tmp_path, monkeypatch):
     config = write_config(tmp_path, output="artifacts/run1")
     assert cli.main(["stationary", "--config", str(config)]) == 0
     assert (tmp_path / "artifacts" / "run1" / "verdicts.json").exists()
+
+
+def test_importing_the_cli_leaves_heavy_scipy_modules_unloaded():
+    # the run path needs scipy.linalg.lapack only; scipy.interpolate would
+    # pull in scipy.sparse, scipy.special and more (about 23 MiB)
+    src = str(Path(convstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, convstab.cli; print(sorted(m for m in sys.modules if m in "
+            "('scipy.interpolate', 'scipy.sparse', 'scipy.special')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ log-log fit must recover the planted exponent to regression accuracy.
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 import convstab as cs
 from convstab import (
@@ -24,6 +25,7 @@ from convstab import (
     invert_p,
     nash_ratio,
 )
+from convstab.entropy import _antiderivative, _pchip_coefficients
 
 
 def forced():
@@ -110,6 +112,42 @@ def test_invert_matches_the_profile_at_bisection_bit_for_bit(forced_family):
         got, want = interp.invert(u, cells), _invert_by_profile_at(interp, u, cells)
         assert got.tobytes() == want.tobytes(), (
             f"{np.count_nonzero(got != want)} cells differ, max {np.abs(got - want).max():.2e}")
+
+
+def _same_bits(ours, theirs):
+    return ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+
+def test_interpolant_coefficients_equal_scipy_bit_for_bit(forced_family):
+    interp = FamilyInterpolant(forced_family)
+    p = forced_family.p_grid
+    w_oracle = PchipInterpolator(p, forced_family.values_table(), axis=0)
+    dp_oracle = PchipInterpolator(p, forced_family.dp_table(), axis=0)
+    assert _same_bits(interp._w_coeffs, w_oracle.c)
+    assert _same_bits(interp._w_anti, w_oracle.antiderivative().c)
+    assert _same_bits(interp._dp_coeffs, dp_oracle.c)
+
+
+def test_pchip_coefficients_equal_scipy_on_flat_runs_and_sign_changes():
+    rng = np.random.default_rng(17)
+    p = np.sort(rng.uniform(-1.0, 1.0, 12))
+    y = rng.integers(-2, 3, (12, 400)) * rng.choice([1.0, 0.3, 1e-3], (12, 400))
+    # both shape-preserving branches at the ends must run: a three-point
+    # slope against the first secant's sign, and one over 3x a secant that
+    # changes sign
+    h0, h1 = p[1] - p[0], p[2] - p[1]
+    m0, m1 = (y[1] - y[0]) / h0, (y[2] - y[1]) / h1
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    flipped = np.sign(d) != np.sign(m0)
+    steep = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    assert flipped.any() and (steep & ~flipped).any()
+    assert (np.diff(y, axis=0) == 0).any()
+    oracle = PchipInterpolator(p, y, axis=0)
+    coeffs = _pchip_coefficients(p, y)
+    assert _same_bits(coeffs, oracle.c)
+    assert _same_bits(_antiderivative(p, coeffs), oracle.antiderivative().c)
+    two = np.array([-0.5, 0.75])
+    assert _same_bits(_pchip_coefficients(two, y[:2]), PchipInterpolator(two, y[:2], axis=0).c)
 
 
 def test_inversion_rejects_values_outside_the_family(forced_family):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
-from convstab import CellGrid, LineGrid, Profile, norm, primitive
+from convstab import CellGrid, LineGrid, Profile, builtin_flux, norm, primitive, solve_stationary
+from convstab.grids import _next, _periodic_spline, _prev
 
 
 def test_cell_grid_centers_are_midpoints():
@@ -123,3 +125,51 @@ def test_primitive_of_zero_mean_field_returns_to_zero():
     u -= u.mean()
     V = primitive(u, 0.1)
     assert abs(V[-1]) < 1e-13, f"primitive of zero-sum data should close, got {V[-1]:.2e}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_periodic_shifts_match_np_roll(n):
+    a = np.random.default_rng(n).standard_normal(n)
+    assert _prev(a).tobytes() == np.roll(a, 1).tobytes()
+    assert _next(a).tobytes() == np.roll(a, -1).tobytes()
+
+
+def _spline_gaps(x0, period, y, rng):
+    """Largest value and slope gaps of the periodic spline to scipy's
+    CubicSpline(bc_type="periodic") at x inside, left and right of the period
+    and at the knots."""
+    n = y.size
+    knots = x0 + np.arange(n + 1) * (period / n)
+    oracle = CubicSpline(knots, np.append(y, y[0]), bc_type="periodic")
+    x = np.concatenate([
+        rng.uniform(x0, x0 + period, 400),
+        rng.uniform(x0 - 3.0 * period, x0, 200),
+        rng.uniform(x0 + period, x0 + 4.0 * period, 200),
+        knots,
+    ])
+    inside = np.mod(x - x0, period) + x0
+    value, slope = _periodic_spline(x0, period, y)
+    return (np.abs(value(x) - oracle(inside)).max(),
+            np.abs(slope(x) - oracle(inside, 1)).max())
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 128, 1024])
+def test_periodic_spline_matches_scipy_on_random_tables(n):
+    rng = np.random.default_rng(n)
+    for x0, period in ((0.0, 1.0), (0.37, 2.5)):
+        y = 3.0 * rng.standard_normal(n)
+        scale = np.abs(y).max()
+        value_gap, slope_gap = _spline_gaps(x0, period, y, rng)
+        assert value_gap <= 1e-12 * scale
+        assert slope_gap <= 1e-12 * scale * n / period
+
+
+@pytest.mark.parametrize("n", [16, 128, 1024])
+def test_periodic_spline_matches_scipy_on_stationary_profiles(n):
+    # the knots are the cell centers, as in normalize_about_wp
+    flux = builtin_flux("forced_burgers", {"amplitude": 0.5, "period": 1.0})
+    grid = CellGrid(n, 1.0)
+    w = solve_stationary(flux, 0.7, grid).values
+    value_gap, slope_gap = _spline_gaps(grid.h / 2, 1.0, w, np.random.default_rng(n))
+    assert value_gap <= 1e-13 * np.abs(w).max()
+    assert slope_gap <= 1e-13 * np.abs(np.diff(w)).max() / grid.h
