@@ -8,7 +8,12 @@ Laplacian:
     u* = u^k - dt/h (F_{i+1/2} - F_{i-1/2}),      (I - dt D2) u^{k+1} = u*.
 
 The implicit half is an M-matrix solve, and on periodic domains the step
-conserves the discrete mass exactly.  The step size obeys
+conserves the discrete mass exactly.  Its matrix tridiag(-lam, 1 + 2 lam, -lam),
+lam = dt / h^2, has constant coefficients, so it is solved without a
+factorization: one LAPACK dpttrs call with the limit pivot of its Cholesky
+factor, and a closed-form rank-1 (pinned) or rank-2 (periodic) correction
+from the powers of one ratio, cut to zero where they would underflow, so no
+lam runs into subnormal arithmetic.  The step size obeys
 dt <= cfl_fraction * h / max_i |d_u f(u_i, x_i)|, with speeds at the cell
 centers, and ``step`` refuses dt above h / max_i |d_u f(u_i, x_i)|.  That does
 not make the explicit half monotone: its diagonal coefficient
@@ -22,6 +27,9 @@ state w_p itself and an exact fixed point.
 Every flux is quadratic in u, so the Engquist-Osher split integrals have a
 closed form in f(0, x), d_u f(0, x) and d_uu f(0, x) at the interfaces; these,
 and the speed coefficients at the centers, are sampled once per flux and grid.
+The sample also records whether f is convex in u at every interface, as the
+Burgers-type built-ins (and their normalizations about w_p) are; the
+interface flux then skips its per-interface branches.
 
 ``duhamel_picard`` provides the independent short-time oracle: it iterates
 the integral (Duhamel) form of the equation with a sampled mass-one heat
@@ -38,7 +46,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsSeries
 from .fluxes import FluxModel
-from .grids import LineGrid, _cyclic_solve, _next, _prev, _tridiagonal
+from .grids import LineGrid, _next, _prev, _toeplitz_solve
 
 __all__ = [
     "CFLError",
@@ -97,14 +105,16 @@ class State:
 
 
 def _quadratic_at(flux: FluxModel, x: np.ndarray) -> tuple:
-    """(f0, f1, f2, u*, convex, linear) at the points x: f = f0 + f1 u + f2 u^2 / 2,
-    its sonic point u* = -f1 / f2 (0 where f is linear in u), and the masks
-    f2 > 0 and f2 ~ 0."""
+    """(f0, f1, f2 / 2, u*, convex, linear, all_convex) at the points x:
+    f = f0 + f1 u + f2 u^2 / 2, its sonic point u* = -f1 / f2 (0 where f is
+    linear in u), the masks f2 > 0 and f2 ~ 0, and whether f is convex and
+    not linear at every point."""
     zeros = np.zeros_like(x)
     f0, f1, f2 = flux.eval(zeros, x), flux.d_u(zeros, x), flux.d_uu(zeros, x)
     linear = np.abs(f2) < 1e-13
     u_star = np.where(linear, 0.0, -f1 / np.where(linear, 1.0, f2))
-    return f0, f1, f2, u_star, f2 > 0, linear
+    convex = f2 > 0
+    return f0, f1, 0.5 * f2, u_star, convex, linear, bool(convex.all() and not linear.any())
 
 
 def _eo_flux(q: tuple, u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
@@ -114,14 +124,24 @@ def _eo_flux(q: tuple, u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
     concave f clips the other way; f linear in u is plain upwinding.  As
     f'(u*) = 0, f(c) - f(u*) = f2 (c - u*)^2 / 2: the clipped state farther
     from u* enters through f, the nearer through that square, so a distant u*
-    (tiny f2) cancels nothing and F(0, 0) = f(0) exactly.
+    (tiny f2) cancels nothing and F(0, 0) = f(0) exactly.  When every point
+    is convex the masks are skipped; the result is the same bit for bit.
     """
-    f0, f1, f2, u_star, convex, linear = q
-    a = np.where(convex, np.maximum(u_left, u_star), np.minimum(u_left, u_star))
-    b = np.where(convex, np.minimum(u_right, u_star), np.maximum(u_right, u_star))
-    a_far = np.abs(a - u_star) >= np.abs(b - u_star)
-    far, near = np.where(a_far, a, b), np.where(a_far, b, a) - u_star
-    quadratic = f0 + f1 * far + 0.5 * f2 * far * far + 0.5 * f2 * near * near
+    f0, f1, half_f2, u_star, convex, linear, all_convex = q
+    if all_convex:
+        # a' >= u* >= b': the distances to u* need no abs
+        a, b = np.maximum(u_left, u_star), np.minimum(u_right, u_star)
+        dist_a, dist_b = a - u_star, u_star - b
+    else:
+        a = np.where(convex, np.maximum(u_left, u_star), np.minimum(u_left, u_star))
+        b = np.where(convex, np.minimum(u_right, u_star), np.maximum(u_right, u_star))
+        dist_a, dist_b = np.abs(a - u_star), np.abs(b - u_star)
+    a_far = dist_a >= dist_b
+    # the nearer state enters squared, so its distance stands in for c - u*
+    far, near = np.where(a_far, a, b), np.where(a_far, dist_b, dist_a)
+    quadratic = f0 + f1 * far + half_f2 * far * far + half_f2 * near * near
+    if all_convex:
+        return quadratic
     upwind = f0 + np.maximum(f1, 0.0) * u_left + np.minimum(f1, 0.0) * u_right
     return np.where(linear, upwind, quadratic)
 
@@ -161,12 +181,10 @@ def cfl_timestep(state: State, flux: FluxModel, policy: StepPolicy) -> float:
 
 def _diffusion_solve(lam: float, rhs: np.ndarray, periodic: bool) -> np.ndarray:
     """Backward Euler: solve tridiag(-lam, 1 + 2 lam, -lam) u = rhs, with -lam
-    corners on periodic domains (Sherman-Morrison, one LAPACK call)."""
-    diag = np.full(rhs.size, 1.0 + 2.0 * lam)
-    off = np.full(rhs.size, -lam)
-    if not periodic:
-        return _tridiagonal(off, diag, off, rhs[:, None])[:, 0]
-    return _cyclic_solve(off, diag, off, rhs)
+    corners on periodic domains, by the factor-free constant-coefficient
+    solve ``_toeplitz_solve`` (one LAPACK dpttrs call and a closed-form rank-1
+    or rank-2 correction)."""
+    return _toeplitz_solve(1.0 + 2.0 * lam, -lam, rhs, periodic)
 
 
 def step(state: State, flux: FluxModel, dt: float) -> State:

@@ -13,7 +13,8 @@ from scipy.integrate import quad
 
 import convstab as cs
 from convstab import evolution
-from convstab.evolution import _eo_flux, _quadratic_at
+from convstab.evolution import _diffusion_solve, _eo_flux, _quadratic_at
+from convstab.grids import _powers
 
 
 def forced():
@@ -108,6 +109,47 @@ def test_eo_closed_form_matches_its_definition(flux):
     assert gap < 1e-14, f"closed-form vs quadrature Engquist-Osher flux: {gap:.2e}"
 
 
+def normalized_forced():
+    cell = cs.CellGrid(64, 1.0)
+    return cs.normalize_about_wp(forced(), cs.solve_stationary(forced(), 0.7, cell))
+
+
+@pytest.mark.parametrize("flux", [
+    forced(),
+    cs.builtin_flux("constant_flux_burgers"),
+    normalized_forced(),
+], ids=["forced_burgers", "constant_flux_burgers", "normalized_forced_burgers"])
+def test_eo_fast_path_equals_the_general_path_bit_for_bit(flux):
+    rng = np.random.default_rng(13)
+    x = rng.uniform(0.0, flux.period, 4000)
+    fast = _quadratic_at(flux, x)
+    assert fast[-1], "every point of a Burgers-type flux is convex"
+    general = fast[:-1] + (False,)
+    u_star = fast[3]
+    # states at u*, near it, at the unit scale and far from it, on both sides
+    for spread in (0.0, 1e-9, 1.0, 1e4, 1e9):
+        for centre in (0.0, u_star):
+            a = centre + spread * rng.standard_normal(x.size)
+            b = centre + spread * rng.standard_normal(x.size)
+            assert _eo_flux(fast, a, b).tobytes() == _eo_flux(general, a, b).tobytes()
+
+
+@pytest.mark.parametrize("flux", [
+    cs.builtin_flux("periodic_advection", {"amplitude": 0.5}),
+    cs.builtin_flux("custom_table", {"quadratic": [1.0, -0.5, 0.8, -1.2]}),
+    # convex, but below the 1e-13 cut under which f counts as linear
+    cs.builtin_flux("custom_table", {"linear": 1.0, "quadratic": 1e-14}),
+], ids=["periodic_advection", "sign_changing_custom_table", "nearly_linear_custom_table"])
+def test_linear_or_sign_changing_fluxes_take_the_general_path(flux):
+    grid = cs.LineGrid(cs.CellGrid(64, flux.period), 2, "periodic")
+    q = evolution._sampled(flux, grid)[0]
+    assert not q[-1]
+    # the branches matter: the convex-only path gives another flux here
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((2, q[0].size))
+    assert not np.array_equal(_eo_flux(q[:-1] + (True,), a, b), _eo_flux(q, a, b))
+
+
 # ---------------------------------------------------------------------------
 # step mechanics
 
@@ -130,13 +172,53 @@ def test_step_rejects_cfl_violation():
         cs.step(state, cs.builtin_flux("constant_flux_burgers"), 10.0 * grid.h)
 
 
+@pytest.mark.parametrize("boundary_mode", ["periodic", "pinned_to_wp"])
 @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
-def test_step_raises_when_the_diffusion_solve_fails(dt):
+def test_step_raises_when_the_diffusion_solve_fails(dt, boundary_mode):
     # a zero flux passes the CFL guard at any dt, so the solve sees lam = dt / h^2
-    grid = periodic_line()
+    grid = cs.LineGrid(cs.CellGrid(64, 1.0), 8, boundary_mode)
     state = initial_state(grid, random_zero_mean(grid, 8))
-    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+    with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
         cs.step(state, cs.builtin_flux("custom_table"), dt)
+
+
+def dense_diffusion_matrix(lam, n, periodic):
+    A = ((1.0 + 2.0 * lam) * np.eye(n)
+         - lam * np.eye(n, k=1) - lam * np.eye(n, k=-1))
+    if periodic:
+        A[0, -1] = A[-1, 0] = -lam
+    return A
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "pinned"])
+@pytest.mark.parametrize("lam", [1e-300, 1e-9, 1e-3, 0.2, 16.4, 156.0, 1e4])
+@pytest.mark.parametrize("n", [8, 9, 64, 1024])
+def test_diffusion_solve_matches_a_dense_oracle(n, lam, periodic):
+    rng = np.random.default_rng(n)
+    smooth = np.sin(2.0 * np.pi * np.arange(n) / n) + 0.5
+    units = sorted({0, 1, n // 3, n // 2, n - 2, n - 1})
+    columns = np.column_stack([rng.standard_normal(n), smooth, np.eye(n)[:, units]])
+    oracle = np.linalg.solve(dense_diffusion_matrix(lam, n, periodic), columns)
+    for k, want in enumerate(oracle.T):
+        got = _diffusion_solve(lam, columns[:, k], periodic)
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+        if k >= 2:
+            # unit right-hand sides: the inverse of the M-matrix is nonnegative,
+            # and on periodic domains each response carries the unit mass
+            assert got.min() >= 0.0
+            if periodic:
+                assert abs(got.sum() - 1.0) <= 1e-12
+
+
+def test_the_diffusion_powers_hold_no_subnormal_number():
+    # lam = 16.4 on 8192 cells: r^i passes the subnormal range mid-domain
+    lam, n = 16.4, 8192
+    r = lam / (0.5 * (1.0 + 2.0 * lam + np.sqrt(1.0 + 4.0 * lam)))
+    pw = _powers(r, n)
+    tiny = np.finfo(float).tiny
+    assert 0 < pw.size < n and r ** pw.size < tiny, "only the underflowing tail is cut"
+    assert np.all(np.abs(pw) >= tiny)
+    assert np.abs(pw / r ** np.arange(pw.size, dtype=float) - 1.0).max() < 1e-13
 
 
 def test_step_is_deterministic():

@@ -5,7 +5,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from convstab import CellGrid, LineGrid, Profile, builtin_flux, norm, primitive, solve_stationary
-from convstab.grids import _next, _periodic_spline, _prev
+from convstab.grids import _next, _periodic_spline, _prev, _toeplitz_solve
 
 
 def test_cell_grid_centers_are_midpoints():
@@ -173,3 +173,29 @@ def test_periodic_spline_matches_scipy_on_stationary_profiles(n):
     value_gap, slope_gap = _spline_gaps(grid.h / 2, 1.0, w, np.random.default_rng(n))
     assert value_gap <= 1e-13 * np.abs(w).max()
     assert slope_gap <= 1e-13 * np.abs(np.diff(w)).max() / grid.h
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "open"])
+@pytest.mark.parametrize("d, e", [(4.0, 1.0), (4.0, -1.0), (2.5, 1.2)])
+@pytest.mark.parametrize("n", [3, 4, 5, 16, 1024])
+def test_toeplitz_solve_matches_a_dense_solve(n, d, e, periodic):
+    # (4, 1) is the spline's system; r = -e / p alternates in sign for e > 0
+    A = d * np.eye(n) + e * (np.eye(n, k=1) + np.eye(n, k=-1))
+    if periodic:
+        A[0, -1] += e
+        A[-1, 0] += e
+    rhs = np.random.default_rng(n).standard_normal(n)
+    want = np.linalg.solve(A, rhs)
+    got = _toeplitz_solve(d, e, rhs, periodic)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "open"])
+def test_toeplitz_solve_raises_on_bad_matrices_and_non_finite_results(periodic):
+    for d in (2.0, float("nan"), float("inf")):  # not diagonally dominant
+        with pytest.raises(np.linalg.LinAlgError):
+            _toeplitz_solve(d, 1.0, np.ones(8), periodic)
+    rhs = np.ones(8)
+    rhs[3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _toeplitz_solve(4.0, 1.0, rhs, periodic)
