@@ -1,38 +1,31 @@
 """Numerical lab for periodic stationary profiles of scalar convection-diffusion.
 
 Layers, bottom up: grids and profiles; flux models; the periodic cell problem
-and its family of stationary profiles; monotone IMEX evolution with a Duhamel
-oracle; entropy/dispersion diagnostics; lap numbers and series bookkeeping;
-scenario configs and the run driver; the ``convstab`` command-line tool.
+and its family of stationary profiles; monotone IMEX evolution;
+entropy/dispersion diagnostics; lap numbers and series bookkeeping; scenario
+configs and the run driver; the ``convstab`` command-line tool.
 """
 
 from .diagnostics import (
     DiagnosticsSeries,
-    LapConfig,
-    l1_bound_check,
     lap_number,
     sign_changes,
     weighted_energy,
 )
 from .entropy import (
-    BalanceReport,
     DispersionFit,
     EntropyField,
     FamilyInterpolant,
     FamilyRangeError,
     dispersion_fit,
-    entropy_balance_check,
     eta_field,
-    invert_p,
     nash_ratio,
 )
 from .evolution import (
     CFLError,
-    PicardDivergenceError,
     State,
     StepPolicy,
     cfl_timestep,
-    duhamel_picard,
     evolve,
     step,
 )
@@ -52,12 +45,10 @@ from .scenarios import (
     semigroup_trials,
 )
 from .stationary import (
-    NewtonConfig,
     StationaryFamily,
     StationarySolveError,
     build_family,
     cell_residual,
-    load_family,
     normalize_about_wp,
     residual_floor,
     save_family,
@@ -69,7 +60,6 @@ from .stationary import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceReport",
     "CFLError",
     "CellGrid",
     "ConfigError",
@@ -80,11 +70,8 @@ __all__ = [
     "FamilyInterpolant",
     "FamilyRangeError",
     "FluxModel",
-    "LapConfig",
     "LineGrid",
-    "NewtonConfig",
     "PerturbationSpec",
-    "PicardDivergenceError",
     "Profile",
     "RunResult",
     "RunSetup",
@@ -99,14 +86,9 @@ __all__ = [
     "cell_residual",
     "cfl_timestep",
     "dispersion_fit",
-    "duhamel_picard",
-    "entropy_balance_check",
     "eta_field",
     "evolve",
-    "invert_p",
-    "l1_bound_check",
     "lap_number",
-    "load_family",
     "nash_ratio",
     "norm",
     "normalize_about_wp",

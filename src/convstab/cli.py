@@ -8,7 +8,7 @@ line per enabled check, writes a machine-readable verdicts.json, and exits
     1  at least one check failed
     2  configuration or validation error
     3  edge-buffer abort (perturbation mass reached a pinned boundary)
-    4  solver failure (Newton stall, CFL violation, family range, divergence)
+    4  solver failure (Newton stall, CFL violation, family range)
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .entropy import FamilyRangeError, dispersion_fit
-from .evolution import CFLError, PicardDivergenceError
+from .evolution import CFLError, StepPolicy
 from .grids import LineGrid
 from .scenarios import (
     ConfigError,
@@ -35,7 +35,7 @@ from .scenarios import (
     semigroup_trials,
 )
 from .stationary import (
-    NewtonConfig,
+    NEWTON_TOLERANCE,
     StationarySolveError,
     cell_residual,
     residual_floor,
@@ -183,7 +183,7 @@ def cmd_stationary(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
     """Build the family, write it, and report residual/monotonicity verdicts."""
     setup = prepare_run(config)
     family = setup.family_raw
-    tol = NewtonConfig().tolerance
+    tol = NEWTON_TOLERANCE
 
     residuals = [
         float(np.abs(cell_residual(family.flux, prof.values, family.grid)).max())
@@ -288,10 +288,16 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path, trials: int, seed: int) ->
     from .fluxes import builtin_flux
     from .grids import CellGrid
 
+    if config.boundary_mode != "periodic":
+        raise ConfigError(
+            "verify runs its trials on periodic domains only; "
+            f"boundary_mode {config.boundary_mode!r} is not supported"
+        )
     flux = builtin_flux(config.flux_label, dict(config.flux_params))
     cell = CellGrid(config.n_cells_per_period, flux.period)
     grid = LineGrid(cell, config.n_periods, "periodic")
-    records = semigroup_trials(flux, grid, config.t_end, trials, seed)
+    policy = StepPolicy(config.cfl_fraction, config.dt_max)
+    records = semigroup_trials(flux, grid, config.t_end, trials, seed, policy=policy)
 
     failing = [
         r for r in records
@@ -375,7 +381,7 @@ def main(argv=None) -> int:
             artifact = cmd_verify(config, out_dir, args.trials, seed)
     except EdgeBufferError as exc:
         return _fail(out_dir, args.command, EXIT_EDGE_BUFFER, str(exc))
-    except (StationarySolveError, CFLError, PicardDivergenceError, FamilyRangeError) as exc:
+    except (StationarySolveError, CFLError, FamilyRangeError) as exc:
         return _fail(out_dir, args.command, EXIT_SOLVER, str(exc))
     except (ConfigError, ValueError, OSError) as exc:
         return _fail(out_dir, args.command, EXIT_CONFIG, str(exc))

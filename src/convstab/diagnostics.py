@@ -13,38 +13,16 @@ to a new direction once the data has moved by a hysteresis threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-from .grids import norm
-
 __all__ = [
     "DiagnosticsSeries",
-    "L1BoundReport",
-    "LapConfig",
-    "l1_bound_check",
     "lap_number",
     "sign_changes",
     "weighted_energy",
 ]
-
-
-@dataclass(frozen=True)
-class LapConfig:
-    """Hysteresis threshold for reversal counting; None means 10 eps |v|_inf."""
-
-    hysteresis: Optional[float] = None
-
-    def __post_init__(self):
-        if self.hysteresis is not None and self.hysteresis < 0:
-            raise ValueError(f"hysteresis must be >= 0, got {self.hysteresis}")
-
-    def resolve(self, samples: np.ndarray) -> float:
-        if self.hysteresis is not None:
-            return float(self.hysteresis)
-        scale = float(np.abs(samples).max()) if samples.size else 0.0
-        return 10.0 * np.finfo(float).eps * scale
 
 
 def _as_samples(samples) -> np.ndarray:
@@ -56,7 +34,12 @@ def _as_samples(samples) -> np.ndarray:
     return v
 
 
-def lap_number(samples, config: Optional[LapConfig] = None) -> int:
+def _hysteresis(v: np.ndarray) -> float:
+    """The reversal threshold 10 eps |v|_inf."""
+    return 10.0 * np.finfo(float).eps * float(np.abs(v).max())
+
+
+def lap_number(samples) -> int:
     """Number of strict direction reversals of the sampled profile.
 
     Walk the samples tracking the running extremum since the last committed
@@ -67,7 +50,7 @@ def lap_number(samples, config: Optional[LapConfig] = None) -> int:
     v = _as_samples(samples)
     if v.size < 3:
         return 0
-    gap = (config or LapConfig()).resolve(v)
+    gap = _hysteresis(v)
 
     direction = 0  # +1 rising, -1 falling, 0 undecided
     anchor = v[0]  # running extremum in the current direction
@@ -97,12 +80,12 @@ def lap_number(samples, config: Optional[LapConfig] = None) -> int:
     return reversals
 
 
-def sign_changes(samples, config: Optional[LapConfig] = None) -> int:
+def sign_changes(samples) -> int:
     """Transitions between values above and below the hysteresis dead band."""
     v = _as_samples(samples)
     if v.size < 1:
         raise ValueError("sign_changes needs at least one sample")
-    band = (config or LapConfig()).resolve(v)
+    band = _hysteresis(v)
     signs = np.sign(v) * (np.abs(v) > band)
     live = signs[signs != 0]
     if live.size < 2:
@@ -121,38 +104,6 @@ def weighted_energy(weight: np.ndarray, values: np.ndarray, h: float) -> float:
     if not np.all(weight > 0):
         raise ValueError("weight must be strictly positive everywhere")
     return float(h * np.sum(weight * values**2))
-
-
-@dataclass(frozen=True)
-class L1BoundReport:
-    l1_distance: float
-    bound: float
-    lap: int
-    passed: bool
-
-
-def l1_bound_check(
-    u: np.ndarray,
-    background: np.ndarray,
-    primitive_values: np.ndarray,
-    h: float,
-    lap: Optional[int] = None,
-) -> L1BoundReport:
-    """Check |u - background|_L1 <= 2 (m + 1) sup|V| with m = lap_number(V).
-
-    ``primitive_values`` is the primitive V of the perturbation (h times its
-    cumulative sum).  Slicing the domain at V's direction reversals leaves
-    m + 1 intervals on which u - background is one-signed, and each interval
-    contributes at most 2 sup|V| to the L1 norm.  A small absolute slack
-    (1e-9) absorbs quadrature roundoff.
-    """
-    primitive_values = _as_samples(primitive_values)
-    m = lap_number(primitive_values) if lap is None else int(lap)
-    if m < 0:
-        raise ValueError(f"lap number must be >= 0, got {lap}")
-    l1 = norm(np.asarray(u, dtype=float) - np.asarray(background, dtype=float), h, "L1")
-    bound = 2.0 * (m + 1) * float(np.abs(primitive_values).max())
-    return L1BoundReport(l1_distance=l1, bound=bound, lap=m, passed=l1 <= bound + 1e-9)
 
 
 _COLUMNS = (

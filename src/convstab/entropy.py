@@ -15,15 +15,13 @@ same interpolant the inversion uses, so the two are consistent to roundoff
 and eta inherits nonnegativity from the interpolant's monotonicity.
 
 The dissipation h sum dpw(pi_i, x_i) (D pi)_i^2 uses centered differences of
-pi (wrap-around on periodic domains, one-sided end stencils otherwise), and
-the entropy balance d/dt total_eta + dissipation = 0 is checked with centered
-time differences over uniformly spaced snapshots.
+pi (wrap-around on periodic domains, one-sided end stencils otherwise).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -32,15 +30,12 @@ from .grids import _next, _prev
 from .stationary import StationaryFamily
 
 __all__ = [
-    "BalanceReport",
     "DispersionFit",
     "EntropyField",
     "FamilyInterpolant",
     "FamilyRangeError",
     "dispersion_fit",
-    "entropy_balance_check",
     "eta_field",
-    "invert_p",
     "nash_ratio",
 ]
 
@@ -260,12 +255,6 @@ class EntropyField:
             raise ValueError(f"eta must be nonnegative, got min {self.eta.min()!r}")
 
 
-def invert_p(family: StationaryFamily, u_value: float, cell_index: int) -> float:
-    """Scalar convenience wrapper around FamilyInterpolant.invert."""
-    interp = FamilyInterpolant(family)
-    return float(interp.invert(np.array([u_value]), np.array([cell_index]))[0])
-
-
 def _cell_phase(state: State, family: StationaryFamily) -> np.ndarray:
     n_cells = family.grid.n_cells
     if state.grid.cell.n_cells != n_cells or not np.isclose(
@@ -312,38 +301,6 @@ def eta_field(
     dissipation = float(h * np.sum(dpw * dpi**2))
     total = float(h * eta.sum())
     return EntropyField(pi=pi, eta=eta, total_eta=total, dissipation=dissipation)
-
-
-@dataclass(frozen=True)
-class BalanceReport:
-    """Centered-difference residuals of d/dt total_eta + dissipation = 0."""
-
-    residuals: np.ndarray
-    max_residual: float
-
-    def __post_init__(self):
-        arr = np.array(self.residuals, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "residuals", arr)
-
-
-def entropy_balance_check(
-    fields: Sequence[EntropyField], times: Sequence[float]
-) -> BalanceReport:
-    """Residuals r_k = (total_eta_{k+1} - total_eta_{k-1})/(2 dt) + diss_k."""
-    times = np.asarray(times, dtype=float)
-    if len(fields) != times.size:
-        raise ValueError("one snapshot time per entropy field required")
-    if times.size < 3:
-        raise ValueError("entropy balance needs at least 3 snapshots")
-    gaps = np.diff(times)
-    if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("entropy balance needs uniformly spaced snapshots")
-    dt = float(gaps[0])
-    totals = np.array([f.total_eta for f in fields])
-    diss = np.array([f.dissipation for f in fields])
-    residuals = (totals[2:] - totals[:-2]) / (2.0 * dt) + diss[1:-1]
-    return BalanceReport(residuals=residuals, max_residual=float(np.abs(residuals).max()))
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,6 @@ and the speed coefficients at the centers, are sampled once per flux and grid.
 The sample also records whether f is convex in u at every interface, as the
 Burgers-type built-ins (and their normalizations about w_p) are; the
 interface flux then skips its per-interface branches.
-
-``duhamel_picard`` provides the independent short-time oracle: it iterates
-the integral (Duhamel) form of the equation with a sampled mass-one heat
-kernel, circular convolutions and a midpoint rule in time, with no spatial
-stencils shared with ``step``.
 """
 
 from __future__ import annotations
@@ -50,11 +45,9 @@ from .grids import LineGrid, _next, _prev, _toeplitz_solve
 
 __all__ = [
     "CFLError",
-    "PicardDivergenceError",
     "State",
     "StepPolicy",
     "cfl_timestep",
-    "duhamel_picard",
     "evolve",
     "step",
 ]
@@ -62,10 +55,6 @@ __all__ = [
 
 class CFLError(RuntimeError):
     """Requested time step exceeds the CFL bound h / max|d_u f|."""
-
-
-class PicardDivergenceError(RuntimeError):
-    """Picard iteration left the stability ball; the horizon is too long."""
 
 
 @dataclass(frozen=True)
@@ -266,87 +255,3 @@ def evolve(
             observe(current)
     return current, series
 
-
-def duhamel_picard(
-    state: State,
-    flux: FluxModel,
-    t: float,
-    iterations: int = 8,
-    n_substeps: int = 32,
-) -> State:
-    """Short-time Duhamel/Picard oracle on a periodic domain.
-
-    Starting from the constant-in-time trajectory u(s) = u0, repeatedly apply
-
-        u(t) <- K^t * u0 - integral_0^t (grad K^{t-s}) * f(u(s, .), .) ds,
-
-    with the heat kernel sampled on the grid and normalized to unit discrete
-    mass, circular convolutions by FFT, and the s-integral by the midpoint
-    rule (n_substeps >= 32 subintervals at the final time).  The iteration is
-    a contraction only for short horizons (guidance: t below roughly
-    0.1 / max|d_u f|^2 near the data); iterates that leave the stability ball
-    of radius 2 sup|u0| raise PicardDivergenceError, meaning t is too large.
-    """
-    if state.grid.boundary_mode != "periodic":
-        raise ValueError("the Duhamel oracle requires a periodic domain")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if n_substeps < 32:
-        raise ValueError(f"n_substeps must be >= 32, got {n_substeps}")
-
-    grid = state.grid
-    n = grid.n_total
-    h = grid.h
-    length = grid.length
-    x = grid.centers()
-    d = np.arange(n) * h
-    offsets = np.where(d > 0.5 * length, d - length, d)
-    u0 = state.u
-    ball = 2.0 * float(np.abs(u0).max()) + 1e-12
-
-    def kernels(tau: float):
-        raw = np.exp(-offsets**2 / (4.0 * tau))
-        mass = h * raw.sum()
-        kern = raw / mass
-        grad = (-offsets / (2.0 * tau)) * kern
-        return kern, grad
-
-    def convolve(kern: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return h * np.fft.irfft(np.fft.rfft(kern) * np.fft.rfft(g), n=n)
-
-    delta = t / n_substeps
-    times = np.concatenate([[0.0], (np.arange(n_substeps) + 0.5) * delta, [t]])
-    traj = np.tile(u0, (times.size, 1))
-
-    def sample(traj_values: np.ndarray, s: float) -> np.ndarray:
-        j = int(np.searchsorted(times, s))
-        if j == 0:
-            return traj_values[0]
-        if j >= times.size:
-            return traj_values[-1]
-        t0, t1 = times[j - 1], times[j]
-        w = (s - t0) / (t1 - t0)
-        return (1.0 - w) * traj_values[j - 1] + w * traj_values[j]
-
-    for _ in range(iterations):
-        new = np.empty_like(traj)
-        new[0] = u0
-        for row, tau in enumerate(times[1:], start=1):
-            acc = convolve(kernels(tau)[0], u0)
-            sub = max(4, int(round(n_substeps * tau / t)))
-            ds = tau / sub
-            for k in range(sub):
-                s = (k + 0.5) * ds
-                _, grad = kernels(tau - s)
-                g = flux.eval(sample(traj, s), x)
-                acc -= ds * convolve(grad, g)
-            new[row] = acc
-        sup = float(np.abs(new).max())
-        if sup > ball:
-            raise PicardDivergenceError(
-                f"iterate sup norm {sup:.3e} left the ball {ball:.3e}; "
-                "shorten the horizon"
-            )
-        traj = new
-
-    return replace(state, u=traj[-1], time=state.time + t)

@@ -18,8 +18,8 @@ step and the spline); and the periodic cubic spline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal, Optional
+from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dpttrs
@@ -73,22 +73,19 @@ class CellGrid:
     def centers(self) -> np.ndarray:
         return (np.arange(self.n_cells) + 0.5) * self.h
 
-    def refined(self, factor: int = 2) -> "CellGrid":
-        return CellGrid(self.n_cells * factor, self.period)
-
 
 @dataclass(frozen=True)
 class Profile:
     """A periodic function sampled at the cell centers of one period.
 
-    ``mean`` caches the cell average; it is computed on construction and must
-    stay consistent with ``values`` (the dataclass is frozen and the array is
-    marked read-only, so it cannot drift).
+    ``mean`` caches the cell average; it is computed on construction and
+    cannot drift from ``values`` (the dataclass is frozen and the array is
+    marked read-only).
     """
 
     grid: CellGrid
     values: np.ndarray
-    mean: Optional[float] = None
+    mean: float = field(init=False)
 
     def __post_init__(self):
         values = _readonly(self.values)
@@ -100,16 +97,7 @@ class Profile:
         if not np.all(np.isfinite(values)):
             raise ValueError("profile values must be finite")
         object.__setattr__(self, "values", values)
-        if self.mean is None:
-            object.__setattr__(self, "mean", float(values.mean()))
-
-    def validate_mean(self, rtol: float = 1e-13) -> None:
-        actual = float(self.values.mean())
-        scale = max(1.0, abs(actual))
-        if abs(actual - self.mean) > rtol * scale:
-            raise ValueError(
-                f"cached mean {self.mean} inconsistent with values (actual {actual})"
-            )
+        object.__setattr__(self, "mean", float(values.mean()))
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,8 @@ from .evolution import State, StepPolicy, cfl_timestep, evolve, step
 from .fluxes import FluxModel, builtin_flux
 from .grids import CellGrid, LineGrid, Profile, norm, primitive
 from .stationary import (
-    NewtonConfig,
     StationaryFamily,
     build_family,
-    load_family,
     normalize_about_wp,
     save_family,
     solve_stationary,
@@ -187,7 +185,6 @@ class ScenarioConfig:
     p: float
     checks: Tuple[str, ...]
     output: str
-    family_file: Optional[str] = None
     fit_window: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
@@ -246,7 +243,7 @@ class ScenarioConfig:
               ("n_cells_per_period", "n_periods", "boundary_mode"))
 
         fam = raw.get("family", {})
-        _take(fam, "family", ("p_min", "p_max", "M", "file"), ())
+        _take(fam, "family", ("p_min", "p_max", "M"), ())
 
         init = raw["initial"]
         _take(init, "initial", ("shape", "amplitude", "width", "center", "seed"), ("shape",))
@@ -298,7 +295,6 @@ class ScenarioConfig:
             p=_as_float(run.get("p", 0.0), "run.p"),
             checks=tuple(checks),
             output=str(raw["output"]),
-            family_file=fam.get("file"),
             fit_window=window,
         )
 
@@ -324,7 +320,6 @@ class ScenarioConfig:
                 "p_min": self.p_min,
                 "p_max": self.p_max,
                 "M": self.m_intervals,
-                "file": self.family_file,
             },
             "initial": {
                 "shape": self.initial.shape,
@@ -448,25 +443,12 @@ class RunSetup:
         return times
 
 
-def prepare_run(
-    config: ScenarioConfig, family: Optional[StationaryFamily] = None
-) -> RunSetup:
-    """Build (or adopt) the family and assemble the normalized run pieces."""
+def prepare_run(config: ScenarioConfig) -> RunSetup:
+    """Build the family and assemble the normalized run pieces."""
     flux = builtin_flux(config.flux_label, dict(config.flux_params))
     cell_grid = CellGrid(config.n_cells_per_period, flux.period)
     line_grid = LineGrid(cell_grid, config.n_periods, config.boundary_mode)
-
-    if family is None:
-        if config.family_file is not None:
-            family = load_family(config.family_file)
-            if family.grid.n_cells != cell_grid.n_cells or family.flux.label != flux.label:
-                raise ConfigError(
-                    f"family file {config.family_file} does not match the scenario grid/flux"
-                )
-        else:
-            family = build_family(
-                flux, config.p_min, config.p_max, config.m_intervals, cell_grid
-            )
+    family = build_family(flux, config.p_min, config.p_max, config.m_intervals, cell_grid)
 
     # background profile: reuse the family member when p sits on its grid
     knot = np.flatnonzero(np.isclose(family.p_grid, config.p, rtol=0.0, atol=1e-13))
@@ -563,9 +545,8 @@ def _write_snapshot(path, x_text: List[str], u: np.ndarray, background_text: Lis
         fh.write("x,u,background\n" + "\n".join(rows) + "\n")
 
 
-def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None,
-                 write_snapshots: bool = True) -> RunResult:
-    """Run the scenario and (optionally) write CSV artifacts under out_dir."""
+def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
+    """Run the scenario and, given out_dir, write its artifacts there."""
     snapshots = setup.snapshot_times()
     observer = make_observer(setup)
     snapshots_dir = None
@@ -575,7 +556,7 @@ def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None,
     snapshot_states: List[State] = []
 
     def collecting_observer(state: State) -> dict:
-        if write_snapshots and out_dir is not None:
+        if out_dir is not None:
             snapshot_states.append(state)
         return observer(state)
 
@@ -595,16 +576,15 @@ def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None,
         series.to_csv(diagnostics_path)
         family_path = str(out_dir / "family.json")
         save_family(setup.family_raw, family_path)
-        if write_snapshots:
-            snap_dir = out_dir / "snapshots"
-            snap_dir.mkdir(exist_ok=True)
-            snapshots_dir = str(snap_dir)
-            x_text = list(map(repr, setup.line_grid.centers().tolist()))
-            bg = setup.line_grid.tile(setup.w_p)
-            bg_text = list(map(repr, bg.tolist()))
-            for state in snapshot_states:
-                name = f"snapshot_t{state.time!r}.csv"
-                _write_snapshot(snap_dir / name, x_text, state.u + bg, bg_text)
+        snap_dir = out_dir / "snapshots"
+        snap_dir.mkdir(exist_ok=True)
+        snapshots_dir = str(snap_dir)
+        x_text = list(map(repr, setup.line_grid.centers().tolist()))
+        bg = setup.line_grid.tile(setup.w_p)
+        bg_text = list(map(repr, bg.tolist()))
+        for state in snapshot_states:
+            name = f"snapshot_t{state.time!r}.csv"
+            _write_snapshot(snap_dir / name, x_text, state.u + bg, bg_text)
 
     return RunResult(
         setup=setup,

@@ -34,21 +34,19 @@ to a bordered linear solve of the same stencil.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
-from .fluxes import FluxModel, builtin_flux
+from .fluxes import FluxModel
 from .grids import CellGrid, Profile, _cyclic_tridiagonal, _next, _periodic_spline, _prev
 
 __all__ = [
-    "NewtonConfig",
     "StationaryFamily",
     "StationarySolveError",
     "build_family",
     "cell_residual",
-    "load_family",
     "normalize_about_wp",
     "residual_floor",
     "save_family",
@@ -62,20 +60,10 @@ class StationarySolveError(RuntimeError):
     """Newton failed to converge or the bordered system is singular."""
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    tolerance: float = 1e-11          # on the sup norm of the discrete residual
-    max_iterations: int = 50
-    damping: float = 0.5              # backtracking factor on rejected steps
-    continuation_step: float = 0.1    # largest jump in p taken without substeps
-
-    def __post_init__(self):
-        if not 0 < self.damping < 1:
-            raise ValueError(f"damping must lie in (0, 1), got {self.damping}")
-        if self.tolerance <= 0 or self.max_iterations < 1:
-            raise ValueError("tolerance must be positive and max_iterations >= 1")
-        if self.continuation_step <= 0:
-            raise ValueError("continuation_step must be positive")
+NEWTON_TOLERANCE = 1e-11      # on the sup norm of the discrete residual
+NEWTON_MAX_ITERATIONS = 50
+NEWTON_DAMPING = 0.5          # backtracking factor on rejected steps
+CONTINUATION_STEP = 0.1       # largest jump in p taken without substeps
 
 
 def _lap_apply(w: np.ndarray, h: float) -> np.ndarray:
@@ -146,14 +134,14 @@ def _bordered_solve(fu: np.ndarray, h: float, rhs: np.ndarray, gap: float) -> tu
     return y - s * z - lam * e, lam
 
 
-def _bordered_newton(residual_fn, speed_fn, w0, cfg: NewtonConfig, h: float):
+def _bordered_newton(residual_fn, speed_fn, w0, h: float):
     """Damped Newton on the bordered system (residual + lambda, mean constraint).
 
     w is the mean-free deviation on a grid of spacing h.  speed_fn(w) gives
     d_u f at the cell centers, which fixes the cyclic tridiagonal Jacobian
     J = -D2 + D1 diag(d_u f); each step solves the bordered system in O(n)
     (``_bordered_solve``).  Newton stops once the residual and the mean gap are
-    within cfg.tolerance plus the round-off floor 4 eps sup|w| / h^2.  Returns
+    within NEWTON_TOLERANCE plus the round-off floor 4 eps sup|w| / h^2.  Returns
     the converged values; raises StationarySolveError with the last residual.
     """
     w = np.array(w0, dtype=float)
@@ -168,10 +156,10 @@ def _bordered_newton(residual_fn, speed_fn, w0, cfg: NewtonConfig, h: float):
         return _roundoff_floor(float(np.abs(w).max()), h)
 
     def converged():
-        return max(np.abs(base).max(), abs(gap)) <= cfg.tolerance + floor()
+        return max(np.abs(base).max(), abs(gap)) <= NEWTON_TOLERANCE + floor()
 
     base, gap, f_now = merit(w, lam)
-    for _ in range(cfg.max_iterations):
+    for _ in range(NEWTON_MAX_ITERATIONS):
         if converged():
             return w
         delta_w, delta_lam = _bordered_solve(speed_fn(w), h, -(base + lam), -gap)
@@ -181,12 +169,12 @@ def _bordered_newton(residual_fn, speed_fn, w0, cfg: NewtonConfig, h: float):
             w_try = w + s * delta_w
             lam_try = lam + s * delta_lam
             base_try, gap_try, f_try = merit(w_try, lam_try)
-            if f_try <= (1.0 - 1e-4 * s) * f_now or f_try < cfg.tolerance:
+            if f_try <= (1.0 - 1e-4 * s) * f_now or f_try < NEWTON_TOLERANCE:
                 w, lam = w_try, lam_try
                 base, gap, f_now = base_try, gap_try, f_try
                 accepted = True
                 break
-            s *= cfg.damping
+            s *= NEWTON_DAMPING
         if not accepted:
             # stalled in roundoff; the final test below decides honestly
             break
@@ -194,7 +182,7 @@ def _bordered_newton(residual_fn, speed_fn, w0, cfg: NewtonConfig, h: float):
         return w
     raise StationarySolveError(
         f"no convergence (residual {np.abs(base).max():.3e}, "
-        f"mean gap {gap:.3e}, tolerance {cfg.tolerance:.1e} + "
+        f"mean gap {gap:.3e}, tolerance {NEWTON_TOLERANCE:.1e} + "
         f"round-off floor {floor():.1e})"
     )
 
@@ -203,7 +191,6 @@ def solve_stationary(
     flux: FluxModel,
     mean: float,
     grid: CellGrid,
-    cfg: Optional[NewtonConfig] = None,
     initial: Optional[np.ndarray] = None,
 ) -> Profile:
     """Solve the periodic cell problem for the profile with the given mean.
@@ -213,17 +200,14 @@ def solve_stationary(
     flux : FluxModel
     mean : target cell average p
     grid : CellGrid whose period must match the flux period
-    cfg : Newton settings (defaults are tight: residual sup norm <= 1e-11 plus
-          the round-off floor)
     initial : optional warm-start values; defaults to the constant profile
 
     Returns
     -------
     Profile with cell average exactly ``mean`` and discrete residual
-    ``-D2 w + D1 f(w, .)`` below ``cfg.tolerance`` plus the round-off floor of
+    ``-D2 w + D1 f(w, .)`` below ``NEWTON_TOLERANCE`` plus the round-off floor of
     the deviation w - p (see ``residual_floor``) in sup norm.
     """
-    cfg = cfg or NewtonConfig()
     if not np.isclose(grid.period, flux.period, rtol=1e-12, atol=0.0):
         raise ValueError(
             f"grid period {grid.period} != flux period {flux.period}"
@@ -244,7 +228,7 @@ def solve_stationary(
         if initial is None
         else np.asarray(initial, float) - p
     )
-    dev = _bordered_newton(residual_dev, lambda d: flux.d_u(p + d, x), d0, cfg, h)
+    dev = _bordered_newton(residual_dev, lambda d: flux.d_u(p + d, x), d0, h)
     return Profile(grid, p + dev)
 
 
@@ -354,7 +338,6 @@ def build_family(
     p_max: float,
     m_intervals: int,
     grid: CellGrid,
-    cfg: Optional[NewtonConfig] = None,
 ) -> StationaryFamily:
     """Build w_p for p on a uniform grid of m_intervals slices of [p_min, p_max].
 
@@ -363,7 +346,6 @@ def build_family(
     p.  The family is validated (means, strict pointwise monotonicity in p,
     positive derivative profiles with unit mean) before it is returned.
     """
-    cfg = cfg or NewtonConfig()
     if m_intervals < 16:
         raise ValueError(f"family needs m_intervals >= 16, got {m_intervals}")
     if not p_max > p_min:
@@ -379,7 +361,7 @@ def build_family(
         dp = target_p - source.mean
         guess = source.values + dp * source_dp.values
         try:
-            return solve_stationary(flux, target_p, grid, cfg, initial=guess)
+            return solve_stationary(flux, target_p, grid, initial=guess)
         except StationarySolveError as exc:
             if depth >= 6:
                 raise StationarySolveError(
@@ -391,12 +373,12 @@ def build_family(
 
     for j, p in enumerate(p_grid):
         if current is None:
-            current = solve_stationary(flux, p, grid, cfg)
+            current = solve_stationary(flux, p, grid)
         else:
             step_p = p - p_grid[j - 1]
-            if step_p > cfg.continuation_step:
-                # walk in sub-steps no larger than the configured continuation step
-                n_sub = int(np.ceil(step_p / cfg.continuation_step))
+            if step_p > CONTINUATION_STEP:
+                # walk in sub-steps no larger than CONTINUATION_STEP
+                n_sub = int(np.ceil(step_p / CONTINUATION_STEP))
                 for k in range(1, n_sub + 1):
                     target = p_grid[j - 1] + step_p * k / n_sub
                     current = advance(target, current, current_dp)
@@ -416,9 +398,9 @@ def build_family(
 def save_family(family: StationaryFamily, path) -> None:
     """Write a family to a structured text (JSON) file.
 
-    Only built-in flux labels round-trip; shifted/custom callables do not
-    serialize.  Floats are written with shortest round-trip precision, so the
-    file is byte-stable for identical inputs.
+    The flux is recorded by its label and parameters.  Floats are written
+    with shortest round-trip precision, so the file is byte-stable for
+    identical inputs.
     """
     payload = {
         "format": "convstab-family-1",
@@ -433,21 +415,6 @@ def save_family(family: StationaryFamily, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
-
-
-def load_family(path) -> StationaryFamily:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "convstab-family-1":
-        raise ValueError(f"unrecognized family file format in {path}")
-    flux = builtin_flux(payload["flux"]["label"], payload["flux"]["params"])
-    grid = CellGrid(payload["n_cells"], payload["period"])
-    profiles = [Profile(grid, np.array(v)) for v in payload["profiles"]]
-    dp_profiles = [Profile(grid, np.array(v)) for v in payload["dp_profiles"]]
-    return StationaryFamily(
-        flux, np.array(payload["p_grid"]), profiles, dp_profiles,
-        float(payload["alpha"]),
-    )
 
 
 def normalize_about_wp(flux: FluxModel, background: Profile) -> FluxModel:

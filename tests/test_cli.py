@@ -4,6 +4,7 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 configuration problems,
 3 the pinned edge buffer filled up, 4 a solver gave up.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import convstab
-from convstab import cli
+from convstab import StepPolicy, cli
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -203,6 +204,36 @@ def test_verify_runs_seeded_trials(tmp_path, capsys):
     assert "[PASS] comparison" in printed
 
 
+def test_verify_steps_with_the_configured_policy(tmp_path, monkeypatch):
+    seen = []
+    real = cli.semigroup_trials
+
+    def spy(*args, **kwargs):
+        seen.append(inspect.signature(real).bind(*args, **kwargs).arguments.get("policy"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "semigroup_trials", spy)
+    config = write_config(tmp_path, run={"t_end": 0.1, "snapshot_schedule":
+                                         {"kind": "linear", "count": 2},
+                                         "cfl_fraction": 0.5, "dt_max": 0.02, "p": 0.0})
+    assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--trials", "1"]) == 0
+    assert seen == [StepPolicy(cfl_fraction=0.5, dt_max=0.02)]
+
+
+def test_verify_rejects_pinned_boundaries(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        grid={"n_cells_per_period": 32, "n_periods": 8, "boundary_mode": "pinned_to_wp"},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(config), "--out", str(out),
+                     "--trials", "1"]) == 2
+    message = read_verdicts(out)["error"]
+    assert "periodic" in message and "pinned_to_wp" in message
+    assert message in capsys.readouterr().err
+
+
 def test_verify_rejects_zero_trials(tmp_path):
     config = write_config(tmp_path)
     assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path / "out"),
@@ -227,6 +258,28 @@ def test_missing_and_malformed_configs_exit_2(tmp_path, capsys):
 def test_invalid_document_exits_2(tmp_path):
     config = write_config(tmp_path, family={"p_min": -1.0, "p_max": 1.0, "M": 8})
     assert cli.main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_family_file_key_is_rejected(tmp_path):
+    # a family saved for other flux parameters and another p-window would
+    # otherwise pass for this scenario's family
+    saved = write_config(
+        tmp_path, name="saved.json",
+        flux={"label": "forced_burgers", "params": {"amplitude": 0.3, "period": 1.0}},
+        family={"p_min": -2.0, "p_max": 2.0, "M": 32},
+    )
+    assert cli.main(["stationary", "--config", str(saved), "--out", str(tmp_path / "fam")]) == 0
+    config = write_config(
+        tmp_path,
+        family={"p_min": -1.0, "p_max": 1.0, "M": 16,
+                "file": str(tmp_path / "fam" / "family.json")},
+        run={"t_end": 2.0, "snapshot_schedule": {"kind": "linear", "count": 5},
+             "cfl_fraction": 0.9, "dt_max": 0.05, "p": 0.5},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", str(config), "--out", str(out)]) == 2
+    assert "'file'" in read_verdicts(out)["error"]
+    assert not (out / "diagnostics.csv").exists()
 
 
 def test_edge_buffer_exits_3(tmp_path):

@@ -20,12 +20,11 @@ from convstab import (
     build_family,
     builtin_flux,
     dispersion_fit,
-    entropy_balance_check,
     eta_field,
-    invert_p,
     nash_ratio,
 )
 from convstab.entropy import _antiderivative, _pchip_coefficients
+from oracles import entropy_balance_check
 
 
 def forced():
@@ -73,10 +72,10 @@ def test_inversion_round_trip(forced_family):
         assert gap < 1e-8, f"invert(profile_at({p_star:.4f})) off by {gap:.2e}"
 
 
-def test_invert_p_matches_the_vector_path(forced_family):
+def test_invert_recovers_p_at_a_single_cell(forced_family):
     interp = FamilyInterpolant(forced_family)
-    u = interp.profile_at(np.array([0.4]), np.array([10]))[0]
-    p = invert_p(forced_family, u, 10)
+    u = interp.profile_at(np.array([0.4]), np.array([10]))
+    p = interp.invert(u, np.array([10]))[0]
     assert p == pytest.approx(0.4, abs=1e-8)
 
 
@@ -151,10 +150,11 @@ def test_pchip_coefficients_equal_scipy_on_flat_runs_and_sign_changes():
 
 
 def test_inversion_rejects_values_outside_the_family(forced_family):
+    interp = FamilyInterpolant(forced_family)
     with pytest.raises(FamilyRangeError):
-        invert_p(forced_family, 5.0, 0)
+        interp.invert(np.array([5.0]), np.array([0]))
     with pytest.raises(FamilyRangeError):
-        invert_p(forced_family, -5.0, 0)
+        interp.invert(np.array([-5.0]), np.array([0]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,6 @@ def test_cell_grid_centers_are_midpoints():
     assert np.array_equal(grid.centers(), expected)
 
 
-def test_cell_grid_refined_doubles_cells():
-    grid = CellGrid(16, 1.0)
-    fine = grid.refined()
-    assert fine.n_cells == 32
-    assert fine.period == grid.period
-    assert fine.h == grid.h / 2
-
-
 @pytest.mark.parametrize("n_cells", [0, 4, 7, 8.5])
 def test_cell_grid_rejects_bad_cell_counts(n_cells):
     with pytest.raises(ValueError):
@@ -42,14 +34,6 @@ def test_profile_caches_mean_and_freezes_values():
     assert prof.mean == pytest.approx(values.mean(), abs=0.0)
     with pytest.raises(ValueError):
         prof.values[0] = 3.0  # read-only array
-    prof.validate_mean()
-
-
-def test_profile_validate_mean_catches_staleness():
-    grid = CellGrid(8, 1.0)
-    prof = Profile(grid, np.ones(8), mean=2.0)
-    with pytest.raises(ValueError):
-        prof.validate_mean()
 
 
 def test_profile_rejects_wrong_shape_and_nonfinite():

@@ -249,7 +249,7 @@ def test_snapshot_rows_match_per_value_formatting(tmp_path):
 
 
 def test_run_scenario_populates_every_column(tmp_path, prepared):
-    result = run_scenario(prepared, None, write_snapshots=False)
+    result = run_scenario(prepared)
     for column in ("l1_dist", "l2_dist", "linf_V", "l2_V", "weighted_energy",
                    "total_eta", "dissipation", "l1_pi", "nash_ratio",
                    "lap_number", "sign_changes", "mass_offset"):

@@ -16,12 +16,10 @@ from scipy.integrate import cumulative_trapezoid
 from convstab import (
     CellGrid,
     FluxModel,
-    NewtonConfig,
     StationarySolveError,
     build_family,
     builtin_flux,
     cell_residual,
-    load_family,
     normalize_about_wp,
     residual_floor,
     save_family,
@@ -29,7 +27,9 @@ from convstab import (
     solve_stationary,
     solve_theta,
 )
-from convstab.stationary import _bordered_solve
+from convstab import stationary
+from convstab.stationary import NEWTON_TOLERANCE, _bordered_solve
+from oracles import load_family
 
 
 def forced(amplitude=0.5):
@@ -58,7 +58,7 @@ def test_forced_burgers_zero_mean_profile_is_zero():
 
 def test_residuals_meet_tolerance_plus_storage_floor():
     grid = CellGrid(128, 1.0)
-    tol = NewtonConfig().tolerance
+    tol = NEWTON_TOLERANCE
     flux = forced()
     for p in (-2.0, -1.1, 0.3, 0.7, 2.0):
         prof = solve_stationary(flux, p, grid)
@@ -75,7 +75,7 @@ def test_newton_converges_on_fine_grids(n_cells, p):
     grid = CellGrid(n_cells, 1.0)
     prof = solve_stationary(forced(), p, grid)
     res = np.abs(cell_residual(forced(), prof.values, grid)).max()
-    cap = NewtonConfig().tolerance + residual_floor(prof.values, grid)
+    cap = NEWTON_TOLERANCE + residual_floor(prof.values, grid)
     assert res <= cap, f"n={n_cells}, p={p}: residual {res:.3e} above {cap:.3e}"
     assert abs(prof.values.mean() - p) < 1e-13
 
@@ -228,7 +228,7 @@ def test_family_mean_and_dp_invariants(family_128):
 def test_family_residuals(family_128):
     fam = family_128
     flux = forced()
-    tol = NewtonConfig().tolerance
+    tol = NEWTON_TOLERANCE
     worst = max(
         np.abs(cell_residual(flux, prof.values, fam.grid)).max() for prof in fam.profiles
     )
@@ -270,9 +270,10 @@ def test_shifted_family_centers_the_background(family_128):
     assert shifted.alpha == family_128.alpha
 
 
-def test_newton_failure_raises(family_128):
+def test_newton_failure_raises(family_128, monkeypatch):
+    monkeypatch.setattr(stationary, "NEWTON_MAX_ITERATIONS", 1)
     with pytest.raises(StationarySolveError):
-        solve_stationary(forced(), 2.0, CellGrid(64, 1.0), cfg=NewtonConfig(max_iterations=1))
+        solve_stationary(forced(), 2.0, CellGrid(64, 1.0))
 
 
 # ---------------------------------------------------------------------------
