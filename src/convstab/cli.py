@@ -3,6 +3,9 @@
 Every subcommand reads one scenario JSON (--config), writes its artifacts
 under --out (default: the config's output directory), prints one PASS/FAIL
 line per enabled check, writes a machine-readable verdicts.json, and exits
+with the code below.  ``stationary`` and ``verify`` judge their own verdicts;
+the config's checks and fit window, which they skip, are named in one
+``note:`` line on stderr and in the verdict file's notes.
 
     0  every enabled check passed
     1  at least one check failed
@@ -179,8 +182,24 @@ def _ordered_checks(config_checks, required) -> List[str]:
     return out
 
 
+def _ignored(config: ScenarioConfig, command: str) -> List[str]:
+    """A note naming the config's checks and fit window, which ``command``
+    does not evaluate, printed to stderr; empty when the config sets neither."""
+    parts = []
+    if config.checks:
+        parts.append(f"checks {', '.join(config.checks)}")
+    if config.fit_window is not None:
+        parts.append(f"fit window [{config.fit_window[0]}, {config.fit_window[1]}]")
+    if not parts:
+        return []
+    note = f"{command} ignores the config's {' and its '.join(parts)}"
+    print(f"note: {note}", file=sys.stderr)
+    return [note]
+
+
 def cmd_stationary(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
     """Build the family, write it, and report residual/monotonicity verdicts."""
+    notes = _ignored(config, "stationary")
     setup = prepare_run(config)
     family = setup.family_raw
     tol = NEWTON_TOLERANCE
@@ -225,6 +244,7 @@ def cmd_stationary(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
         verdicts=verdicts,
         exit_code=exit_code,
         family_file=str(family_path),
+        notes=notes,
     )
 
 
@@ -293,6 +313,7 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path, trials: int, seed: int) ->
             "verify runs its trials on periodic domains only; "
             f"boundary_mode {config.boundary_mode!r} is not supported"
         )
+    notes = _ignored(config, "verify")
     flux = builtin_flux(config.flux_label, dict(config.flux_params))
     cell = CellGrid(config.n_cells_per_period, flux.period)
     grid = LineGrid(cell, config.n_periods, "periodic")
@@ -330,7 +351,7 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path, trials: int, seed: int) ->
         config=config.to_dict(),
         verdicts=verdicts,
         exit_code=exit_code,
-        notes=[f"{trials} trials, ordered + unordered pairs, seed {seed}"],
+        notes=[f"{trials} trials, ordered + unordered pairs, seed {seed}"] + notes,
     )
 
 
@@ -352,7 +373,8 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="scenario JSON path")
         cmd.add_argument("--out", default=None, help="output directory (default: config's)")
         cmd.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        cmd.add_argument("--trials", type=int, default=20, help="verify: number of trials")
+        if name == "verify":
+            cmd.add_argument("--trials", type=int, default=20, help="number of trials")
     return parser
 
 

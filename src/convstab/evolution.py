@@ -77,6 +77,8 @@ class State:
 
     Runs store the perturbation v = u - w_p of the normalized flux, so the
     stationary profile is the zero state; pinned ghost cells sit at zero.
+    ``u`` is read-only float64: such an array that owns its data is kept,
+    anything else is copied, so a caller's array is never aliased.
     """
 
     grid: LineGrid
@@ -84,7 +86,10 @@ class State:
     time: float
 
     def __post_init__(self):
-        arr = np.array(self.u, dtype=float)
+        arr = self.u
+        if not (type(arr) is np.ndarray and arr.dtype == np.float64
+                and arr.flags.owndata and not arr.flags.writeable):
+            arr = np.array(arr, dtype=float)
         if arr.shape != (self.grid.n_total,):
             raise ValueError(
                 f"u has shape {arr.shape}, expected ({self.grid.n_total},)"
@@ -202,6 +207,8 @@ def step(state: State, flux: FluxModel, dt: float) -> State:
         flux_vals = _eo_flux(faces, padded[:-1], padded[1:])
         divergence = (flux_vals[1:] - flux_vals[:-1]) / h
     u_new = _diffusion_solve(dt / h**2, u - dt * divergence, periodic)
+    # a fresh read-only array passes into the new State without a copy
+    u_new.setflags(write=False)
     return replace(state, u=u_new, time=state.time + dt)
 
 

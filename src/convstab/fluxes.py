@@ -4,9 +4,11 @@ Every flux is
 
     f(u, x) = c0(x) + c1(x) u + c2(x) u^2 / 2
 
-with periodic coefficients.  One constructor turns the three coefficients
-into the vectorized callables of a :class:`FluxModel`; the built-in labels
-are coefficient declarations:
+with periodic coefficients, each a float or a (value, slope) pair of
+vectorized functions of x.  A :class:`FluxModel` records that triple; its
+callables ``eval``, ``d_u``, ``d_uu`` and ``d_x`` are views derived from it
+by one constructor, kept as replaceable fields for instrumentation.  The
+built-in labels are coefficient declarations:
 
 * ``constant_flux_burgers``   c2 = 1
 * ``forced_burgers``          c1 = A sin(2 pi x / T),  c2 = 1
@@ -15,11 +17,12 @@ are coefficient declarations:
                               samples at uniform knots k T / n, interpolated
                               by the periodic cubic spline of ``grids``
 
-Shifting about a stationary profile (``normalize_about_wp``) keeps f
-quadratic in u; the evolution module relies on that to evaluate the
-Engquist-Osher flux from f(0, x), d_u f(0, x) and d_uu f(0, x) alone.  Once
-normalized, f(0, .) = 0 and the zero state -- the value at which pinned
-ghost cells sit -- is an exact fixed point of the scheme.
+Shifting about a stationary profile w (``normalize_about_wp``) maps the
+coefficients c0 -> 0, c1 -> c1 + c2 w, c2 -> c2, so f stays quadratic in u;
+the evolution module relies on that to evaluate the Engquist-Osher flux from
+f(0, x), d_u f(0, x) and d_uu f(0, x) alone.  Once normalized, f(0, .) = 0
+and the zero state -- the value at which pinned ghost cells sit -- is an
+exact fixed point of the scheme.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ class FluxModel:
     ``eval``, ``d_u``, ``d_uu`` and ``d_x`` accept broadcastable arrays and
     return arrays of the broadcast shape.  f must be quadratic in u (d_uu
     independent of u): the time stepper's Engquist-Osher flux is exact only
-    for such models.
+    for such models.  ``coefficients`` is the (c0, c1, c2) triple the
+    callables derive from; a model built from callables alone has none and
+    cannot be normalized about a stationary profile.
     """
 
     label: str
@@ -59,6 +64,7 @@ class FluxModel:
     d_uu: ArrayFn
     d_x: ArrayFn
     params: Mapping[str, float] = field(default_factory=dict)
+    coefficients: Optional[Tuple[Coefficient, Coefficient, Coefficient]] = None
 
     def __post_init__(self):
         if not self.period > 0:
@@ -70,6 +76,13 @@ def _value_and_slope(coefficient: Coefficient) -> Tuple[XFn, XFn]:
         return coefficient
     value = float(coefficient)
     return (lambda x: value), (lambda x: 0.0)
+
+
+def _broadcast(fn: ArrayFn) -> ArrayFn:
+    """fn on float arrays u and x broadcast to one shape."""
+    def call(u, x):
+        return fn(*np.broadcast_arrays(np.asarray(u, float), np.asarray(x, float)))
+    return call
 
 
 def _quadratic_flux(
@@ -86,24 +99,12 @@ def _quadratic_flux(
     scalar-array operation per evaluation.
     """
     (v0, s0), (v1, s1), (v2, s2) = (_value_and_slope(c) for c in (c0, c1, c2))
-
-    def f(u, x):
-        u, x = np.broadcast_arrays(np.asarray(u, float), np.asarray(x, float))
-        return v0(x) + v1(x) * u + 0.5 * v2(x) * u * u
-
-    def fu(u, x):
-        u, x = np.broadcast_arrays(np.asarray(u, float), np.asarray(x, float))
-        return v1(x) + v2(x) * u
-
-    def fuu(u, x):
-        u, x = np.broadcast_arrays(np.asarray(u, float), np.asarray(x, float))
-        return v2(x) + np.zeros_like(u)
-
-    def fx(u, x):
-        u, x = np.broadcast_arrays(np.asarray(u, float), np.asarray(x, float))
-        return s0(x) + s1(x) * u + 0.5 * s2(x) * u * u
-
-    return FluxModel(label, period, f, fu, fuu, fx, params=dict(params))
+    f = _broadcast(lambda u, x: v0(x) + v1(x) * u + 0.5 * v2(x) * u * u)
+    fu = _broadcast(lambda u, x: v1(x) + v2(x) * u)
+    fuu = _broadcast(lambda u, x: v2(x) + np.zeros_like(u))
+    fx = _broadcast(lambda u, x: s0(x) + s1(x) * u + 0.5 * s2(x) * u * u)
+    return FluxModel(label, period, f, fu, fuu, fx, params=dict(params),
+                     coefficients=(c0, c1, c2))
 
 
 def _take_period(params: dict) -> float:

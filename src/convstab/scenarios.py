@@ -435,7 +435,7 @@ class RunSetup:
     policy: StepPolicy
 
     def initial_state(self) -> State:
-        return State(grid=self.line_grid, u=self.initial.copy(), time=0.0)
+        return State(grid=self.line_grid, u=self.initial, time=0.0)
 
     def snapshot_times(self) -> np.ndarray:
         sched = self.config.schedule.times(self.config.t_end)

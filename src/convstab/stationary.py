@@ -39,7 +39,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .fluxes import FluxModel
+from .fluxes import FluxModel, _quadratic_flux, _value_and_slope
 from .grids import CellGrid, Profile, _cyclic_tridiagonal, _next, _periodic_spline, _prev
 
 __all__ = [
@@ -423,42 +423,26 @@ def normalize_about_wp(flux: FluxModel, background: Profile) -> FluxModel:
     Returns g(v, x) = f(v + w(x), x) - f(w(x), x) with w the periodic cubic
     spline through the profile samples at the cell centers (``grids``'
     spline: one cyclic tridiagonal solve, any real x wrapped into the
-    period).  g(0, .) vanishes identically, which the weight solver and the
-    normalized evolution runs require.
+    period).  For f = c0 + c1 u + c2 u^2 / 2 that is exactly the coefficient
+    map c0 -> 0, c1 -> c1 + c2 w (slope c1' + c2' w + c2 w'), c2 -> c2, so g
+    comes from the constructor of f, with callables derived from the new
+    coefficients.  g(0, .) vanishes identically, which the weight solver and
+    the normalized evolution runs require.  A flux built from callables
+    alone carries no coefficients and raises ValueError.
     """
-    grid = background.grid
-    w_of, dw_of = _periodic_spline(grid.centers()[0], grid.period, background.values)
-
-    def f(v, x):
-        v = np.asarray(v, dtype=float)
-        w = w_of(x)
-        return flux.eval(v + w, x) - flux.eval(w, x)
-
-    def fv(v, x):
-        return flux.d_u(np.asarray(v, float) + w_of(x), x)
-
-    def fvv(v, x):
-        return flux.d_uu(np.asarray(v, float) + w_of(x), x)
-
-    def fx(v, x):
-        v = np.asarray(v, dtype=float)
-        w = w_of(x)
-        ws = dw_of(x)
-        return (
-            flux.d_x(v + w, x)
-            - flux.d_x(w, x)
-            + (flux.d_u(v + w, x) - flux.d_u(w, x)) * ws
+    if flux.coefficients is None:
+        raise ValueError(
+            f"flux {flux.label!r} carries no (c0, c1, c2) coefficients; "
+            "normalize_about_wp shifts only fluxes built from them"
         )
-
-    return FluxModel(
-        label=f"{flux.label}_shifted",
-        period=flux.period,
-        eval=f,
-        d_u=fv,
-        d_uu=fvv,
-        d_x=fx,
-        params=dict(flux.params),
-    )
+    grid = background.grid
+    w, dw = _periodic_spline(grid.centers()[0], grid.period, background.values)
+    _, c1, c2 = flux.coefficients
+    (v1, s1), (v2, s2) = _value_and_slope(c1), _value_and_slope(c2)
+    shifted_c1 = (lambda x: v1(x) + v2(x) * w(x),
+                  lambda x: s1(x) + s2(x) * w(x) + v2(x) * dw(x))
+    return _quadratic_flux(f"{flux.label}_shifted", flux.period, 0.0, shifted_c1, c2,
+                           flux.params)
 
 
 def _require_normalized(flux: FluxModel, x: np.ndarray) -> None:

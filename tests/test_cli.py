@@ -70,6 +70,39 @@ def test_stationary_writes_family_and_verdicts(tmp_path, capsys):
     assert all(line.startswith("[PASS]") for line in lines)
 
 
+def test_stationary_names_the_checks_and_fit_it_skips(tmp_path, capsys):
+    config = write_config(tmp_path, fit={"t_lo": 0.5, "t_hi": 2.0})
+    out = tmp_path / "out"
+    assert cli.main(["stationary", "--config", str(config), "--out", str(out)]) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
+    assert len(notes) == 1
+    for word in ("mass_conservation", "l1_dist_nonincreasing", "fit window [0.5, 2.0]"):
+        assert word in notes[0]
+    assert read_verdicts(out)["notes"] == [notes[0][len("note: "):]]
+
+
+def test_stationary_without_checks_or_fit_adds_no_note(tmp_path, capsys):
+    config = write_config(tmp_path, checks=[])
+    out = tmp_path / "out"
+    assert cli.main(["stationary", "--config", str(config), "--out", str(out)]) == 0
+    assert "note:" not in capsys.readouterr().err
+    assert read_verdicts(out)["notes"] == []
+
+
+def test_the_module_entry_point_runs_as_a_process(tmp_path):
+    config = write_config(tmp_path)
+    src = str(Path(convstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "convstab.cli", "stationary", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("note: stationary ignores the config's checks")
+    assert (tmp_path / "out" / "family.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
@@ -202,6 +235,29 @@ def test_verify_runs_seeded_trials(tmp_path, capsys):
     assert payload["verdicts"]["pass_rate"]["pairs"] == 4
     printed = capsys.readouterr().out
     assert "[PASS] comparison" in printed
+
+
+def test_verify_names_the_checks_and_fit_it_skips(tmp_path, capsys):
+    config = write_config(tmp_path, run={"t_end": 0.2, "snapshot_schedule":
+                                         {"kind": "linear", "count": 2},
+                                         "cfl_fraction": 0.9, "dt_max": 0.05, "p": 0.0},
+                          fit={"t_lo": 0.1, "t_hi": 0.2})
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(config), "--out", str(out),
+                     "--trials", "1"]) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
+    assert len(notes) == 1
+    assert "mass_conservation" in notes[0] and "fit window [0.1, 0.2]" in notes[0]
+    assert notes[0][len("note: "):] in read_verdicts(out)["notes"]
+
+
+def test_trials_is_a_verify_option_only(tmp_path, capsys):
+    config = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evolve", "--config", str(config), "--out", str(tmp_path / "out"),
+                  "--trials", "3"])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
 
 
 def test_verify_steps_with_the_configured_policy(tmp_path, monkeypatch):

@@ -433,3 +433,31 @@ def test_state_requires_matching_shape():
     grid = periodic_line(n_cells=8, n_periods=2)
     with pytest.raises(ValueError):
         cs.State(grid, np.zeros(5), 0.0)
+
+
+def test_state_copies_a_writeable_array():
+    grid = periodic_line(n_cells=8, n_periods=2)
+    u = np.linspace(-1.0, 1.0, grid.n_total)
+    state = cs.State(grid, u, 0.0)
+    assert not np.shares_memory(state.u, u)
+    u[0] = 7.0
+    assert state.u[0] == -1.0
+    assert not state.u.flags.writeable
+    # a read-only view of a writeable array is copied too
+    view = u[:]
+    view.setflags(write=False)
+    assert not np.shares_memory(cs.State(grid, view, 0.0).u, u)
+
+
+def test_state_keeps_a_read_only_array_that_owns_its_data():
+    grid = periodic_line(n_cells=8, n_periods=2)
+    u = np.linspace(-1.0, 1.0, grid.n_total).copy()  # linspace returns a view
+    u.setflags(write=False)
+    assert cs.State(grid, u, 0.0).u is u
+
+
+def test_step_output_is_read_only_and_passes_without_a_copy():
+    grid = periodic_line(n_cells=16, n_periods=2)
+    after = cs.step(initial_state(grid, random_zero_mean(grid, 3)), forced(), 0.01)
+    assert not after.u.flags.writeable
+    assert replace(after, time=1.0).u is after.u

@@ -3,9 +3,22 @@
 import numpy as np
 import pytest
 
-from convstab import CellGrid, builtin_flux, normalize_about_wp, solve_stationary
+from convstab import CellGrid, FluxModel, builtin_flux, normalize_about_wp, solve_stationary
+from convstab.grids import _periodic_spline
 
 LABELS = ("constant_flux_burgers", "forced_burgers", "periodic_advection", "custom_table")
+
+# parameters under which every coefficient of a model varies in x where the
+# label lets it
+SHIFT_PARAMS = {
+    "forced_burgers": {"amplitude": 0.5},
+    "periodic_advection": {"amplitude": 0.5},
+    "custom_table": {
+        "const": 0.3,
+        "linear": (0.4 * np.sin(2 * np.pi * np.arange(8) / 8)).tolist(),
+        "quadratic": (1.0 + 0.3 * np.cos(2 * np.pi * np.arange(8) / 8)).tolist(),
+    },
+}
 
 
 def _fd_check(flux, seed=0, n=200, delta=1e-6):
@@ -94,25 +107,50 @@ def test_unknown_label_and_leftover_params_raise():
         builtin_flux("constant_flux_burgers", {"amplitude": 0.5})
 
 
-def test_normalize_about_wp_vanishes_at_zero():
-    flux = builtin_flux("forced_burgers", {"amplitude": 0.5, "period": 1.0})
-    grid = CellGrid(64, 1.0)
-    w = solve_stationary(flux, 0.7, grid)
-    g = normalize_about_wp(flux, w)
-    x = grid.centers()
-    z = np.zeros_like(x)
-    assert np.all(g.eval(z, x) == 0.0), "normalized flux must vanish on the zero state"
+def _normalized(label, n_cells=64, p=0.7):
+    """(f, w_p, g, the cell grid, the spline of w_p as (value, slope))."""
+    flux = builtin_flux(label, SHIFT_PARAMS.get(label))
+    grid = CellGrid(n_cells, flux.period)
+    w = solve_stationary(flux, p, grid)
+    spline = _periodic_spline(grid.centers()[0], grid.period, w.values)
+    return flux, w, normalize_about_wp(flux, w), grid, spline
 
 
-def test_normalize_about_wp_is_a_shift_of_the_original():
-    flux = builtin_flux("forced_burgers", {"amplitude": 0.5, "period": 1.0})
-    grid = CellGrid(64, 1.0)
-    w = solve_stationary(flux, 0.7, grid)
-    g = normalize_about_wp(flux, w)
+@pytest.mark.parametrize("label", LABELS)
+def test_normalize_about_wp_vanishes_at_zero(label):
+    _, _, g, grid, _ = _normalized(label)
+    for x in (grid.centers(), grid.centers() + grid.h / 3):
+        z = np.zeros_like(x)
+        assert np.all(g.eval(z, x) == 0.0), "normalized flux must vanish on the zero state"
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_normalize_about_wp_is_a_shift_of_the_original(label):
+    flux, w, g, grid, (w_of, dw_of) = _normalized(label)
     x = grid.centers()
     rng = np.random.default_rng(5)
     v = rng.uniform(-1.0, 1.0, x.size)
     expected = flux.eval(w.values + v, x) - flux.eval(w.values, x)
     assert np.allclose(g.eval(v, x), expected, atol=1e-14)
     assert np.allclose(g.d_u(v, x), flux.d_u(w.values + v, x), atol=1e-14)
+    # off the knots w is the spline; d_x g carries the chain rule through w'
+    y = x + grid.h / 3
+    wy, dwy = w_of(y), dw_of(y)
+    assert np.allclose(g.eval(v, y), flux.eval(wy + v, y) - flux.eval(wy, y), atol=1e-14)
+    assert np.allclose(g.d_u(v, y), flux.d_u(wy + v, y), atol=1e-14)
+    assert np.allclose(g.d_uu(v, y), flux.d_uu(wy + v, y), atol=1e-14)
+    d_x = (flux.d_x(wy + v, y) - flux.d_x(wy, y)
+           + (flux.d_u(wy + v, y) - flux.d_u(wy, y)) * dwy)
+    assert np.allclose(g.d_x(v, y), d_x, atol=1e-13)
+    worst = _fd_check(g)
+    assert worst < 5e-9, f"{label}: normalized flux vs FD derivative mismatch {worst:.2e}"
     assert g.period == flux.period
+    assert g.label == f"{label}_shifted"
+
+
+def test_normalize_about_wp_needs_the_coefficients():
+    flux = builtin_flux("forced_burgers")
+    bare = FluxModel("bare", flux.period, flux.eval, flux.d_u, flux.d_uu, flux.d_x)
+    w = solve_stationary(flux, 0.7, CellGrid(32, 1.0))
+    with pytest.raises(ValueError, match="coefficients"):
+        normalize_about_wp(bare, w)
