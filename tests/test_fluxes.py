@@ -8,8 +8,7 @@ from convstab.grids import _periodic_spline
 
 LABELS = ("constant_flux_burgers", "forced_burgers", "periodic_advection", "custom_table")
 
-# parameters under which every coefficient of a model varies in x where the
-# label lets it
+# parameters under which each coefficient a label can vary in x does so
 SHIFT_PARAMS = {
     "forced_burgers": {"amplitude": 0.5},
     "periodic_advection": {"amplitude": 0.5},
@@ -107,11 +106,11 @@ def test_unknown_label_and_leftover_params_raise():
         builtin_flux("constant_flux_burgers", {"amplitude": 0.5})
 
 
-def _normalized(label, n_cells=64, p=0.7):
+def _normalized(label):
     """(f, w_p, g, the cell grid, the spline of w_p as (value, slope))."""
     flux = builtin_flux(label, SHIFT_PARAMS.get(label))
-    grid = CellGrid(n_cells, flux.period)
-    w = solve_stationary(flux, p, grid)
+    grid = CellGrid(64, flux.period)
+    w = solve_stationary(flux, 0.7, grid)
     spline = _periodic_spline(grid.centers()[0], grid.period, w.values)
     return flux, w, normalize_about_wp(flux, w), grid, spline
 
