@@ -14,6 +14,15 @@ polynomial) rather than by sampling: the result is the exact integral of the
 same interpolant the inversion uses, so the two are consistent to roundoff
 and eta inherits nonnegativity from the interpolant's monotonicity.
 
+The inversion brackets u between two knot profiles and solves the cubic on
+that p-interval by Newton's method from the secant, with a sign bracket and
+a midpoint fallback.  The cubic is evaluated about the knot nearer to u (both
+forms come from the same knot values and slopes), so values next to a knot
+profile, such as the zero member of a shifted family, come back with their
+relative accuracy.  A cell stops at the round-off floor of its Horner
+evaluation, 8 eps (sum_j |c_j| |s|^j + |u|), or once its step is at most
+2^-60 of the interval width; no call runs more than 64 rounds.
+
 The dissipation h sum dpw(pi_i, x_i) (D pi)_i^2 uses centered differences of
 pi (wrap-around on periodic domains, one-sided end stencils otherwise).
 """
@@ -60,33 +69,50 @@ def _pchip_end(h0, h1, m0, m1):
     return np.where(flipped, 0.0, np.where(steep, 3.0 * m0, d))
 
 
-def _pchip_coefficients(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(4, len(p) - 1, n) cubic coefficients of the monotone PCHIP through the
-    rows of y at knots p, highest power first in s = p - p_j.
+def _pchip_slopes(p: np.ndarray, y: np.ndarray):
+    """Interval widths, secants and knot slopes of the monotone PCHIP through
+    the rows of y at knots p.
 
     Fritsch-Butland weighted harmonic-mean slopes inside (zero at flat runs
-    and sign changes), Moler's three-point slopes at the ends, then the cubic
-    Hermite coefficients.  The arithmetic is that of
-    ``scipy.interpolate.PchipInterpolator(p, y, axis=0).c``, bit for bit.
+    and sign changes), Moler's three-point slopes at the ends.
     """
     hk = np.diff(p)[:, None]
     mk = (y[1:] - y[:-1]) / hk
     if y.shape[0] == 2:
-        dk = np.concatenate([mk, mk])
-    else:
-        smk = np.sign(mk)
-        flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-        w1 = 2 * hk[1:] + hk[:-1]
-        w2 = hk[1:] + 2 * hk[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner = 1.0 / ((w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2))
-        dk = np.concatenate([
-            _pchip_end(hk[0], hk[1], mk[0], mk[1])[None],
-            np.where(flat, 0.0, inner),
-            _pchip_end(hk[-1], hk[-2], mk[-1], mk[-2])[None],
-        ])
-    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
-    return np.stack((t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1]))
+        return hk, mk, np.concatenate([mk, mk])
+    smk = np.sign(mk)
+    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2 * hk[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2))
+    dk = np.concatenate([
+        _pchip_end(hk[0], hk[1], mk[0], mk[1])[None],
+        np.where(flat, 0.0, inner),
+        _pchip_end(hk[-1], hk[-2], mk[-1], mk[-2])[None],
+    ])
+    return hk, mk, dk
+
+
+def _hermite(h, m, d0, d1, y0, y1, right=False):
+    """Cubic Hermite coefficient rows, highest power first, of the intervals
+    of width h, secant m, end slopes d0, d1 and end values y0, y1: in
+    s = p - p_j about the left knot, or where ``right`` (a flag or a mask) in
+    s = p - p_{j+1} about the right knot, whose constant term is y1 itself."""
+    t = (d0 + d1 - 2 * m) / h
+    c2 = np.where(right, (d1 - m) / h + t, (m - d0) / h - t)
+    return t / h, c2, np.where(right, d1, d0), np.where(right, y1, y0)
+
+
+def _pchip_coefficients(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(4, len(p) - 1, n) cubic coefficients of the monotone PCHIP through the
+    rows of y at knots p, highest power first in s = p - p_j.
+
+    The arithmetic is that of
+    ``scipy.interpolate.PchipInterpolator(p, y, axis=0).c``, bit for bit.
+    """
+    hk, mk, dk = _pchip_slopes(p, y)
+    return np.stack(_hermite(hk, mk, dk[:-1], dk[1:], y[:-1], y[1:]))
 
 
 def _antiderivative(p: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -112,10 +138,13 @@ def _antiderivative(p: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 class FamilyInterpolant:
     """Monotone-in-p interpolant of a stationary family, per cell.
 
-    Holds the cubic coefficients of two PCHIPs over the family's p-knots
-    (one for the profile table w_p(x_i), one for the mean-derivative table)
-    and of the profile PCHIP's antiderivative, built in this module with the
-    arithmetic of scipy's ``PchipInterpolator`` and ``PPoly.antiderivative``.
+    Two PCHIPs over the family's p-knots, one for the profile table w_p(x_i)
+    and one for the mean-derivative table, and the profile PCHIP's
+    antiderivative, with the arithmetic of scipy's ``PchipInterpolator`` and
+    ``PPoly.antiderivative``.  The profile PCHIP is held as its knot values
+    and slopes, and each evaluation forms the cubics of the cells it needs
+    (bit for bit scipy's coefficients), so the inversion can take the same
+    cubic about either knot; the other two are held as coefficient tables.
     All evaluations accept per-cell p arrays (interval lookup plus Horner on
     the gathered cubic coefficients), which is what the entropy field needs --
     every cell sits at its own pi.
@@ -127,12 +156,17 @@ class FamilyInterpolant:
         values = self.family.values_table()
         dp = self.family.dp_table()
         p = np.asarray(self.family.p_grid, dtype=float)
-        w_coeffs = _pchip_coefficients(p, values)
+        hk, mk, dk = _pchip_slopes(p, values)
+        w_coeffs = np.stack(_hermite(hk, mk, dk[:-1], dk[1:], values[:-1], values[1:]))
+        w_anti = _antiderivative(p, w_coeffs)
         object.__setattr__(self, "_p", p)
         object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_w_coeffs", w_coeffs)
-        object.__setattr__(self, "_w_anti", _antiderivative(p, w_coeffs))
+        object.__setattr__(self, "_w_slopes", dk)
+        object.__setattr__(self, "_w_anti", w_anti)
         object.__setattr__(self, "_dp_coeffs", _pchip_coefficients(p, dp))
+        # integral_{p_min}^0 w per cell, which eta_field subtracts on every call
+        j, s = self._locate(np.zeros(values.shape[1]))
+        object.__setattr__(self, "_w_anti_zero", _horner(w_anti[:, j, np.arange(s.size)], s))
 
     @property
     def p_min(self) -> float:
@@ -153,13 +187,23 @@ class FamilyInterpolant:
         if cells.size != size:
             raise ValueError("cells and p arrays must have matching size")
 
+    def _hermite_data(self, k, cells):
+        """Width, secant, knot slopes and knot values of the profile PCHIP's
+        interval k at each cell: the arguments of ``_hermite``."""
+        n = self._values.shape[1]
+        at = k * n + cells  # flat gathers: a fraction of the cost of [k, cells]
+        values, slopes = self._values.ravel(), self._w_slopes.ravel()
+        y0, y1 = values[at], values[at + n]
+        h = self._p[k + 1] - self._p[k]
+        return h, (y1 - y0) / h, slopes[at], slopes[at + n], y0, y1
+
     def profile_at(self, p, cells) -> np.ndarray:
         """w_p(x_i) for per-cell p values (cells index the family's grid)."""
         p = np.asarray(p, dtype=float)
         cells = np.asarray(cells, dtype=int)
         self._check_cells(cells, p.size)
         j, s = self._locate(p)
-        return _horner(self._w_coeffs[:, j, cells], s)
+        return _horner(_hermite(*self._hermite_data(j, cells)), s)
 
     def dp_at(self, p, cells) -> np.ndarray:
         """Mean-derivative table interpolated at per-cell p values."""
@@ -190,11 +234,20 @@ class FamilyInterpolant:
         return lo
 
     def invert(self, u, cells) -> np.ndarray:
-        """Per-cell inverse pi with w_pi(x_i) = u_i, by bracketed bisection.
+        """Per-cell inverse pi with w_pi(x_i) = u_i, by safeguarded Newton.
 
-        The knot bracket comes from a binary search down each cell's column
-        of the family table, so no (M+1) x len(u) table is gathered.  Values
-        matching a knot profile exactly return the knot's p exactly.
+        The knot bracket [p_k, p_{k+1}] comes from a binary search down each
+        cell's column of the family table, so no (M+1) x len(u) table is
+        gathered.  On it the cubic is evaluated about the knot nearer to u in
+        value (the right-knot form has q(p_{k+1}) = values[k + 1] exactly), so
+        a value next to a knot profile, such as the zero member of a shifted
+        family, keeps its relative accuracy.  Newton starts from the secant
+        between the two knot values and keeps a sign bracket; a step that
+        would leave the bracket is replaced by the bracket's midpoint.  A cell
+        stops, and is frozen, once |q - u| <= 8 eps (sum_j |c_j| |s|^j + |u|),
+        the round-off floor of its Horner evaluation, or once its step is at
+        most 2^-60 of the interval width; no call runs more than 64 rounds.
+        Values matching a knot profile exactly return the knot's p exactly.
         Values outside the family's bracket at their cell raise
         FamilyRangeError (a relative slack of 1e-10 absorbs roundoff by
         clamping to the end knot).
@@ -216,25 +269,38 @@ class FamilyInterpolant:
         u = np.clip(u, lo_vals, hi_vals)
 
         k = self._bracket(u, cells)
-        exact = self._values[k, cells] == u
-        exact_hi = self._values[k + 1, cells] == u
+        data = self._hermite_data(k, cells)
+        width, secant, _, _, y_lo, y_hi = data
+        right = y_hi - u < u - y_lo
+        c3, c2, c1, c0 = _hermite(*data, right)
+        # s = p - origin on [lo, hi]; at u equal to a knot value s stays 0
+        p_lo, p_hi = self._p[k], self._p[k + 1]
+        origin = np.where(right, p_hi, p_lo)
+        lo, hi = np.where(right, -width, 0.0), np.where(right, 0.0, width)
+        s = (u - c0) / secant
 
-        # the bracket k is fixed, so its cubic is gathered once.  At a midpoint
-        # equal to p_{k+1} profile_at would read interval k + 1, but that only
-        # occurs once lo and hi = p_{k+1} are adjacent, where pi = p_{k+1} anyway
-        coeffs = self._w_coeffs[:, k, cells]
-        lo, hi = p_lo, p_hi = self._p[k], self._p[k + 1]
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            go_right = _horner(coeffs, mid - p_lo) < u
-            lo_new, hi_new = np.where(go_right, mid, lo), np.where(go_right, hi, mid)
-            if np.array_equal(lo_new, lo) and np.array_equal(hi_new, hi):
-                break  # a fixed point of the deterministic update
-            lo, hi = lo_new, hi_new
-        pi = 0.5 * (lo + hi)
-        pi = np.where(exact, p_lo, pi)
-        pi = np.where(exact_hi, p_hi, pi)
-        return pi
+        out = s.copy()
+        live = np.arange(u.size)
+        tol = 2.0**-60 * width
+        eps8 = 8.0 * np.finfo(float).eps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(64):
+                r = ((c3 * s + c2) * s + c1) * s + c0 - u
+                a = np.abs(s)
+                settled = np.abs(r) <= eps8 * (
+                    ((np.abs(c3) * a + np.abs(c2)) * a + np.abs(c1)) * a + np.abs(c0) + np.abs(u))
+                lo, hi = np.where(r < 0, s, lo), np.where(r > 0, s, hi)
+                nxt = s - r / ((3.0 * c3 * s + 2.0 * c2) * s + c1)
+                nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+                nxt = np.where(settled, s, nxt)
+                out[live] = nxt
+                go = ~(settled | (np.abs(nxt - s) <= tol))
+                if not go.any():
+                    break
+                live, s, lo, hi, u, tol = live[go], nxt[go], lo[go], hi[go], u[go], tol[go]
+                c3, c2, c1, c0 = c3[go], c2[go], c1[go], c0[go]
+        # origin + s may round past the far knot of the bracket
+        return np.clip(origin + out, p_lo, p_hi)
 
 
 @dataclass(frozen=True)
@@ -281,8 +347,7 @@ def eta_field(
     u = state.u
     pi = interp.invert(u, cells)
 
-    zero = np.zeros_like(pi)
-    integral = interp.profile_integral(pi, cells) - interp.profile_integral(zero, cells)
+    integral = interp.profile_integral(pi, cells) - interp._w_anti_zero[cells]
     eta = u * pi - integral
     floor = -1e-12 * (1.0 + pi**2)
     if np.any(eta < floor):

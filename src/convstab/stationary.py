@@ -412,9 +412,20 @@ def save_family(family: StationaryFamily, path) -> None:
         "dp_profiles": [prof.values.tolist() for prof in family.dp_profiles],
         "alpha": family.alpha,
     }
+    # the bytes of json.dump(payload, fh, sort_keys=True) + "\n", but each
+    # value and profile row goes through json.dumps (the C encoder) instead
+    # of json.dump's pure-Python one, and the document is never one string
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        for i, key in enumerate(sorted(payload)):
+            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            if key in ("profiles", "dp_profiles"):
+                fh.write("[" + json.dumps(payload[key][0]))
+                for row in payload[key][1:]:
+                    fh.write(", " + json.dumps(row))
+                fh.write("]")
+            else:
+                fh.write(json.dumps(payload[key], sort_keys=True))
+        fh.write("}\n")
 
 
 def normalize_about_wp(flux: FluxModel, background: Profile) -> FluxModel:

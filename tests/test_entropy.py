@@ -5,8 +5,12 @@ constants, so eta reduces to v^2/2 exactly; for a power-law decay series the
 log-log fit must recover the planted exponent to regression accuracy.
 """
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 import convstab as cs
@@ -23,7 +27,7 @@ from convstab import (
     eta_field,
     nash_ratio,
 )
-from convstab.entropy import _antiderivative, _pchip_coefficients
+from convstab.entropy import _antiderivative, _hermite, _horner, _pchip_coefficients
 from oracles import entropy_balance_check
 
 
@@ -95,7 +99,21 @@ def _invert_by_profile_at(interp, u, cells):
     return np.where(exact_hi, interp._p[k + 1], pi)
 
 
-def test_invert_matches_the_profile_at_bisection_bit_for_bit(forced_family):
+EPS = np.finfo(float).eps
+
+
+def _residual_and_bound(interp, pi, u, cells):
+    """|w_pi - u| through profile_at, and 16 eps times the Horner envelope
+    sum_j |c_j| |s|^j + |u| of the cubic profile_at evaluates (scipy's
+    coefficients, which the interpolant's equal bit for bit)."""
+    family = interp.family
+    coeffs = PchipInterpolator(family.p_grid, family.values_table(), axis=0).c
+    j, s = interp._locate(pi)
+    envelope = _horner(np.abs(coeffs[:, j, cells]), np.abs(s))
+    return np.abs(interp.profile_at(pi, cells) - u), 16 * EPS * (envelope + np.abs(u))
+
+
+def test_invert_agrees_with_the_profile_at_bisection(forced_family):
     interp = FamilyInterpolant(forced_family)
     table = forced_family.values_table()
     m, n = table.shape
@@ -109,8 +127,84 @@ def test_invert_matches_the_profile_at_bisection_bit_for_bit(forced_family):
     spread = rng.uniform(table[0, cells], table[-1, cells])
     for u in (knots, below_inner, last, spread, table[0, cells], table[-1, cells]):
         got, want = interp.invert(u, cells), _invert_by_profile_at(interp, u, cells)
-        assert got.tobytes() == want.tobytes(), (
-            f"{np.count_nonzero(got != want)} cells differ, max {np.abs(got - want).max():.2e}")
+        residual, bound = _residual_and_bound(interp, got, u, cells)
+        assert np.all(residual <= bound), f"residual {np.max(residual / bound):.2f}x its bound"
+        gap = np.abs(got - want).max()
+        assert gap <= 1e-14, f"{np.count_nonzero(got != want)} cells differ, max {gap:.2e}"
+    # a knot's own value returns the knot's p bit for bit, the ends included
+    assert interp.invert(knots, cells).tobytes() == forced_family.p_grid[rows].tobytes()
+    assert np.all(interp.invert(table[0, cells], cells) == interp.p_min)
+    assert np.all(interp.invert(table[-1, cells], cells) == interp.p_max)
+
+
+@pytest.fixture(scope="module")
+def pinned_family():
+    # the benchmark's pinned_snapshots family, shifted about its p = 0 member
+    family = build_family(forced(), -2.0, 2.0, 64, CellGrid(384, 1.0))
+    return family.shifted_by(family.profiles[32], 0.0)
+
+
+@pytest.mark.parametrize("u", [1e-30, -1e-30, 1e-20, -1e-20])
+def test_invert_keeps_sign_and_relative_accuracy_next_to_a_zero_member(pinned_family, u):
+    interp = FamilyInterpolant(pinned_family)
+    zero = int(np.flatnonzero(pinned_family.p_grid == 0.0)[0])
+    assert np.all(pinned_family.profiles[zero].values == 0.0)
+    cells = np.array([5, 100, 200])
+    pi = interp.invert(np.full(cells.size, u), cells)
+    # the interpolant's slope at the knot, which both adjacent cubics share
+    oracle = PchipInterpolator(pinned_family.p_grid, pinned_family.values_table(), axis=0)
+    slope = oracle.derivative()(0.0)[cells]
+    assert np.all(np.sign(pi) == np.sign(u)), f"pi = {pi} for u = {u}"
+    assert np.all(np.abs(pi * slope / u - 1.0) <= 1e-8), f"pi = {pi} for u = {u}"
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_interpolant(which):
+    # built here rather than in a fixture: hypothesis reprs every argument of
+    # a failing example, and a family's repr runs to megabytes
+    family = build_family(forced(), -1.0, 1.0, 32, CellGrid(64, 1.0))
+    if which == "shifted":  # about its zero member
+        family = family.shifted_by(family.profiles[16], 0.0)
+    return FamilyInterpolant(family)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    which=st.sampled_from(["forced", "shifted"]),
+    cell=st.integers(0, 63),
+    knot=st.integers(0, 32),
+    kind=st.sampled_from(["ulps", "tiny", "between", "beyond"]),
+    ulps=st.integers(-2, 2),
+    tiny=st.floats(1e-300, 1e-8),
+    sign=st.sampled_from([-1.0, 1.0]),
+    frac=st.floats(0.0, 1.0),
+)
+def test_invert_sweep(which, cell, knot, kind, ulps, tiny, sign, frac):
+    interp = _sweep_interpolant(which)
+    column = interp._values[:, cell]
+    cells = np.array([cell])
+    if kind == "ulps":  # a knot's value or a few ulps either side, the ends included
+        u = column[knot]
+        for _ in range(abs(ulps)):
+            u = np.nextafter(u, np.sign(ulps) * np.inf)
+    elif kind == "tiny":
+        u = sign * tiny
+    elif kind == "between":
+        u = column[0] + frac * (column[-1] - column[0])
+    else:  # past an end by more than the 1e-10 slack
+        end = column[-1] if sign > 0 else column[0]
+        u = end + sign * (1e-9 + frac) * (1.0 + abs(end))
+        with pytest.raises(FamilyRangeError):
+            interp.invert(np.array([u]), cells)
+        return
+    u = np.clip(np.array([u]), column[0], column[-1])
+    pi = interp.invert(u, cells)
+    k = min(int(np.searchsorted(column, u[0], side="right")) - 1, column.size - 2)
+    assert interp._p[k] <= pi[0] <= interp._p[k + 1], f"pi {pi[0]!r} left bracket {k}"
+    if u[0] in column:
+        assert pi[0] == interp._p[int(np.flatnonzero(column == u[0])[0])]
+    residual, bound = _residual_and_bound(interp, pi, u, cells)
+    assert residual[0] <= bound[0], f"residual {residual[0]:.3e} above {bound[0]:.3e}"
 
 
 def _same_bits(ours, theirs):
@@ -122,7 +216,10 @@ def test_interpolant_coefficients_equal_scipy_bit_for_bit(forced_family):
     p = forced_family.p_grid
     w_oracle = PchipInterpolator(p, forced_family.values_table(), axis=0)
     dp_oracle = PchipInterpolator(p, forced_family.dp_table(), axis=0)
-    assert _same_bits(interp._w_coeffs, w_oracle.c)
+    # the profile cubics that profile_at and invert form per cell, at every cell
+    m, n = p.size - 1, forced_family.grid.n_cells
+    formed = _hermite(*interp._hermite_data(np.repeat(np.arange(m), n), np.tile(np.arange(n), m)))
+    assert _same_bits(np.stack(formed).reshape(4, m, n), w_oracle.c)
     assert _same_bits(interp._w_anti, w_oracle.antiderivative().c)
     assert _same_bits(interp._dp_coeffs, dp_oracle.c)
 
@@ -172,10 +269,11 @@ def test_constant_flux_eta_is_half_v_squared(constant_family):
 
 
 def test_eta_is_nonnegative_and_zero_on_the_background(forced_family):
-    # the inversion bisects, so pi lands within one bisection width of zero
+    # the p = 0 member is zero only to about 5e-23, so pi is the root of the
+    # cubic next to that knot, evaluated about the knot: a few times 1e-23
     state = state_on(forced_family, np.zeros(128))
     field = eta_field(forced_family, state)
-    assert np.abs(field.pi).max() < 1e-15
+    assert np.abs(field.pi).max() < 1e-20
     assert field.eta.max() < 1e-15
     assert abs(field.total_eta) < 1e-15
 

@@ -260,6 +260,25 @@ def test_family_json_round_trip(tmp_path, family_128):
         json.load(handle)
 
 
+def test_family_file_is_the_json_dump_of_its_payload(tmp_path, family_128):
+    # save_family writes piecewise; the bytes must stay json.dump's
+    fam = family_128.shifted_by(family_128.profiles[16], 0.0)
+    payload = {
+        "format": "convstab-family-1",
+        "flux": {"label": fam.flux.label, "params": dict(fam.flux.params)},
+        "period": fam.grid.period,
+        "n_cells": fam.grid.n_cells,
+        "p_grid": fam.p_grid.tolist(),
+        "profiles": [prof.values.tolist() for prof in fam.profiles],
+        "dp_profiles": [prof.values.tolist() for prof in fam.dp_profiles],
+        "alpha": fam.alpha,
+    }
+    path = tmp_path / "family.json"
+    save_family(fam, path)
+    want = json.dumps(payload, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 def test_shifted_family_centers_the_background(family_128):
     knot = int(np.flatnonzero(np.isclose(family_128.p_grid, 0.5))[0])
     w_p = family_128.profiles[knot]
