@@ -134,6 +134,11 @@ def _antiderivative(p: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return anti
 
 
+def _rows_at(table: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """table[:, k, cells] of an (r, M, n) table, given the flat index of (k, cells)."""
+    return np.take(table.reshape(table.shape[0], -1), at, axis=1)
+
+
 @dataclass(frozen=True)
 class FamilyInterpolant:
     """Monotone-in-p interpolant of a stationary family, per cell.
@@ -187,11 +192,16 @@ class FamilyInterpolant:
         if cells.size != size:
             raise ValueError("cells and p arrays must have matching size")
 
+    def _flat(self, k, cells):
+        """Flat index of (k, cells) in a (M + 1, n) table: a gather at it costs
+        a fraction of one at [k, cells]."""
+        return k * self._values.shape[1] + cells
+
     def _hermite_data(self, k, cells):
         """Width, secant, knot slopes and knot values of the profile PCHIP's
         interval k at each cell: the arguments of ``_hermite``."""
         n = self._values.shape[1]
-        at = k * n + cells  # flat gathers: a fraction of the cost of [k, cells]
+        at = self._flat(k, cells)
         values, slopes = self._values.ravel(), self._w_slopes.ravel()
         y0, y1 = values[at], values[at + n]
         h = self._p[k + 1] - self._p[k]
@@ -211,7 +221,7 @@ class FamilyInterpolant:
         cells = np.asarray(cells, dtype=int)
         self._check_cells(cells, p.size)
         j, s = self._locate(p)
-        return _horner(self._dp_coeffs[:, j, cells], s)
+        return _horner(_rows_at(self._dp_coeffs, self._flat(j, cells)), s)
 
     def profile_integral(self, p, cells) -> np.ndarray:
         """integral_{p_min}^{p} w_q(x_i) dq, exact for the interpolant."""
@@ -219,7 +229,7 @@ class FamilyInterpolant:
         cells = np.asarray(cells, dtype=int)
         self._check_cells(cells, p.size)
         j, s = self._locate(p)
-        return _horner(self._w_anti[:, j, cells], s)
+        return _horner(_rows_at(self._w_anti, self._flat(j, cells)), s)
 
     def _bracket(self, u: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Per cell, the largest k <= M - 1 with values[k, cell] <= u, by
@@ -227,9 +237,10 @@ class FamilyInterpolant:
         u >= values[0, cell] once clipped)."""
         lo = np.zeros(u.size, dtype=int)
         hi = np.full(u.size, self._p.size - 1)
+        values = self._values.ravel()
         for _ in range((self._p.size - 2).bit_length()):
             mid = (lo + hi) // 2
-            right = self._values[mid, cells] <= u
+            right = values[self._flat(mid, cells)] <= u
             lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
         return lo
 

@@ -28,6 +28,7 @@ import numpy as np
 from .diagnostics import DiagnosticsSeries, lap_number, sign_changes, weighted_energy
 from .entropy import FamilyInterpolant, eta_field, nash_ratio
 from .evolution import State, StepPolicy, cfl_timestep, evolve, step
+from .floattext import csv_lines, repr_rows
 from .fluxes import FluxModel, builtin_flux
 from .grids import CellGrid, LineGrid, Profile, norm, primitive
 from .stationary import (
@@ -536,13 +537,13 @@ class RunResult:
     family_path: Optional[str] = None
 
 
-def _write_snapshot(path, x_text: List[str], u: np.ndarray, background_text: List[str]) -> None:
-    # repr of a Python float is the shortest digit string that parses back to
+def _write_snapshot(path, x_rows: np.ndarray, u: np.ndarray, background_rows: np.ndarray) -> None:
+    # every value is its repr, the shortest digit string that parses back to
     # the same double, so the file round-trips bit for bit; the x and
     # background columns are the same in every snapshot and come formatted
-    rows = map(",".join, zip(x_text, map(repr, u.tolist()), background_text))
-    with open(path, "w", newline="") as fh:
-        fh.write("x,u,background\n" + "\n".join(rows) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(b"x,u,background\n")
+        fh.writelines(csv_lines(x_rows, repr_rows(u), background_rows))
 
 
 def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
@@ -579,12 +580,12 @@ def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
         snap_dir = out_dir / "snapshots"
         snap_dir.mkdir(exist_ok=True)
         snapshots_dir = str(snap_dir)
-        x_text = list(map(repr, setup.line_grid.centers().tolist()))
+        x_rows = repr_rows(setup.line_grid.centers())
         bg = setup.line_grid.tile(setup.w_p)
-        bg_text = list(map(repr, bg.tolist()))
+        bg_rows = repr_rows(bg)
         for state in snapshot_states:
             name = f"snapshot_t{state.time!r}.csv"
-            _write_snapshot(snap_dir / name, x_text, state.u + bg, bg_text)
+            _write_snapshot(snap_dir / name, x_rows, state.u + bg, bg_rows)
 
     return RunResult(
         setup=setup,

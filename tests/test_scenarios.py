@@ -18,6 +18,7 @@ from convstab import (
     run_scenario,
     semigroup_trials,
 )
+from convstab.floattext import repr_rows
 from convstab.scenarios import ScenarioConfig, _write_snapshot
 
 
@@ -242,8 +243,7 @@ def test_snapshot_rows_match_per_value_formatting(tmp_path):
     rng = np.random.default_rng(4)
     x, u, bg = rng.standard_normal((3, 50)) * np.logspace(-300, 300, 50)
     u[:3] = [0.0, -0.0, 1e-320]
-    _write_snapshot(tmp_path / "s.csv", list(map(repr, x.tolist())), u,
-                    list(map(repr, bg.tolist())))
+    _write_snapshot(tmp_path / "s.csv", repr_rows(x), u, repr_rows(bg))
     rows = [f"{float(a)!r},{float(b)!r},{float(c)!r}" for a, b, c in zip(x, u, bg)]
     assert (tmp_path / "s.csv").read_text() == "\n".join(["x,u,background"] + rows) + "\n"
 
