@@ -24,6 +24,7 @@ from .entropy import (
 from .evolution import (
     CFLError,
     State,
+    StepKernel,
     StepPolicy,
     cfl_timestep,
     evolve,
@@ -80,6 +81,7 @@ __all__ = [
     "State",
     "StationaryFamily",
     "StationarySolveError",
+    "StepKernel",
     "StepPolicy",
     "build_family",
     "builtin_flux",

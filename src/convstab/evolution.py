@@ -25,11 +25,11 @@ perturbation under a flux normalized about w_p, for which zero is the pinned
 state w_p itself and an exact fixed point.
 
 Every flux is quadratic in u, so the Engquist-Osher split integrals have a
-closed form in f(0, x), d_u f(0, x) and d_uu f(0, x) at the interfaces; these,
-and the speed coefficients at the centers, are sampled once per flux and grid.
-The sample also records whether f is convex in u at every interface, as the
-Burgers-type built-ins (and their normalizations about w_p) are; the
-interface flux then skips its per-interface branches.
+closed form in f(0, x), d_u f(0, x) and d_uu f(0, x) at the interfaces; a
+``StepKernel``, which ``step`` and ``cfl_timestep`` take in place of the flux,
+samples these and the center speeds from the flux's coefficients once per run.
+Where f is convex in u at every interface, as for the Burgers-type built-ins
+and their normalizations about w_p, the interface flux skips its branches.
 """
 
 from __future__ import annotations
@@ -40,12 +40,13 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .diagnostics import DiagnosticsSeries
-from .fluxes import FluxModel
+from .fluxes import FluxModel, _value_and_slope
 from .grids import LineGrid, _next, _prev, _toeplitz_solve
 
 __all__ = [
     "CFLError",
     "State",
+    "StepKernel",
     "StepPolicy",
     "cfl_timestep",
     "evolve",
@@ -98,21 +99,47 @@ class State:
         object.__setattr__(self, "u", arr)
 
 
-def _quadratic_at(flux: FluxModel, x: np.ndarray) -> tuple:
-    """(f0, f1, f2 / 2, u*, convex, linear, all_convex) at the points x:
-    f = f0 + f1 u + f2 u^2 / 2, its sonic point u* = -f1 / f2 (0 where f is
-    linear in u), the masks f2 > 0 and f2 ~ 0, and whether f is convex and
-    not linear at every point."""
-    zeros = np.zeros_like(x)
-    f0, f1, f2 = flux.eval(zeros, x), flux.d_u(zeros, x), flux.d_uu(zeros, x)
-    linear = np.abs(f2) < 1e-13
-    u_star = np.where(linear, 0.0, -f1 / np.where(linear, 1.0, f2))
-    convex = f2 > 0
-    return f0, f1, 0.5 * f2, u_star, convex, linear, bool(convex.all() and not linear.any())
+@dataclass(frozen=True)
+class StepKernel:
+    """The flux sampled on one grid by ``from_flux``, which raises ValueError
+    for a flux without coefficients.  Read-only: f = f0 + f1 u + half_f2 u^2
+    at the interfaces a step uses (periodic domains drop the last), its sonic
+    point u_star = -f1 / f2 (0 where f is linear in u), the masks f2 > 0 and
+    |f2| < 1e-13, and d_u f(u, x) = center_f1 + center_f2 u at the centers."""
+
+    grid: LineGrid
+    f0: np.ndarray
+    f1: np.ndarray
+    half_f2: np.ndarray
+    u_star: np.ndarray
+    convex: np.ndarray
+    linear: np.ndarray
+    all_convex: bool  # convex and not linear at every interface
+    center_f1: np.ndarray
+    center_f2: np.ndarray
+
+    @classmethod
+    def from_flux(cls, flux: FluxModel, grid: LineGrid) -> "StepKernel":
+        if flux.coefficients is None:
+            raise ValueError(f"flux {flux.label!r} carries no (c0, c1, c2) coefficients; "
+                             "the time stepper samples only fluxes built from them")
+        x, faces = grid.centers(), grid.interfaces()
+        faces = faces[:-1] if grid.boundary_mode == "periodic" else faces
+        v0, v1, v2 = (_value_and_slope(c)[0] for c in flux.coefficients)
+        # + 0.0 makes a fresh array of the points' shape, from a constant too
+        at = lambda v, points: np.broadcast_to(v(points), points.shape) + 0.0
+        f1, f2 = at(v1, faces), at(v2, faces)
+        linear, convex = np.abs(f2) < 1e-13, f2 > 0
+        u_star = np.where(linear, 0.0, -f1 / np.where(linear, 1.0, f2))
+        arrays = dict(f0=at(v0, faces), f1=f1, half_f2=0.5 * f2, u_star=u_star, convex=convex,
+                      linear=linear, center_f1=at(v1, x), center_f2=at(v2, x))
+        for array in arrays.values():
+            array.setflags(write=False)
+        return cls(grid, all_convex=bool(convex.all() and not linear.any()), **arrays)
 
 
-def _eo_flux(q: tuple, u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
-    """Engquist-Osher flux F(a, b; x) in closed form at the sampled points.
+def _eo_flux(kernel: StepKernel, u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
+    """Engquist-Osher flux F(a, b; x) in closed form at the kernel's interfaces.
 
     Convex f gives f(a') + f(b') - f(u*) with a' = max(a, u*), b' = min(b, u*);
     concave f clips the other way; f linear in u is plain upwinding.  As
@@ -121,68 +148,36 @@ def _eo_flux(q: tuple, u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
     (tiny f2) cancels nothing and F(0, 0) = f(0) exactly.  When every point
     is convex the masks are skipped; the result is the same bit for bit.
     """
-    f0, f1, half_f2, u_star, convex, linear, all_convex = q
-    if all_convex:
+    f0, f1, half_f2, u_star = kernel.f0, kernel.f1, kernel.half_f2, kernel.u_star
+    if kernel.all_convex:
         # a' >= u* >= b': the distances to u* need no abs
         a, b = np.maximum(u_left, u_star), np.minimum(u_right, u_star)
         dist_a, dist_b = a - u_star, u_star - b
     else:
-        a = np.where(convex, np.maximum(u_left, u_star), np.minimum(u_left, u_star))
-        b = np.where(convex, np.minimum(u_right, u_star), np.maximum(u_right, u_star))
+        a = np.where(kernel.convex, np.maximum(u_left, u_star), np.minimum(u_left, u_star))
+        b = np.where(kernel.convex, np.minimum(u_right, u_star), np.maximum(u_right, u_star))
         dist_a, dist_b = np.abs(a - u_star), np.abs(b - u_star)
     a_far = dist_a >= dist_b
     # the nearer state enters squared, so its distance stands in for c - u*
     far, near = np.where(a_far, a, b), np.where(a_far, dist_b, dist_a)
     quadratic = f0 + f1 * far + half_f2 * far * far + half_f2 * near * near
-    if all_convex:
+    if kernel.all_convex:
         return quadratic
     upwind = f0 + np.maximum(f1, 0.0) * u_left + np.minimum(f1, 0.0) * u_right
-    return np.where(linear, upwind, quadratic)
+    return np.where(kernel.linear, upwind, quadratic)
 
 
-# [flux, grid, sample]: FluxModel cannot be hashed (params is a dict), so the
-# one-entry memo is keyed by flux identity and grid equality, and holds the
-# flux so that its identity cannot pass to another object
-_memo: list = [None, None, None]
-
-
-def _sampled(flux: FluxModel, grid: LineGrid) -> tuple:
-    """(_quadratic_at the interfaces a step uses, d_u f(0, x) and d_uu f(0, x)
-    at the cell centers), read once per (flux, grid)."""
-    if _memo[0] is not flux or _memo[1] != grid:
-        faces, x = grid.interfaces(), grid.centers()
-        if grid.boundary_mode == "periodic":
-            faces = faces[:-1]
-        zeros = np.zeros_like(x)
-        sample = (_quadratic_at(flux, faces), flux.d_u(zeros, x), flux.d_uu(zeros, x))
-        _memo[:] = [flux, grid, sample]
-    return _memo[2]
-
-
-def _speed(flux: FluxModel, state: State) -> float:
-    """max_i |d_u f(u_i, x_i)| over the cell centers."""
-    _, fu, fuu = _sampled(flux, state.grid)
-    return float(np.abs(fu + fuu * state.u).max())
-
-
-def cfl_timestep(state: State, flux: FluxModel, policy: StepPolicy) -> float:
+def cfl_timestep(state: State, kernel: StepKernel, policy: StepPolicy) -> float:
     """Largest step the policy allows for the current state."""
-    speed = _speed(flux, state)
+    speed = float(np.abs(kernel.center_f1 + kernel.center_f2 * state.u).max())
     if speed == 0.0:
         return policy.dt_max
     return min(policy.dt_max, policy.cfl_fraction * state.grid.h / speed)
 
 
-def _diffusion_solve(lam: float, rhs: np.ndarray, periodic: bool) -> np.ndarray:
-    """Backward Euler: solve tridiag(-lam, 1 + 2 lam, -lam) u = rhs, with -lam
-    corners on periodic domains, by the factor-free constant-coefficient
-    solve ``_toeplitz_solve`` (one LAPACK dpttrs call and a closed-form rank-1
-    or rank-2 correction)."""
-    return _toeplitz_solve(1.0 + 2.0 * lam, -lam, rhs, periodic)
-
-
-def step(state: State, flux: FluxModel, dt: float) -> State:
-    """Advance one IMEX step; raises CFLError if dt exceeds the CFL bound.
+def step(state: State, kernel: StepKernel, dt: float) -> State:
+    """Advance one IMEX step; raises CFLError if dt exceeds the CFL bound
+    and ValueError if the state lives on another grid than the kernel.
 
     Periodic domains conserve the discrete mass exactly (up to solver
     roundoff); pinned domains exchange mass with the zero ghost cells, which
@@ -191,22 +186,24 @@ def step(state: State, flux: FluxModel, dt: float) -> State:
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid, u = state.grid, state.u
+    if grid != kernel.grid:
+        raise ValueError(f"the state's grid {grid} is not the kernel's grid {kernel.grid}")
     h = grid.h
-    speed = _speed(flux, state)
+    speed = float(np.abs(kernel.center_f1 + kernel.center_f2 * u).max())
     if dt * speed > h * (1.0 + 1e-9):
         raise CFLError(f"dt={dt:.3e} exceeds the CFL bound h/max|d_u f|={h / speed:.3e}")
 
-    faces = _sampled(flux, grid)[0]
     periodic = grid.boundary_mode == "periodic"
     if periodic:
-        flux_vals = _eo_flux(faces, _prev(u), u)
+        flux_vals = _eo_flux(kernel, _prev(u), u)
         divergence = (_next(flux_vals) - flux_vals) / h
     else:
         # one ghost cell on each side, held at zero
         padded = np.concatenate([[0.0], u, [0.0]])
-        flux_vals = _eo_flux(faces, padded[:-1], padded[1:])
+        flux_vals = _eo_flux(kernel, padded[:-1], padded[1:])
         divergence = (flux_vals[1:] - flux_vals[:-1]) / h
-    u_new = _diffusion_solve(dt / h**2, u - dt * divergence, periodic)
+    lam = dt / h**2
+    u_new = _toeplitz_solve(1.0 + 2.0 * lam, -lam, u - dt * divergence, periodic)
     # a fresh read-only array passes into the new State without a copy
     u_new.setflags(write=False)
     return replace(state, u=u_new, time=state.time + dt)
@@ -251,11 +248,12 @@ def evolve(
     if not targets or targets[-1] < t_end - 1e-14:
         targets.append(t_end)
 
+    kernel = StepKernel.from_flux(flux, state.grid)
     current = state
     for target in targets:
         while current.time < target - 1e-13:
-            dt = min(cfl_timestep(current, flux, policy), target - current.time)
-            current = step(current, flux, dt)
+            dt = min(cfl_timestep(current, kernel, policy), target - current.time)
+            current = step(current, kernel, dt)
         # land exactly on the target to keep snapshot bookkeeping deterministic
         current = replace(current, time=float(target))
         if snaps.size and np.any(np.abs(snaps - target) <= 1e-14):

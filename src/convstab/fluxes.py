@@ -18,9 +18,8 @@ built-in labels are coefficient declarations:
                               by the periodic cubic spline of ``grids``
 
 Shifting about a stationary profile w (``normalize_about_wp``) maps the
-coefficients c0 -> 0, c1 -> c1 + c2 w, c2 -> c2, so f stays quadratic in u;
-the evolution module relies on that to evaluate the Engquist-Osher flux from
-f(0, x), d_u f(0, x) and d_uu f(0, x) alone.  Once normalized, f(0, .) = 0
+coefficients c0 -> 0, c1 -> c1 + c2 w, c2 -> c2, so f stays quadratic in u
+and the time stepper samples the shifted triple.  Once normalized, f(0, .) = 0
 and the zero state -- the value at which pinned ghost cells sit -- is an
 exact fixed point of the scheme.
 """
@@ -53,8 +52,8 @@ class FluxModel:
     return arrays of the broadcast shape.  f must be quadratic in u (d_uu
     independent of u): the time stepper's Engquist-Osher flux is exact only
     for such models.  ``coefficients`` is the (c0, c1, c2) triple the
-    callables derive from; a model built from callables alone has none and
-    cannot be normalized about a stationary profile.
+    callables derive from; a model built from callables alone has none, and
+    can be neither normalized about a stationary profile nor stepped.
     """
 
     label: str

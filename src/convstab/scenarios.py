@@ -27,7 +27,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsSeries, lap_number, sign_changes, weighted_energy
 from .entropy import FamilyInterpolant, eta_field, nash_ratio
-from .evolution import State, StepPolicy, cfl_timestep, evolve, step
+from .evolution import State, StepKernel, StepPolicy, cfl_timestep, evolve, step
 from .floattext import csv_lines, repr_rows
 from .fluxes import FluxModel, builtin_flux
 from .grids import CellGrid, LineGrid, Profile, norm, primitive
@@ -633,6 +633,7 @@ def semigroup_trials(
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     policy = policy or StepPolicy()
+    kernel = StepKernel.from_flux(flux, grid)
     h = grid.h
     rng = np.random.default_rng(seed)
     records: List[dict] = []
@@ -654,12 +655,12 @@ def semigroup_trials(
             worst_conservation = 0.0
             while u_state.time < t_end - 1e-13:
                 dt = min(
-                    cfl_timestep(u_state, flux, policy),
-                    cfl_timestep(v_state, flux, policy),
+                    cfl_timestep(u_state, kernel, policy),
+                    cfl_timestep(v_state, kernel, policy),
                     t_end - u_state.time,
                 )
-                u_state = step(u_state, flux, dt)
-                v_state = step(v_state, flux, dt)
+                u_state = step(u_state, kernel, dt)
+                v_state = step(v_state, kernel, dt)
                 if kind == "ordered":
                     worst_comparison = max(
                         worst_comparison, float((u_state.u - v_state.u).max())

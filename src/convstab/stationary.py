@@ -16,8 +16,7 @@ continuation in p builds the whole family w_p together with the derivative
 profiles dw/dp, which solve the linearized bordered system and have unit mean.
 The Jacobian -D2 + D1 diag(d_u f) is cyclic tridiagonal, so every bordered
 solve costs O(n): the periodic corners and the border enter a tridiagonal
-LAPACK solve as a rank-two (Woodbury) update, on the same solver the time
-stepper uses for its diffusion half.
+LAPACK dgtsv solve (``_cyclic_tridiagonal``) as a rank-two (Woodbury) update.
 
 The module also provides the positive periodic weight used by the
 weighted-energy diagnostic.  Once the flux is normalized so that f(0, .) = 0,

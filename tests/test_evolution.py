@@ -5,7 +5,7 @@ independently of the FFT path used by the solver, and the scheme order checks
 pin the backward-Euler O(dt) error before any property tests rely on it.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,8 +13,8 @@ from scipy.integrate import quad
 
 import convstab as cs
 from convstab import evolution
-from convstab.evolution import _diffusion_solve, _eo_flux, _quadratic_at
-from convstab.grids import _powers
+from convstab.evolution import _eo_flux
+from convstab.grids import _powers, _toeplitz_solve
 from oracles import PicardDivergenceError, duhamel_picard
 
 
@@ -39,6 +39,17 @@ def random_zero_mean(grid, seed, amplitude=0.3):
         w = rng.uniform(0.2, 0.6)
         u += rng.uniform(-amplitude, amplitude) * np.exp(-((x - c) ** 2) / (2 * w * w))
     return u - u.mean()
+
+
+def kernel_on(flux, n_cells, n_periods=1, boundary_mode="periodic"):
+    grid = cs.LineGrid(cs.CellGrid(n_cells, flux.period), n_periods, boundary_mode)
+    return cs.StepKernel.from_flux(flux, grid)
+
+
+def kernel_faces(grid):
+    """The interfaces a step's kernel samples: periodic domains drop the last."""
+    faces = grid.interfaces()
+    return faces[:-1] if grid.boundary_mode == "periodic" else faces
 
 
 def wrapped_heat_matrix(x, length, h, t):
@@ -101,10 +112,11 @@ def _eo_by_quadrature(flux, a, b, x):
         "tiny_quadratic_rightward", "tiny_quadratic_leftward"])
 def test_eo_closed_form_matches_its_definition(flux):
     rng = np.random.default_rng(11)
-    x = rng.uniform(0.0, flux.period, 60)
+    kernel = kernel_on(flux, 60)
+    x = kernel_faces(kernel.grid)
     a = rng.uniform(-2.0, 2.0, x.size)
     b = rng.uniform(-2.0, 2.0, x.size)
-    closed = _eo_flux(_quadratic_at(flux, x), a, b)
+    closed = _eo_flux(kernel, a, b)
     ref = np.array([_eo_by_quadrature(flux, ai, bi, xi) for ai, bi, xi in zip(a, b, x)])
     gap = np.abs(closed - ref).max()
     assert gap < 1e-14, f"closed-form vs quadrature Engquist-Osher flux: {gap:.2e}"
@@ -122,16 +134,15 @@ def normalized_forced():
 ], ids=["forced_burgers", "constant_flux_burgers", "normalized_forced_burgers"])
 def test_eo_fast_path_equals_the_general_path_bit_for_bit(flux):
     rng = np.random.default_rng(13)
-    x = rng.uniform(0.0, flux.period, 4000)
-    fast = _quadratic_at(flux, x)
-    assert fast[-1], "every point of a Burgers-type flux is convex"
-    general = fast[:-1] + (False,)
-    u_star = fast[3]
+    fast = kernel_on(flux, 500, 8)  # 4000 interfaces over eight periods
+    assert fast.all_convex, "every point of a Burgers-type flux is convex"
+    general = replace(fast, all_convex=False)
+    n = fast.u_star.size
     # states at u*, near it, at the unit scale and far from it, on both sides
     for spread in (0.0, 1e-9, 1.0, 1e4, 1e9):
-        for centre in (0.0, u_star):
-            a = centre + spread * rng.standard_normal(x.size)
-            b = centre + spread * rng.standard_normal(x.size)
+        for centre in (0.0, fast.u_star):
+            a = centre + spread * rng.standard_normal(n)
+            b = centre + spread * rng.standard_normal(n)
             assert _eo_flux(fast, a, b).tobytes() == _eo_flux(general, a, b).tobytes()
 
 
@@ -142,13 +153,13 @@ def test_eo_fast_path_equals_the_general_path_bit_for_bit(flux):
     cs.builtin_flux("custom_table", {"linear": 1.0, "quadratic": 1e-14}),
 ], ids=["periodic_advection", "sign_changing_custom_table", "nearly_linear_custom_table"])
 def test_linear_or_sign_changing_fluxes_take_the_general_path(flux):
-    grid = cs.LineGrid(cs.CellGrid(64, flux.period), 2, "periodic")
-    q = evolution._sampled(flux, grid)[0]
-    assert not q[-1]
+    kernel = kernel_on(flux, 64, 2)
+    assert not kernel.all_convex
     # the branches matter: the convex-only path gives another flux here
     rng = np.random.default_rng(3)
-    a, b = rng.standard_normal((2, q[0].size))
-    assert not np.array_equal(_eo_flux(q[:-1] + (True,), a, b), _eo_flux(q, a, b))
+    a, b = rng.standard_normal((2, kernel.f0.size))
+    assert not np.array_equal(_eo_flux(replace(kernel, all_convex=True), a, b),
+                              _eo_flux(kernel, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +170,20 @@ def test_cfl_timestep_formula():
     grid = periodic_line()
     u = np.full(grid.n_total, 2.0)
     state = initial_state(grid, u)
-    flux = cs.builtin_flux("constant_flux_burgers")  # max |d_u f| = 2
+    # max |d_u f| = 2
+    kernel = cs.StepKernel.from_flux(cs.builtin_flux("constant_flux_burgers"), grid)
     policy = cs.StepPolicy(cfl_fraction=0.5, dt_max=10.0)
-    assert cs.cfl_timestep(state, flux, policy) == pytest.approx(0.5 * grid.h / 2.0, rel=1e-14)
+    assert cs.cfl_timestep(state, kernel, policy) == pytest.approx(0.5 * grid.h / 2.0, rel=1e-14)
     capped = cs.StepPolicy(cfl_fraction=0.5, dt_max=1e-4)
-    assert cs.cfl_timestep(state, flux, capped) == 1e-4
+    assert cs.cfl_timestep(state, kernel, capped) == 1e-4
 
 
 def test_step_rejects_cfl_violation():
     grid = periodic_line()
     state = initial_state(grid, np.full(grid.n_total, 2.0))
+    kernel = cs.StepKernel.from_flux(cs.builtin_flux("constant_flux_burgers"), grid)
     with pytest.raises(cs.CFLError):
-        cs.step(state, cs.builtin_flux("constant_flux_burgers"), 10.0 * grid.h)
+        cs.step(state, kernel, 10.0 * grid.h)
 
 
 @pytest.mark.parametrize("boundary_mode", ["periodic", "pinned_to_wp"])
@@ -179,8 +192,9 @@ def test_step_raises_when_the_diffusion_solve_fails(dt, boundary_mode):
     # a zero flux passes the CFL guard at any dt, so the solve sees lam = dt / h^2
     grid = cs.LineGrid(cs.CellGrid(64, 1.0), 8, boundary_mode)
     state = initial_state(grid, random_zero_mean(grid, 8))
+    kernel = cs.StepKernel.from_flux(cs.builtin_flux("custom_table"), grid)
     with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
-        cs.step(state, cs.builtin_flux("custom_table"), dt)
+        cs.step(state, kernel, dt)
 
 
 def dense_diffusion_matrix(lam, n, periodic):
@@ -201,7 +215,7 @@ def test_diffusion_solve_matches_a_dense_oracle(n, lam, periodic):
     columns = np.column_stack([rng.standard_normal(n), smooth, np.eye(n)[:, units]])
     oracle = np.linalg.solve(dense_diffusion_matrix(lam, n, periodic), columns)
     for k, want in enumerate(oracle.T):
-        got = _diffusion_solve(lam, columns[:, k], periodic)
+        got = _toeplitz_solve(1.0 + 2.0 * lam, -lam, columns[:, k], periodic)
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
         if k >= 2:
             # unit right-hand sides: the inverse of the M-matrix is nonnegative,
@@ -225,8 +239,8 @@ def test_the_diffusion_powers_hold_no_subnormal_number():
 def test_step_is_deterministic():
     grid = periodic_line()
     u = random_zero_mean(grid, 7)
-    a = cs.step(initial_state(grid, u), forced(), 0.001)
-    b = cs.step(initial_state(grid, u), forced(), 0.001)
+    a = cs.step(initial_state(grid, u), cs.StepKernel.from_flux(forced(), grid), 0.001)
+    b = cs.step(initial_state(grid, u), cs.StepKernel.from_flux(forced(), grid), 0.001)
     assert np.array_equal(a.u, b.u)
 
 
@@ -241,10 +255,9 @@ def _counting(flux, counts):
                             for name in ("eval", "d_u", "d_uu", "d_x")})
 
 
-def test_flux_is_sampled_once_per_flux_and_grid(monkeypatch):
-    cell = cs.CellGrid(64, 1.0)
-    g = cs.normalize_about_wp(forced(), cs.solve_stationary(forced(), 0.7, cell))
-    grid = cs.LineGrid(cell, 4, "periodic")
+def test_evolve_reads_the_flux_through_its_coefficients_only(monkeypatch):
+    g = normalized_forced()
+    grid = cs.LineGrid(cs.CellGrid(64, 1.0), 4, "periodic")
     u0 = random_zero_mean(grid, 4)
     steps = [0]
 
@@ -254,29 +267,69 @@ def test_flux_is_sampled_once_per_flux_and_grid(monkeypatch):
 
     step = evolution.step
     monkeypatch.setattr(evolution, "step", counted_step)
-    calls = {}
     for n_steps in (10, 100):
         steps[0], counts = 0, [0]
         cs.evolve(initial_state(grid, u0), _counting(g, counts), 0.02,
                   cs.StepPolicy(dt_max=0.02 / n_steps))
         assert steps[0] == n_steps
-        calls[n_steps] = counts[0]
-    assert 0 < calls[10] == calls[100], f"model calls per run: {calls}"
+        assert counts[0] == 0, f"{counts[0]} flux callable calls in {n_steps} steps"
 
-    # alternating fluxes and grids: each step must match a step on a freshly
-    # built flux, so a memo keyed on too little shows up here
-    builders = (forced, lambda: cs.builtin_flux("periodic_advection", {"amplitude": 0.5}))
-    fluxes = [build() for build in builders]
+
+def test_step_refuses_a_kernel_built_for_another_grid():
+    # all three grids hold 128 cells, so a kernel for one fits the others' arrays
     grids = (periodic_line(64, 2), periodic_line(32, 4),
              cs.LineGrid(cs.CellGrid(64, 1.0), 2, "pinned_to_wp"))
-    states = [initial_state(gr, random_zero_mean(gr, k)) for k, gr in enumerate(grids)]
-    order = [(0, 0), (0, 0), (0, 1), (1, 1), (1, 2), (0, 2), (0, 0), (1, 0)]
-    fresh = [cs.step(states[gi], builders[fi](), 1e-3).u for fi, gi in order]
-    for (fi, gi), want in zip(order, fresh):
-        # the state carries an equal copy of the grid: the memo compares grids
-        # by equality, not identity
-        state = replace(states[gi], grid=replace(grids[gi]))
-        assert np.array_equal(cs.step(state, fluxes[fi], 1e-3).u, want)
+    kernels = [cs.StepKernel.from_flux(forced(), grid) for grid in grids]
+    for k, (grid, kernel) in enumerate(zip(grids, kernels)):
+        state = initial_state(grid, random_zero_mean(grid, k))
+        want = cs.step(state, kernel, 1e-3).u
+        # an equal copy of the grid is the same grid
+        copy = replace(state, grid=replace(grid))
+        assert copy.grid is not grid
+        assert np.array_equal(cs.step(copy, kernel, 1e-3).u, want)
+        for other in kernels[:k] + kernels[k + 1:]:
+            with pytest.raises(ValueError, match="kernel's grid"):
+                cs.step(state, other, 1e-3)
+
+
+@pytest.mark.parametrize("boundary_mode", ["periodic", "pinned_to_wp"])
+@pytest.mark.parametrize("flux", [
+    cs.builtin_flux("constant_flux_burgers"),
+    forced(),
+    cs.builtin_flux("periodic_advection", {"amplitude": 0.5}),
+    cs.builtin_flux("custom_table", {
+        "const": [0.1, -0.2, 0.3, 0.0, -0.1],
+        "linear": [0.4, -0.3, 0.6, 0.1, -0.5],
+        "quadratic": [-1.0, -0.6, -1.4, -0.8, -1.2],
+    }),
+    normalized_forced(),
+], ids=["constant_flux_burgers", "forced_burgers", "periodic_advection", "custom_table",
+        "normalized_forced_burgers"])
+def test_kernel_samples_equal_the_flux_callables(flux, boundary_mode):
+    # the kernel reads the coefficients, the callables derive from them: the
+    # two must agree value for value, or a run's bytes would move
+    grid = cs.LineGrid(cs.CellGrid(64, flux.period), 3, boundary_mode)
+    kernel = cs.StepKernel.from_flux(flux, grid)
+    faces, x = kernel_faces(grid), grid.centers()
+    at_faces, at_centers = np.zeros_like(faces), np.zeros_like(x)
+    assert np.array_equal(kernel.f0, flux.eval(at_faces, faces))
+    assert np.array_equal(kernel.f1, flux.d_u(at_faces, faces))
+    assert np.array_equal(kernel.half_f2, 0.5 * flux.d_uu(at_faces, faces))
+    assert np.array_equal(kernel.center_f1, flux.d_u(at_centers, x))
+    assert np.array_equal(kernel.center_f2, flux.d_uu(at_centers, x))
+    arrays = [getattr(kernel, f.name) for f in fields(kernel)
+              if isinstance(getattr(kernel, f.name), np.ndarray)]
+    assert len(arrays) == 8 and not any(a.flags.writeable for a in arrays)
+
+
+def test_a_flux_without_coefficients_cannot_be_stepped():
+    f = forced()
+    bare = cs.FluxModel("callables_only", f.period, f.eval, f.d_u, f.d_uu, f.d_x)
+    grid = periodic_line(16, 2)
+    with pytest.raises(ValueError, match="coefficients"):
+        cs.evolve(initial_state(grid, np.zeros(grid.n_total)), bare, 0.1)
+    with pytest.raises(ValueError, match="coefficients"):
+        cs.semigroup_trials(bare, grid, 0.1, 1, 0)
 
 
 def test_policy_validation():
@@ -458,6 +511,7 @@ def test_state_keeps_a_read_only_array_that_owns_its_data():
 
 def test_step_output_is_read_only_and_passes_without_a_copy():
     grid = periodic_line(n_cells=16, n_periods=2)
-    after = cs.step(initial_state(grid, random_zero_mean(grid, 3)), forced(), 0.01)
+    kernel = cs.StepKernel.from_flux(forced(), grid)
+    after = cs.step(initial_state(grid, random_zero_mean(grid, 3)), kernel, 0.01)
     assert not after.u.flags.writeable
     assert replace(after, time=1.0).u is after.u
