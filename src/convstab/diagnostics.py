@@ -8,6 +8,12 @@ structural check that the scheme has not manufactured oscillations, and it
 feeds the bound |u - bg|_L1 <= 2 (m + 1) sup|V|.  Floating-point plateaus
 would register as reversals under exact comparison, so the walk only commits
 to a new direction once the data has moved by a hysteresis threshold.
+
+The walk visits only the first sample, the turning points and the last
+sample; numpy finds the turning points.  That count is exact: between two
+turning points the data is monotone, and on a monotone run the walk ends in
+the state it reaches from the run's extreme sample alone, whichever of the
+three directions it starts in (see ``lap_number``).
 """
 
 from __future__ import annotations
@@ -39,6 +45,20 @@ def _hysteresis(v: np.ndarray) -> float:
     return 10.0 * np.finfo(float).eps * float(np.abs(v).max())
 
 
+def _turning_points(v: np.ndarray) -> list:
+    """v[0], the samples where the data turns, and v[-1].
+
+    A turning point ends a strictly rising step that the next nonzero step
+    reverses, or a falling one; on a plateau the sample after that step
+    stands for the whole plateau, whose samples are equal.
+    """
+    steps = np.diff(v)
+    moved = np.flatnonzero(steps)
+    rising = steps[moved] > 0
+    turns = moved[:-1][rising[:-1] != rising[1:]] + 1
+    return [float(v[0]), *v[turns].tolist(), float(v[-1])]
+
+
 def lap_number(samples) -> int:
     """Number of strict direction reversals of the sampled profile.
 
@@ -46,16 +66,27 @@ def lap_number(samples) -> int:
     direction; a move of more than the hysteresis against the current
     direction commits a reversal.  Sub-threshold wiggles are collapsed into
     the surrounding run, so monotone-up-to-roundoff data counts as monotone.
+
+    The walk steps over the samples between turning points.  Between two
+    turning points the data is monotone, say non-decreasing from a to b.
+    Undecided after a, the walk has a >= anchor - gap, so no later sample of
+    the run can commit a fall, and it commits a rise, with b as the anchor,
+    iff b does.  Rising, the anchor ends at max(anchor, b) either way, and no
+    sample falls below a >= anchor - gap.  Falling, the first sample above
+    anchor + gap commits a rise that the rest of the run only extends to b,
+    and b itself is above anchor + gap iff some sample is.  The threshold
+    stays 10 eps |v|_inf of the full array.
     """
     v = _as_samples(samples)
     if v.size < 3:
         return 0
     gap = _hysteresis(v)
+    points = _turning_points(v)
 
     direction = 0  # +1 rising, -1 falling, 0 undecided
-    anchor = v[0]  # running extremum in the current direction
+    anchor = points[0]  # running extremum in the current direction
     reversals = 0
-    for value in v[1:]:
+    for value in points[1:]:
         if direction == 0:
             if value > anchor + gap:
                 direction = 1

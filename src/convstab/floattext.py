@@ -29,6 +29,14 @@ Arrays are formatted in equal blocks of at most ``BLOCK`` = 4096 values.
 That keeps each ``uint64`` temporary in cache and below 128 KiB, so the
 blocks reuse heap memory rather than fault in fresh pages; 8192-value blocks
 ran slower inside a full run.
+
+Two layouts join the rows into text, each as one uint8 frame whose NULs are
+dropped by ``bytes.translate``.  ``csv_frame`` lays row arrays side by side
+with commas and newlines, and ``csv_lines`` turns such a frame into text; a
+caller that writes the same columns again keeps the frame and copies in only
+the rows that change.  ``json_lists`` writes a finite 2-d table as
+``json.dumps`` writes its nested lists, since ``json`` writes a finite float
+as its ``repr``.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["BLOCK", "WIDTH", "csv_lines", "repr_rows"]
+__all__ = ["BLOCK", "WIDTH", "csv_frame", "csv_lines", "json_lists", "repr_rows"]
 
 BLOCK = 4096
 WIDTH = 24
@@ -231,22 +239,51 @@ def repr_rows(values) -> np.ndarray:
     return rows
 
 
-def csv_lines(*columns: np.ndarray) -> Iterator[bytes]:
-    """CSV text of row arrays side by side, in chunks of whole lines.
+def csv_frame(*columns: np.ndarray) -> np.ndarray:
+    """(n, width) uint8 CSV lines of row arrays side by side, NULs kept.
 
     Each column is an (n, w) uint8 array such as ``repr_rows`` returns.  Cells
-    are joined by commas, lines end in a newline and every NUL is dropped.
+    are joined by commas and lines end in a newline.
     """
-    n = columns[0].shape[0]
-    for start in range(0, n, _LINES):
-        cells = [col[start:start + _LINES] for col in columns]
-        width = sum(cell.shape[1] + 1 for cell in cells)
-        frame = np.empty((cells[0].shape[0], width), dtype=np.uint8)
-        end = 0
-        for cell in cells:
-            frame[:, end:end + cell.shape[1]] = cell
-            end += cell.shape[1] + 1
-            frame[:, end - 1] = ord(",")
-        frame[:, -1] = ord("\n")
-        # translate drops the NULs in one pass; replace searches anew for each
-        yield frame.tobytes().translate(None, b"\0")
+    width = sum(col.shape[1] + 1 for col in columns)
+    frame = np.empty((columns[0].shape[0], width), dtype=np.uint8)
+    end = 0
+    for col in columns:
+        frame[:, end:end + col.shape[1]] = col
+        end += col.shape[1] + 1
+        frame[:, end - 1] = ord(",")
+    frame[:, -1] = ord("\n")
+    return frame
+
+
+def _text(frame: np.ndarray) -> bytes:
+    # translate drops the NULs in one pass; replace searches anew for each
+    return frame.tobytes().translate(None, b"\0")
+
+
+def csv_lines(frame: np.ndarray) -> Iterator[bytes]:
+    """Text of a ``csv_frame`` in chunks of whole lines, every NUL dropped."""
+    for start in range(0, frame.shape[0], _LINES):
+        yield _text(frame[start:start + _LINES])
+
+
+def json_lists(table) -> bytes:
+    """``json.dumps(table.tolist())`` of a finite 2-d float table, as bytes.
+
+    Refuses NaN and infinities, which ``json`` writes as ``NaN`` and
+    ``Infinity`` rather than as their ``repr``.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] == 0:
+        raise ValueError(f"expected a 2-d table with columns, got shape {table.shape}")
+    if not np.all(np.isfinite(table)):
+        raise ValueError("json_lists writes finite values only")
+    m, n = table.shape
+    # one cell per value: an opening bracket before each row's first value,
+    # then ", " after each value and "], " after each row's last
+    cells = np.zeros((m, n, WIDTH + 4), dtype=np.uint8)
+    cells[:, 0, 0] = ord("[")
+    cells[:, :, 1:WIDTH + 1] = repr_rows(table).reshape(m, n, WIDTH)
+    cells[:, :, WIDTH + 1:WIDTH + 3] = np.frombuffer(b", ", np.uint8)
+    cells[:, -1, WIDTH + 1:] = np.frombuffer(b"], ", np.uint8)
+    return b"[" + _text(cells)[:-2] + b"]"

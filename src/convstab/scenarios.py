@@ -28,7 +28,7 @@ import numpy as np
 from .diagnostics import DiagnosticsSeries, lap_number, sign_changes, weighted_energy
 from .entropy import FamilyInterpolant, eta_field, nash_ratio
 from .evolution import State, StepKernel, StepPolicy, cfl_timestep, evolve, step
-from .floattext import csv_lines, repr_rows
+from .floattext import WIDTH, csv_frame, csv_lines, repr_rows
 from .fluxes import FluxModel, builtin_flux
 from .grids import CellGrid, LineGrid, Profile, norm, primitive
 from .stationary import (
@@ -537,13 +537,19 @@ class RunResult:
     family_path: Optional[str] = None
 
 
-def _write_snapshot(path, x_rows: np.ndarray, u: np.ndarray, background_rows: np.ndarray) -> None:
+def _snapshot_frame(x_rows: np.ndarray, background_rows: np.ndarray) -> np.ndarray:
+    """CSV frame of the x and background columns, with room for u between."""
+    return csv_frame(x_rows, np.zeros_like(x_rows), background_rows)
+
+
+def _write_snapshot(path, frame: np.ndarray, u: np.ndarray) -> None:
     # every value is its repr, the shortest digit string that parses back to
     # the same double, so the file round-trips bit for bit; the x and
-    # background columns are the same in every snapshot and come formatted
+    # background columns are the same in every snapshot and stay in the frame
+    frame[:, WIDTH + 1:2 * WIDTH + 1] = repr_rows(u)
     with open(path, "wb") as fh:
         fh.write(b"x,u,background\n")
-        fh.writelines(csv_lines(x_rows, repr_rows(u), background_rows))
+        fh.writelines(csv_lines(frame))
 
 
 def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
@@ -580,12 +586,11 @@ def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
         snap_dir = out_dir / "snapshots"
         snap_dir.mkdir(exist_ok=True)
         snapshots_dir = str(snap_dir)
-        x_rows = repr_rows(setup.line_grid.centers())
         bg = setup.line_grid.tile(setup.w_p)
-        bg_rows = repr_rows(bg)
+        frame = _snapshot_frame(repr_rows(setup.line_grid.centers()), repr_rows(bg))
         for state in snapshot_states:
             name = f"snapshot_t{state.time!r}.csv"
-            _write_snapshot(snap_dir / name, x_rows, state.u + bg, bg_rows)
+            _write_snapshot(snap_dir / name, frame, state.u + bg)
 
     return RunResult(
         setup=setup,

@@ -38,6 +38,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .floattext import json_lists
 from .fluxes import FluxModel, _quadratic_flux, _value_and_slope
 from .grids import CellGrid, Profile, _cyclic_tridiagonal, _next, _periodic_spline, _prev
 
@@ -407,24 +408,20 @@ def save_family(family: StationaryFamily, path) -> None:
         "period": family.grid.period,
         "n_cells": family.grid.n_cells,
         "p_grid": family.p_grid.tolist(),
-        "profiles": [prof.values.tolist() for prof in family.profiles],
-        "dp_profiles": [prof.values.tolist() for prof in family.dp_profiles],
         "alpha": family.alpha,
     }
-    # the bytes of json.dump(payload, fh, sort_keys=True) + "\n", but each
-    # value and profile row goes through json.dumps (the C encoder) instead
-    # of json.dump's pure-Python one, and the document is never one string
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, key in enumerate(sorted(payload)):
-            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
-            if key in ("profiles", "dp_profiles"):
-                fh.write("[" + json.dumps(payload[key][0]))
-                for row in payload[key][1:]:
-                    fh.write(", " + json.dumps(row))
-                fh.write("]")
+    tables = {"profiles": family.values_table(), "dp_profiles": family.dp_table()}
+    # the bytes of json.dump({**payload, **tables}, fh, sort_keys=True) + "\n":
+    # the tables go through floattext (json writes a finite float as its repr,
+    # and a Profile holds finite values only), the rest through json.dumps
+    with open(path, "wb") as fh:
+        for i, key in enumerate(sorted([*payload, *tables])):
+            fh.write((("{" if i == 0 else ", ") + json.dumps(key) + ": ").encode())
+            if key in tables:
+                fh.write(json_lists(tables[key]))
             else:
-                fh.write(json.dumps(payload[key], sort_keys=True))
-        fh.write("}\n")
+                fh.write(json.dumps(payload[key], sort_keys=True).encode())
+        fh.write(b"}\n")
 
 
 def normalize_about_wp(flux: FluxModel, background: Profile) -> FluxModel:

@@ -9,6 +9,8 @@
   (criterion 5's refinement check).
 * ``load_family`` -- reads back a ``family.json`` written by
   ``convstab.save_family``, for the round-trip test.
+* ``hysteresis_walk`` -- the lap count as a walk over every sample, the way
+  ``convstab.lap_number`` counted before it skipped to the turning points.
 
 Test modules import them as ``from oracles import ...``; ``tests/`` has no
 ``__init__.py``, so pytest puts this directory on ``sys.path``.
@@ -166,3 +168,42 @@ def load_family(path) -> StationaryFamily:
         flux, np.array(payload["p_grid"]), profiles, dp_profiles,
         float(payload["alpha"]),
     )
+
+
+def hysteresis_walk(samples) -> int:
+    """Strict direction reversals, walking every sample with the hysteresis.
+
+    A move of more than 10 eps |v|_inf against the current direction commits
+    a reversal; the anchor is the running extremum since the last commit.
+    """
+    v = np.asarray(samples, dtype=float)
+    if v.size < 3:
+        return 0
+    gap = 10.0 * np.finfo(float).eps * float(np.abs(v).max())
+
+    direction = 0  # +1 rising, -1 falling, 0 undecided
+    anchor = v[0]  # running extremum in the current direction
+    reversals = 0
+    for value in v[1:]:
+        if direction == 0:
+            if value > anchor + gap:
+                direction = 1
+                anchor = value
+            elif value < anchor - gap:
+                direction = -1
+                anchor = value
+        elif direction == 1:
+            if value > anchor:
+                anchor = value
+            elif value < anchor - gap:
+                reversals += 1
+                direction = -1
+                anchor = value
+        else:
+            if value < anchor:
+                anchor = value
+            elif value > anchor + gap:
+                reversals += 1
+                direction = 1
+                anchor = value
+    return reversals

@@ -1,11 +1,15 @@
 """Lap counting, sign changes, the L1 bound, and the diagnostics CSV schema.
 
 The lap counter is checked against a brute-force reversal count on random
-walks before any structured cases rely on it.
+walks before any structured cases rely on it, and against the walk over
+every sample (``oracles.hysteresis_walk``) on inputs built to sit at its
+edges: plateaus, ties, jitter at the threshold and tiny scales.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convstab import (
     DiagnosticsSeries,
@@ -14,6 +18,7 @@ from convstab import (
     sign_changes,
     weighted_energy,
 )
+from oracles import hysteresis_walk
 
 
 def brute_force_laps(samples):
@@ -55,6 +60,75 @@ def test_lap_number_hysteresis_ignores_jitter():
     plateau = 1.0 + np.finfo(float).eps * rng.integers(0, 4, 200)
     assert brute_force_laps(plateau) > 0
     assert lap_number(plateau) == 0
+
+
+STEPS = st.lists(st.floats(-1.0, 1.0), max_size=120)
+EPS = np.finfo(float).eps
+
+
+def noisy_sinusoid(n, periods, phase, seed):
+    x = np.linspace(0.0, 2 * np.pi * periods, n) + phase
+    return np.sin(x) + 1e-15 * np.random.default_rng(seed).standard_normal(n)
+
+
+def threshold_jitter(base, moves, near_zero):
+    # moves of 0, 1/2, 1 and 3/2 gaps, the gap being 10 eps |base|, each off by
+    # up to two parts in 2**50 to land just inside or outside the threshold;
+    # about base itself, or about zero after a first sample that sets |v|_inf
+    halves, nudges = np.array(moves, dtype=float).reshape(-1, 2).T
+    jitter = halves * (5 * EPS * abs(base)) * (1 + nudges * 2.0**-50)
+    return np.concatenate([[base], jitter]) if near_zero else base + jitter
+
+
+LAP_CASES = {
+    "random_walk": STEPS.map(np.cumsum),
+    "rounded_walk": STEPS.map(lambda steps: np.round(np.cumsum(steps), 1)),
+    "integer_steps": st.lists(st.integers(-2, 2), max_size=120).map(
+        lambda steps: np.cumsum(steps).astype(float)),
+    "noisy_sinusoid": st.builds(noisy_sinusoid, st.integers(3, 400), st.floats(0.25, 6.0),
+                                st.floats(0.0, 6.3), st.integers(0, 2**32 - 1)),
+    "threshold_jitter": st.builds(
+        threshold_jitter, st.sampled_from([1.0, 3.0, -2.0, 1e-8]),
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)), max_size=60),
+        st.booleans()),
+    "tiny_scale": STEPS.map(lambda steps: 1e-300 * np.cumsum(steps)),
+    # anchor + gap overflows next to the largest double, where the oracle's
+    # numpy scalars warn and Python floats do not
+    "short": st.lists(st.floats(-1e300, 1e300), max_size=3).map(np.array),
+}
+
+
+def with_end_plateaus(values, head, tail):
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        return v
+    return np.concatenate([np.full(head, v[0]), v, np.full(tail, v[-1])])
+
+
+@pytest.mark.parametrize("kind", sorted(LAP_CASES))
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lap_number_equals_the_walk_over_every_sample(kind, data):
+    v = with_end_plateaus(data.draw(LAP_CASES[kind]), data.draw(st.integers(0, 4)),
+                          data.draw(st.integers(0, 4)))
+    assert lap_number(v) == hysteresis_walk(v)
+
+
+def test_lap_number_commits_only_beyond_the_gap():
+    # |v|_inf = 1 makes the gap 10 eps exactly; from the anchor 0 a rise of
+    # exactly the gap commits nothing, one of the gap times 1 + 2**-50 does
+    gap = 10 * EPS
+    for rise, laps in ((gap, 0), (gap * (1 + 2.0**-50), 1)):
+        for v in ([1.0, 0.0, rise], [1.0, 0.0, 0.0, rise / 2, rise, rise]):
+            assert lap_number(np.array(v)) == hysteresis_walk(v) == laps
+
+
+def test_lap_number_on_the_smallest_inputs():
+    for n in range(4):
+        for values in (np.arange(n, dtype=float), np.zeros(n), (-1.0) ** np.arange(n)):
+            assert lap_number(values) == hysteresis_walk(values)
+    assert lap_number(np.array([1.0, -1.0, 1.0])) == 1
+    assert lap_number(np.array([1.0, -1.0])) == 0
 
 
 def test_lap_number_rejects_non_finite_samples():

@@ -19,7 +19,7 @@ from convstab import (
     semigroup_trials,
 )
 from convstab.floattext import repr_rows
-from convstab.scenarios import ScenarioConfig, _write_snapshot
+from convstab.scenarios import ScenarioConfig, _snapshot_frame, _write_snapshot
 
 
 def base_document():
@@ -243,9 +243,24 @@ def test_snapshot_rows_match_per_value_formatting(tmp_path):
     rng = np.random.default_rng(4)
     x, u, bg = rng.standard_normal((3, 50)) * np.logspace(-300, 300, 50)
     u[:3] = [0.0, -0.0, 1e-320]
-    _write_snapshot(tmp_path / "s.csv", repr_rows(x), u, repr_rows(bg))
+    _write_snapshot(tmp_path / "s.csv", _snapshot_frame(repr_rows(x), repr_rows(bg)), u)
     rows = [f"{float(a)!r},{float(b)!r},{float(c)!r}" for a, b, c in zip(x, u, bg)]
     assert (tmp_path / "s.csv").read_text() == "\n".join(["x,u,background"] + rows) + "\n"
+
+
+def test_a_reused_snapshot_frame_keeps_nothing_of_the_last_snapshot(tmp_path):
+    # long reprs first, then short ones and zeros, through one frame; 2500
+    # lines span several text chunks
+    rng = np.random.default_rng(5)
+    x, bg = rng.standard_normal((2, 2500))
+    frame = _snapshot_frame(repr_rows(x), repr_rows(bg))
+    long_u = -rng.standard_normal(2500) * 1e-300
+    short_u = np.round(rng.standard_normal(2500), 1)
+    short_u[::3] = 0.0
+    for name, u in (("a.csv", long_u), ("b.csv", short_u), ("c.csv", long_u)):
+        _write_snapshot(tmp_path / name, frame, u)
+        rows = [f"{a!r},{b!r},{c!r}" for a, b, c in zip(x.tolist(), u.tolist(), bg.tolist())]
+        assert (tmp_path / name).read_text() == "\n".join(["x,u,background"] + rows) + "\n"
 
 
 def test_run_scenario_populates_every_column(tmp_path, prepared):

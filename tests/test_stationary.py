@@ -8,6 +8,7 @@ and the weight from its exponential closed form.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,23 +261,40 @@ def test_family_json_round_trip(tmp_path, family_128):
         json.load(handle)
 
 
+def spliced(profile, at, values):
+    table = profile.values.copy()
+    table[at:at + len(values)] = values
+    return replace(profile, values=table)
+
+
+# -0.0, the exponent form at both ends and on both sides of 1, and a decimal
+# point at each position repr writes without an exponent (1.5e-05 .. 1.5e+16)
+SPLICED = [-0.0, 5e-324, 1e-05, 1e16, 1.5e300, 2.0] + [1.5 * 10.0**k for k in range(-5, 17)]
+
+
 def test_family_file_is_the_json_dump_of_its_payload(tmp_path, family_128):
     # save_family writes piecewise; the bytes must stay json.dump's
     fam = family_128.shifted_by(family_128.profiles[16], 0.0)
-    payload = {
-        "format": "convstab-family-1",
-        "flux": {"label": fam.flux.label, "params": dict(fam.flux.params)},
-        "period": fam.grid.period,
-        "n_cells": fam.grid.n_cells,
-        "p_grid": fam.p_grid.tolist(),
-        "profiles": [prof.values.tolist() for prof in fam.profiles],
-        "dp_profiles": [prof.values.tolist() for prof in fam.dp_profiles],
-        "alpha": fam.alpha,
-    }
-    path = tmp_path / "family.json"
-    save_family(fam, path)
-    want = json.dumps(payload, sort_keys=True) + "\n"
-    assert path.read_bytes() == want.encode("utf-8")
+    spliced_fam = replace(
+        fam,
+        profiles=[spliced(p, 5, SPLICED) for p in fam.profiles],
+        dp_profiles=[spliced(p, 100, [-v for v in SPLICED]) for p in fam.dp_profiles],
+    )
+    for fam in (fam, spliced_fam):
+        payload = {
+            "format": "convstab-family-1",
+            "flux": {"label": fam.flux.label, "params": dict(fam.flux.params)},
+            "period": fam.grid.period,
+            "n_cells": fam.grid.n_cells,
+            "p_grid": fam.p_grid.tolist(),
+            "profiles": [prof.values.tolist() for prof in fam.profiles],
+            "dp_profiles": [prof.values.tolist() for prof in fam.dp_profiles],
+            "alpha": fam.alpha,
+        }
+        path = tmp_path / "family.json"
+        save_family(fam, path)
+        want = json.dumps(payload, sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_shifted_family_centers_the_background(family_128):
