@@ -27,7 +27,8 @@ import numpy as np
 
 from .entropy import FamilyRangeError, dispersion_fit
 from .evolution import CFLError, StepPolicy
-from .grids import LineGrid
+from .fluxes import builtin_flux
+from .grids import CellGrid, LineGrid
 from .scenarios import (
     ConfigError,
     EdgeBufferError,
@@ -38,8 +39,11 @@ from .scenarios import (
     semigroup_trials,
 )
 from .stationary import (
+    DP_MEAN_TOLERANCE,
+    MEAN_TOLERANCE,
     NEWTON_TOLERANCE,
     StationarySolveError,
+    build_family,
     cell_residual,
     residual_floor,
     save_family,
@@ -198,41 +202,38 @@ def _ignored(config: ScenarioConfig, command: str) -> List[str]:
 
 
 def cmd_stationary(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
-    """Build the family, write it, and report residual/monotonicity verdicts."""
+    """Build the family, write it, and report residual/monotonicity verdicts.
+
+    Only the flux, the cell grid and the family window of the config are
+    read; its perturbation, run and checks are not.
+    """
     notes = _ignored(config, "stationary")
-    setup = prepare_run(config)
-    family = setup.family_raw
+    flux = builtin_flux(config.flux_label, dict(config.flux_params))
+    grid = CellGrid(config.n_cells_per_period, flux.period)
+    family = build_family(flux, config.p_min, config.p_max, config.m_intervals, grid)
     tol = NEWTON_TOLERANCE
 
-    residuals = [
-        float(np.abs(cell_residual(family.flux, prof.values, family.grid)).max())
-        for prof in family.profiles
-    ]
+    residual = max(float(np.abs(cell_residual(flux, row, grid)).max())
+                   for row in family.profiles)
     # stored profiles cannot certify residuals below the double-precision
     # floor eps * sup|w| / h^2; allow it on top of the solver tolerance
-    floor = max(residual_floor(prof.values, family.grid) for prof in family.profiles)
-    mean_gaps = [
-        abs(float(prof.values.mean()) - p)
-        for prof, p in zip(family.profiles, family.p_grid)
-    ]
-    dp_mean_gaps = [
-        abs(float(prof.values.mean()) - 1.0) for prof in family.dp_profiles
-    ]
-    table = family.values_table()
-    monotone = bool(np.all(np.diff(table, axis=0) > 0))
-    min_dp = float(min(prof.values.min() for prof in family.dp_profiles))
+    floor = residual_floor(family.profiles, grid)
+    mean_gap = float(np.abs(family.profiles.mean(axis=1) - family.p_grid).max())
+    dp_mean_gap = float(np.abs(family.dp_profiles.mean(axis=1) - 1.0).max())
+    monotone = bool(np.all(np.diff(family.profiles, axis=0) > 0))
 
     verdicts = {
         "residuals": _verdict(
-            max(residuals) <= tol + floor,
-            max_residual=max(residuals),
+            residual <= tol + floor,
+            max_residual=residual,
             tolerance=tol,
             storage_floor=floor,
         ),
-        "means": _verdict(max(mean_gaps) <= 1e-10, max_gap=max(mean_gaps)),
+        "means": _verdict(mean_gap <= MEAN_TOLERANCE, max_gap=mean_gap),
         "monotone": _verdict(monotone),
-        "dp_means": _verdict(max(dp_mean_gaps) <= 1e-8, max_gap=max(dp_mean_gaps)),
-        "alpha_positive": _verdict(family.alpha > 0, alpha=family.alpha, min_dp=min_dp),
+        "dp_means": _verdict(dp_mean_gap <= DP_MEAN_TOLERANCE, max_gap=dp_mean_gap),
+        "alpha_positive": _verdict(family.alpha > 0, alpha=family.alpha,
+                                   min_dp=float(family.dp_profiles.min())),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     family_path = out_dir / "family.json"
@@ -305,9 +306,6 @@ def cmd_lap(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
 
 
 def cmd_verify(config: ScenarioConfig, out_dir: Path, trials: int, seed: int) -> RunArtifact:
-    from .fluxes import builtin_flux
-    from .grids import CellGrid
-
     if config.boundary_mode != "periodic":
         raise ConfigError(
             "verify runs its trials on periodic domains only; "

@@ -1,10 +1,11 @@
 """Entropy built on the stationary family: pi = p(u, x), eta, dispersion fits.
 
-For each cell x_i the family profiles give a strictly increasing table
-p -> w_p(x_i).  A monotone piecewise-cubic interpolant (PCHIP, Fritsch &
-Carlson 1980) in p extends the table between knots; its coefficients are
-computed here with the arithmetic of scipy's ``PchipInterpolator``, so they
-equal scipy's bit for bit.  Inverting it defines pi(t, x) = p(u(t, x), x), and
+For each cell x_i the family's profile table gives a strictly increasing
+column p -> w_p(x_i).  A monotone piecewise-cubic interpolant (PCHIP,
+Fritsch & Carlson 1980) in p extends the column between knots; its
+coefficients are computed here with the arithmetic of scipy's
+``PchipInterpolator``, so they equal scipy's bit for bit.  Inverting it
+defines pi(t, x) = p(u(t, x), x), and
 
     eta(u, x) = integral_0^{pi} (u - w_p(x)) dp
 
@@ -25,12 +26,14 @@ evaluation, 8 eps (sum_j |c_j| |s|^j + |u|), or once its step is at most
 
 The dissipation h sum dpw(pi_i, x_i) (D pi)_i^2 uses centered differences of
 pi (wrap-around on periodic domains, one-sided end stencils otherwise).
+``eta_field`` takes a ``FamilyInterpolant``, built once per family and reused
+for every state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -158,9 +161,7 @@ class FamilyInterpolant:
     family: StationaryFamily
 
     def __post_init__(self):
-        values = self.family.values_table()
-        dp = self.family.dp_table()
-        p = np.asarray(self.family.p_grid, dtype=float)
+        values, p = self.family.profiles, self.family.p_grid
         hk, mk, dk = _pchip_slopes(p, values)
         w_coeffs = np.stack(_hermite(hk, mk, dk[:-1], dk[1:], values[:-1], values[1:]))
         w_anti = _antiderivative(p, w_coeffs)
@@ -168,18 +169,10 @@ class FamilyInterpolant:
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_w_slopes", dk)
         object.__setattr__(self, "_w_anti", w_anti)
-        object.__setattr__(self, "_dp_coeffs", _pchip_coefficients(p, dp))
-        # integral_{p_min}^0 w per cell, which eta_field subtracts on every call
+        object.__setattr__(self, "_dp_coeffs", _pchip_coefficients(p, self.family.dp_profiles))
+        # integral_{p_min}^0 w per cell, which profile_integral subtracts
         j, s = self._locate(np.zeros(values.shape[1]))
         object.__setattr__(self, "_w_anti_zero", _horner(w_anti[:, j, np.arange(s.size)], s))
-
-    @property
-    def p_min(self) -> float:
-        return float(self._p[0])
-
-    @property
-    def p_max(self) -> float:
-        return float(self._p[-1])
 
     def _locate(self, p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         j = np.clip(np.searchsorted(self._p, p, side="right") - 1, 0, self._p.size - 2)
@@ -224,12 +217,12 @@ class FamilyInterpolant:
         return _horner(_rows_at(self._dp_coeffs, self._flat(j, cells)), s)
 
     def profile_integral(self, p, cells) -> np.ndarray:
-        """integral_{p_min}^{p} w_q(x_i) dq, exact for the interpolant."""
+        """integral_0^{p} w_q(x_i) dq, exact for the interpolant."""
         p = np.asarray(p, dtype=float)
         cells = np.asarray(cells, dtype=int)
         self._check_cells(cells, p.size)
         j, s = self._locate(p)
-        return _horner(_rows_at(self._w_anti, self._flat(j, cells)), s)
+        return _horner(_rows_at(self._w_anti, self._flat(j, cells)), s) - self._w_anti_zero[cells]
 
     def _bracket(self, u: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Per cell, the largest k <= M - 1 with values[k, cell] <= u, by
@@ -341,25 +334,20 @@ def _cell_phase(state: State, family: StationaryFamily) -> np.ndarray:
     return np.arange(state.grid.n_total) % n_cells
 
 
-def eta_field(
-    family: StationaryFamily,
-    state: State,
-    interpolant: Optional[FamilyInterpolant] = None,
-) -> EntropyField:
-    """Entropy field of a state: inversion, exact eta integral, dissipation.
+def eta_field(interpolant: FamilyInterpolant, state: State) -> EntropyField:
+    """Entropy field of a state against ``interpolant.family``: inversion,
+    exact eta integral, dissipation.
 
     eta_i = u_i pi_i - integral_0^{pi_i} w_p(x_i) dp, with the integral taken
     exactly on the family interpolant.  Roundoff can leave eta a hair below
     zero near pi = 0; anything above -1e-12 (1 + pi^2) is clamped, anything
     below that raises, since it would mean the interpolant lost monotonicity.
     """
-    interp = interpolant if interpolant is not None else FamilyInterpolant(family)
-    cells = _cell_phase(state, family)
+    cells = _cell_phase(state, interpolant.family)
     u = state.u
-    pi = interp.invert(u, cells)
+    pi = interpolant.invert(u, cells)
 
-    integral = interp.profile_integral(pi, cells) - interp._w_anti_zero[cells]
-    eta = u * pi - integral
+    eta = u * pi - interpolant.profile_integral(pi, cells)
     floor = -1e-12 * (1.0 + pi**2)
     if np.any(eta < floor):
         worst = int(np.argmin(eta - floor))
@@ -373,7 +361,7 @@ def eta_field(
         dpi = (_next(pi) - _prev(pi)) / (2.0 * h)
     else:
         dpi = np.gradient(pi, h)
-    dpw = interp.dp_at(pi, cells)
+    dpw = interpolant.dp_at(pi, cells)
     dissipation = float(h * np.sum(dpw * dpi**2))
     total = float(h * eta.sum())
     return EntropyField(pi=pi, eta=eta, total_eta=total, dissipation=dissipation)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsSeries
 from .fluxes import FluxModel, _value_and_slope
-from .grids import LineGrid, _next, _prev, _toeplitz_solve
+from .grids import LineGrid, _next, _prev, _readonly, _toeplitz_solve
 
 __all__ = [
     "CFLError",
@@ -87,15 +87,11 @@ class State:
     time: float
 
     def __post_init__(self):
-        arr = self.u
-        if not (type(arr) is np.ndarray and arr.dtype == np.float64
-                and arr.flags.owndata and not arr.flags.writeable):
-            arr = np.array(arr, dtype=float)
+        arr = _readonly(self.u)
         if arr.shape != (self.grid.n_total,):
             raise ValueError(
                 f"u has shape {arr.shape}, expected ({self.grid.n_total},)"
             )
-        arr.setflags(write=False)
         object.__setattr__(self, "u", arr)
 
 

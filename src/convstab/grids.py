@@ -47,6 +47,12 @@ _TINY = np.finfo(float).tiny
 
 
 def _readonly(values) -> np.ndarray:
+    """values as read-only float64: a read-only float64 ndarray that owns its
+    data is kept, anything else is copied, so a caller's array is never
+    aliased."""
+    if (type(values) is np.ndarray and values.dtype == np.float64
+            and values.flags.owndata and not values.flags.writeable):
+        return values
     out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out

@@ -424,9 +424,7 @@ class RunSetup:
     """Everything a scenario run needs, built once from a config."""
 
     config: ScenarioConfig
-    flux: FluxModel                 # the raw flux f
     flux_normalized: FluxModel      # g(v, x) = f(v + w_p, x) - f(w_p, x)
-    cell_grid: CellGrid
     line_grid: LineGrid
     family_raw: StationaryFamily
     family: StationaryFamily        # shifted family (zero profile at p = 0)
@@ -454,20 +452,18 @@ def prepare_run(config: ScenarioConfig) -> RunSetup:
     # background profile: reuse the family member when p sits on its grid
     knot = np.flatnonzero(np.isclose(family.p_grid, config.p, rtol=0.0, atol=1e-13))
     if knot.size:
-        w_p = family.profiles[int(knot[0])]
+        w_p = Profile(cell_grid, family.profiles[int(knot[0])])
     else:
         w_p = solve_stationary(flux, config.p, cell_grid)
 
     flux_normalized = normalize_about_wp(flux, w_p)
-    shifted = family.shifted_by(w_p, config.p)
+    shifted = family.shifted_by(flux_normalized, w_p, config.p)
     theta = solve_theta(flux_normalized, cell_grid)
     initial = perturbation_values(config.initial, line_grid)
     policy = StepPolicy(cfl_fraction=config.cfl_fraction, dt_max=config.dt_max)
     return RunSetup(
         config=config,
-        flux=flux,
         flux_normalized=flux_normalized,
-        cell_grid=cell_grid,
         line_grid=line_grid,
         family_raw=family,
         family=shifted,
@@ -508,7 +504,7 @@ def make_observer(setup: RunSetup) -> Callable[[State], dict]:
         if not mass0:
             mass0.append(mass)
         V = primitive(v, h)
-        ef = eta_field(setup.family, state, interpolant)
+        ef = eta_field(interpolant, state)
         return {
             "l1_dist": norm(v, h, "L1"),
             "l2_dist": norm(v, h, "L2"),

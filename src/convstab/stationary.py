@@ -14,6 +14,7 @@ where lambda converges to zero automatically and the scalar constraint row
 pins the mean exactly.  A damped Newton iteration with warm-started
 continuation in p builds the whole family w_p together with the derivative
 profiles dw/dp, which solve the linearized bordered system and have unit mean.
+A ``StationaryFamily`` holds them as two tables, one row per mean p.
 The Jacobian -D2 + D1 diag(d_u f) is cyclic tridiagonal, so every bordered
 solve costs O(n): the periodic corners and the border enter a tridiagonal
 LAPACK dgtsv solve (``_cyclic_tridiagonal``) as a rank-two (Woodbury) update.
@@ -33,14 +34,15 @@ to a bordered linear solve of the same stencil.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
 from .floattext import json_lists
 from .fluxes import FluxModel, _quadratic_flux, _value_and_slope
-from .grids import CellGrid, Profile, _cyclic_tridiagonal, _next, _periodic_spline, _prev
+from .grids import (CellGrid, Profile, _cyclic_tridiagonal, _next, _periodic_spline, _prev,
+                    _readonly)
 
 __all__ = [
     "StationaryFamily",
@@ -61,6 +63,8 @@ class StationarySolveError(RuntimeError):
 
 
 NEWTON_TOLERANCE = 1e-11      # on the sup norm of the discrete residual
+MEAN_TOLERANCE = 1e-10        # on |<w_p> - p| of each family member
+DP_MEAN_TOLERANCE = 1e-8      # on |<dw/dp> - 1| of each derivative profile
 NEWTON_MAX_ITERATIONS = 50
 NEWTON_DAMPING = 0.5          # backtracking factor on rejected steps
 CONTINUATION_STEP = 0.1       # largest jump in p taken without substeps
@@ -93,8 +97,9 @@ def residual_floor(values: np.ndarray, grid: CellGrid) -> float:
     The stored samples carry rounding of order eps * sup|w|; the second
     difference amplifies that by 4 / h^2, so no stored profile can certify a
     residual below roughly 2 eps sup|w| / h^2 no matter how far the solver
-    iterated.  Checks on stored profiles should allow tolerance +
-    residual_floor; the factor 4 adds headroom for the flux-difference term.
+    iterated.  Checks on stored profiles (a table of them takes the floor of
+    its largest) should allow tolerance + residual_floor; the factor 4 adds
+    headroom for the flux-difference term.
     Newton itself stops at tolerance plus the same floor taken at the scale of
     the mean-free deviation w - p, which is much smaller.
     """
@@ -255,81 +260,73 @@ def solve_dp_w(flux: FluxModel, profile: Profile) -> Profile:
 class StationaryFamily:
     """Stationary profiles over a strictly increasing grid of means.
 
-    ``alpha`` is the least value of the mean-derivative profiles over the whole
-    family; it is the uniform lower bound the entropy diagnostics divide by,
-    so construction fails if it is not strictly positive.
+    ``profiles`` and ``dp_profiles`` are read-only (len(p_grid), n_cells)
+    tables of finite values: row k holds w_p and dw/dp at p = p_grid[k],
+    sampled at the cell centers of ``grid``.  A read-only float64 table that
+    owns its data is kept, anything else is copied.  ``alpha`` is the least
+    value of the mean-derivative profiles over the whole family; it is the
+    uniform lower bound the entropy diagnostics divide by, so construction
+    fails if it is not strictly positive.
     """
 
     flux: FluxModel
+    grid: CellGrid
     p_grid: np.ndarray
-    profiles: List[Profile]
-    dp_profiles: List[Profile]
+    profiles: np.ndarray
+    dp_profiles: np.ndarray
     alpha: float
 
     def __post_init__(self):
-        p = np.asarray(self.p_grid, dtype=float)
+        p = _readonly(self.p_grid)
         if p.ndim != 1 or p.size < 2 or not np.all(np.diff(p) > 0):
             raise ValueError("p_grid must be strictly increasing with >= 2 entries")
-        if len(self.profiles) != p.size or len(self.dp_profiles) != p.size:
-            raise ValueError("profile lists must align with p_grid")
+        shape = (p.size, self.grid.n_cells)
+        for name in ("profiles", "dp_profiles"):
+            table = _readonly(getattr(self, name))
+            if table.shape != shape:
+                raise ValueError(
+                    f"{name} has shape {table.shape}; p_grid and the grid need {shape}"
+                )
+            if not np.all(np.isfinite(table)):
+                raise ValueError(f"{name} values must be finite")
+            object.__setattr__(self, name, table)
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        arr = np.array(p, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "p_grid", arr)
+        object.__setattr__(self, "p_grid", p)
 
-    @property
-    def grid(self) -> CellGrid:
-        return self.profiles[0].grid
-
-    def values_table(self) -> np.ndarray:
-        """(len(p_grid), n_cells) array of profile values."""
-        return np.stack([prof.values for prof in self.profiles])
-
-    def dp_table(self) -> np.ndarray:
-        return np.stack([prof.values for prof in self.dp_profiles])
-
-    def shifted_by(self, background: Profile, mean: float) -> "StationaryFamily":
-        """Family of the flux shifted about ``background`` (exact translation).
+    def shifted_by(self, flux: FluxModel, background: Profile, mean: float) -> "StationaryFamily":
+        """Family of ``flux``, the flux normalized about ``background``.
 
         If w solves the cell problem for f then w - background solves it for
-        the shifted flux at mean p - mean, cell for cell, so no re-solve is
-        needed; derivative profiles and alpha are unchanged.
+        normalize_about_wp(f, background) at mean p - mean, cell for cell, so
+        no re-solve is needed; derivative profiles and alpha are unchanged.
+        ``flux`` is that normalized flux, which the caller already holds.
         """
-        shifted = [
-            Profile(self.grid, prof.values - background.values)
-            for prof in self.profiles
-        ]
-        return StationaryFamily(
-            flux=normalize_about_wp(self.flux, background),
-            p_grid=self.p_grid - mean,
-            profiles=shifted,
-            dp_profiles=list(self.dp_profiles),
-            alpha=self.alpha,
+        profiles = self.profiles - background.values
+        profiles.setflags(write=False)  # handed over without a copy
+        return replace(self, flux=flux, p_grid=self.p_grid - mean, profiles=profiles)
+
+
+def _family_checks(p_grid, profiles, dp_profiles):
+    gaps = np.abs(profiles.mean(axis=1) - p_grid)
+    if np.any(gaps > MEAN_TOLERANCE):
+        k = int(np.argmax(gaps > MEAN_TOLERANCE))
+        raise StationarySolveError(
+            f"family member at p={p_grid[k]} misses its mean by {gaps[k]:.3e}"
         )
-
-
-def _family_checks(p_grid, profiles, dp_profiles, mean_tol=1e-10, dp_mean_tol=1e-8):
-    for p, prof in zip(p_grid, profiles):
-        gap = abs(prof.values.mean() - p)
-        if gap > mean_tol:
-            raise StationarySolveError(
-                f"family member at p={p} misses its mean by {gap:.3e}"
-            )
-    table = np.stack([prof.values for prof in profiles])
-    gaps = np.diff(table, axis=0)
-    if not np.all(gaps > 0):
-        j, i = np.argwhere(gaps <= 0)[0]
+    steps = np.diff(profiles, axis=0)
+    if not np.all(steps > 0):
+        j, i = np.argwhere(steps <= 0)[0]
         raise StationarySolveError(
             f"profiles not strictly increasing in p between p={p_grid[j]} and "
             f"p={p_grid[j + 1]} at cell {i}"
         )
-    for p, prof in zip(p_grid, dp_profiles):
-        gap = abs(prof.values.mean() - 1.0)
-        if gap > dp_mean_tol:
-            raise StationarySolveError(
-                f"mean-derivative at p={p} has cell average off by {gap:.3e}"
-            )
+    gaps = np.abs(dp_profiles.mean(axis=1) - 1.0)
+    if np.any(gaps > DP_MEAN_TOLERANCE):
+        k = int(np.argmax(gaps > DP_MEAN_TOLERANCE))
+        raise StationarySolveError(
+            f"mean-derivative at p={p_grid[k]} has cell average off by {gaps[k]:.3e}"
+        )
 
 
 def build_family(
@@ -352,8 +349,8 @@ def build_family(
         raise ValueError("p_max must exceed p_min")
     p_grid = np.linspace(float(p_min), float(p_max), m_intervals + 1)
 
-    profiles: List[Profile] = []
-    dp_profiles: List[Profile] = []
+    values = np.empty((p_grid.size, grid.n_cells))
+    dp_values = np.empty_like(values)
     current: Optional[Profile] = None
     current_dp: Optional[Profile] = None
 
@@ -387,12 +384,12 @@ def build_family(
             else:
                 current = advance(p, current, current_dp)
         current_dp = solve_dp_w(flux, current)
-        profiles.append(current)
-        dp_profiles.append(current_dp)
+        values[j], dp_values[j] = current.values, current_dp.values
 
-    _family_checks(p_grid, profiles, dp_profiles)
-    alpha = float(min(prof.values.min() for prof in dp_profiles))
-    return StationaryFamily(flux, p_grid, profiles, dp_profiles, alpha)
+    _family_checks(p_grid, values, dp_values)
+    values.setflags(write=False)  # handed over without a copy
+    dp_values.setflags(write=False)
+    return StationaryFamily(flux, grid, p_grid, values, dp_values, float(dp_values.min()))
 
 
 def save_family(family: StationaryFamily, path) -> None:
@@ -410,10 +407,10 @@ def save_family(family: StationaryFamily, path) -> None:
         "p_grid": family.p_grid.tolist(),
         "alpha": family.alpha,
     }
-    tables = {"profiles": family.values_table(), "dp_profiles": family.dp_table()}
+    tables = {"profiles": family.profiles, "dp_profiles": family.dp_profiles}
     # the bytes of json.dump({**payload, **tables}, fh, sort_keys=True) + "\n":
     # the tables go through floattext (json writes a finite float as its repr,
-    # and a Profile holds finite values only), the rest through json.dumps
+    # and a family holds finite tables only), the rest through json.dumps
     with open(path, "wb") as fh:
         for i, key in enumerate(sorted([*payload, *tables])):
             fh.write((("{" if i == 0 else ", ") + json.dumps(key) + ": ").encode())

@@ -26,7 +26,6 @@ from convstab import (
     CellGrid,
     EntropyField,
     FluxModel,
-    Profile,
     State,
     StationaryFamily,
     builtin_flux,
@@ -162,11 +161,9 @@ def load_family(path) -> StationaryFamily:
         raise ValueError(f"unrecognized family file format in {path}")
     flux = builtin_flux(payload["flux"]["label"], payload["flux"]["params"])
     grid = CellGrid(payload["n_cells"], payload["period"])
-    profiles = [Profile(grid, np.array(v)) for v in payload["profiles"]]
-    dp_profiles = [Profile(grid, np.array(v)) for v in payload["dp_profiles"]]
     return StationaryFamily(
-        flux, np.array(payload["p_grid"]), profiles, dp_profiles,
-        float(payload["alpha"]),
+        flux, grid, np.array(payload["p_grid"]), np.array(payload["profiles"]),
+        np.array(payload["dp_profiles"]), float(payload["alpha"]),
     )
 
 

@@ -80,8 +80,8 @@ def test_criterion_2_family_invariants():
     flux = cs.builtin_flux("forced_burgers", {"amplitude": 0.5, "period": 1.0})
     start = time.perf_counter()
     family = cs.build_family(flux, -2.0, 2.0, 64, cs.CellGrid(256, 1.0))
-    monotone = bool(np.all(np.diff(family.values_table(), axis=0) > 0))
-    dp_gap = max(abs(dp.values.mean() - 1.0) for dp in family.dp_profiles)
+    monotone = bool(np.all(np.diff(family.profiles, axis=0) > 0))
+    dp_gap = max(abs(dp.mean() - 1.0) for dp in family.dp_profiles)
     solved = {n: cs.solve_stationary(flux, 0.7, cs.CellGrid(n, 1.0)).values
               for n in (64, 128, 256)}
     restrict = lambda v: 0.5 * (v[::2] + v[1::2])
@@ -151,14 +151,14 @@ def test_criterion_5_entropy_suite(canonical):
     family = result.setup.family
     series = result.series
     interp = cs.FamilyInterpolant(family)
-    max_dp = max(dp.values.max() for dp in family.dp_profiles)
+    max_dp = family.dp_profiles.max()
 
     # slack covers the monotone-interpolation error of the family in p,
     # which grows with the knot spacing; it sits three orders below the
     # physical gap (max_dp - alpha) pi^2 / 2 between the two bounds
     eta_min, sandwich_low, sandwich_high = np.inf, np.inf, -np.inf
     for state in load_snapshots(result):
-        field = cs.eta_field(family, state, interp)
+        field = cs.eta_field(interp, state)
         slack = 1e-7 * (1.0 + field.pi**2)
         eta_min = min(eta_min, float(field.eta.min()))
         sandwich_low = min(sandwich_low, float(
@@ -178,15 +178,16 @@ def test_criterion_5_entropy_suite(canonical):
         cell = cs.CellGrid(n, 1.0)
         fam = cs.build_family(flux, -1.0, 1.0, 32, cell)
         knot = int(np.flatnonzero(np.isclose(fam.p_grid, 0.0))[0])
-        shifted = fam.shifted_by(fam.profiles[knot], 0.0)
-        g = cs.normalize_about_wp(flux, fam.profiles[knot])
+        w = cs.Profile(cell, fam.profiles[knot])
+        g = cs.normalize_about_wp(flux, w)
+        shifted = fam.shifted_by(g, w, 0.0)
         line = cs.LineGrid(cell, 8, "periodic")
         v0 = cs.perturbation_values(cs.PerturbationSpec("dipole", 0.3, 0.25, 0.8, None), line)
         fields, times = [], []
         sub = cs.FamilyInterpolant(shifted)
 
         def observe(state):
-            fields.append(cs.eta_field(shifted, state, sub))
+            fields.append(cs.eta_field(sub, state))
             times.append(state.time)
             return {}
 

@@ -89,6 +89,20 @@ def test_stationary_without_checks_or_fit_adds_no_note(tmp_path, capsys):
     assert read_verdicts(out)["notes"] == []
 
 
+def test_stationary_builds_only_the_family(tmp_path):
+    # a dipole centred at 0 cancels to zero, so no perturbation can be built;
+    # stationary reports the family alone and must not need one
+    doc = json.loads((Path(convstab.__file__).parent / "configs" / "gaussian_l2.json").read_text())
+    doc["initial"] = {"shape": "dipole", "amplitude": 0.3, "width": 0.5, "center": 0.0}
+    config = tmp_path / "dipole_at_zero.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["stationary", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "family.json").exists()
+    assert read_verdicts(out)["exit_code"] == 0
+    assert cli.main(["evolve", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
+
+
 def test_the_module_entry_point_runs_as_a_process(tmp_path):
     config = write_config(tmp_path)
     src = str(Path(convstab.__file__).resolve().parents[1])

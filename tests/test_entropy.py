@@ -20,12 +20,14 @@ from convstab import (
     FamilyInterpolant,
     FamilyRangeError,
     LineGrid,
+    Profile,
     State,
     build_family,
     builtin_flux,
     dispersion_fit,
     eta_field,
     nash_ratio,
+    normalize_about_wp,
 )
 from convstab.entropy import _antiderivative, _hermite, _horner, _pchip_coefficients
 from oracles import entropy_balance_check
@@ -45,6 +47,11 @@ def constant_family():
     return build_family(builtin_flux("constant_flux_burgers"), -1.0, 1.0, 32, CellGrid(64, 1.0))
 
 
+def shifted_about(family, knot):
+    w = Profile(family.grid, family.profiles[knot])
+    return family.shifted_by(normalize_about_wp(family.flux, w), w, 0.0)
+
+
 def state_on(family, values, n_periods=2):
     grid = LineGrid(family.grid, n_periods, "periodic")
     return State(grid, np.asarray(values, float), 0.0)
@@ -60,7 +67,7 @@ def test_interpolant_is_exact_at_the_knots(forced_family):
     for k in (0, 7, 16, 32):
         p = forced_family.p_grid[k]
         vals = interp.profile_at(np.full(cells.size, p), cells)
-        gap = np.abs(vals - forced_family.profiles[k].values).max()
+        gap = np.abs(vals - forced_family.profiles[k]).max()
         assert gap < 1e-14, f"knot p={p}: interpolant off by {gap:.2e}"
 
 
@@ -107,7 +114,7 @@ def _residual_and_bound(interp, pi, u, cells):
     sum_j |c_j| |s|^j + |u| of the cubic profile_at evaluates (scipy's
     coefficients, which the interpolant's equal bit for bit)."""
     family = interp.family
-    coeffs = PchipInterpolator(family.p_grid, family.values_table(), axis=0).c
+    coeffs = PchipInterpolator(family.p_grid, family.profiles, axis=0).c
     j, s = interp._locate(pi)
     envelope = _horner(np.abs(coeffs[:, j, cells]), np.abs(s))
     return np.abs(interp.profile_at(pi, cells) - u), 16 * EPS * (envelope + np.abs(u))
@@ -115,7 +122,7 @@ def _residual_and_bound(interp, pi, u, cells):
 
 def test_invert_agrees_with_the_profile_at_bisection(forced_family):
     interp = FamilyInterpolant(forced_family)
-    table = forced_family.values_table()
+    table = forced_family.profiles
     m, n = table.shape
     rng = np.random.default_rng(31)
     cells = np.tile(np.arange(n), 6)
@@ -133,26 +140,26 @@ def test_invert_agrees_with_the_profile_at_bisection(forced_family):
         assert gap <= 1e-14, f"{np.count_nonzero(got != want)} cells differ, max {gap:.2e}"
     # a knot's own value returns the knot's p bit for bit, the ends included
     assert interp.invert(knots, cells).tobytes() == forced_family.p_grid[rows].tobytes()
-    assert np.all(interp.invert(table[0, cells], cells) == interp.p_min)
-    assert np.all(interp.invert(table[-1, cells], cells) == interp.p_max)
+    assert np.all(interp.invert(table[0, cells], cells) == forced_family.p_grid[0])
+    assert np.all(interp.invert(table[-1, cells], cells) == forced_family.p_grid[-1])
 
 
 @pytest.fixture(scope="module")
 def pinned_family():
     # the benchmark's pinned_snapshots family, shifted about its p = 0 member
     family = build_family(forced(), -2.0, 2.0, 64, CellGrid(384, 1.0))
-    return family.shifted_by(family.profiles[32], 0.0)
+    return shifted_about(family, 32)
 
 
 @pytest.mark.parametrize("u", [1e-30, -1e-30, 1e-20, -1e-20])
 def test_invert_keeps_sign_and_relative_accuracy_next_to_a_zero_member(pinned_family, u):
     interp = FamilyInterpolant(pinned_family)
     zero = int(np.flatnonzero(pinned_family.p_grid == 0.0)[0])
-    assert np.all(pinned_family.profiles[zero].values == 0.0)
+    assert np.all(pinned_family.profiles[zero] == 0.0)
     cells = np.array([5, 100, 200])
     pi = interp.invert(np.full(cells.size, u), cells)
     # the interpolant's slope at the knot, which both adjacent cubics share
-    oracle = PchipInterpolator(pinned_family.p_grid, pinned_family.values_table(), axis=0)
+    oracle = PchipInterpolator(pinned_family.p_grid, pinned_family.profiles, axis=0)
     slope = oracle.derivative()(0.0)[cells]
     assert np.all(np.sign(pi) == np.sign(u)), f"pi = {pi} for u = {u}"
     assert np.all(np.abs(pi * slope / u - 1.0) <= 1e-8), f"pi = {pi} for u = {u}"
@@ -164,7 +171,7 @@ def _sweep_interpolant(which):
     # a failing example, and a family's repr runs to megabytes
     family = build_family(forced(), -1.0, 1.0, 32, CellGrid(64, 1.0))
     if which == "shifted":  # about its zero member
-        family = family.shifted_by(family.profiles[16], 0.0)
+        family = shifted_about(family, 16)
     return FamilyInterpolant(family)
 
 
@@ -214,8 +221,8 @@ def _same_bits(ours, theirs):
 def test_interpolant_coefficients_equal_scipy_bit_for_bit(forced_family):
     interp = FamilyInterpolant(forced_family)
     p = forced_family.p_grid
-    w_oracle = PchipInterpolator(p, forced_family.values_table(), axis=0)
-    dp_oracle = PchipInterpolator(p, forced_family.dp_table(), axis=0)
+    w_oracle = PchipInterpolator(p, forced_family.profiles, axis=0)
+    dp_oracle = PchipInterpolator(p, forced_family.dp_profiles, axis=0)
     # the profile cubics that profile_at and invert form per cell, at every cell
     m, n = p.size - 1, forced_family.grid.n_cells
     formed = _hermite(*interp._hermite_data(np.repeat(np.arange(m), n), np.tile(np.arange(n), m)))
@@ -246,6 +253,16 @@ def test_pchip_coefficients_equal_scipy_on_flat_runs_and_sign_changes():
     assert _same_bits(_pchip_coefficients(two, y[:2]), PchipInterpolator(two, y[:2], axis=0).c)
 
 
+def test_profile_integral_starts_at_zero(forced_family, constant_family):
+    cells = np.arange(64)
+    interp = FamilyInterpolant(forced_family)
+    assert np.all(interp.profile_integral(np.zeros(64), cells) == 0.0)
+    # the constant flux's profiles are w_q = q, so the integral is p^2 / 2
+    p = np.linspace(-1.0, 1.0, 64)
+    got = FamilyInterpolant(constant_family).profile_integral(p, cells)
+    assert np.abs(got - 0.5 * p**2).max() < 1e-14
+
+
 def test_inversion_rejects_values_outside_the_family(forced_family):
     interp = FamilyInterpolant(forced_family)
     with pytest.raises(FamilyRangeError):
@@ -261,7 +278,7 @@ def test_inversion_rejects_values_outside_the_family(forced_family):
 def test_constant_flux_eta_is_half_v_squared(constant_family):
     c = 0.37
     state = state_on(constant_family, np.full(128, c))
-    field = eta_field(constant_family, state)
+    field = eta_field(FamilyInterpolant(constant_family), state)
     assert np.abs(field.pi - c).max() < 1e-8
     assert np.abs(field.eta - 0.5 * c * c).max() < 1e-9, "eta must reduce to v^2/2"
     assert field.total_eta == pytest.approx(state.grid.length * 0.5 * c * c, rel=1e-8)
@@ -271,27 +288,29 @@ def test_constant_flux_eta_is_half_v_squared(constant_family):
 def test_eta_is_nonnegative_and_zero_on_the_background(forced_family):
     # the p = 0 member is zero only to about 5e-23, so pi is the root of the
     # cubic next to that knot, evaluated about the knot: a few times 1e-23
+    interp = FamilyInterpolant(forced_family)
     state = state_on(forced_family, np.zeros(128))
-    field = eta_field(forced_family, state)
+    field = eta_field(interp, state)
     assert np.abs(field.pi).max() < 1e-20
     assert field.eta.max() < 1e-15
     assert abs(field.total_eta) < 1e-15
 
     rng = np.random.default_rng(4)
     bumpy = state_on(forced_family, rng.uniform(-0.6, 0.6, 128))
-    field = eta_field(forced_family, bumpy)
+    field = eta_field(interp, bumpy)
     assert np.all(field.eta >= 0.0)
 
 
 def test_eta_sandwich_between_dp_extremes(forced_family):
     # alpha pi^2/2 <= eta <= (max dp) pi^2/2 up to interpolation slack: the
     # piecewise-cubic slope can exceed the knot-sampled extremes by O(dp^2)
-    max_dp = max(dp.values.max() for dp in forced_family.dp_profiles)
+    max_dp = forced_family.dp_profiles.max()
+    interp = FamilyInterpolant(forced_family)
     rng = np.random.default_rng(8)
     slack = lambda pi: 1e-8 * (1.0 + pi**2)
     for seed in range(3):
         values = rng.uniform(-0.7, 0.7, 128)
-        field = eta_field(forced_family, state_on(forced_family, values))
+        field = eta_field(interp, state_on(forced_family, values))
         lower = 0.5 * forced_family.alpha * field.pi**2 - slack(field.pi)
         upper = 0.5 * max_dp * field.pi**2 + slack(field.pi)
         assert np.all(field.eta >= lower), f"seed {seed}: eta below alpha pi^2/2"
@@ -301,7 +320,7 @@ def test_eta_sandwich_between_dp_extremes(forced_family):
 def test_eta_field_requires_values_in_range(forced_family):
     state = state_on(forced_family, np.full(128, 3.0))
     with pytest.raises(FamilyRangeError):
-        eta_field(forced_family, state)
+        eta_field(FamilyInterpolant(forced_family), state)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +329,8 @@ def test_eta_field_requires_values_in_range(forced_family):
 
 def test_balance_residual_is_zero_for_a_stationary_sequence(forced_family):
     state = state_on(forced_family, np.zeros(128))
-    fields = [eta_field(forced_family, state) for _ in range(4)]
+    interp = FamilyInterpolant(forced_family)
+    fields = [eta_field(interp, state) for _ in range(4)]
     report = entropy_balance_check(fields, [0.0, 1.0, 2.0, 3.0])
     assert report.max_residual < 1e-30, f"stationary balance residual {report.max_residual:.2e}"
     assert report.residuals.shape == (2,)
@@ -318,7 +338,8 @@ def test_balance_residual_is_zero_for_a_stationary_sequence(forced_family):
 
 def test_balance_requires_uniform_times(forced_family):
     state = state_on(forced_family, np.zeros(128))
-    fields = [eta_field(forced_family, state) for _ in range(3)]
+    interp = FamilyInterpolant(forced_family)
+    fields = [eta_field(interp, state) for _ in range(3)]
     with pytest.raises(ValueError):
         entropy_balance_check(fields, [0.0, 1.0, 2.5])
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import convstab
 from convstab import (
     CellGrid,
     ConfigError,
@@ -18,6 +19,7 @@ from convstab import (
     run_scenario,
     semigroup_trials,
 )
+from convstab import stationary
 from convstab.floattext import repr_rows
 from convstab.scenarios import ScenarioConfig, _snapshot_frame, _write_snapshot
 
@@ -195,12 +197,29 @@ def prepared():
 
 def test_prepare_run_reuses_the_family_knot(prepared):
     knot = int(np.flatnonzero(np.isclose(prepared.family_raw.p_grid, 0.0))[0])
-    assert prepared.w_p is prepared.family_raw.profiles[knot]
+    assert prepared.w_p.values.tobytes() == prepared.family_raw.profiles[knot].tobytes()
 
 
 def test_prepare_run_centers_the_family(prepared):
     zero = int(np.flatnonzero(np.isclose(prepared.family.p_grid, 0.0))[0])
-    assert np.all(prepared.family.profiles[zero].values == 0.0)
+    assert np.all(prepared.family.profiles[zero] == 0.0)
+
+
+def test_prepare_run_normalizes_the_flux_once(monkeypatch):
+    # one periodic spline of w_p per run: the shifted family takes the
+    # normalized flux prepare_run built
+    calls = []
+    spline = stationary._periodic_spline
+
+    def counting(*args):
+        calls.append(args)
+        return spline(*args)
+
+    monkeypatch.setattr(stationary, "_periodic_spline", counting)
+    path = Path(convstab.__file__).parent / "configs" / "canonical_dipole.json"
+    setup = prepare_run(ScenarioConfig.from_json(path))
+    assert len(calls) == 1
+    assert setup.family.flux is setup.flux_normalized
 
 
 def test_prepare_run_weight_is_positive_unit_mean(prepared):
@@ -210,7 +229,7 @@ def test_prepare_run_weight_is_positive_unit_mean(prepared):
 
 
 def test_prepare_run_normalized_flux_kills_the_background(prepared):
-    x = prepared.cell_grid.centers()
+    x = prepared.line_grid.cell.centers()
     assert np.all(prepared.flux_normalized.eval(np.zeros_like(x), x) == 0.0)
 
 

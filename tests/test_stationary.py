@@ -17,6 +17,8 @@ from scipy.integrate import cumulative_trapezoid
 from convstab import (
     CellGrid,
     FluxModel,
+    Profile,
+    StationaryFamily,
     StationarySolveError,
     build_family,
     builtin_flux,
@@ -206,8 +208,7 @@ def family_128():
 def test_family_knots_and_monotonicity(family_128):
     fam = family_128
     assert np.array_equal(fam.p_grid, np.linspace(-2.0, 2.0, 33))
-    table = fam.values_table()
-    assert np.all(np.diff(table, axis=0) > 0), "profiles must be pointwise increasing in p"
+    assert np.all(np.diff(fam.profiles, axis=0) > 0), "profiles must be pointwise increasing in p"
     assert fam.alpha > 0
 
 
@@ -219,11 +220,11 @@ def test_family_alpha_regression(family_128):
 def test_family_mean_and_dp_invariants(family_128):
     fam = family_128
     for prof, p in zip(fam.profiles, fam.p_grid):
-        assert abs(prof.values.mean() - p) < 1e-10
+        assert abs(prof.mean() - p) < 1e-10
     for dp in fam.dp_profiles:
-        assert abs(dp.values.mean() - 1.0) < 1e-8
-        assert dp.values.min() > 0
-    assert fam.alpha == pytest.approx(min(dp.values.min() for dp in fam.dp_profiles), abs=0.0)
+        assert abs(dp.mean() - 1.0) < 1e-8
+        assert dp.min() > 0
+    assert fam.alpha == pytest.approx(min(dp.min() for dp in fam.dp_profiles), abs=0.0)
 
 
 def test_family_residuals(family_128):
@@ -231,9 +232,9 @@ def test_family_residuals(family_128):
     flux = forced()
     tol = NEWTON_TOLERANCE
     worst = max(
-        np.abs(cell_residual(flux, prof.values, fam.grid)).max() for prof in fam.profiles
+        np.abs(cell_residual(flux, prof, fam.grid)).max() for prof in fam.profiles
     )
-    cap = tol + max(residual_floor(prof.values, fam.grid) for prof in fam.profiles)
+    cap = tol + max(residual_floor(prof, fam.grid) for prof in fam.profiles)
     assert worst <= cap, f"family residual {worst:.3e} above {cap:.3e}"
 
 
@@ -241,7 +242,7 @@ def test_family_refinement_in_p_nests(family_128):
     fine = build_family(forced(), -2.0, 2.0, 64, CellGrid(128, 1.0))
     for i, p in enumerate(family_128.p_grid):
         j = int(np.flatnonzero(np.isclose(fine.p_grid, p, atol=1e-14))[0])
-        gap = np.abs(family_128.profiles[i].values - fine.profiles[j].values).max()
+        gap = np.abs(family_128.profiles[i] - fine.profiles[j]).max()
         assert gap < 1e-9, f"shared knot p={p}: profiles differ by {gap:.2e}"
 
 
@@ -251,20 +252,24 @@ def test_family_json_round_trip(tmp_path, family_128):
     back = load_family(path)
     assert np.array_equal(back.p_grid, family_128.p_grid)
     assert back.alpha == family_128.alpha
-    for a, b in zip(back.profiles, family_128.profiles):
-        assert np.array_equal(a.values, b.values), "values must round-trip exactly"
-    for a, b in zip(back.dp_profiles, family_128.dp_profiles):
-        assert np.array_equal(a.values, b.values)
+    assert back.grid == family_128.grid
+    assert np.array_equal(back.profiles, family_128.profiles), "values must round-trip exactly"
+    assert np.array_equal(back.dp_profiles, family_128.dp_profiles)
     assert back.flux.label == "forced_burgers"
     # the file is plain JSON
     with open(path) as handle:
         json.load(handle)
 
 
-def spliced(profile, at, values):
-    table = profile.values.copy()
-    table[at:at + len(values)] = values
-    return replace(profile, values=table)
+def spliced(table, at, values):
+    table = table.copy()
+    table[:, at:at + len(values)] = values
+    return table
+
+
+def shifted_about(family, knot, mean):
+    w = Profile(family.grid, family.profiles[knot])
+    return family.shifted_by(normalize_about_wp(family.flux, w), w, mean)
 
 
 # -0.0, the exponent form at both ends and on both sides of 1, and a decimal
@@ -274,11 +279,11 @@ SPLICED = [-0.0, 5e-324, 1e-05, 1e16, 1.5e300, 2.0] + [1.5 * 10.0**k for k in ra
 
 def test_family_file_is_the_json_dump_of_its_payload(tmp_path, family_128):
     # save_family writes piecewise; the bytes must stay json.dump's
-    fam = family_128.shifted_by(family_128.profiles[16], 0.0)
+    fam = shifted_about(family_128, 16, 0.0)
     spliced_fam = replace(
         fam,
-        profiles=[spliced(p, 5, SPLICED) for p in fam.profiles],
-        dp_profiles=[spliced(p, 100, [-v for v in SPLICED]) for p in fam.dp_profiles],
+        profiles=spliced(fam.profiles, 5, SPLICED),
+        dp_profiles=spliced(fam.dp_profiles, 100, [-v for v in SPLICED]),
     )
     for fam in (fam, spliced_fam):
         payload = {
@@ -287,8 +292,8 @@ def test_family_file_is_the_json_dump_of_its_payload(tmp_path, family_128):
             "period": fam.grid.period,
             "n_cells": fam.grid.n_cells,
             "p_grid": fam.p_grid.tolist(),
-            "profiles": [prof.values.tolist() for prof in fam.profiles],
-            "dp_profiles": [prof.values.tolist() for prof in fam.dp_profiles],
+            "profiles": [prof.tolist() for prof in fam.profiles],
+            "dp_profiles": [prof.tolist() for prof in fam.dp_profiles],
             "alpha": fam.alpha,
         }
         path = tmp_path / "family.json"
@@ -299,12 +304,39 @@ def test_family_file_is_the_json_dump_of_its_payload(tmp_path, family_128):
 
 def test_shifted_family_centers_the_background(family_128):
     knot = int(np.flatnonzero(np.isclose(family_128.p_grid, 0.5))[0])
-    w_p = family_128.profiles[knot]
-    shifted = family_128.shifted_by(w_p, 0.5)
+    w_p = Profile(family_128.grid, family_128.profiles[knot])
+    g = normalize_about_wp(family_128.flux, w_p)
+    shifted = family_128.shifted_by(g, w_p, 0.5)
+    assert shifted.flux is g
     assert np.array_equal(shifted.p_grid, family_128.p_grid - 0.5)
     zero = int(np.flatnonzero(np.isclose(shifted.p_grid, 0.0))[0])
-    assert np.all(shifted.profiles[zero].values == 0.0)
+    assert np.all(shifted.profiles[zero] == 0.0)
+    assert np.array_equal(shifted.profiles, family_128.profiles - w_p.values)
+    assert np.array_equal(shifted.dp_profiles, family_128.dp_profiles)
     assert shifted.alpha == family_128.alpha
+
+
+def test_family_tables_are_checked_read_only_copies(family_128):
+    fam = family_128
+    assert fam.profiles.shape == fam.dp_profiles.shape == (33, 128)
+    assert not fam.profiles.flags.writeable and not fam.dp_profiles.flags.writeable
+    args = dict(flux=fam.flux, grid=fam.grid, p_grid=fam.p_grid, alpha=fam.alpha)
+    for name in ("profiles", "dp_profiles"):
+        tables = dict(profiles=fam.profiles, dp_profiles=fam.dp_profiles)
+        for bad in (tables[name][:-1], tables[name][:, 1:], tables[name][0]):
+            with pytest.raises(ValueError, match=f"{name} has shape"):
+                StationaryFamily(**args, **{**tables, name: bad})
+        for value in (np.nan, np.inf, -np.inf):
+            bad = tables[name].copy()
+            bad[3, 7] = value
+            with pytest.raises(ValueError, match=f"{name} values must be finite"):
+                StationaryFamily(**args, **{**tables, name: bad})
+    # a caller's writeable array is copied, never aliased; a read-only one is kept
+    mine = fam.profiles.copy()
+    copy = StationaryFamily(**args, profiles=mine, dp_profiles=fam.dp_profiles)
+    mine[0, 0] += 1.0
+    assert np.array_equal(copy.profiles, fam.profiles)
+    assert copy.dp_profiles is fam.dp_profiles
 
 
 def test_newton_failure_raises(family_128, monkeypatch):
