@@ -30,7 +30,7 @@ from .evolution import (
     evolve,
     step,
 )
-from .fluxes import FluxModel, builtin_flux
+from .fluxes import FluxModel, builtin_flux, normalize_about_wp
 from .grids import CellGrid, LineGrid, Profile, norm, primitive
 from .scenarios import (
     ConfigError,
@@ -50,7 +50,6 @@ from .stationary import (
     StationarySolveError,
     build_family,
     cell_residual,
-    normalize_about_wp,
     residual_floor,
     save_family,
     solve_dp_w,

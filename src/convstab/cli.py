@@ -155,8 +155,6 @@ def evaluate_checks(result: RunResult, checks) -> Dict[str, dict]:
             # this point means no snapshot violated it
             verdicts[name] = _verdict(True, enforced="cellwise at evaluation")
         elif name == "dispersion_exponent":
-            if config.fit_window is None:
-                raise ConfigError("dispersion_exponent check needs a fit window")
             fit = dispersion_fit(series, config.fit_window)
             if fit.converged:
                 verdicts[name] = _verdict(True, converged=True,
@@ -249,11 +247,26 @@ def cmd_stationary(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
     )
 
 
+def _require_fit_window(config: ScenarioConfig) -> None:
+    """The dispersion fit needs a window with at least 8 snapshots in it."""
+    if config.fit_window is None:
+        raise ConfigError("the dispersion_exponent check needs a fit window "
+                          "(the dispersion command infers one from a log snapshot schedule)")
+    (lo, hi), times = config.fit_window, config.schedule.times(config.t_end)
+    in_window = int(np.sum((times >= lo - 1e-12) & (times <= hi + 1e-12)))
+    if in_window < 8:
+        raise ConfigError(f"dispersion fit window {config.fit_window} holds only "
+                          f"{in_window} snapshots; at least 8 are required")
+
+
 def _run_and_judge(config: ScenarioConfig, out_dir: Path, command: str,
                    required_checks) -> RunArtifact:
+    checks = _ordered_checks(config.checks, required_checks)
+    if "dispersion_exponent" in checks:
+        # refused before the run, not after it has written its artifacts
+        _require_fit_window(config)
     setup = prepare_run(config)
     result = run_scenario(setup, out_dir)
-    checks = _ordered_checks(config.checks, required_checks)
     verdicts = evaluate_checks(result, checks)
     exit_code = EXIT_PASS if all(v["passed"] for v in verdicts.values()) else EXIT_CHECK_FAILED
     return RunArtifact(
@@ -274,22 +287,9 @@ def cmd_evolve(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
 
 
 def cmd_dispersion(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
-    if config.fit_window is None:
-        if config.schedule.kind != "log":
-            raise ConfigError(
-                "dispersion needs a fit window (or a log snapshot schedule to infer one)"
-            )
+    if config.fit_window is None and config.schedule.kind == "log":
         window = (float(config.schedule.t_lo), float(config.schedule.t_hi or config.t_end))
         config = replace(config, fit_window=window)
-    in_window = [
-        t for t in config.schedule.times(config.t_end)
-        if config.fit_window[0] - 1e-12 <= t <= config.fit_window[1] + 1e-12
-    ]
-    if len(in_window) < 8:
-        raise ConfigError(
-            f"dispersion fit window {config.fit_window} holds only "
-            f"{len(in_window)} snapshots; at least 8 are required"
-        )
     return _run_and_judge(config, out_dir, "dispersion", ("dispersion_exponent",))
 
 

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .diagnostics import DiagnosticsSeries
-from .fluxes import FluxModel, _value_and_slope
+from .fluxes import FluxModel
 from .grids import LineGrid, _next, _prev, _readonly, _toeplitz_solve
 
 __all__ = [
@@ -97,11 +97,11 @@ class State:
 
 @dataclass(frozen=True)
 class StepKernel:
-    """The flux sampled on one grid by ``from_flux``, which raises ValueError
-    for a flux without coefficients.  Read-only: f = f0 + f1 u + half_f2 u^2
-    at the interfaces a step uses (periodic domains drop the last), its sonic
-    point u_star = -f1 / f2 (0 where f is linear in u), the masks f2 > 0 and
-    |f2| < 1e-13, and d_u f(u, x) = center_f1 + center_f2 u at the centers."""
+    """The flux sampled on one grid by ``from_flux``.  Read-only: f = f0 + f1 u
+    + half_f2 u^2 at the interfaces a step uses (periodic domains drop the
+    last), its sonic point u_star = -f1 / f2 (0 where f is linear in u), the
+    masks f2 > 0 and |f2| < 1e-13, and d_u f(u, x) = center_f1 + center_f2 u
+    at the centers."""
 
     grid: LineGrid
     f0: np.ndarray
@@ -116,22 +116,16 @@ class StepKernel:
 
     @classmethod
     def from_flux(cls, flux: FluxModel, grid: LineGrid) -> "StepKernel":
-        if flux.coefficients is None:
-            raise ValueError(f"flux {flux.label!r} carries no (c0, c1, c2) coefficients; "
-                             "the time stepper samples only fluxes built from them")
-        x, faces = grid.centers(), grid.interfaces()
-        faces = faces[:-1] if grid.boundary_mode == "periodic" else faces
-        v0, v1, v2 = (_value_and_slope(c)[0] for c in flux.coefficients)
-        # + 0.0 makes a fresh array of the points' shape, from a constant too
-        at = lambda v, points: np.broadcast_to(v(points), points.shape) + 0.0
-        f1, f2 = at(v1, faces), at(v2, faces)
+        faces = grid.interfaces()
+        f0, f1, f2 = flux.sample(faces[:-1] if grid.boundary_mode == "periodic" else faces)
+        _, center_f1, center_f2 = flux.sample(grid.centers())
         linear, convex = np.abs(f2) < 1e-13, f2 > 0
         u_star = np.where(linear, 0.0, -f1 / np.where(linear, 1.0, f2))
-        arrays = dict(f0=at(v0, faces), f1=f1, half_f2=0.5 * f2, u_star=u_star, convex=convex,
-                      linear=linear, center_f1=at(v1, x), center_f2=at(v2, x))
-        for array in arrays.values():
+        derived = dict(half_f2=0.5 * f2, u_star=u_star, convex=convex, linear=linear)
+        for array in derived.values():
             array.setflags(write=False)
-        return cls(grid, all_convex=bool(convex.all() and not linear.any()), **arrays)
+        return cls(grid, f0=f0, f1=f1, all_convex=bool(convex.all() and not linear.any()),
+                   center_f1=center_f1, center_f2=center_f2, **derived)
 
 
 def _eo_flux(kernel: StepKernel, u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:

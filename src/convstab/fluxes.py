@@ -4,11 +4,12 @@ Every flux is
 
     f(u, x) = c0(x) + c1(x) u + c2(x) u^2 / 2
 
-with periodic coefficients, each a float or a (value, slope) pair of
-vectorized functions of x.  A :class:`FluxModel` records that triple; its
-callables ``eval``, ``d_u``, ``d_uu`` and ``d_x`` are views derived from it
-by one constructor, kept as replaceable fields for instrumentation.  The
-built-in labels are coefficient declarations:
+and a :class:`FluxModel` is that (c0, c1, c2) triple of periodic
+coefficients, each a float or a (value, slope) pair of vectorized functions
+of x.  This module is the only one that reads the triple's format: the rest
+of the package samples it with ``FluxModel.sample``, whose ``value`` and
+``speed`` give f and d_u f at the sample points.  The built-in labels are
+coefficient declarations:
 
 * ``constant_flux_burgers``   c2 = 1
 * ``forced_burgers``          c1 = A sin(2 pi x / T),  c2 = 1
@@ -17,25 +18,25 @@ built-in labels are coefficient declarations:
                               samples at uniform knots k T / n, interpolated
                               by the periodic cubic spline of ``grids``
 
-Shifting about a stationary profile w (``normalize_about_wp``) maps the
-coefficients c0 -> 0, c1 -> c1 + c2 w, c2 -> c2, so f stays quadratic in u
-and the time stepper samples the shifted triple.  Once normalized, f(0, .) = 0
-and the zero state -- the value at which pinned ghost cells sit -- is an
-exact fixed point of the scheme.
+``normalize_about_wp`` shifts the triple about a stationary profile, so f
+stays quadratic in u.  Once normalized, f(0, .) = 0 and the zero state -- the
+value at which pinned ghost cells sit -- is an exact fixed point of the scheme.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Tuple, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .grids import _periodic_spline
+from .grids import Profile, _periodic_spline
 
 __all__ = [
     "FluxModel",
+    "FluxSamples",
     "builtin_flux",
+    "normalize_about_wp",
 ]
 
 ArrayFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -44,30 +45,93 @@ XFn = Callable[[np.ndarray], np.ndarray]
 Coefficient = Union[float, Tuple[XFn, XFn]]
 
 
+class FluxSamples(NamedTuple):
+    """(c0, c1, c2) at some points: read-only float arrays of their shape."""
+
+    c0: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+
+    def value(self, u):
+        """f(u, .) = c0 + c1 u + c2 u^2 / 2 at the sample points."""
+        return self.c0 + self.c1 * u + 0.5 * self.c2 * u * u
+
+    def speed(self, u):
+        """d_u f(u, .) = c1 + c2 u at the sample points."""
+        return self.c1 + self.c2 * u
+
+
 @dataclass(frozen=True)
 class FluxModel:
-    """Vectorized flux f(u, x) with one period T in x.
+    """f = c0 + c1 u + c2 u^2 / 2 with one period T in x: the triple
+    ``coefficients`` is the flux, and the package reads it through ``sample``.
 
-    ``eval``, ``d_u``, ``d_uu`` and ``d_x`` accept broadcastable arrays and
-    return arrays of the broadcast shape.  f must be quadratic in u (d_uu
-    independent of u): the time stepper's Engquist-Osher flux is exact only
-    for such models.  ``coefficients`` is the (c0, c1, c2) triple the
-    callables derive from; a model built from callables alone has none, and
-    can be neither normalized about a stationary profile nor stepped.
+    ``eval``, ``d_u``, ``d_uu`` and ``d_x`` (f and its derivatives at
+    broadcastable u and x) are views derived from the triple when not given.
+    They exist only for instrumentation, which swaps them with
+    ``dataclasses.replace``; no run path calls them.  As ``replace`` keeps
+    the views, a model with other coefficients comes from the constructor.
     """
 
     label: str
     period: float
-    eval: ArrayFn
-    d_u: ArrayFn
-    d_uu: ArrayFn
-    d_x: ArrayFn
+    coefficients: Tuple[Coefficient, Coefficient, Coefficient]
     params: Mapping[str, float] = field(default_factory=dict)
-    coefficients: Optional[Tuple[Coefficient, Coefficient, Coefficient]] = None
+    eval: Optional[ArrayFn] = field(default=None, repr=False, compare=False)
+    d_u: Optional[ArrayFn] = field(default=None, repr=False, compare=False)
+    d_uu: Optional[ArrayFn] = field(default=None, repr=False, compare=False)
+    d_x: Optional[ArrayFn] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.period > 0:
             raise ValueError(f"flux period must be positive, got {self.period}")
+
+        def view(read, part=0):
+            def call(u, x):
+                u, x = np.broadcast_arrays(np.asarray(u, float), np.asarray(x, float))
+                return read(_sampled(self.coefficients, x, part), u)
+            return call
+
+        views = dict(eval=view(FluxSamples.value), d_u=view(FluxSamples.speed),
+                     d_uu=view(lambda at, u: at.c2), d_x=view(FluxSamples.value, part=1))
+        for name, fn in views.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, fn)
+
+    def sample(self, points) -> FluxSamples:
+        """The coefficients at ``points``, sampled once for many values of u."""
+        return _sampled(self.coefficients, np.asarray(points, dtype=float), 0)
+
+
+def _sampled(coefficients, points: np.ndarray, part: int) -> FluxSamples:
+    """The coefficients' values (part 0) or slopes (part 1) at points; the
+    slopes as a FluxSamples give d_x f through ``value``."""
+    arrays = []
+    for coefficient in coefficients:
+        # + 0.0 makes a fresh array of the points' shape, from a constant too
+        array = np.broadcast_to(_value_and_slope(coefficient)[part](points), points.shape) + 0.0
+        array.setflags(write=False)
+        arrays.append(array)
+    return FluxSamples(*arrays)
+
+
+def normalize_about_wp(flux: FluxModel, background: Profile) -> FluxModel:
+    """Shift the flux so the given stationary profile becomes the zero state.
+
+    Returns g(v, x) = f(v + w(x), x) - f(w(x), x) with w the periodic cubic
+    spline of ``grids`` through the profile samples at the cell centers: the
+    coefficient map c0 -> 0, c1 -> c1 + c2 w (slope c1' + c2' w + c2 w'),
+    c2 -> c2.  g(0, .) vanishes identically, which the weight solver and the
+    normalized evolution runs require.
+    """
+    grid = background.grid
+    w, dw = _periodic_spline(grid.centers()[0], grid.period, background.values)
+    _, c1, c2 = flux.coefficients
+    (v1, s1), (v2, s2) = _value_and_slope(c1), _value_and_slope(c2)
+    shifted_c1 = (lambda x: v1(x) + v2(x) * w(x),
+                  lambda x: s1(x) + s2(x) * w(x) + v2(x) * dw(x))
+    return FluxModel(f"{flux.label}_shifted", flux.period, (0.0, shifted_c1, c2),
+                     dict(flux.params))
 
 
 def _value_and_slope(coefficient: Coefficient) -> Tuple[XFn, XFn]:
@@ -77,75 +141,59 @@ def _value_and_slope(coefficient: Coefficient) -> Tuple[XFn, XFn]:
     return (lambda x: value), (lambda x: 0.0)
 
 
-def _broadcast(fn: ArrayFn) -> ArrayFn:
-    """fn on float arrays u and x broadcast to one shape."""
-    def call(u, x):
-        return fn(*np.broadcast_arrays(np.asarray(u, float), np.asarray(x, float)))
-    return call
-
-
-def _quadratic_flux(
-    label: str,
-    period: float,
-    c0: Coefficient,
-    c1: Coefficient,
-    c2: Coefficient,
-    params: Mapping[str, float],
-) -> FluxModel:
-    """FluxModel of f = c0(x) + c1(x) u + c2(x) u^2 / 2.
-
-    Constant coefficients stay Python floats, so a constant term costs one
-    scalar-array operation per evaluation.
-    """
-    (v0, s0), (v1, s1), (v2, s2) = (_value_and_slope(c) for c in (c0, c1, c2))
-    f = _broadcast(lambda u, x: v0(x) + v1(x) * u + 0.5 * v2(x) * u * u)
-    fu = _broadcast(lambda u, x: v1(x) + v2(x) * u)
-    fuu = _broadcast(lambda u, x: v2(x) + np.zeros_like(u))
-    fx = _broadcast(lambda u, x: s0(x) + s1(x) * u + 0.5 * s2(x) * u * u)
-    return FluxModel(label, period, f, fu, fuu, fx, params=dict(params),
-                     coefficients=(c0, c1, c2))
+def _take_number(params: dict, name: str, alias: Optional[str], default: float) -> float:
+    """Pop a parameter by its name or alias (the name wins; both are taken)."""
+    value = params.pop(alias, default) if alias else default
+    value = params.pop(name, value)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"flux parameter {name!r} must be a number, got {value!r}") from None
 
 
 def _take_period(params: dict) -> float:
-    return float(params.pop("period", params.pop("T", 1.0)))
+    period = _take_number(params, "period", "T", 1.0)
+    if not period > 0:
+        raise ValueError(f"flux period must be positive, got {period}")
+    return period
 
 
 def _constant_burgers(params: dict) -> FluxModel:
     period = _take_period(params)
-    return _quadratic_flux("constant_flux_burgers", period, 0.0, 0.0, 1.0,
-                           {"period": period})
+    return FluxModel("constant_flux_burgers", period, (0.0, 0.0, 1.0), {"period": period})
 
 
 def _forced_burgers(params: dict) -> FluxModel:
-    amplitude = float(params.pop("amplitude", params.pop("A", 0.5)))
+    amplitude = _take_number(params, "amplitude", "A", 0.5)
     period = _take_period(params)
     k = 2.0 * np.pi / period
     forcing = (lambda x: amplitude * np.sin(k * x),
                lambda x: amplitude * k * np.cos(k * x))
-    return _quadratic_flux("forced_burgers", period, 0.0, forcing, 1.0,
-                           {"amplitude": amplitude, "period": period})
+    return FluxModel("forced_burgers", period, (0.0, forcing, 1.0),
+                     {"amplitude": amplitude, "period": period})
 
 
 def _periodic_advection(params: dict) -> FluxModel:
-    a0 = float(params.pop("a0", 1.0))
-    amplitude = float(params.pop("amplitude", params.pop("A", 0.5)))
+    a0 = _take_number(params, "a0", None, 1.0)
+    amplitude = _take_number(params, "amplitude", "A", 0.5)
     period = _take_period(params)
     if not abs(amplitude) < 1.0:
-        raise ValueError(
-            f"periodic_advection requires |amplitude| < 1, got {amplitude}"
-        )
+        raise ValueError(f"periodic_advection requires |amplitude| < 1, got {amplitude}")
     k = 2.0 * np.pi / period
     speed = (lambda x: a0 * (1.0 + amplitude * np.cos(k * x)),
              lambda x: -a0 * amplitude * k * np.sin(k * x))
-    return _quadratic_flux("periodic_advection", period, 0.0, speed, 0.0,
-                           {"a0": a0, "amplitude": amplitude, "period": period})
+    return FluxModel("periodic_advection", period, (0.0, speed, 0.0),
+                     {"a0": a0, "amplitude": amplitude, "period": period})
 
 
-def _table_coefficient(data, period: float) -> Coefficient:
+def _table_coefficient(params: dict, name: str, period: float) -> Coefficient:
     """A scalar stays constant; a table becomes a periodic cubic spline."""
-    if np.ndim(data) == 0:
-        return float(data)
-    samples = np.asarray(data, dtype=float)
+    if np.ndim(params.get(name, 0.0)) == 0:
+        return _take_number(params, name, None, 0.0)
+    try:
+        samples = np.asarray(params.pop(name), dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"flux parameter {name!r} must be a table of numbers") from None
     if samples.ndim != 1 or samples.size < 4:
         raise ValueError("tabulated coefficients need a 1-D table with >= 4 samples")
     return _periodic_spline(0.0, period, samples)
@@ -153,11 +201,9 @@ def _table_coefficient(data, period: float) -> Coefficient:
 
 def _custom_table(params: dict) -> FluxModel:
     period = _take_period(params)
-    if not period > 0:
-        raise ValueError(f"custom_table needs period > 0, got {period}")
-    c0, c1, c2 = (_table_coefficient(params.pop(name, 0.0), period)
-                  for name in ("const", "linear", "quadratic"))
-    return _quadratic_flux("custom_table", period, c0, c1, c2, {"period": period})
+    coefficients = tuple(_table_coefficient(params, name, period)
+                         for name in ("const", "linear", "quadratic"))
+    return FluxModel("custom_table", period, coefficients, {"period": period})
 
 
 _BUILDERS = {
@@ -175,10 +221,8 @@ def builtin_flux(label: str, params: Optional[Mapping] = None) -> FluxModel:
     conventional aliases (A, T).  Unknown labels and out-of-range parameters
     raise ValueError.
     """
-    if label not in _BUILDERS:
-        raise ValueError(
-            f"unknown flux label {label!r}; available: {sorted(_BUILDERS)}"
-        )
+    if not isinstance(label, str) or label not in _BUILDERS:
+        raise ValueError(f"unknown flux label {label!r}; available: {sorted(_BUILDERS)}")
     work = dict(params or {})
     flux = _BUILDERS[label](work)
     if work:

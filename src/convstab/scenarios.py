@@ -29,12 +29,11 @@ from .diagnostics import DiagnosticsSeries, lap_number, sign_changes, weighted_e
 from .entropy import FamilyInterpolant, eta_field, nash_ratio
 from .evolution import State, StepKernel, StepPolicy, cfl_timestep, evolve, step
 from .floattext import WIDTH, csv_frame, csv_lines, repr_rows
-from .fluxes import FluxModel, builtin_flux
+from .fluxes import FluxModel, builtin_flux, normalize_about_wp
 from .grids import CellGrid, LineGrid, Profile, norm, primitive
 from .stationary import (
     StationaryFamily,
     build_family,
-    normalize_about_wp,
     save_family,
     solve_stationary,
     solve_theta,
@@ -110,8 +109,14 @@ def _as_float(value, name: str) -> float:
     return float(value)
 
 
+def _object(section, name: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' section must be an object, got {section!r}")
+    return section
+
+
 def _take(section: dict, name: str, keys: Sequence[str], required: Sequence[str]):
-    unknown = set(section) - set(keys)
+    unknown = set(_object(section, name)) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in '{name}' section: {sorted(unknown)}")
     missing = [k for k in required if k not in section]
@@ -189,6 +194,10 @@ class ScenarioConfig:
     fit_window: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
+        try:
+            builtin_flux(self.flux_label, self.flux_params)
+        except ValueError as exc:
+            raise ConfigError(f"flux: {exc}") from None
         if self.boundary_mode not in ("pinned_to_wp", "periodic"):
             raise ConfigError(f"unknown boundary_mode {self.boundary_mode!r}")
         if self.n_cells_per_period < 8:
@@ -230,14 +239,12 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("scenario document must be a JSON object")
         _take(raw, "scenario", ("flux", "grid", "family", "initial", "run", "checks", "fit", "output"),
               ("flux", "grid", "initial", "run", "output"))
 
         flux = raw["flux"]
         _take(flux, "flux", ("label", "params"), ("label",))
-        params = dict(flux.get("params", {}))
+        params = _object(flux.get("params", {}), "flux.params")
 
         grid = raw["grid"]
         _take(grid, "grid", ("n_cells_per_period", "n_periods", "boundary_mode"),
@@ -281,7 +288,7 @@ class ScenarioConfig:
 
         return cls(
             flux_label=flux["label"],
-            flux_params=params,
+            flux_params=dict(params),
             n_cells_per_period=_as_int(grid["n_cells_per_period"], "grid.n_cells_per_period"),
             n_periods=_as_int(grid["n_periods"], "grid.n_periods"),
             boundary_mode=grid["boundary_mode"],

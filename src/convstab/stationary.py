@@ -40,16 +40,14 @@ from typing import Optional
 import numpy as np
 
 from .floattext import json_lists
-from .fluxes import FluxModel, _quadratic_flux, _value_and_slope
-from .grids import (CellGrid, Profile, _cyclic_tridiagonal, _next, _periodic_spline, _prev,
-                    _readonly)
+from .fluxes import FluxModel, FluxSamples
+from .grids import CellGrid, Profile, _cyclic_tridiagonal, _next, _prev, _readonly
 
 __all__ = [
     "StationaryFamily",
     "StationarySolveError",
     "build_family",
     "cell_residual",
-    "normalize_about_wp",
     "residual_floor",
     "save_family",
     "solve_dp_w",
@@ -70,12 +68,12 @@ NEWTON_DAMPING = 0.5          # backtracking factor on rejected steps
 CONTINUATION_STEP = 0.1       # largest jump in p taken without substeps
 
 
-def _lap_apply(w: np.ndarray, h: float) -> np.ndarray:
-    return (_next(w) - 2.0 * w + _prev(w)) / h**2
-
-
-def _cdiff_apply(g: np.ndarray, h: float) -> np.ndarray:
-    return (_next(g) - _prev(g)) / (2.0 * h)
+def _residual(at_centers: FluxSamples, w: np.ndarray, deviation: np.ndarray,
+              h: float) -> np.ndarray:
+    """-D2 w + D1 f(w, .), with D2 applied to w's deviation from a constant."""
+    g = at_centers.value(w)
+    lap = (_next(deviation) - 2.0 * deviation + _prev(deviation)) / h**2
+    return -lap + (_next(g) - _prev(g)) / (2.0 * h)
 
 
 def cell_residual(flux: FluxModel, values: np.ndarray, grid: CellGrid) -> np.ndarray:
@@ -86,9 +84,7 @@ def cell_residual(flux: FluxModel, values: np.ndarray, grid: CellGrid) -> np.nda
     cancellation noise proportional to the profile's variation instead of its
     absolute size, which matters when the solver tolerance is tight.
     """
-    x = grid.centers()
-    centered = values - values.mean()
-    return -_lap_apply(centered, grid.h) + _cdiff_apply(flux.eval(values, x), grid.h)
+    return _residual(flux.sample(grid.centers()), values, values - values.mean(), grid.h)
 
 
 def residual_floor(values: np.ndarray, grid: CellGrid) -> float:
@@ -139,21 +135,22 @@ def _bordered_solve(fu: np.ndarray, h: float, rhs: np.ndarray, gap: float) -> tu
     return y - s * z - lam * e, lam
 
 
-def _bordered_newton(residual_fn, speed_fn, w0, h: float):
+def _bordered_newton(at_centers: FluxSamples, p: float, w0, h: float):
     """Damped Newton on the bordered system (residual + lambda, mean constraint).
 
-    w is the mean-free deviation on a grid of spacing h.  speed_fn(w) gives
-    d_u f at the cell centers, which fixes the cyclic tridiagonal Jacobian
-    J = -D2 + D1 diag(d_u f); each step solves the bordered system in O(n)
-    (``_bordered_solve``).  Newton stops once the residual and the mean gap are
-    within NEWTON_TOLERANCE plus the round-off floor 4 eps sup|w| / h^2.  Returns
-    the converged values; raises StationarySolveError with the last residual.
+    w is the mean-free deviation from p on a grid of spacing h, and the flux
+    is sampled at the cell centers.  d_u f(p + w, .) fixes the cyclic
+    tridiagonal Jacobian J = -D2 + D1 diag(d_u f); each step solves the
+    bordered system in O(n) (``_bordered_solve``).  Newton stops once the
+    residual and the mean gap are within NEWTON_TOLERANCE plus the round-off
+    floor 4 eps sup|w| / h^2.  Returns the converged values; raises
+    StationarySolveError with the last residual.
     """
     w = np.array(w0, dtype=float)
     lam = 0.0
 
     def merit(wv, lv):
-        base = residual_fn(wv)
+        base = _residual(at_centers, p + wv, wv, h)
         gap = wv.mean()
         return base, gap, float(np.sqrt(np.sum((base + lv) ** 2) + gap**2))
 
@@ -167,7 +164,7 @@ def _bordered_newton(residual_fn, speed_fn, w0, h: float):
     for _ in range(NEWTON_MAX_ITERATIONS):
         if converged():
             return w
-        delta_w, delta_lam = _bordered_solve(speed_fn(w), h, -(base + lam), -gap)
+        delta_w, delta_lam = _bordered_solve(at_centers.speed(p + w), h, -(base + lam), -gap)
         s = 1.0
         accepted = False
         for _ in range(25):
@@ -218,22 +215,12 @@ def solve_stationary(
             f"grid period {grid.period} != flux period {flux.period}"
         )
     p = float(mean)
-    x = grid.centers()
-    h = grid.h
-
     # Newton runs on the deviation d = w - p.  The Laplacian acts on d alone
     # (constants are in its kernel), so the 1/h^2 roundoff floor scales with
     # the profile's variation, not with |p|; storing w directly would cap the
     # reachable residual near ulp(|p|)/h^2, above tolerance on fine grids.
-    def residual_dev(d):
-        return -_lap_apply(d, h) + _cdiff_apply(flux.eval(p + d, x), h)
-
-    d0 = (
-        np.zeros(grid.n_cells)
-        if initial is None
-        else np.asarray(initial, float) - p
-    )
-    dev = _bordered_newton(residual_dev, lambda d: flux.d_u(p + d, x), d0, h)
+    d0 = np.zeros(grid.n_cells) if initial is None else np.asarray(initial, float) - p
+    dev = _bordered_newton(flux.sample(grid.centers()), p, d0, grid.h)
     return Profile(grid, p + dev)
 
 
@@ -246,7 +233,7 @@ def solve_dp_w(flux: FluxModel, profile: Profile) -> Profile:
     raises).
     """
     grid = profile.grid
-    fu = flux.d_u(profile.values, grid.centers())
+    fu = flux.sample(grid.centers()).speed(profile.values)
     phi, _ = _bordered_solve(fu, grid.h, np.zeros(grid.n_cells), 1.0)
     if phi.min() <= 0.0:
         raise StationarySolveError(
@@ -421,43 +408,6 @@ def save_family(family: StationaryFamily, path) -> None:
         fh.write(b"}\n")
 
 
-def normalize_about_wp(flux: FluxModel, background: Profile) -> FluxModel:
-    """Shift the flux so the given stationary profile becomes the zero state.
-
-    Returns g(v, x) = f(v + w(x), x) - f(w(x), x) with w the periodic cubic
-    spline through the profile samples at the cell centers (``grids``'
-    spline: one cyclic tridiagonal solve, any real x wrapped into the
-    period).  For f = c0 + c1 u + c2 u^2 / 2 that is exactly the coefficient
-    map c0 -> 0, c1 -> c1 + c2 w (slope c1' + c2' w + c2 w'), c2 -> c2, so g
-    comes from the constructor of f, with callables derived from the new
-    coefficients.  g(0, .) vanishes identically, which the weight solver and
-    the normalized evolution runs require.  A flux built from callables
-    alone carries no coefficients and raises ValueError.
-    """
-    if flux.coefficients is None:
-        raise ValueError(
-            f"flux {flux.label!r} carries no (c0, c1, c2) coefficients; "
-            "normalize_about_wp shifts only fluxes built from them"
-        )
-    grid = background.grid
-    w, dw = _periodic_spline(grid.centers()[0], grid.period, background.values)
-    _, c1, c2 = flux.coefficients
-    (v1, s1), (v2, s2) = _value_and_slope(c1), _value_and_slope(c2)
-    shifted_c1 = (lambda x: v1(x) + v2(x) * w(x),
-                  lambda x: s1(x) + s2(x) * w(x) + v2(x) * dw(x))
-    return _quadratic_flux(f"{flux.label}_shifted", flux.period, 0.0, shifted_c1, c2,
-                           flux.params)
-
-
-def _require_normalized(flux: FluxModel, x: np.ndarray) -> None:
-    f0 = np.abs(flux.eval(np.zeros_like(x), x))
-    if f0.max() > 1e-10:
-        raise ValueError(
-            "flux is not normalized: f(0, .) reaches "
-            f"{f0.max():.3e}; normalize_about_wp first"
-        )
-
-
 def solve_theta(flux: FluxModel, grid: CellGrid) -> Profile:
     """Positive periodic weight theta with unit mean for the energy diagnostic.
 
@@ -465,10 +415,13 @@ def solve_theta(flux: FluxModel, grid: CellGrid) -> Profile:
     normalized flux (f(0, .) = 0), by the one-step recurrence on the constant
     discrete flux.
     """
-    x = grid.centers()
-    _require_normalized(flux, x)
+    at_centers = flux.sample(grid.centers())
+    f0 = np.abs(at_centers.value(0.0)).max()
+    if f0 > 1e-10:
+        raise ValueError(f"flux is not normalized: f(0, .) reaches {f0:.3e}; "
+                         "normalize_about_wp first")
     h = grid.h
-    b = flux.d_u(np.zeros_like(x), x)
+    b = at_centers.speed(0.0)
     if np.abs(b).max() * h >= 2.0:
         raise StationarySolveError(
             "weight recurrence needs h * max|b| < 2; refine the grid"

@@ -198,6 +198,30 @@ def test_dispersion_requires_enough_snapshots(tmp_path):
                      "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("command", ["evolve", "lap"])
+@pytest.mark.parametrize("schedule, fit", [
+    # only the dispersion command infers a window from a log schedule
+    ({"kind": "log", "count": 12, "t_lo": 0.2, "t_hi": 2.0}, None),
+    ({"kind": "linear", "count": 5}, {"t_lo": 1.0, "t_hi": 2.0}),
+], ids=["no_window", "five_snapshots"])
+def test_a_run_without_a_fit_window_is_refused_before_it_starts(tmp_path, command, schedule,
+                                                                fit):
+    # the window is checked before prepare_run, so nothing is built or written
+    extra = {} if fit is None else {"fit": fit}
+    config = write_config(
+        tmp_path,
+        run={"t_end": 2.0, "snapshot_schedule": schedule, "cfl_fraction": 0.9,
+             "dt_max": 0.05, "p": 0.0},
+        checks=["mass_conservation", "dispersion_exponent"],
+        **extra,
+    )
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert "dispersion" in read_verdicts(out)["error"]
+    assert not (out / "family.json").exists()
+    assert not (out / "diagnostics.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # lap
 
@@ -325,9 +349,24 @@ def test_missing_and_malformed_configs_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_invalid_document_exits_2(tmp_path):
-    config = write_config(tmp_path, family={"p_min": -1.0, "p_max": 1.0, "M": 8})
-    assert cli.main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+def test_invalid_document_exits_2(tmp_path, capsys):
+    # malformed sections and flux parameters exit 2 with an error that names them
+    documents = [
+        ({"family": {"p_min": -1.0, "p_max": 1.0, "M": 8}}, "M"),
+        ({"grid": 5}, "'grid'"),
+        ({"family": []}, "'family'"),
+        ({"run": {"snapshot_schedule": 3}}, "'snapshot_schedule'"),
+        ({"fit": 3}, "'fit'"),
+        ({"flux": {"params": {"amplitude": [1]}}}, "'amplitude'"),
+    ]
+    for k, (override, named) in enumerate(documents):
+        config = write_config(tmp_path, name=f"doc{k}.json", **override)
+        for command in ("stationary", "evolve"):
+            out = tmp_path / f"{command}{k}"
+            assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+            verdicts = read_verdicts(out)
+            assert verdicts["exit_code"] == 2 and named in verdicts["error"], verdicts
+            assert "Traceback" not in capsys.readouterr().err
 
 
 def test_family_file_key_is_rejected(tmp_path):

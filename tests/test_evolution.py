@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 import convstab as cs
-from convstab import evolution
+from convstab import evolution, scenarios
 from convstab.evolution import _eo_flux
 from convstab.grids import _powers, _toeplitz_solve
 from oracles import PicardDivergenceError, duhamel_picard
@@ -255,7 +255,7 @@ def _counting(flux, counts):
                             for name in ("eval", "d_u", "d_uu", "d_x")})
 
 
-def test_evolve_reads_the_flux_through_its_coefficients_only(monkeypatch):
+def test_evolve_reads_the_flux_through_its_coefficients_only(monkeypatch, tmp_path):
     g = normalized_forced()
     grid = cs.LineGrid(cs.CellGrid(64, 1.0), 4, "periodic")
     u0 = random_zero_mean(grid, 4)
@@ -273,6 +273,35 @@ def test_evolve_reads_the_flux_through_its_coefficients_only(monkeypatch):
                   cs.StepPolicy(dt_max=0.02 / n_steps))
         assert steps[0] == n_steps
         assert counts[0] == 0, f"{counts[0]} flux callable calls in {n_steps} steps"
+
+    # a whole run, with the raw and the normalized flux counted, and the
+    # stationary command's family build and residual check
+    counts = [0]
+    builtin, normalize = scenarios.builtin_flux, scenarios.normalize_about_wp
+    monkeypatch.setattr(scenarios, "builtin_flux",
+                        lambda *args: _counting(builtin(*args), counts))
+    monkeypatch.setattr(scenarios, "normalize_about_wp",
+                        lambda *args: _counting(normalize(*args), counts))
+    config = cs.ScenarioConfig.from_dict({
+        "flux": {"label": "forced_burgers", "params": {"amplitude": 0.5}},
+        "grid": {"n_cells_per_period": 32, "n_periods": 8, "boundary_mode": "periodic"},
+        "family": {"p_min": -1.0, "p_max": 1.0, "M": 16},
+        "initial": {"shape": "dipole", "amplitude": 0.3, "width": 0.4, "center": 1.0},
+        "run": {"t_end": 0.5, "snapshot_schedule": {"kind": "linear", "count": 3}},
+        "checks": [],
+        "output": str(tmp_path),
+    })
+    setup = cs.prepare_run(config)
+    cs.run_scenario(setup, tmp_path)
+    flux, cell = _counting(forced(), counts), cs.CellGrid(32, 1.0)
+    family = cs.build_family(flux, -1.0, 1.0, 16, cell)
+    for row in family.profiles:
+        cs.cell_residual(flux, row, cell)
+    assert counts[0] == 0, f"{counts[0]} flux callable calls in a run and a family build"
+    # the counters were live: the run held the counted fluxes
+    setup.flux_normalized.d_x(0.0, 0.0)
+    setup.family_raw.flux.eval(0.0, 0.0)
+    assert counts[0] == 2
 
 
 def test_step_refuses_a_kernel_built_for_another_grid():
@@ -320,16 +349,6 @@ def test_kernel_samples_equal_the_flux_callables(flux, boundary_mode):
     arrays = [getattr(kernel, f.name) for f in fields(kernel)
               if isinstance(getattr(kernel, f.name), np.ndarray)]
     assert len(arrays) == 8 and not any(a.flags.writeable for a in arrays)
-
-
-def test_a_flux_without_coefficients_cannot_be_stepped():
-    f = forced()
-    bare = cs.FluxModel("callables_only", f.period, f.eval, f.d_u, f.d_uu, f.d_x)
-    grid = periodic_line(16, 2)
-    with pytest.raises(ValueError, match="coefficients"):
-        cs.evolve(initial_state(grid, np.zeros(grid.n_total)), bare, 0.1)
-    with pytest.raises(ValueError, match="coefficients"):
-        cs.semigroup_trials(bare, grid, 0.1, 1, 0)
 
 
 def test_policy_validation():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from convstab import CellGrid, FluxModel, builtin_flux, normalize_about_wp, solve_stationary
+from convstab import CellGrid, builtin_flux, normalize_about_wp, solve_stationary
 from convstab.grids import _periodic_spline
 
 LABELS = ("constant_flux_burgers", "forced_burgers", "periodic_advection", "custom_table")
@@ -104,6 +104,16 @@ def test_unknown_label_and_leftover_params_raise():
         builtin_flux("kpz")
     with pytest.raises(ValueError):
         builtin_flux("constant_flux_burgers", {"amplitude": 0.5})
+    # malformed values raise ValueError too, naming the parameter they fail on
+    for label, params, named in [
+        (["forced_burgers"], {}, "label"),
+        ("forced_burgers", {"period": 0.0}, "period"),
+        ("forced_burgers", {"amplitude": [1]}, "'amplitude'"),
+        ("custom_table", {"const": None}, "'const'"),
+        ("custom_table", {"linear": [1.0, {}, 2.0, 3.0]}, "'linear'"),
+    ]:
+        with pytest.raises(ValueError, match=named):
+            builtin_flux(label, params)
 
 
 def _normalized(label):
@@ -145,11 +155,3 @@ def test_normalize_about_wp_is_a_shift_of_the_original(label):
     assert worst < 5e-9, f"{label}: normalized flux vs FD derivative mismatch {worst:.2e}"
     assert g.period == flux.period
     assert g.label == f"{label}_shifted"
-
-
-def test_normalize_about_wp_needs_the_coefficients():
-    flux = builtin_flux("forced_burgers")
-    bare = FluxModel("bare", flux.period, flux.eval, flux.d_u, flux.d_uu, flux.d_x)
-    w = solve_stationary(flux, 0.7, CellGrid(32, 1.0))
-    with pytest.raises(ValueError, match="coefficients"):
-        normalize_about_wp(bare, w)

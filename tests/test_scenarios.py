@@ -19,7 +19,7 @@ from convstab import (
     run_scenario,
     semigroup_trials,
 )
-from convstab import stationary
+from convstab import fluxes
 from convstab.floattext import repr_rows
 from convstab.scenarios import ScenarioConfig, _snapshot_frame, _write_snapshot
 
@@ -84,6 +84,12 @@ def test_base_document_parses():
         (("run", "snapshot_schedule"), {"kind": "quadratic", "count": 5}),
         (("checks",), ["mass_conservation", "positivity"]),
         (("checks",), "mass_conservation"),
+        # sections that are not objects, and a flux parameter of the wrong type
+        (("grid",), 5),
+        (("family",), []),
+        (("run", "snapshot_schedule"), 3),
+        (("fit",), 3),
+        (("flux", "params"), {"amplitude": [1]}),
     ],
 )
 def test_invalid_documents_raise_config_error(path, value):
@@ -209,13 +215,13 @@ def test_prepare_run_normalizes_the_flux_once(monkeypatch):
     # one periodic spline of w_p per run: the shifted family takes the
     # normalized flux prepare_run built
     calls = []
-    spline = stationary._periodic_spline
+    spline = fluxes._periodic_spline
 
     def counting(*args):
         calls.append(args)
         return spline(*args)
 
-    monkeypatch.setattr(stationary, "_periodic_spline", counting)
+    monkeypatch.setattr(fluxes, "_periodic_spline", counting)
     path = Path(convstab.__file__).parent / "configs" / "canonical_dipole.json"
     setup = prepare_run(ScenarioConfig.from_json(path))
     assert len(calls) == 1

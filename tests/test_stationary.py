@@ -90,8 +90,8 @@ def test_family_builds_at_2048_cells():
 
 
 def _nan_speed(flux):
-    return FluxModel("nan_speed", flux.period, flux.eval,
-                     lambda u, x: np.full(np.shape(u), np.nan), flux.d_uu, flux.d_x)
+    c0, c1, _ = flux.coefficients
+    return FluxModel("nan_speed", flux.period, (c0, c1, float("nan")))
 
 
 def test_non_finite_jacobian_raises():
@@ -352,19 +352,8 @@ def test_newton_failure_raises(family_128, monkeypatch):
 def cosine_advection(beta=0.05):
     """f(u, x) = beta cos(2 pi x) u, for which theta has a closed form."""
     k = 2.0 * np.pi
-
-    def b(x):
-        return beta * np.cos(k * np.asarray(x, float))
-
-    return FluxModel(
-        "custom_table",
-        1.0,
-        lambda u, x: b(x) * np.asarray(u, float),
-        lambda u, x: b(x) + np.zeros_like(np.asarray(u, float)),
-        lambda u, x: np.zeros_like(np.asarray(u, float)),
-        lambda u, x: -beta * k * np.sin(k * np.asarray(x, float)) * np.asarray(u, float),
-        params={"beta": beta},
-    )
+    b = (lambda x: beta * np.cos(k * x), lambda x: -beta * k * np.sin(k * x))
+    return FluxModel("custom_table", 1.0, (0.0, b, 0.0), params={"beta": beta})
 
 
 def test_theta_matches_exponential_closed_form():
@@ -454,13 +443,9 @@ def test_theta_is_the_dp_profile_of_the_reversed_flux():
     grid = CellGrid(128, 1.0)
     g = normalize_about_wp(forced(), solve_stationary(forced(), 0.7, grid))
     theta = solve_theta(g, grid)
-    rev = FluxModel(
-        "reversed", g.period,
-        lambda u, x: -g.eval(u, x),
-        lambda u, x: -g.d_u(u, x),
-        lambda u, x: -g.d_uu(u, x),
-        lambda u, x: -g.d_x(u, x),
-    )
+    # the exact negation of g's c1 = (value, slope) and c2 = 1
+    c0, (c1, dc1), c2 = g.coefficients
+    rev = FluxModel("reversed", g.period, (c0, (lambda x: -c1(x), lambda x: -dc1(x)), -c2))
     w0 = solve_stationary(rev, 0.0, grid)
     assert np.abs(w0.values).max() == 0.0
     dp = solve_dp_w(rev, w0)
