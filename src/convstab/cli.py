@@ -26,9 +26,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .entropy import FamilyRangeError, dispersion_fit
-from .evolution import CFLError, StepPolicy
-from .fluxes import builtin_flux
-from .grids import CellGrid, LineGrid
+from .evolution import CFLError
 from .scenarios import (
     ConfigError,
     EdgeBufferError,
@@ -206,8 +204,7 @@ def cmd_stationary(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
     read; its perturbation, run and checks are not.
     """
     notes = _ignored(config, "stationary")
-    flux = builtin_flux(config.flux_label, dict(config.flux_params))
-    grid = CellGrid(config.n_cells_per_period, flux.period)
+    flux, grid = config.flux, config.line_grid.cell
     family = build_family(flux, config.p_min, config.p_max, config.m_intervals, grid)
     tol = NEWTON_TOLERANCE
 
@@ -252,7 +249,7 @@ def _require_fit_window(config: ScenarioConfig) -> None:
     if config.fit_window is None:
         raise ConfigError("the dispersion_exponent check needs a fit window "
                           "(the dispersion command infers one from a log snapshot schedule)")
-    (lo, hi), times = config.fit_window, config.schedule.times(config.t_end)
+    (lo, hi), times = config.fit_window, config.schedule_times
     in_window = int(np.sum((times >= lo - 1e-12) & (times <= hi + 1e-12)))
     if in_window < 8:
         raise ConfigError(f"dispersion fit window {config.fit_window} holds only "
@@ -312,11 +309,8 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path, trials: int, seed: int) ->
             f"boundary_mode {config.boundary_mode!r} is not supported"
         )
     notes = _ignored(config, "verify")
-    flux = builtin_flux(config.flux_label, dict(config.flux_params))
-    cell = CellGrid(config.n_cells_per_period, flux.period)
-    grid = LineGrid(cell, config.n_periods, "periodic")
-    policy = StepPolicy(config.cfl_fraction, config.dt_max)
-    records = semigroup_trials(flux, grid, config.t_end, trials, seed, policy=policy)
+    records = semigroup_trials(config.flux, config.line_grid, config.t_end, trials, seed,
+                               policy=config.policy)
 
     failing = [
         r for r in records

@@ -164,11 +164,11 @@ def _format_value(name: str, value: float) -> str:
 
 @dataclass
 class DiagnosticsSeries:
-    """Fixed-schema time series written to / read from CSV byte-for-byte.
+    """Fixed-schema time series of the diagnostics columns, written to CSV.
 
     Columns a run does not populate are stored as NaN; values serialize via
-    repr() (shortest round-trip form), so write/read/write reproduces the
-    file exactly.
+    repr() (shortest round-trip form), so every cell parses back to the
+    same double.
     """
 
     rows: List[Dict[str, float]] = field(default_factory=list)
@@ -190,17 +190,10 @@ class DiagnosticsSeries:
             row[key] = float(val)
         self.rows.append(row)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.column("t")
-
     def column(self, name: str) -> np.ndarray:
         if name not in _COLUMNS:
             raise KeyError(f"unknown diagnostic column: {name}")
         return np.array([row[name] for row in self.rows], dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
     def to_csv(self, path) -> None:
         lines = [",".join(_COLUMNS)]
@@ -208,19 +201,3 @@ class DiagnosticsSeries:
             lines.append(",".join(_format_value(name, row[name]) for name in _COLUMNS))
         with open(path, "w", newline="") as handle:
             handle.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "DiagnosticsSeries":
-        with open(path, "r", newline="") as handle:
-            lines = [line for line in handle.read().split("\n") if line]
-        if not lines or tuple(lines[0].split(",")) != _COLUMNS:
-            raise ValueError(f"{path} does not look like a diagnostics series")
-        series = cls()
-        for line in lines[1:]:
-            parts = line.split(",")
-            if len(parts) != len(_COLUMNS):
-                raise ValueError(f"malformed diagnostics row: {line!r}")
-            series.rows.append(
-                {name: float(part) for name, part in zip(_COLUMNS, parts)}
-            )
-        return series

@@ -266,8 +266,8 @@ class FamilyInterpolant:
         if np.any(below) or np.any(above):
             bad = int(np.argmax(below | above))
             raise FamilyRangeError(
-                f"value {u[bad]!r} at cell {int(cells[bad])} is outside the "
-                f"family range [{lo_vals[bad]!r}, {hi_vals[bad]!r}]; "
+                f"value {float(u[bad])!r} at cell {int(cells[bad])} is outside the "
+                f"family range [{float(lo_vals[bad])!r}, {float(hi_vals[bad])!r}]; "
                 "build the family over a wider p interval"
             )
         u = np.clip(u, lo_vals, hi_vals)
@@ -322,7 +322,7 @@ class EntropyField:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.eta.size and float(self.eta.min()) < 0:
-            raise ValueError(f"eta must be nonnegative, got min {self.eta.min()!r}")
+            raise ValueError(f"eta must be nonnegative, got min {float(self.eta.min())!r}")
 
 
 def _cell_phase(state: State, family: StationaryFamily) -> np.ndarray:
@@ -352,7 +352,7 @@ def eta_field(interpolant: FamilyInterpolant, state: State) -> EntropyField:
     if np.any(eta < floor):
         worst = int(np.argmin(eta - floor))
         raise ValueError(
-            f"eta = {eta[worst]!r} at cell {worst} is negative beyond roundoff"
+            f"eta = {float(eta[worst])!r} at cell {worst} is negative beyond roundoff"
         )
     eta = np.maximum(eta, 0.0)
 

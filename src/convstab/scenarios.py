@@ -2,7 +2,8 @@
 
 A scenario is one JSON document: flux, grids, stationary-family window,
 initial perturbation, run horizon/snapshots, enabled checks, output paths.
-``prepare_run`` turns a validated config into everything a run needs: the
+Loading it as a ``ScenarioConfig`` builds the flux, the grids, the step
+policy and the snapshot times once.  ``prepare_run`` adds the rest: the
 stationary profile w_p, the flux normalized about it (so the evolved unknown
 is the perturbation v = u - w_p and the zero state is an exact fixed point of
 the stepper), the shifted family for the entropy diagnostics, and the theta
@@ -19,7 +20,7 @@ construction rather than from quadrature accident.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -124,6 +125,14 @@ def _take(section: dict, name: str, keys: Sequence[str], required: Sequence[str]
         raise ConfigError(f"missing keys in '{name}' section: {missing}")
 
 
+def _build(section: str, make, *args):
+    """``make(*args)``, its ValueError turned into a ConfigError naming ``section``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
     shape: str
@@ -162,9 +171,11 @@ class SnapshotSchedule:
     def times(self, t_end: float) -> np.ndarray:
         hi = t_end if self.t_hi is None else self.t_hi
         if hi > t_end + 1e-12:
-            raise ConfigError(f"snapshot schedule reaches {hi} beyond t_end={t_end}")
+            raise ConfigError(f"snapshot_schedule.t_hi={hi} reaches beyond run.t_end={t_end}")
+        lo = 0.0 if self.t_lo is None else self.t_lo
+        if not 0.0 <= lo < hi:
+            raise ConfigError(f"snapshot_schedule.t_lo={lo} must lie in [0, {hi})")
         if self.kind == "linear":
-            lo = 0.0 if self.t_lo is None else self.t_lo
             if self.count == 1:
                 return np.array([hi])
             return np.linspace(lo, hi, self.count)
@@ -175,6 +186,18 @@ class SnapshotSchedule:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A validated scenario document and the run objects built from it.
+
+    The init fields mirror the document (``from_dict``/``to_dict``).
+    ``__post_init__`` builds, once, what every command reads: ``flux``, the
+    built-in flux model; ``line_grid``, whose ``.cell`` is the grid of one
+    period; ``policy``, the step policy; and ``schedule_times``, the read-only
+    times of the snapshot schedule, whose first time lies in [0, last time)
+    and whose last is at most ``t_end``.  A constructor's ValueError becomes a
+    ConfigError that names its section.  The four are left out of comparison
+    and repr, so two configs are equal when their documents are.
+    """
+
     flux_label: str
     flux_params: Dict[str, float]
     n_cells_per_period: int
@@ -193,29 +216,32 @@ class ScenarioConfig:
     output: str
     fit_window: Optional[Tuple[float, float]] = None
 
+    flux: FluxModel = field(init=False, compare=False, repr=False)
+    line_grid: LineGrid = field(init=False, compare=False, repr=False)
+    policy: StepPolicy = field(init=False, compare=False, repr=False)
+    schedule_times: np.ndarray = field(init=False, compare=False, repr=False)
+
     def __post_init__(self):
-        try:
-            builtin_flux(self.flux_label, self.flux_params)
-        except ValueError as exc:
-            raise ConfigError(f"flux: {exc}") from None
-        if self.boundary_mode not in ("pinned_to_wp", "periodic"):
-            raise ConfigError(f"unknown boundary_mode {self.boundary_mode!r}")
-        if self.n_cells_per_period < 8:
-            raise ConfigError("n_cells_per_period must be >= 8")
-        if self.n_periods < 1:
-            raise ConfigError("n_periods must be >= 1")
+        if self.t_end <= 0:
+            raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        flux = _build("flux", builtin_flux, self.flux_label, self.flux_params)
+        cell = _build("grid", CellGrid, self.n_cells_per_period, flux.period)
+        times = self.schedule.times(self.t_end)
+        times.setflags(write=False)
+        built = {
+            "flux": flux,
+            "line_grid": _build("grid", LineGrid, cell, self.n_periods, self.boundary_mode),
+            "policy": _build("run", StepPolicy, self.cfl_fraction, self.dt_max),
+            "schedule_times": times,
+        }
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
         if self.m_intervals < 16:
             raise ConfigError(f"family M must be >= 16, got {self.m_intervals}")
         if not self.p_min < self.p_max:
             raise ConfigError("family needs p_min < p_max")
         if not self.p_min <= self.p <= self.p_max:
             raise ConfigError(f"background mean p={self.p} outside family window")
-        if self.t_end <= 0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if not 0 < self.cfl_fraction <= 1:
-            raise ConfigError(f"cfl_fraction must lie in (0, 1], got {self.cfl_fraction}")
-        if self.dt_max <= 0:
-            raise ConfigError(f"dt_max must be positive, got {self.dt_max}")
         unknown = set(self.checks) - set(KNOWN_CHECKS)
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
@@ -230,7 +256,7 @@ class ScenarioConfig:
             lo, hi = self.fit_window
             if not 0 < lo < hi:
                 raise ConfigError(f"fit window must satisfy 0 < t_lo < t_hi, got {self.fit_window}")
-            sched = self.schedule.times(self.t_end)
+            sched = self.schedule_times
             if lo < sched.min() - 1e-12 or hi > sched.max() + 1e-12:
                 raise ConfigError(
                     f"fit window {self.fit_window} lies outside the snapshot "
@@ -376,7 +402,7 @@ def _settle_zero_sum(values: np.ndarray) -> np.ndarray:
         if abs(total) <= floor:
             return values
         values[int(ranked[k % min(8, values.size)])] -= total
-    raise RuntimeError(f"zero-mean projection failed to settle (sum {values.sum()!r})")
+    raise RuntimeError(f"zero-mean projection failed to settle (sum {float(values.sum())!r})")
 
 
 def _balance_signed(values: np.ndarray) -> np.ndarray:
@@ -428,32 +454,23 @@ def perturbation_values(spec: PerturbationSpec, grid: LineGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunSetup:
-    """Everything a scenario run needs, built once from a config."""
+    """What a scenario run needs beyond its config's flux, grids and policy."""
 
     config: ScenarioConfig
     flux_normalized: FluxModel      # g(v, x) = f(v + w_p, x) - f(w_p, x)
-    line_grid: LineGrid
     family_raw: StationaryFamily
     family: StationaryFamily        # shifted family (zero profile at p = 0)
     w_p: Profile
     theta: Profile
     initial: np.ndarray             # perturbation v(0, .)
-    policy: StepPolicy
 
     def initial_state(self) -> State:
-        return State(grid=self.line_grid, u=self.initial, time=0.0)
-
-    def snapshot_times(self) -> np.ndarray:
-        sched = self.config.schedule.times(self.config.t_end)
-        times = np.unique(np.concatenate([[0.0], sched, [self.config.t_end]]))
-        return times
+        return State(grid=self.config.line_grid, u=self.initial, time=0.0)
 
 
 def prepare_run(config: ScenarioConfig) -> RunSetup:
     """Build the family and assemble the normalized run pieces."""
-    flux = builtin_flux(config.flux_label, dict(config.flux_params))
-    cell_grid = CellGrid(config.n_cells_per_period, flux.period)
-    line_grid = LineGrid(cell_grid, config.n_periods, config.boundary_mode)
+    flux, cell_grid = config.flux, config.line_grid.cell
     family = build_family(flux, config.p_min, config.p_max, config.m_intervals, cell_grid)
 
     # background profile: reuse the family member when p sits on its grid
@@ -466,18 +483,15 @@ def prepare_run(config: ScenarioConfig) -> RunSetup:
     flux_normalized = normalize_about_wp(flux, w_p)
     shifted = family.shifted_by(flux_normalized, w_p, config.p)
     theta = solve_theta(flux_normalized, cell_grid)
-    initial = perturbation_values(config.initial, line_grid)
-    policy = StepPolicy(cfl_fraction=config.cfl_fraction, dt_max=config.dt_max)
+    initial = perturbation_values(config.initial, config.line_grid)
     return RunSetup(
         config=config,
         flux_normalized=flux_normalized,
-        line_grid=line_grid,
         family_raw=family,
         family=shifted,
         w_p=w_p,
         theta=theta,
         initial=initial,
-        policy=policy,
     )
 
 
@@ -488,12 +502,12 @@ def make_observer(setup: RunSetup) -> Callable[[State], dict]:
     1e-6 of the current perturbation mass sits within 10% of either boundary,
     the run aborts with EdgeBufferError (the box no longer emulates the line).
     """
-    h = setup.line_grid.h
-    theta_tiled = setup.line_grid.tile(setup.theta)
+    line_grid = setup.config.line_grid
+    h = line_grid.h
+    theta_tiled = line_grid.tile(setup.theta)
     interpolant = FamilyInterpolant(setup.family)
-    n_total = setup.line_grid.n_total
-    n_buffer = max(1, int(round(0.1 * n_total)))
-    pinned = setup.line_grid.boundary_mode == "pinned_to_wp"
+    n_buffer = max(1, int(round(0.1 * line_grid.n_total)))
+    pinned = line_grid.boundary_mode == "pinned_to_wp"
     mass0: List[float] = []
 
     def observe(state: State) -> dict:
@@ -557,7 +571,8 @@ def _write_snapshot(path, frame: np.ndarray, u: np.ndarray) -> None:
 
 def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
     """Run the scenario and, given out_dir, write its artifacts there."""
-    snapshots = setup.snapshot_times()
+    config = setup.config
+    snapshots = np.unique(np.concatenate([[0.0], config.schedule_times, [config.t_end]]))
     observer = make_observer(setup)
     snapshots_dir = None
     family_path = None
@@ -573,8 +588,8 @@ def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
     final_state, series = evolve(
         setup.initial_state(),
         setup.flux_normalized,
-        setup.config.t_end,
-        policy=setup.policy,
+        config.t_end,
+        policy=config.policy,
         snapshot_times=snapshots,
         observers=[collecting_observer],
     )
@@ -589,8 +604,8 @@ def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
         snap_dir = out_dir / "snapshots"
         snap_dir.mkdir(exist_ok=True)
         snapshots_dir = str(snap_dir)
-        bg = setup.line_grid.tile(setup.w_p)
-        frame = _snapshot_frame(repr_rows(setup.line_grid.centers()), repr_rows(bg))
+        bg = config.line_grid.tile(setup.w_p)
+        frame = _snapshot_frame(repr_rows(config.line_grid.centers()), repr_rows(bg))
         for state in snapshot_states:
             name = f"snapshot_t{state.time!r}.csv"
             _write_snapshot(snap_dir / name, frame, state.u + bg)

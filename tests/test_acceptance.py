@@ -29,7 +29,7 @@ def report(name, ok, detail):
 
 def load_snapshots(result):
     """Rebuild the normalized states from the snapshot CSV artifacts."""
-    grid = result.setup.line_grid
+    grid = result.setup.config.line_grid
     states = []
     for path in sorted(Path(result.snapshots_dir).glob("snapshot_t*.csv"),
                        key=lambda p: float(p.name[10:-4])):

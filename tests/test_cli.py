@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import convstab
-from convstab import StepPolicy, cli
+from convstab import StepPolicy, cli, scenarios
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -367,6 +367,44 @@ def test_invalid_document_exits_2(tmp_path, capsys):
             verdicts = read_verdicts(out)
             assert verdicts["exit_code"] == 2 and named in verdicts["error"], verdicts
             assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schedule", [
+    {"kind": "linear", "count": 5, "t_lo": -1.0},
+    {"kind": "linear", "count": 5, "t_lo": 9.0},
+    {"kind": "linear", "count": 5, "t_hi": 50.0},
+    {"kind": "linear", "count": 5, "t_lo": 1.5, "t_hi": 1.0},
+], ids=["t_lo_negative", "t_lo_past_t_end", "t_hi_past_t_end", "t_lo_above_t_hi"])
+def test_a_bad_snapshot_schedule_is_refused_before_anything_runs(tmp_path, schedule):
+    # the schedule's times are computed when the config loads, so no command
+    # builds a family for a schedule the run cannot honour
+    config = write_config(tmp_path, run={"t_end": 2.0, "snapshot_schedule": schedule,
+                                         "cfl_fraction": 0.9, "dt_max": 0.05, "p": 0.0})
+    for command in ("stationary", "evolve"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+        verdicts = read_verdicts(out)
+        assert verdicts["exit_code"] == 2 and "snapshot_schedule" in verdicts["error"]
+        assert not (out / "family.json").exists()
+
+
+def test_each_command_builds_the_flux_once(tmp_path, monkeypatch):
+    calls = []
+    real = scenarios.builtin_flux
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scenarios, "builtin_flux", counting)
+    config = write_config(tmp_path, run={"t_end": 0.2, "snapshot_schedule":
+                                         {"kind": "linear", "count": 2},
+                                         "cfl_fraction": 0.9, "dt_max": 0.05, "p": 0.0})
+    for command, extra in (("evolve", []), ("stationary", []), ("verify", ["--trials", "1"])):
+        calls.clear()
+        assert cli.main([command, "--config", str(config),
+                         "--out", str(tmp_path / command)] + extra) == 0
+        assert len(calls) == 1, command
 
 
 def test_family_file_key_is_rejected(tmp_path):

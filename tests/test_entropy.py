@@ -271,6 +271,19 @@ def test_inversion_rejects_values_outside_the_family(forced_family):
         interp.invert(np.array([-5.0]), np.array([0]))
 
 
+def test_an_out_of_range_message_prints_plain_floats(forced_family):
+    # numpy scalars would print as np.float64(...) in stderr and verdicts.json
+    u = np.array([0.0, 5.25, 0.0])
+    cells = np.array([0, 7, 1])
+    interp = FamilyInterpolant(forced_family)
+    with pytest.raises(FamilyRangeError) as exc:
+        interp.invert(u, cells)
+    message = str(exc.value)
+    assert repr(float(u[1])) in message and "at cell 7" in message
+    assert repr(float(forced_family.profiles[-1, 7])) in message
+    assert "np.float64" not in message
+
+
 # ---------------------------------------------------------------------------
 # the eta field
 

@@ -426,7 +426,7 @@ def test_snapshots_land_exactly_and_resume_is_bitwise():
     times = (0.4, 1.0, 1.7)
     full, series = cs.evolve(initial_state(grid, u0), forced(), 2.0, policy,
                              snapshot_times=times)
-    assert np.array_equal(series.times, np.array(times))
+    assert np.array_equal(series.column("t"), np.array(times))
 
     # resuming from a snapshot with the same remaining snapshot list replays
     # the identical step sequence

@@ -13,6 +13,7 @@ from convstab import (
     EdgeBufferError,
     LineGrid,
     PerturbationSpec,
+    StepPolicy,
     builtin_flux,
     perturbation_values,
     prepare_run,
@@ -90,11 +91,48 @@ def test_base_document_parses():
         (("run", "snapshot_schedule"), 3),
         (("fit",), 3),
         (("flux", "params"), {"amplitude": [1]}),
+        # snapshot schedules whose first time is not in [0, last time) or that
+        # reach past t_end = 2
+        (("run", "snapshot_schedule"), {"kind": "linear", "count": 5, "t_lo": -1.0}),
+        (("run", "snapshot_schedule"), {"kind": "linear", "count": 5, "t_lo": 3.0}),
+        (("run", "snapshot_schedule"), {"kind": "linear", "count": 5, "t_hi": 50.0}),
+        (("run", "snapshot_schedule"),
+         {"kind": "linear", "count": 5, "t_lo": 1.5, "t_hi": 1.0}),
+        (("run", "snapshot_schedule"), {"kind": "log", "count": 5, "t_lo": 3.0}),
     ],
 )
 def test_invalid_documents_raise_config_error(path, value):
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(mutate(path, value))
+
+
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (("flux", "label"), "kpz", "flux: "),
+        (("grid", "n_cells_per_period"), 4, "grid: "),
+        (("grid", "n_periods"), 0, "grid: "),
+        (("grid", "boundary_mode"), "outflow", "grid: "),
+        (("run", "cfl_fraction"), 1.5, "run: "),
+        (("run", "dt_max"), 0.0, "run: "),
+        (("run", "snapshot_schedule"), {"kind": "linear", "count": 5, "t_lo": -1.0},
+         "snapshot_schedule.t_lo"),
+        (("run", "snapshot_schedule"), {"kind": "linear", "count": 5, "t_hi": 50.0},
+         "snapshot_schedule.t_hi"),
+    ],
+)
+def test_config_errors_name_their_section(path, value, named):
+    with pytest.raises(ConfigError, match=named):
+        ScenarioConfig.from_dict(mutate(path, value))
+
+
+def test_the_config_holds_the_run_objects_it_validated():
+    config = ScenarioConfig.from_dict(base_document())
+    assert config.flux.label == "forced_burgers" and config.flux.period == 1.0
+    assert config.line_grid == LineGrid(CellGrid(32, 1.0), 8, "periodic")
+    assert config.policy == StepPolicy(cfl_fraction=0.9, dt_max=0.05)
+    assert np.array_equal(config.schedule_times, np.linspace(0.0, 2.0, 5))
+    assert not config.schedule_times.flags.writeable
 
 
 def test_unknown_sections_and_keys_raise():
@@ -235,7 +273,7 @@ def test_prepare_run_weight_is_positive_unit_mean(prepared):
 
 
 def test_prepare_run_normalized_flux_kills_the_background(prepared):
-    x = prepared.line_grid.cell.centers()
+    x = prepared.config.line_grid.cell.centers()
     assert np.all(prepared.flux_normalized.eval(np.zeros_like(x), x) == 0.0)
 
 
@@ -247,8 +285,8 @@ def test_run_scenario_writes_reproducible_artifacts(tmp_path, prepared):
     assert csv_a == csv_b, "identical runs must serialize identically"
     assert (tmp_path / "a" / "family.json").exists()
     snaps = sorted((tmp_path / "a" / "snapshots").glob("snapshot_t*.csv"))
-    assert len(snaps) == len(first.series)
-    assert np.array_equal(first.series.times, second.series.times)
+    assert len(snaps) == len(first.series.rows)
+    assert np.array_equal(first.series.column("t"), second.series.column("t"))
 
 
 def test_snapshot_files_round_trip_the_final_state(tmp_path, prepared):
@@ -257,7 +295,7 @@ def test_snapshot_files_round_trip_the_final_state(tmp_path, prepared):
     path = Path(result.snapshots_dir) / f"snapshot_t{t_end!r}.csv"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert float(path.name[10:-4]) == t_end
-    assert np.array_equal(data[:, 0], prepared.line_grid.centers())
+    assert np.array_equal(data[:, 0], prepared.config.line_grid.centers())
     background = np.tile(prepared.w_p.values, prepared.config.n_periods)
     assert np.array_equal(data[:, 2], background)
     assert np.array_equal(data[:, 1], result.final_state.u + background)
