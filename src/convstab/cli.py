@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -284,9 +284,6 @@ def cmd_evolve(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
 
 
 def cmd_dispersion(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
-    if config.fit_window is None and config.schedule.kind == "log":
-        window = (float(config.schedule.t_lo), float(config.schedule.t_hi or config.t_end))
-        config = replace(config, fit_window=window)
     return _run_and_judge(config, out_dir, "dispersion", ("dispersion_exponent",))
 
 
@@ -370,13 +367,28 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _with_overrides(raw, command: str, seed: Optional[int]):
+    """The document with ``--seed`` and the fit window ``dispersion`` infers
+    from a log snapshot schedule written in, so the config is built once and
+    its echo records both."""
+    try:
+        if seed is not None:
+            raw["initial"]["seed"] = seed
+        schedule = raw["run"]["snapshot_schedule"]
+        if command == "dispersion" and raw.get("fit") is None and schedule["kind"] == "log":
+            raw["fit"] = {"t_lo": schedule.get("t_lo"),
+                          "t_hi": schedule.get("t_hi") or raw["run"]["t_end"]}
+    except (AttributeError, KeyError, TypeError):
+        pass  # a malformed section is left for ScenarioConfig.from_dict to name
+    return raw
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     out_dir: Optional[Path] = Path(args.out) if args.out is not None else None
     try:
-        config = ScenarioConfig.from_json(args.config)
-        if args.seed is not None:
-            config = replace(config, initial=replace(config.initial, seed=args.seed))
+        config = ScenarioConfig.from_json(
+            args.config, lambda raw: _with_overrides(raw, args.command, args.seed))
         if out_dir is None:
             out_dir = Path(config.output)
 

@@ -200,14 +200,6 @@ class FamilyInterpolant:
         h = self._p[k + 1] - self._p[k]
         return h, (y1 - y0) / h, slopes[at], slopes[at + n], y0, y1
 
-    def profile_at(self, p, cells) -> np.ndarray:
-        """w_p(x_i) for per-cell p values (cells index the family's grid)."""
-        p = np.asarray(p, dtype=float)
-        cells = np.asarray(cells, dtype=int)
-        self._check_cells(cells, p.size)
-        j, s = self._locate(p)
-        return _horner(_hermite(*self._hermite_data(j, cells)), s)
-
     def dp_at(self, p, cells) -> np.ndarray:
         """Mean-derivative table interpolated at per-cell p values."""
         p = np.asarray(p, dtype=float)

@@ -225,7 +225,7 @@ class ScenarioConfig:
         if self.t_end <= 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         flux = _build("flux", builtin_flux, self.flux_label, self.flux_params)
-        cell = _build("grid", CellGrid, self.n_cells_per_period, flux.period)
+        cell = _build("grid.n_cells_per_period", CellGrid, self.n_cells_per_period, flux.period)
         times = self.schedule.times(self.t_end)
         times.setflags(write=False)
         built = {
@@ -293,6 +293,7 @@ class ScenarioConfig:
         run = raw["run"]
         _take(run, "run", ("t_end", "snapshot_schedule", "cfl_fraction", "dt_max", "p"),
               ("t_end", "snapshot_schedule"))
+        t_end = _as_float(run["t_end"], "run.t_end")
         sched_raw = run["snapshot_schedule"]
         _take(sched_raw, "snapshot_schedule", ("kind", "count", "t_lo", "t_hi"), ("kind", "count"))
         schedule = SnapshotSchedule(
@@ -322,7 +323,7 @@ class ScenarioConfig:
             p_max=_as_float(fam.get("p_max", 2.0), "family.p_max"),
             m_intervals=_as_int(fam.get("M", 32), "family.M"),
             initial=spec,
-            t_end=_as_float(run["t_end"], "run.t_end"),
+            t_end=t_end,
             schedule=schedule,
             cfl_fraction=_as_float(run.get("cfl_fraction", 0.9), "run.cfl_fraction"),
             dt_max=_as_float(run.get("dt_max", 0.1), "run.dt_max"),
@@ -333,13 +334,14 @@ class ScenarioConfig:
         )
 
     @classmethod
-    def from_json(cls, path) -> "ScenarioConfig":
+    def from_json(cls, path, edit=lambda raw: raw) -> "ScenarioConfig":
+        """The config of the JSON document at ``path``, rewritten by ``edit``."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(edit(raw))
 
     def to_dict(self) -> dict:
         """Echo of the validated configuration (written into run artifacts)."""

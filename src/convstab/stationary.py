@@ -14,7 +14,9 @@ where lambda converges to zero automatically and the scalar constraint row
 pins the mean exactly.  A damped Newton iteration with warm-started
 continuation in p builds the whole family w_p together with the derivative
 profiles dw/dp, which solve the linearized bordered system and have unit mean.
-A ``StationaryFamily`` holds them as two tables, one row per mean p.
+A ``StationaryFamily`` holds them as two tables, one row per mean p.  The walk
+takes one knot of the p grid per step; a failed solve is retried with halved
+steps.
 The Jacobian -D2 + D1 diag(d_u f) is cyclic tridiagonal, so every bordered
 solve costs O(n): the periodic corners and the border enter a tridiagonal
 LAPACK dgtsv solve (``_cyclic_tridiagonal``) as a rank-two (Woodbury) update.
@@ -65,7 +67,6 @@ MEAN_TOLERANCE = 1e-10        # on |<w_p> - p| of each family member
 DP_MEAN_TOLERANCE = 1e-8      # on |<dw/dp> - 1| of each derivative profile
 NEWTON_MAX_ITERATIONS = 50
 NEWTON_DAMPING = 0.5          # backtracking factor on rejected steps
-CONTINUATION_STEP = 0.1       # largest jump in p taken without substeps
 
 
 def _residual(at_centers: FluxSamples, w: np.ndarray, deviation: np.ndarray,
@@ -325,9 +326,10 @@ def build_family(
 ) -> StationaryFamily:
     """Build w_p for p on a uniform grid of m_intervals slices of [p_min, p_max].
 
-    Continuation with warm starts: each member starts from the previous one
-    advanced by its mean-derivative; failed solves retry with halved steps in
-    p.  The family is validated (means, strict pointwise monotonicity in p,
+    Continuation with warm starts, one knot per step: Newton starts each
+    member from the previous one advanced by its mean-derivative; a failed
+    solve is retried through the midpoint of its step, halving up to 6 times.
+    The family is validated (means, strict pointwise monotonicity in p,
     positive derivative profiles with unit mean) before it is returned.
     """
     if m_intervals < 16:
@@ -338,8 +340,6 @@ def build_family(
 
     values = np.empty((p_grid.size, grid.n_cells))
     dp_values = np.empty_like(values)
-    current: Optional[Profile] = None
-    current_dp: Optional[Profile] = None
 
     def advance(target_p, source: Profile, source_dp: Profile, depth=0) -> Profile:
         dp = target_p - source.mean
@@ -355,21 +355,10 @@ def build_family(
             midway_dp = solve_dp_w(flux, midway)
             return advance(target_p, midway, midway_dp, depth + 1)
 
+    current = solve_stationary(flux, p_grid[0], grid)
     for j, p in enumerate(p_grid):
-        if current is None:
-            current = solve_stationary(flux, p, grid)
-        else:
-            step_p = p - p_grid[j - 1]
-            if step_p > CONTINUATION_STEP:
-                # walk in sub-steps no larger than CONTINUATION_STEP
-                n_sub = int(np.ceil(step_p / CONTINUATION_STEP))
-                for k in range(1, n_sub + 1):
-                    target = p_grid[j - 1] + step_p * k / n_sub
-                    current = advance(target, current, current_dp)
-                    if k < n_sub:
-                        current_dp = solve_dp_w(flux, current)
-            else:
-                current = advance(p, current, current_dp)
+        if j > 0:
+            current = advance(p, current, current_dp)
         current_dp = solve_dp_w(flux, current)
         values[j], dp_values[j] = current.values, current_dp.values
 

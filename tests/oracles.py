@@ -11,6 +11,8 @@
   ``convstab.save_family``, for the round-trip test.
 * ``hysteresis_walk`` -- the lap count as a walk over every sample, the way
   ``convstab.lap_number`` counted before it skipped to the turning points.
+* ``profile_at`` -- w_p at per-cell means through an interpolant's own
+  profile cubics: the forward map that ``FamilyInterpolant.invert`` undoes.
 
 Test modules import them as ``from oracles import ...``; ``tests/`` has no
 ``__init__.py``, so pytest puts this directory on ``sys.path``.
@@ -25,11 +27,13 @@ import numpy as np
 from convstab import (
     CellGrid,
     EntropyField,
+    FamilyInterpolant,
     FluxModel,
     State,
     StationaryFamily,
     builtin_flux,
 )
+from convstab.entropy import _hermite, _horner
 
 
 class PicardDivergenceError(RuntimeError):
@@ -165,6 +169,13 @@ def load_family(path) -> StationaryFamily:
         flux, grid, np.array(payload["p_grid"]), np.array(payload["profiles"]),
         np.array(payload["dp_profiles"]), float(payload["alpha"]),
     )
+
+
+def profile_at(interp: FamilyInterpolant, p, cells) -> np.ndarray:
+    """w_p(x_i) for per-cell means p (cells index the family's grid), from the
+    same Hermite cubic per cell and interval that ``invert`` solves."""
+    j, s = interp._locate(np.asarray(p, dtype=float))
+    return _horner(_hermite(*interp._hermite_data(j, np.asarray(cells, dtype=int))), s)
 
 
 def hysteresis_walk(samples) -> int:

@@ -183,6 +183,16 @@ def test_dispersion_requires_a_window_or_log_schedule(tmp_path):
     assert read_verdicts(out)["exit_code"] == 2
 
 
+def test_an_inferred_window_leaves_a_bad_t_end_to_its_own_key(tmp_path):
+    # dispersion writes t_end into the document as the window's t_hi before
+    # the config is read; the error still names the key the user wrote
+    config = write_config(tmp_path, run={
+        "t_end": "long", "snapshot_schedule": {"kind": "log", "count": 10, "t_lo": 1.0}})
+    out = tmp_path / "out"
+    assert cli.main(["dispersion", "--config", str(config), "--out", str(out)]) == 2
+    assert "run.t_end must be a number" in read_verdicts(out)["error"]
+
+
 def test_dispersion_requires_enough_snapshots(tmp_path):
     config = write_config(
         tmp_path,
@@ -397,14 +407,32 @@ def test_each_command_builds_the_flux_once(tmp_path, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(scenarios, "builtin_flux", counting)
-    config = write_config(tmp_path, run={"t_end": 0.2, "snapshot_schedule":
-                                         {"kind": "linear", "count": 2},
-                                         "cfl_fraction": 0.9, "dt_max": 0.05, "p": 0.0})
-    for command, extra in (("evolve", []), ("stationary", []), ("verify", ["--trials", "1"])):
+    run = {"t_end": 0.2, "snapshot_schedule": {"kind": "linear", "count": 2},
+           "cfl_fraction": 0.9, "dt_max": 0.05, "p": 0.0}
+    config = write_config(tmp_path, run=run)
+    # no fit section: dispersion infers its window from the log schedule, up to
+    # t_end on a diffusive run that decays fast enough to pass
+    logged = write_config(tmp_path, name="logged.json",
+                          flux={"label": "custom_table", "params": {}}, checks=[],
+                          run={**run, "t_end": 4.0, "dt_max": 0.02,
+                               "snapshot_schedule": {"kind": "log", "count": 10, "t_lo": 1.0}})
+    for command, path, extra in (
+        ("evolve", config, []),
+        ("evolve", config, ["--seed", "3"]),
+        ("stationary", config, []),
+        ("verify", config, ["--trials", "1"]),
+        ("verify", config, ["--trials", "1", "--seed", "3"]),
+        ("dispersion", logged, []),
+    ):
         calls.clear()
-        assert cli.main([command, "--config", str(config),
-                         "--out", str(tmp_path / command)] + extra) == 0
-        assert len(calls) == 1, command
+        out = tmp_path / "-".join([command, *extra])
+        assert cli.main([command, "--config", str(path), "--out", str(out)] + extra) == 0
+        assert len(calls) == 1, (command, extra)
+        # the config echo records both overrides
+        echo = read_verdicts(out)["config"]
+        assert echo["initial"]["seed"] == (3 if "--seed" in extra else None)
+        if command == "dispersion":
+            assert echo["fit"] == {"t_lo": 1.0, "t_hi": 4.0}
 
 
 def test_family_file_key_is_rejected(tmp_path):

@@ -110,7 +110,7 @@ def test_invalid_documents_raise_config_error(path, value):
     "path, value, named",
     [
         (("flux", "label"), "kpz", "flux: "),
-        (("grid", "n_cells_per_period"), 4, "grid: "),
+        (("grid", "n_cells_per_period"), 4, "grid.n_cells_per_period: "),
         (("grid", "n_periods"), 0, "grid: "),
         (("grid", "boundary_mode"), "outflow", "grid: "),
         (("run", "cfl_fraction"), 1.5, "run: "),

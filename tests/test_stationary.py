@@ -8,6 +8,7 @@ and the weight from its exponential closed form.
 """
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -343,6 +344,42 @@ def test_newton_failure_raises(family_128, monkeypatch):
     monkeypatch.setattr(stationary, "NEWTON_MAX_ITERATIONS", 1)
     with pytest.raises(StationarySolveError):
         solve_stationary(forced(), 2.0, CellGrid(64, 1.0))
+
+
+def failing_at(monkeypatch, p, times):
+    """Make solve_stationary raise for target mean ``p``, ``times`` times."""
+    real = stationary.solve_stationary
+    means = []
+
+    def solve(flux, mean, grid, initial=None):
+        means.append(mean)
+        if mean == p and means.count(p) <= times:
+            raise StationarySolveError("forced failure")
+        return real(flux, mean, grid, initial)
+
+    monkeypatch.setattr(stationary, "solve_stationary", solve)
+    return means
+
+
+def test_a_failed_continuation_step_is_retried_through_its_midpoint(family_128, monkeypatch):
+    knot = family_128.p_grid[20]
+    means = failing_at(monkeypatch, knot, times=1)
+    fam = build_family(forced(), -2.0, 2.0, 32, CellGrid(128, 1.0))
+    # the one failure at the knot halves its step: midpoint, then the knot again
+    at = means.index(knot)
+    assert means[at:at + 3] == [knot, knot - 0.0625, knot]
+    assert len(means) == fam.p_grid.size + 2
+    stationary._family_checks(fam.p_grid, fam.profiles, fam.dp_profiles)
+    assert np.array_equal(fam.p_grid, family_128.p_grid)
+    assert np.abs(fam.profiles - family_128.profiles).max() <= NEWTON_TOLERANCE
+    assert np.abs(fam.dp_profiles - family_128.dp_profiles).max() <= NEWTON_TOLERANCE
+
+
+def test_a_continuation_step_that_keeps_failing_names_its_target(family_128, monkeypatch):
+    knot = family_128.p_grid[20]
+    failing_at(monkeypatch, knot, times=np.inf)
+    with pytest.raises(StationarySolveError, match=re.escape(f"continuation failed at p={knot}")):
+        build_family(forced(), -2.0, 2.0, 32, CellGrid(128, 1.0))
 
 
 # ---------------------------------------------------------------------------
