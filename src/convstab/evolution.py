@@ -12,8 +12,9 @@ conserves the discrete mass exactly.  Its matrix tridiag(-lam, 1 + 2 lam, -lam),
 lam = dt / h^2, has constant coefficients, so it is solved without a
 factorization: one LAPACK dpttrs call with the limit pivot of its Cholesky
 factor, and a closed-form rank-1 (pinned) or rank-2 (periodic) correction
-from the powers of one ratio, cut to zero where they would underflow, so no
-lam runs into subnormal arithmetic.  The step size obeys
+from the powers r^i of one ratio, cut to zero once |r|^i < eps (1 - |r|), so
+the dropped tail stays below eps times the right-hand side and no lam runs
+into subnormal arithmetic.  The step size obeys
 dt <= cfl_fraction * h / max_i |d_u f(u_i, x_i)|, with speeds at the cell
 centers, and ``step`` refuses dt above h / max_i |d_u f(u_i, x_i)|.  That does
 not make the explicit half monotone: its diagonal coefficient
@@ -34,14 +35,14 @@ and their normalizations about w_p, the interface flux skips its branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .diagnostics import DiagnosticsSeries
 from .fluxes import FluxModel
-from .grids import LineGrid, _next, _prev, _readonly, _toeplitz_solve
+from .grids import LineGrid, _prev, _readonly, _toeplitz_solve
 
 __all__ = [
     "CFLError",
@@ -137,6 +138,8 @@ def _eo_flux(kernel: StepKernel, u_left: np.ndarray, u_right: np.ndarray) -> np.
     from u* enters through f, the nearer through that square, so a distant u*
     (tiny f2) cancels nothing and F(0, 0) = f(0) exactly.  When every point
     is convex the masks are skipped; the result is the same bit for bit.
+    The sum is accumulated in its own temporaries, in the order written
+    above; u_left and u_right are not written to.
     """
     f0, f1, half_f2, u_star = kernel.f0, kernel.f1, kernel.half_f2, kernel.u_star
     if kernel.all_convex:
@@ -147,19 +150,37 @@ def _eo_flux(kernel: StepKernel, u_left: np.ndarray, u_right: np.ndarray) -> np.
         a = np.where(kernel.convex, np.maximum(u_left, u_star), np.minimum(u_left, u_star))
         b = np.where(kernel.convex, np.minimum(u_right, u_star), np.maximum(u_right, u_star))
         dist_a, dist_b = np.abs(a - u_star), np.abs(b - u_star)
-    a_far = dist_a >= dist_b
-    # the nearer state enters squared, so its distance stands in for c - u*
-    far, near = np.where(a_far, a, b), np.where(a_far, dist_b, dist_a)
-    quadratic = f0 + f1 * far + half_f2 * far * far + half_f2 * near * near
+    # b becomes the state farther from u*; the nearer enters squared, so its
+    # distance (both are >= 0) stands in for c - u*
+    far = b
+    np.copyto(far, a, where=dist_a >= dist_b)
+    near = np.minimum(dist_a, dist_b, out=dist_a)
+    # f0 + f1 far + f2/2 far^2 + f2/2 near^2, summed left to right in place
+    quadratic = np.multiply(f1, far, out=a)
+    quadratic += f0
+    term = np.multiply(half_f2, far, out=dist_b)
+    term *= far
+    quadratic += term
+    np.multiply(half_f2, near, out=term)
+    term *= near
+    quadratic += term
     if kernel.all_convex:
         return quadratic
     upwind = f0 + np.maximum(f1, 0.0) * u_left + np.minimum(f1, 0.0) * u_right
     return np.where(kernel.linear, upwind, quadratic)
 
 
+def _max_speed(kernel: StepKernel, u: np.ndarray) -> float:
+    """max_i |d_u f(u_i, x_i)| = max_i |center_f1 + center_f2 u_i|, the same
+    bits as np.abs(w).max() without forming |w|."""
+    w = kernel.center_f2 * u
+    w += kernel.center_f1
+    return float(max(w.max(), -w.min()))
+
+
 def cfl_timestep(state: State, kernel: StepKernel, policy: StepPolicy) -> float:
     """Largest step the policy allows for the current state."""
-    speed = float(np.abs(kernel.center_f1 + kernel.center_f2 * state.u).max())
+    speed = _max_speed(kernel, state.u)
     if speed == 0.0:
         return policy.dt_max
     return min(policy.dt_max, policy.cfl_fraction * state.grid.h / speed)
@@ -179,24 +200,30 @@ def step(state: State, kernel: StepKernel, dt: float) -> State:
     if grid != kernel.grid:
         raise ValueError(f"the state's grid {grid} is not the kernel's grid {kernel.grid}")
     h = grid.h
-    speed = float(np.abs(kernel.center_f1 + kernel.center_f2 * u).max())
+    speed = _max_speed(kernel, u)
     if dt * speed > h * (1.0 + 1e-9):
         raise CFLError(f"dt={dt:.3e} exceeds the CFL bound h/max|d_u f|={h / speed:.3e}")
 
     periodic = grid.boundary_mode == "periodic"
+    # u - dt (F_{i+1/2} - F_{i-1/2}) / h, built in one buffer
+    rhs = np.empty_like(u)
     if periodic:
         flux_vals = _eo_flux(kernel, _prev(u), u)
-        divergence = (_next(flux_vals) - flux_vals) / h
+        np.subtract(flux_vals[1:], flux_vals[:-1], out=rhs[:-1])
+        rhs[-1] = flux_vals[0] - flux_vals[-1]
     else:
         # one ghost cell on each side, held at zero
         padded = np.concatenate([[0.0], u, [0.0]])
         flux_vals = _eo_flux(kernel, padded[:-1], padded[1:])
-        divergence = (flux_vals[1:] - flux_vals[:-1]) / h
+        np.subtract(flux_vals[1:], flux_vals[:-1], out=rhs)
+    rhs /= h
+    rhs *= dt
+    np.subtract(u, rhs, out=rhs)
     lam = dt / h**2
-    u_new = _toeplitz_solve(1.0 + 2.0 * lam, -lam, u - dt * divergence, periodic)
+    u_new = _toeplitz_solve(1.0 + 2.0 * lam, -lam, rhs, periodic)
     # a fresh read-only array passes into the new State without a copy
     u_new.setflags(write=False)
-    return replace(state, u=u_new, time=state.time + dt)
+    return State(grid, u_new, state.time + dt)
 
 
 def evolve(
@@ -245,7 +272,7 @@ def evolve(
             dt = min(cfl_timestep(current, kernel, policy), target - current.time)
             current = step(current, kernel, dt)
         # land exactly on the target to keep snapshot bookkeeping deterministic
-        current = replace(current, time=float(target))
+        current = State(current.grid, current.u, float(target))
         if snaps.size and np.any(np.abs(snaps - target) <= 1e-14):
             observe(current)
     return current, series

@@ -43,7 +43,7 @@ NormKind = Literal["L1", "L2", "Linf"]
 BoundaryMode = Literal["pinned_to_wp", "periodic"]
 
 
-_TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 
 def _readonly(values) -> np.ndarray:
@@ -220,19 +220,27 @@ def _cyclic_tridiagonal(lower, diag, upper, columns) -> tuple:
 
 
 def _powers(r: float, n: int) -> np.ndarray:
-    """r^i for |r| < 1 and i < m <= n, where m leaves out the tail that would
-    fall below the smallest normal float, so no subnormal number is returned
-    and callers treat the tail as exact zeros.  r^(64 j + i) is the outer
-    product of two short np.power calls, r^(64 j) and r^i for i < 64."""
+    """r^i for |r| < 1 and i < m <= n, where m keeps the computed powers with
+    |r|^i >= eps (1 - |r|), eps the float64 machine epsilon, and cuts the
+    rest.  A dot product of the kept powers with any v leaves out a geometric
+    tail of at most |r|^m max|v| / (1 - |r|) < eps max|v|, the size of the
+    dot's own rounding, and every kept power is a normal number (at least
+    eps 2^-53 >> tiny), so no lam runs into subnormal arithmetic.
+    r^(64 j + i) is the outer product of two short np.power calls, r^(64 j)
+    and r^i for i < 64."""
     a = abs(r)
+    cut = _EPS * (1.0 - a)
     m = n
-    if a < 1.0:
-        # a^i >= tiny for i <= log(tiny) / log(a)
-        m = 1 if a == 0.0 else min(n, math.floor(math.log(_TINY) / math.log(a)) + 1)
+    if a == 0.0:
+        m = 1
+    elif a < 1.0:
+        # a^i >= cut for i <= log(cut) / log(a); one more index covers the
+        # rounding of the logs, and the loop trims the computed powers
+        m = min(n, math.floor(math.log(cut) / math.log(a)) + 2)
     k = 64
     out = np.multiply.outer(r ** (k * np.arange(-(-m // k))),
                             r ** np.arange(min(m, k))).ravel()[:m]
-    while abs(out[m - 1]) < _TINY:  # the rounding of the last kept entries
+    while abs(out[m - 1]) < cut:
         m -= 1
     return out[:m]
 
@@ -253,7 +261,10 @@ def _toeplitz_solve(d: float, e: float, rhs: np.ndarray, periodic: bool) -> np.n
         T^-1 e_(n-1) = r^(n-1-i) / p.
 
     So x = T^-1 (rhs - U c) with (I + C W) c = C U^T T^-1 rhs, W = U^T T^-1 U,
-    where U^T T^-1 rhs takes two dot products with the powers of r.  A
+    where U^T T^-1 rhs takes two dot products with the powers of r.  Those
+    run over ``_powers``, which cuts r^i once |r|^i < eps (1 - |r|): each dot
+    leaves out less than eps max|rhs|, so at lam = 150-213 on 8192 cells the
+    dots span 470-570 entries, not 8192.  rhs is not written to.  A
     non-finite or not diagonally dominant (d, e), a nonzero info or a
     non-finite result raises LinAlgError.
     """

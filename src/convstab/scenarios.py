@@ -607,7 +607,11 @@ def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
         snap_dir.mkdir(exist_ok=True)
         snapshots_dir = str(snap_dir)
         bg = config.line_grid.tile(setup.w_p)
-        frame = _snapshot_frame(repr_rows(config.line_grid.centers()), repr_rows(bg))
+        # the background repeats w_p every period: format one period and tile
+        # its rows, as a temporary that the snapshot writes do not hold
+        frame = _snapshot_frame(
+            repr_rows(config.line_grid.centers()),
+            np.tile(repr_rows(setup.w_p.values), (config.line_grid.n_periods, 1)))
         for state in snapshot_states:
             name = f"snapshot_t{state.time!r}.csv"
             _write_snapshot(snap_dir / name, frame, state.u + bg)

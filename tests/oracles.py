@@ -13,6 +13,9 @@
   ``convstab.lap_number`` counted before it skipped to the turning points.
 * ``profile_at`` -- w_p at per-cell means through an interpolant's own
   profile cubics: the forward map that ``FamilyInterpolant.invert`` undoes.
+* ``eo_flux_reference`` -- the Engquist-Osher interface flux written with a
+  fresh array for every operation, as ``convstab.evolution._eo_flux`` was
+  before it worked in place; the stepper must match it byte for byte.
 
 Test modules import them as ``from oracles import ...``; ``tests/`` has no
 ``__init__.py``, so pytest puts this directory on ``sys.path``.
@@ -31,6 +34,7 @@ from convstab import (
     FluxModel,
     State,
     StationaryFamily,
+    StepKernel,
     builtin_flux,
 )
 from convstab.entropy import _hermite, _horner
@@ -215,3 +219,23 @@ def hysteresis_walk(samples) -> int:
                 direction = 1
                 anchor = value
     return reversals
+
+
+def eo_flux_reference(kernel: StepKernel, u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
+    """Engquist-Osher flux at a kernel's interfaces, one temporary per operation
+    and ``np.where`` for every choice, in the order ``_eo_flux`` evaluates."""
+    f0, f1, half_f2, u_star = kernel.f0, kernel.f1, kernel.half_f2, kernel.u_star
+    if kernel.all_convex:
+        a, b = np.maximum(u_left, u_star), np.minimum(u_right, u_star)
+        dist_a, dist_b = a - u_star, u_star - b
+    else:
+        a = np.where(kernel.convex, np.maximum(u_left, u_star), np.minimum(u_left, u_star))
+        b = np.where(kernel.convex, np.minimum(u_right, u_star), np.maximum(u_right, u_star))
+        dist_a, dist_b = np.abs(a - u_star), np.abs(b - u_star)
+    a_far = dist_a >= dist_b
+    far, near = np.where(a_far, a, b), np.where(a_far, dist_b, dist_a)
+    quadratic = f0 + f1 * far + half_f2 * far * far + half_f2 * near * near
+    if kernel.all_convex:
+        return quadratic
+    upwind = f0 + np.maximum(f1, 0.0) * u_left + np.minimum(f1, 0.0) * u_right
+    return np.where(kernel.linear, upwind, quadratic)

@@ -10,12 +10,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
 import convstab as cs
 from convstab import evolution, scenarios
 from convstab.evolution import _eo_flux
-from convstab.grids import _powers, _toeplitz_solve
-from oracles import PicardDivergenceError, duhamel_picard
+from convstab.grids import _cyclic_tridiagonal, _powers, _toeplitz_solve
+from oracles import PicardDivergenceError, duhamel_picard, eo_flux_reference
 
 
 def forced():
@@ -97,7 +98,7 @@ def _eo_by_quadrature(flux, a, b, x):
     return float(flux.eval(0.0, x)) + integral(a, max) + integral(b, min)
 
 
-@pytest.mark.parametrize("flux", [
+EO_FLUXES = [
     forced(),                                                      # convex
     cs.builtin_flux("periodic_advection", {"amplitude": 0.5}),     # linear
     cs.builtin_flux("custom_table", {                              # concave
@@ -108,8 +109,12 @@ def _eo_by_quadrature(flux, a, b, x):
     # a tiny quadratic puts the sonic point -f1/f2 at -+1e10
     cs.builtin_flux("custom_table", {"linear": 1.0, "quadratic": 1e-10}),
     cs.builtin_flux("custom_table", {"linear": -1.0, "quadratic": 1e-10}),
-], ids=["forced_burgers", "periodic_advection", "concave_custom_table",
-        "tiny_quadratic_rightward", "tiny_quadratic_leftward"])
+]
+EO_FLUX_IDS = ["forced_burgers", "periodic_advection", "concave_custom_table",
+               "tiny_quadratic_rightward", "tiny_quadratic_leftward"]
+
+
+@pytest.mark.parametrize("flux", EO_FLUXES, ids=EO_FLUX_IDS)
 def test_eo_closed_form_matches_its_definition(flux):
     rng = np.random.default_rng(11)
     kernel = kernel_on(flux, 60)
@@ -160,6 +165,29 @@ def test_linear_or_sign_changing_fluxes_take_the_general_path(flux):
     a, b = rng.standard_normal((2, kernel.f0.size))
     assert not np.array_equal(_eo_flux(replace(kernel, all_convex=True), a, b),
                               _eo_flux(kernel, a, b))
+
+
+@pytest.mark.parametrize("all_convex", [True, False], ids=["fast", "general"])
+@pytest.mark.parametrize("flux", [*EO_FLUXES, normalized_forced()],
+                         ids=[*EO_FLUX_IDS, "normalized_forced_burgers"])
+def test_eo_flux_equals_the_reference_byte_for_byte(flux, all_convex):
+    # _eo_flux works in place; the reference forms every intermediate afresh.
+    # Forcing all_convex on a flux that is not convex is no valid flux, but
+    # both must still compute the same bits
+    kernel = replace(kernel_on(flux, 60, 4), all_convex=all_convex)
+    rng = np.random.default_rng(17)
+    n = kernel.u_star.size
+    zeros, signed = np.zeros(n), np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    states = [(zeros, zeros), (-zeros, -zeros), (signed, -signed)]
+    # at u*, near it, at the unit scale and far from it, on both sides
+    for spread in (0.0, 1e-9, 1.0, 1e4, 1e9):
+        for centre in (0.0, kernel.u_star):
+            states.append(tuple(centre + spread * rng.standard_normal((2, n))))
+    for u_left, u_right in states:
+        left, right = u_left.copy(), u_right.copy()
+        got = _eo_flux(kernel, left, right)
+        assert got.tobytes() == eo_flux_reference(kernel, u_left, u_right).tobytes()
+        assert left.tobytes() == u_left.tobytes() and right.tobytes() == u_right.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +253,50 @@ def test_diffusion_solve_matches_a_dense_oracle(n, lam, periodic):
                 assert abs(got.sum() - 1.0) <= 1e-12
 
 
+def banded_diffusion_oracle(lam, rhs, periodic):
+    """(I - lam D2)^-1 rhs by other solvers: the Newton's cyclic dgtsv path
+    with its Sherman-Morrison row when periodic, scipy's banded LU when not."""
+    n = rhs.size
+    if periodic:
+        off = np.full(n, -lam)
+        sol, row = _cyclic_tridiagonal(off, np.full(n, 1.0 + 2.0 * lam), off, rhs[:, None])
+        return sol[:, 0] - sol[:, 1] * (row[0] / row[1])
+    bands = np.zeros((3, n))
+    bands[0, 1:], bands[1], bands[2, :-1] = -lam, 1.0 + 2.0 * lam, -lam
+    return solve_banded((1, 1), bands, rhs)
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "pinned"])
+@pytest.mark.parametrize("lam", [0.2, 16.4, 156.0, 213.0, 1e4])
+def test_diffusion_solve_matches_a_banded_oracle_at_8192_cells(lam, periodic):
+    # the canonical grid; lam = 156 and 213 span the canonical run, where the
+    # correction dots keep a few hundred powers of 8192
+    n = 8192
+    rng = np.random.default_rng(n)
+    x = np.arange(n) / n
+    columns = [rng.standard_normal(n), np.sin(2.0 * np.pi * x) + 0.5,
+               np.sin(128.0 * np.pi * x) * np.exp(-(((x - 0.5) / 0.1) ** 2))]
+    columns += [np.eye(1, n, k).ravel() for k in (0, 1, n // 2, n - 2, n - 1)]
+    # measured gaps reach 0.74 (1 + 4 lam) eps at lam = 0.2 and at most 0.15 of
+    # it from lam = 16.4 on; 1 + 4 lam bounds the condition number
+    bound = 2.0 * (1.0 + 4.0 * lam) * np.finfo(float).eps
+    for rhs in columns:
+        before = rhs.copy()
+        got = _toeplitz_solve(1.0 + 2.0 * lam, -lam, rhs, periodic)
+        assert rhs.tobytes() == before.tobytes(), "the solve wrote into its right-hand side"
+        want = banded_diffusion_oracle(lam, rhs, periodic)
+        assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
 def test_the_diffusion_powers_hold_no_subnormal_number():
-    # lam = 16.4 on 8192 cells: r^i passes the subnormal range mid-domain
+    # lam = 16.4 on 8192 cells: r^i would pass the subnormal range mid-domain
     lam, n = 16.4, 8192
     r = lam / (0.5 * (1.0 + 2.0 * lam + np.sqrt(1.0 + 4.0 * lam)))
     pw = _powers(r, n)
-    tiny = np.finfo(float).tiny
-    assert 0 < pw.size < n and r ** pw.size < tiny, "only the underflowing tail is cut"
-    assert np.all(np.abs(pw) >= tiny)
+    cut = np.finfo(float).eps * (1.0 - r)
+    assert 0 < pw.size < n
+    assert r ** pw.size < cut, "the first dropped power lies below eps (1 - |r|)"
+    assert np.abs(pw).min() >= cut >= np.finfo(float).tiny
     assert np.abs(pw / r ** np.arange(pw.size, dtype=float) - 1.0).max() < 1e-13
 
 
