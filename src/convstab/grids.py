@@ -202,20 +202,33 @@ def _cyclic_tridiagonal(lower, diag, upper, columns) -> tuple:
     diag[-1] - upper[-1] lower[0] / g, must be invertible, A need not be.
     Returns X = T^-1 [columns, u] (one LAPACK dgtsv call) and the row v^T X
     with 1 added to its last entry; a nonzero info or a non-finite X raises
-    LinAlgError.
+    LinAlgError.  No argument is written to.
     """
     n, k = diag.size, np.shape(columns)[1]
-    gamma = -diag[0]
-    d = np.array(diag, dtype=float)
+    block = np.zeros((n, k + 1), order="F")
+    block[:, :k] = columns
+    return _cyclic_solve(np.array(lower[1:], dtype=float), np.array(diag, dtype=float),
+                         np.array(upper[:-1], dtype=float), lower[0], upper[-1], block)
+
+
+def _cyclic_solve(dl, d, du, first, last, block) -> tuple:
+    """``_cyclic_tridiagonal`` on operands it may overwrite, as dgtsv reads
+    them: the float64 sub-, main and super-diagonals dl = lower[1:],
+    d = diag and du = upper[:-1], the corners first = lower[0] and
+    last = upper[-1], and block, a Fortran-ordered float64 (n, k + 1) array
+    holding the k columns and a zero last column.  All four arrays are
+    overwritten; X is block itself, so nothing is copied.
+    """
+    gamma = -d[0]
     d[0] -= gamma
-    d[-1] -= upper[-1] * lower[0] / gamma
-    cols = np.zeros((n, k + 1), order="F")
-    cols[:, :k], cols[0, k], cols[-1, k] = columns, gamma, upper[-1]
-    *_, sol, info = dgtsv(lower[1:], d, upper[:-1], cols)
+    d[-1] -= last * first / gamma
+    block[0, -1], block[-1, -1] = gamma, last
+    *_, sol, info = dgtsv(dl, d, du, block, overwrite_dl=True, overwrite_d=True,
+                          overwrite_du=True, overwrite_b=True)
     if info != 0 or not np.isfinite(sol).all():
         raise np.linalg.LinAlgError(f"tridiagonal solve failed (LAPACK dgtsv info={info})")
-    row = sol[0] + lower[0] * sol[-1] / gamma
-    row[k] = 1.0 + sol[0, k] + lower[0] * sol[-1, k] / gamma
+    row = sol[0] + first * sol[-1] / gamma
+    row[-1] = 1.0 + sol[0, -1] + first * sol[-1, -1] / gamma
     return sol, row
 
 

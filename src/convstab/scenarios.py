@@ -143,11 +143,11 @@ class PerturbationSpec:
 
     def __post_init__(self):
         if self.shape not in _SHAPES:
-            raise ConfigError(f"unknown perturbation shape {self.shape!r}")
+            raise ConfigError(f"initial.shape must be one of {list(_SHAPES)}, got {self.shape!r}")
         if self.width <= 0:
-            raise ConfigError(f"perturbation width must be positive, got {self.width}")
+            raise ConfigError(f"initial.width must be positive, got {self.width}")
         if self.shape == "random_zero_mean" and self.seed is None:
-            raise ConfigError("random_zero_mean needs an integer seed")
+            raise ConfigError("initial.seed: random_zero_mean needs an integer seed")
 
 
 @dataclass(frozen=True)
@@ -159,14 +159,17 @@ class SnapshotSchedule:
 
     def __post_init__(self):
         if self.kind not in ("linear", "log"):
-            raise ConfigError(f"snapshot schedule kind must be linear|log, got {self.kind!r}")
+            raise ConfigError(f"snapshot_schedule.kind must be linear|log, got {self.kind!r}")
         if self.count < 1:
-            raise ConfigError(f"snapshot count must be >= 1, got {self.count}")
+            raise ConfigError(f"snapshot_schedule.count must be >= 1, got {self.count}")
         if self.kind == "log":
             if self.t_lo is None or self.t_lo <= 0:
-                raise ConfigError("log schedule needs t_lo > 0")
+                raise ConfigError(f"snapshot_schedule.t_lo must be > 0 for a log schedule, got {self.t_lo}")
             if self.t_hi is not None and self.t_hi <= self.t_lo:
-                raise ConfigError("log schedule needs t_hi > t_lo")
+                raise ConfigError(
+                    f"snapshot_schedule.t_hi={self.t_hi} must exceed "
+                    f"snapshot_schedule.t_lo={self.t_lo} for a log schedule"
+                )
 
     def times(self, t_end: float) -> np.ndarray:
         hi = t_end if self.t_hi is None else self.t_hi
@@ -223,7 +226,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.t_end <= 0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
+            raise ConfigError(f"run.t_end must be positive, got {self.t_end}")
         flux = _build("flux", builtin_flux, self.flux_label, self.flux_params)
         cell = _build("grid.n_cells_per_period", CellGrid, self.n_cells_per_period, flux.period)
         times = self.schedule.times(self.t_end)
@@ -237,11 +240,16 @@ class ScenarioConfig:
         for name, value in built.items():
             object.__setattr__(self, name, value)
         if self.m_intervals < 16:
-            raise ConfigError(f"family M must be >= 16, got {self.m_intervals}")
+            raise ConfigError(f"family.M must be >= 16, got {self.m_intervals}")
         if not self.p_min < self.p_max:
-            raise ConfigError("family needs p_min < p_max")
+            raise ConfigError(
+                f"family.p_min={self.p_min} must be below family.p_max={self.p_max}"
+            )
         if not self.p_min <= self.p <= self.p_max:
-            raise ConfigError(f"background mean p={self.p} outside family window")
+            raise ConfigError(
+                f"run.p={self.p} lies outside the family window "
+                f"[family.p_min, family.p_max] = [{self.p_min}, {self.p_max}]"
+            )
         unknown = set(self.checks) - set(KNOWN_CHECKS)
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
@@ -296,11 +304,14 @@ class ScenarioConfig:
         t_end = _as_float(run["t_end"], "run.t_end")
         sched_raw = run["snapshot_schedule"]
         _take(sched_raw, "snapshot_schedule", ("kind", "count", "t_lo", "t_hi"), ("kind", "count"))
+        t_lo, t_hi = (None if sched_raw.get(key) is None
+                      else _as_float(sched_raw[key], f"snapshot_schedule.{key}")
+                      for key in ("t_lo", "t_hi"))
         schedule = SnapshotSchedule(
             kind=sched_raw["kind"],
             count=_as_int(sched_raw["count"], "snapshot_schedule.count"),
-            t_lo=None if sched_raw.get("t_lo") is None else _as_float(sched_raw["t_lo"], "t_lo"),
-            t_hi=None if sched_raw.get("t_hi") is None else _as_float(sched_raw["t_hi"], "t_hi"),
+            t_lo=t_lo,
+            t_hi=t_hi,
         )
 
         fit = raw.get("fit")

@@ -19,7 +19,19 @@ takes one knot of the p grid per step; a failed solve is retried with halved
 steps.
 The Jacobian -D2 + D1 diag(d_u f) is cyclic tridiagonal, so every bordered
 solve costs O(n): the periodic corners and the border enter a tridiagonal
-LAPACK dgtsv solve (``_cyclic_tridiagonal``) as a rank-two (Woodbury) update.
+LAPACK dgtsv solve (``grids._cyclic_solve``) as a rank-two (Woodbury) update.
+
+Where the walk's time goes: a member costs about three bordered solves (two
+Newton steps and its dp solve) and three residual evaluations; the M = 64
+family at 384 cells makes 196 of each for 65 members.  At the run sizes
+(128 to 384 cells a period) each numpy call works on a few hundred entries,
+so its fixed cost of about a microsecond dominates, and dgtsv on three
+right-hand sides is the largest single item: about a tenth of the walk at
+128 cells, a quarter at 384 and half at 2048.  So ``build_family`` checks
+the grid period and samples the flux once per family and hands the samples
+to the private solvers that ``solve_stationary`` and ``solve_dp_w`` wrap,
+and the bordered solve writes its right-hand sides straight into the block
+dgtsv overwrites.
 
 The module also provides the positive periodic weight used by the
 weighted-energy diagnostic.  Once the flux is normalized so that f(0, .) = 0,
@@ -36,6 +48,7 @@ to a bordered linear solve of the same stencil.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -43,7 +56,7 @@ import numpy as np
 
 from .floattext import json_lists
 from .fluxes import FluxModel, FluxSamples
-from .grids import CellGrid, Profile, _cyclic_tridiagonal, _next, _prev, _readonly
+from .grids import _EPS, CellGrid, Profile, _cyclic_solve, _next, _prev, _readonly
 
 __all__ = [
     "StationaryFamily",
@@ -69,12 +82,24 @@ NEWTON_MAX_ITERATIONS = 50
 NEWTON_DAMPING = 0.5          # backtracking factor on rejected steps
 
 
+def _mean(x: np.ndarray) -> float:
+    """x.mean() of a 1-d array, bit for bit, without its Python wrapper."""
+    return np.add.reduce(x) / x.size
+
+
+def _check_period(flux: FluxModel, grid: CellGrid) -> None:
+    # np.isclose(grid.period, flux.period, rtol=1e-12, atol=0.0) on two floats
+    if not abs(grid.period - flux.period) <= 1e-12 * abs(flux.period):
+        raise ValueError(f"grid period {grid.period} != flux period {flux.period}")
+
+
 def _residual(at_centers: FluxSamples, w: np.ndarray, deviation: np.ndarray,
               h: float) -> np.ndarray:
     """-D2 w + D1 f(w, .), with D2 applied to w's deviation from a constant."""
     g = at_centers.value(w)
     lap = (_next(deviation) - 2.0 * deviation + _prev(deviation)) / h**2
-    return -lap + (_next(g) - _prev(g)) / (2.0 * h)
+    # (next(g) - prev(g)) / 2h - lap is -lap + D1 g bit for bit
+    return (_next(g) - _prev(g)) / (2.0 * h) - lap
 
 
 def cell_residual(flux: FluxModel, values: np.ndarray, grid: CellGrid) -> np.ndarray:
@@ -104,77 +129,92 @@ def residual_floor(values: np.ndarray, grid: CellGrid) -> float:
 
 
 def _roundoff_floor(scale: float, h: float) -> float:
-    return 4.0 * np.finfo(float).eps * scale / h**2
+    return 4.0 * _EPS * scale / h**2
 
 
-def _bordered_solve(fu: np.ndarray, h: float, rhs: np.ndarray, gap: float) -> tuple:
+def _bordered_solve(fu: np.ndarray, h: float, rhs, gap: float) -> tuple:
     """(d, lambda) with J d + lambda = rhs and <d> = gap, in O(n).
 
     J = -D2 + D1 diag(fu) is cyclic tridiagonal with 1^T J = 0, so it is
     singular on its own.  Its periodic corners and the border both go in by a
     Woodbury update with two vectors: one dgtsv call solves the corner-modified
-    tridiagonal T for rhs, the ones vector and the corner vector, and a 2x2
-    Schur system gives the corner weight s = v^T d and lambda.
+    tridiagonal T for rhs (an array, or a scalar for a constant one), the ones
+    vector and the corner vector, and a 2x2 Schur system gives the corner
+    weight s = v^T d and lambda.  The right-hand sides are written straight
+    into the Fortran-ordered block dgtsv solves in place, and d is a view of
+    that block.
     """
-    lower = -1.0 / h**2 - _prev(fu) / (2.0 * h)
-    upper = -1.0 / h**2 + _next(fu) / (2.0 * h)
-    diag = np.full(fu.size, 2.0 / h**2)
-    columns = np.column_stack([rhs, np.ones_like(rhs)])
+    n = fu.size
+    edge = -1.0 / h**2
+    half = fu / (2.0 * h)
+    # J's row i is lower[i] d[i-1] + 2/h^2 d[i] + upper[i] d[i+1] with
+    # lower[i] = below[i-1] and upper[i] = above[i+1]
+    below, above = edge - half, edge + half
+    block = np.zeros((n, 3), order="F")
+    block[:, 0] = rhs
+    block[:, 1] = 1.0
     try:
-        sol, row = _cyclic_tridiagonal(lower, diag, upper, columns)
+        sol, row = _cyclic_solve(below[:-1], np.full(n, 2.0 / h**2), above[1:],
+                                 below[-1], above[0], block)
     except np.linalg.LinAlgError as exc:
         raise StationarySolveError(f"bordered Jacobian solve failed: {exc}") from exc
     y, e, z = sol.T
     # [[1 + v^T z, v^T e], [<z>, <e>]] (s, lambda) = (v^T y, <y> - gap); a
     # determinant lost to cancellation (or NaN) means the system is singular
-    a, b, c, d = row[2], row[1], z.mean(), e.mean()
+    a, b, c, d = row[2], row[1], _mean(z), _mean(e)
     det = a * d - b * c
-    if not abs(det) > 4.0 * np.finfo(float).eps * max(abs(a * d), abs(b * c)):
-        raise StationarySolveError(f"bordered Jacobian is singular (n={fu.size})")
-    r0, r1 = row[0], y.mean() - gap
+    if not abs(det) > 4.0 * _EPS * max(abs(a * d), abs(b * c)):
+        raise StationarySolveError(f"bordered Jacobian is singular (n={n})")
+    r0, r1 = row[0], _mean(y) - gap
     s, lam = (d * r0 - b * r1) / det, (a * r1 - c * r0) / det
-    return y - s * z - lam * e, lam
+    # y - s z - lam e, in y's column
+    z *= s
+    y -= z
+    e *= lam
+    y -= e
+    return y, lam
 
 
-def _bordered_newton(at_centers: FluxSamples, p: float, w0, h: float):
+def _bordered_newton(at_centers: FluxSamples, p: float, w0: np.ndarray, h: float):
     """Damped Newton on the bordered system (residual + lambda, mean constraint).
 
-    w is the mean-free deviation from p on a grid of spacing h, and the flux
-    is sampled at the cell centers.  d_u f(p + w, .) fixes the cyclic
+    w is the mean-free deviation from p on a grid of spacing h, starting at
+    the float64 array w0 (not written to), and the flux is sampled at the
+    cell centers.  d_u f(p + w, .) fixes the cyclic
     tridiagonal Jacobian J = -D2 + D1 diag(d_u f); each step solves the
     bordered system in O(n) (``_bordered_solve``).  Newton stops once the
     residual and the mean gap are within NEWTON_TOLERANCE plus the round-off
-    floor 4 eps sup|w| / h^2.  Returns the converged values; raises
+    floor 4 eps sup|w| / h^2.  Returns the converged deviation w; raises
     StationarySolveError with the last residual.
     """
-    w = np.array(w0, dtype=float)
-    lam = 0.0
+    w, lam = w0, 0.0
 
     def merit(wv, lv):
-        base = _residual(at_centers, p + wv, wv, h)
-        gap = wv.mean()
-        return base, gap, float(np.sqrt(np.sum((base + lv) ** 2) + gap**2))
+        u = p + wv
+        base = _residual(at_centers, u, wv, h)
+        gap = _mean(wv)
+        return u, base, gap, math.sqrt(np.add.reduce((base + lv) ** 2) + gap**2)
 
     def floor():
-        return _roundoff_floor(float(np.abs(w).max()), h)
+        return _roundoff_floor(np.maximum.reduce(np.abs(w)), h)
 
     def converged():
-        return max(np.abs(base).max(), abs(gap)) <= NEWTON_TOLERANCE + floor()
+        return max(np.maximum.reduce(np.abs(base)), abs(gap)) <= NEWTON_TOLERANCE + floor()
 
-    base, gap, f_now = merit(w, lam)
+    u, base, gap, f_now = merit(w, lam)
     for _ in range(NEWTON_MAX_ITERATIONS):
         if converged():
             return w
-        delta_w, delta_lam = _bordered_solve(at_centers.speed(p + w), h, -(base + lam), -gap)
+        delta_w, delta_lam = _bordered_solve(at_centers.speed(u), h, -(base + lam), -gap)
         s = 1.0
         accepted = False
         for _ in range(25):
             w_try = w + s * delta_w
             lam_try = lam + s * delta_lam
-            base_try, gap_try, f_try = merit(w_try, lam_try)
+            u_try, base_try, gap_try, f_try = merit(w_try, lam_try)
             if f_try <= (1.0 - 1e-4 * s) * f_now or f_try < NEWTON_TOLERANCE:
                 w, lam = w_try, lam_try
-                base, gap, f_now = base_try, gap_try, f_try
+                u, base, gap, f_now = u_try, base_try, gap_try, f_try
                 accepted = True
                 break
             s *= NEWTON_DAMPING
@@ -188,6 +228,17 @@ def _bordered_newton(at_centers: FluxSamples, p: float, w0, h: float):
         f"mean gap {gap:.3e}, tolerance {NEWTON_TOLERANCE:.1e} + "
         f"round-off floor {floor():.1e})"
     )
+
+
+def _dp_values(at_centers: FluxSamples, values: np.ndarray, h: float) -> np.ndarray:
+    """dw/dp about the profile ``values``; raises unless it is positive."""
+    phi, _ = _bordered_solve(at_centers.speed(values), h, 0.0, 1.0)
+    if phi.min() <= 0.0:
+        raise StationarySolveError(
+            f"mean-derivative profile is not positive (min {phi.min():.3e}); "
+            "refine the grid"
+        )
+    return phi
 
 
 def solve_stationary(
@@ -211,18 +262,14 @@ def solve_stationary(
     ``-D2 w + D1 f(w, .)`` below ``NEWTON_TOLERANCE`` plus the round-off floor of
     the deviation w - p (see ``residual_floor``) in sup norm.
     """
-    if not np.isclose(grid.period, flux.period, rtol=1e-12, atol=0.0):
-        raise ValueError(
-            f"grid period {grid.period} != flux period {flux.period}"
-        )
+    _check_period(flux, grid)
     p = float(mean)
     # Newton runs on the deviation d = w - p.  The Laplacian acts on d alone
     # (constants are in its kernel), so the 1/h^2 roundoff floor scales with
     # the profile's variation, not with |p|; storing w directly would cap the
     # reachable residual near ulp(|p|)/h^2, above tolerance on fine grids.
     d0 = np.zeros(grid.n_cells) if initial is None else np.asarray(initial, float) - p
-    dev = _bordered_newton(flux.sample(grid.centers()), p, d0, grid.h)
-    return Profile(grid, p + dev)
+    return Profile(grid, p + _bordered_newton(flux.sample(grid.centers()), p, d0, grid.h))
 
 
 def solve_dp_w(flux: FluxModel, profile: Profile) -> Profile:
@@ -231,17 +278,11 @@ def solve_dp_w(flux: FluxModel, profile: Profile) -> Profile:
     Solves the linearization of the cell problem about ``profile`` in bordered
     form; the result has unit cell average by construction and must be
     strictly positive (a nonpositive value flags an under-resolved grid and
-    raises).
+    raises).  The flux period must match the grid's.
     """
     grid = profile.grid
-    fu = flux.sample(grid.centers()).speed(profile.values)
-    phi, _ = _bordered_solve(fu, grid.h, np.zeros(grid.n_cells), 1.0)
-    if phi.min() <= 0.0:
-        raise StationarySolveError(
-            f"mean-derivative profile is not positive (min {phi.min():.3e}); "
-            "refine the grid"
-        )
-    return Profile(grid, phi)
+    _check_period(flux, grid)
+    return Profile(grid, _dp_values(flux.sample(grid.centers()), profile.values, grid.h))
 
 
 @dataclass(frozen=True)
@@ -331,36 +372,44 @@ def build_family(
     solve is retried through the midpoint of its step, halving up to 6 times.
     The family is validated (means, strict pointwise monotonicity in p,
     positive derivative profiles with unit mean) before it is returned.
+
+    The walk's time goes to numpy's per-call overhead and to dgtsv (see the
+    module docstring), so the flux is sampled and the period checked once
+    here, and each member goes straight to ``_bordered_newton`` and
+    ``_dp_values``, not through ``solve_stationary`` and ``solve_dp_w``.
     """
     if m_intervals < 16:
         raise ValueError(f"family needs m_intervals >= 16, got {m_intervals}")
     if not p_max > p_min:
         raise ValueError("p_max must exceed p_min")
+    _check_period(flux, grid)
     p_grid = np.linspace(float(p_min), float(p_max), m_intervals + 1)
+    at_centers, h = flux.sample(grid.centers()), grid.h
 
     values = np.empty((p_grid.size, grid.n_cells))
     dp_values = np.empty_like(values)
 
-    def advance(target_p, source: Profile, source_dp: Profile, depth=0) -> Profile:
-        dp = target_p - source.mean
-        guess = source.values + dp * source_dp.values
+    def advance(target_p, source, source_dp, depth=0) -> np.ndarray:
+        source_mean = _mean(source)
+        dp = target_p - source_mean
+        guess = source + dp * source_dp
         try:
-            return solve_stationary(flux, target_p, grid, initial=guess)
+            return target_p + _bordered_newton(at_centers, target_p, guess - target_p, h)
         except StationarySolveError as exc:
             if depth >= 6:
                 raise StationarySolveError(
                     f"continuation failed at p={target_p}: {exc}"
                 ) from exc
-            midway = advance(source.mean + 0.5 * dp, source, source_dp, depth + 1)
-            midway_dp = solve_dp_w(flux, midway)
+            midway = advance(source_mean + 0.5 * dp, source, source_dp, depth + 1)
+            midway_dp = _dp_values(at_centers, midway, h)
             return advance(target_p, midway, midway_dp, depth + 1)
 
-    current = solve_stationary(flux, p_grid[0], grid)
+    current = p_grid[0] + _bordered_newton(at_centers, p_grid[0], np.zeros(grid.n_cells), h)
     for j, p in enumerate(p_grid):
         if j > 0:
             current = advance(p, current, current_dp)
-        current_dp = solve_dp_w(flux, current)
-        values[j], dp_values[j] = current.values, current_dp.values
+        current_dp = _dp_values(at_centers, current, h)
+        values[j], dp_values[j] = current, current_dp
 
     _family_checks(p_grid, values, dp_values)
     values.setflags(write=False)  # handed over without a copy
@@ -401,9 +450,10 @@ def solve_theta(flux: FluxModel, grid: CellGrid) -> Profile:
     """Positive periodic weight theta with unit mean for the energy diagnostic.
 
     Solves D1(b * theta) + D2 theta = 0 with b = d_u f(0, .), which requires a
-    normalized flux (f(0, .) = 0), by the one-step recurrence on the constant
-    discrete flux.
+    normalized flux (f(0, .) = 0) whose period matches the grid's, by the
+    one-step recurrence on the constant discrete flux.
     """
+    _check_period(flux, grid)
     at_centers = flux.sample(grid.centers())
     f0 = np.abs(at_centers.value(0.0)).max()
     if f0 > 1e-10:

@@ -16,6 +16,10 @@
 * ``eo_flux_reference`` -- the Engquist-Osher interface flux written with a
   fresh array for every operation, as ``convstab.evolution._eo_flux`` was
   before it worked in place; the stepper must match it byte for byte.
+* ``build_family_reference`` -- the family walk with its Newton and bordered
+  solves (``solve_stationary_reference``, ``solve_dp_w_reference``) as
+  ``convstab.build_family`` ran them before the walk was trimmed, verbatim;
+  the trimmed walk and the public solvers must match it byte for byte.
 
 Test modules import them as ``from oracles import ...``; ``tests/`` has no
 ``__init__.py``, so pytest puts this directory on ``sys.path``.
@@ -23,21 +27,27 @@ Test modules import them as ``from oracles import ...``; ``tests/`` has no
 
 import json
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 from convstab import (
     CellGrid,
     EntropyField,
     FamilyInterpolant,
     FluxModel,
+    Profile,
     State,
     StationaryFamily,
+    StationarySolveError,
     StepKernel,
     builtin_flux,
 )
 from convstab.entropy import _hermite, _horner
+from convstab.fluxes import FluxSamples
+from convstab.grids import _next, _prev
+from convstab.stationary import NEWTON_DAMPING, NEWTON_MAX_ITERATIONS, NEWTON_TOLERANCE
 
 
 class PicardDivergenceError(RuntimeError):
@@ -239,3 +249,216 @@ def eo_flux_reference(kernel: StepKernel, u_left: np.ndarray, u_right: np.ndarra
         return quadratic
     upwind = f0 + np.maximum(f1, 0.0) * u_left + np.minimum(f1, 0.0) * u_right
     return np.where(kernel.linear, upwind, quadratic)
+
+
+# --- the stationary family as it was built before its walk was trimmed; the
+# --- functions below are that code verbatim, only with _reference names
+
+
+def _cyclic_tridiagonal_reference(lower, diag, upper, columns) -> tuple:
+    """Sherman-Morrison pieces of the cyclic tridiagonal A whose row i reads
+    lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1], indices mod n.
+
+    With g = -diag[0], A = T + u v^T for u = (g, 0, ..., upper[-1]) and
+    v = (1, 0, ..., lower[0] / g); T, the tridiagonal part with diag[0] - g and
+    diag[-1] - upper[-1] lower[0] / g, must be invertible, A need not be.
+    Returns X = T^-1 [columns, u] (one LAPACK dgtsv call) and the row v^T X
+    with 1 added to its last entry; a nonzero info or a non-finite X raises
+    LinAlgError.
+    """
+    n, k = diag.size, np.shape(columns)[1]
+    gamma = -diag[0]
+    d = np.array(diag, dtype=float)
+    d[0] -= gamma
+    d[-1] -= upper[-1] * lower[0] / gamma
+    cols = np.zeros((n, k + 1), order="F")
+    cols[:, :k], cols[0, k], cols[-1, k] = columns, gamma, upper[-1]
+    *_, sol, info = dgtsv(lower[1:], d, upper[:-1], cols)
+    if info != 0 or not np.isfinite(sol).all():
+        raise np.linalg.LinAlgError(f"tridiagonal solve failed (LAPACK dgtsv info={info})")
+    row = sol[0] + lower[0] * sol[-1] / gamma
+    row[k] = 1.0 + sol[0, k] + lower[0] * sol[-1, k] / gamma
+    return sol, row
+
+
+def _residual_reference(at_centers: FluxSamples, w: np.ndarray, deviation: np.ndarray,
+              h: float) -> np.ndarray:
+    """-D2 w + D1 f(w, .), with D2 applied to w's deviation from a constant."""
+    g = at_centers.value(w)
+    lap = (_next(deviation) - 2.0 * deviation + _prev(deviation)) / h**2
+    return -lap + (_next(g) - _prev(g)) / (2.0 * h)
+
+
+def _roundoff_floor_reference(scale: float, h: float) -> float:
+    return 4.0 * np.finfo(float).eps * scale / h**2
+
+
+def _bordered_solve_reference(fu: np.ndarray, h: float, rhs: np.ndarray, gap: float) -> tuple:
+    """(d, lambda) with J d + lambda = rhs and <d> = gap, in O(n).
+
+    J = -D2 + D1 diag(fu) is cyclic tridiagonal with 1^T J = 0, so it is
+    singular on its own.  Its periodic corners and the border both go in by a
+    Woodbury update with two vectors: one dgtsv call solves the corner-modified
+    tridiagonal T for rhs, the ones vector and the corner vector, and a 2x2
+    Schur system gives the corner weight s = v^T d and lambda.
+    """
+    lower = -1.0 / h**2 - _prev(fu) / (2.0 * h)
+    upper = -1.0 / h**2 + _next(fu) / (2.0 * h)
+    diag = np.full(fu.size, 2.0 / h**2)
+    columns = np.column_stack([rhs, np.ones_like(rhs)])
+    try:
+        sol, row = _cyclic_tridiagonal_reference(lower, diag, upper, columns)
+    except np.linalg.LinAlgError as exc:
+        raise StationarySolveError(f"bordered Jacobian solve failed: {exc}") from exc
+    y, e, z = sol.T
+    # [[1 + v^T z, v^T e], [<z>, <e>]] (s, lambda) = (v^T y, <y> - gap); a
+    # determinant lost to cancellation (or NaN) means the system is singular
+    a, b, c, d = row[2], row[1], z.mean(), e.mean()
+    det = a * d - b * c
+    if not abs(det) > 4.0 * np.finfo(float).eps * max(abs(a * d), abs(b * c)):
+        raise StationarySolveError(f"bordered Jacobian is singular (n={fu.size})")
+    r0, r1 = row[0], y.mean() - gap
+    s, lam = (d * r0 - b * r1) / det, (a * r1 - c * r0) / det
+    return y - s * z - lam * e, lam
+
+
+def _bordered_newton_reference(at_centers: FluxSamples, p: float, w0, h: float):
+    """Damped Newton on the bordered system (residual + lambda, mean constraint).
+
+    w is the mean-free deviation from p on a grid of spacing h, and the flux
+    is sampled at the cell centers.  d_u f(p + w, .) fixes the cyclic
+    tridiagonal Jacobian J = -D2 + D1 diag(d_u f); each step solves the
+    bordered system in O(n) (``_bordered_solve``).  Newton stops once the
+    residual and the mean gap are within NEWTON_TOLERANCE plus the round-off
+    floor 4 eps sup|w| / h^2.  Returns the converged values; raises
+    StationarySolveError with the last residual.
+    """
+    w = np.array(w0, dtype=float)
+    lam = 0.0
+
+    def merit(wv, lv):
+        base = _residual_reference(at_centers, p + wv, wv, h)
+        gap = wv.mean()
+        return base, gap, float(np.sqrt(np.sum((base + lv) ** 2) + gap**2))
+
+    def floor():
+        return _roundoff_floor_reference(float(np.abs(w).max()), h)
+
+    def converged():
+        return max(np.abs(base).max(), abs(gap)) <= NEWTON_TOLERANCE + floor()
+
+    base, gap, f_now = merit(w, lam)
+    for _ in range(NEWTON_MAX_ITERATIONS):
+        if converged():
+            return w
+        delta_w, delta_lam = _bordered_solve_reference(at_centers.speed(p + w), h, -(base + lam), -gap)
+        s = 1.0
+        accepted = False
+        for _ in range(25):
+            w_try = w + s * delta_w
+            lam_try = lam + s * delta_lam
+            base_try, gap_try, f_try = merit(w_try, lam_try)
+            if f_try <= (1.0 - 1e-4 * s) * f_now or f_try < NEWTON_TOLERANCE:
+                w, lam = w_try, lam_try
+                base, gap, f_now = base_try, gap_try, f_try
+                accepted = True
+                break
+            s *= NEWTON_DAMPING
+        if not accepted:
+            # stalled in roundoff; the final test below decides honestly
+            break
+    if converged():
+        return w
+    raise StationarySolveError(
+        f"no convergence (residual {np.abs(base).max():.3e}, "
+        f"mean gap {gap:.3e}, tolerance {NEWTON_TOLERANCE:.1e} + "
+        f"round-off floor {floor():.1e})"
+    )
+
+
+def solve_stationary_reference(
+    flux: FluxModel,
+    mean: float,
+    grid: CellGrid,
+    initial: Optional[np.ndarray] = None,
+) -> Profile:
+    """Solve the periodic cell problem for the profile with the given mean.
+
+    Parameters
+    ----------
+    flux : FluxModel
+    mean : target cell average p
+    grid : CellGrid whose period must match the flux period
+    initial : optional warm-start values; defaults to the constant profile
+
+    Returns
+    -------
+    Profile with cell average exactly ``mean`` and discrete residual
+    ``-D2 w + D1 f(w, .)`` below ``NEWTON_TOLERANCE`` plus the round-off floor of
+    the deviation w - p (see ``residual_floor``) in sup norm.
+    """
+    if not np.isclose(grid.period, flux.period, rtol=1e-12, atol=0.0):
+        raise ValueError(
+            f"grid period {grid.period} != flux period {flux.period}"
+        )
+    p = float(mean)
+    # Newton runs on the deviation d = w - p.  The Laplacian acts on d alone
+    # (constants are in its kernel), so the 1/h^2 roundoff floor scales with
+    # the profile's variation, not with |p|; storing w directly would cap the
+    # reachable residual near ulp(|p|)/h^2, above tolerance on fine grids.
+    d0 = np.zeros(grid.n_cells) if initial is None else np.asarray(initial, float) - p
+    dev = _bordered_newton_reference(flux.sample(grid.centers()), p, d0, grid.h)
+    return Profile(grid, p + dev)
+
+
+def solve_dp_w_reference(flux: FluxModel, profile: Profile) -> Profile:
+    """Derivative dw/dp of the stationary profile with respect to its mean.
+
+    Solves the linearization of the cell problem about ``profile`` in bordered
+    form; the result has unit cell average by construction and must be
+    strictly positive (a nonpositive value flags an under-resolved grid and
+    raises).
+    """
+    grid = profile.grid
+    fu = flux.sample(grid.centers()).speed(profile.values)
+    phi, _ = _bordered_solve_reference(fu, grid.h, np.zeros(grid.n_cells), 1.0)
+    if phi.min() <= 0.0:
+        raise StationarySolveError(
+            f"mean-derivative profile is not positive (min {phi.min():.3e}); "
+            "refine the grid"
+        )
+    return Profile(grid, phi)
+
+
+def build_family_reference(flux: FluxModel, p_min: float, p_max: float, m_intervals: int,
+                           grid: CellGrid) -> tuple:
+    """(p_grid, profiles, dp_profiles, alpha) as ``convstab.build_family``
+    walked the family before it was trimmed; ``build_family`` must match it
+    byte for byte."""
+    p_grid = np.linspace(float(p_min), float(p_max), m_intervals + 1)
+
+    values = np.empty((p_grid.size, grid.n_cells))
+    dp_values = np.empty_like(values)
+
+    def advance(target_p, source: Profile, source_dp: Profile, depth=0) -> Profile:
+        dp = target_p - source.mean
+        guess = source.values + dp * source_dp.values
+        try:
+            return solve_stationary_reference(flux, target_p, grid, initial=guess)
+        except StationarySolveError as exc:
+            if depth >= 6:
+                raise StationarySolveError(
+                    f"continuation failed at p={target_p}: {exc}"
+                ) from exc
+            midway = advance(source.mean + 0.5 * dp, source, source_dp, depth + 1)
+            midway_dp = solve_dp_w_reference(flux, midway)
+            return advance(target_p, midway, midway_dp, depth + 1)
+
+    current = solve_stationary_reference(flux, p_grid[0], grid)
+    for j, p in enumerate(p_grid):
+        if j > 0:
+            current = advance(p, current, current_dp)
+        current_dp = solve_dp_w_reference(flux, current)
+        values[j], dp_values[j] = current.values, current_dp.values
+
+    return p_grid, values, dp_values, float(dp_values.min())

@@ -119,6 +119,24 @@ def test_invalid_documents_raise_config_error(path, value):
          "snapshot_schedule.t_lo"),
         (("run", "snapshot_schedule"), {"kind": "linear", "count": 5, "t_hi": 50.0},
          "snapshot_schedule.t_hi"),
+        (("run", "snapshot_schedule"), {"kind": "linear", "count": 5, "t_lo": "soon"},
+         r"snapshot_schedule\.t_lo must be a number"),
+        (("run", "snapshot_schedule"), {"kind": "linear", "count": 5, "t_hi": "late"},
+         r"snapshot_schedule\.t_hi must be a number"),
+        (("run", "snapshot_schedule"), {"kind": "log", "count": 5, "t_lo": 0.0},
+         r"snapshot_schedule\.t_lo must be > 0"),
+        (("run", "snapshot_schedule"), {"kind": "log", "count": 5, "t_lo": 1.5, "t_hi": 1.0},
+         r"snapshot_schedule\.t_hi=1\.0 must exceed snapshot_schedule\.t_lo=1\.5"),
+        (("run", "snapshot_schedule"), {"kind": "linear", "count": 0},
+         r"snapshot_schedule\.count must be >= 1"),
+        (("run", "snapshot_schedule"), {"kind": "quadratic", "count": 5},
+         r"snapshot_schedule\.kind must be linear\|log"),
+        (("initial", "width"), -0.5, r"initial\.width must be positive"),
+        (("run", "t_end"), 0.0, r"run\.t_end must be positive"),
+        (("family", "M"), 8, r"family\.M must be >= 16"),
+        (("run", "p"), 3.0,
+         r"run\.p=3\.0 lies outside the family window \[family\.p_min, family\.p_max\] "
+         r"= \[-1\.0, 1\.0\]"),
     ],
 )
 def test_config_errors_name_their_section(path, value, named):

@@ -33,6 +33,7 @@ from convstab import (
 )
 from convstab import stationary
 from convstab.stationary import NEWTON_TOLERANCE, _bordered_solve
+import oracles
 from oracles import load_family
 
 
@@ -101,6 +102,22 @@ def test_non_finite_jacobian_raises():
         solve_stationary(_nan_speed(forced()), 0.7, grid)
     with pytest.raises(StationarySolveError):
         solve_dp_w(_nan_speed(forced()), solve_stationary(forced(), 0.7, grid))
+
+
+def test_solvers_refuse_a_flux_of_another_period():
+    grid = CellGrid(64, 1.0)
+    longer = builtin_flux("forced_burgers", {"amplitude": 0.5, "period": 2.0})
+    profile = solve_stationary(forced(), 0.7, grid)
+    named = re.escape("grid period 1.0 != flux period 2.0")
+    with pytest.raises(ValueError, match=named):
+        solve_stationary(longer, 0.7, grid)
+    # both would sample the T = 2 flux at the T = 1 grid's centres
+    with pytest.raises(ValueError, match=named):
+        solve_dp_w(longer, profile)
+    with pytest.raises(ValueError, match=named):
+        solve_theta(longer, grid)
+    with pytest.raises(ValueError, match=named):
+        build_family(longer, -1.0, 1.0, 16, grid)
 
 
 def test_residual_floor_formula():
@@ -346,18 +363,18 @@ def test_newton_failure_raises(family_128, monkeypatch):
         solve_stationary(forced(), 2.0, CellGrid(64, 1.0))
 
 
-def failing_at(monkeypatch, p, times):
-    """Make solve_stationary raise for target mean ``p``, ``times`` times."""
-    real = stationary.solve_stationary
+def failing_at(monkeypatch, p, times, owner=stationary, name="_bordered_newton"):
+    """Make the Newton solve ``owner.name`` raise for mean ``p``, ``times`` times."""
+    real = getattr(owner, name)
     means = []
 
-    def solve(flux, mean, grid, initial=None):
+    def solve(at_centers, mean, w0, h):
         means.append(mean)
         if mean == p and means.count(p) <= times:
             raise StationarySolveError("forced failure")
-        return real(flux, mean, grid, initial)
+        return real(at_centers, mean, w0, h)
 
-    monkeypatch.setattr(stationary, "solve_stationary", solve)
+    monkeypatch.setattr(owner, name, solve)
     return means
 
 
@@ -380,6 +397,53 @@ def test_a_continuation_step_that_keeps_failing_names_its_target(family_128, mon
     failing_at(monkeypatch, knot, times=np.inf)
     with pytest.raises(StationarySolveError, match=re.escape(f"continuation failed at p={knot}")):
         build_family(forced(), -2.0, 2.0, 32, CellGrid(128, 1.0))
+
+
+def assert_family_bytes(flux, n_cells, m_intervals):
+    grid = CellGrid(n_cells, 1.0)
+    fam = build_family(flux, -2.0, 2.0, m_intervals, grid)
+    p_grid, profiles, dp_profiles, alpha = oracles.build_family_reference(
+        flux, -2.0, 2.0, m_intervals, grid)
+    assert fam.p_grid.tobytes() == p_grid.tobytes()
+    assert fam.profiles.tobytes() == profiles.tobytes()
+    assert fam.dp_profiles.tobytes() == dp_profiles.tobytes()
+    assert fam.alpha == alpha
+
+
+REFERENCE_FLUXES = {
+    "forced_A0.5": forced(0.5),
+    "forced_A2": forced(2.0),
+    "advection": builtin_flux("periodic_advection"),
+}
+
+
+@pytest.mark.parametrize("m_intervals", [16, 32, 64])
+@pytest.mark.parametrize("n_cells", [8, 16, 128, 384])
+@pytest.mark.parametrize("flux", list(REFERENCE_FLUXES.values()), ids=list(REFERENCE_FLUXES))
+def test_family_equals_the_reference_walk_byte_for_byte(flux, n_cells, m_intervals):
+    # the reference is the walk, the Newton solver and the bordered solve as
+    # they were before the walk was trimmed, verbatim
+    assert_family_bytes(flux, n_cells, m_intervals)
+
+
+def test_a_retried_family_equals_the_reference_walk_byte_for_byte(family_128, monkeypatch):
+    knot = family_128.p_grid[20]
+    means = failing_at(monkeypatch, knot, times=1)
+    reference_means = failing_at(monkeypatch, knot, times=1, owner=oracles,
+                                 name="_bordered_newton_reference")
+    assert_family_bytes(forced(), 128, 32)
+    assert means == reference_means and means.count(knot) == 2
+
+
+def test_an_off_knot_profile_equals_the_reference_byte_for_byte(family_128):
+    flux, grid = forced(), family_128.grid
+    guess = family_128.profiles[17]
+    for initial in (None, guess):
+        prof = solve_stationary(flux, 0.1234, grid, initial=initial)
+        ref = oracles.solve_stationary_reference(flux, 0.1234, grid, initial=initial)
+        assert prof.values.tobytes() == ref.values.tobytes()
+        dp, dp_ref = solve_dp_w(flux, prof), oracles.solve_dp_w_reference(flux, ref)
+        assert dp.values.tobytes() == dp_ref.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
