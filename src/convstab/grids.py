@@ -13,16 +13,26 @@ wrap-around shifts; one banded solver per kind of matrix, the cyclic
 tridiagonal LAPACK dgtsv solve for varying coefficients (the stationary
 Newton) and the factor-free dpttrs solve for constant ones (the diffusion
 step and the spline); and the periodic cubic spline.
+
+The two LAPACK routines come from ``scipy.linalg._flapack``, the extension
+that ``scipy.linalg.lapack`` re-exports, loaded by itself: importing it
+through ``scipy.linalg`` would run that package's init, 74 more scipy modules
+and about 24 MiB, for two routines.  CPython caches an extension by name and
+file, so a later ``import scipy.linalg`` hands out these same function
+objects, and every solve is scipy's own.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import Literal
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dpttrs
+import scipy
 
 __all__ = [
     "BoundaryMode",
@@ -44,6 +54,22 @@ BoundaryMode = Literal["pinned_to_wp", "periodic"]
 
 
 _EPS = np.finfo(float).eps
+
+
+def _load_flapack():
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded without
+    running the ``scipy.linalg`` package init."""
+    name, where = "scipy.linalg._flapack", os.path.join(scipy.__path__[0], "linalg")
+    spec = PathFinder.find_spec(name, [where])
+    if spec is None:
+        raise ImportError(f"cannot find {name} in {where}", name=name)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgtsv, dpttrs = _flapack.dgtsv, _flapack.dpttrs
 
 
 def _readonly(values) -> np.ndarray:

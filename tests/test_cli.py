@@ -492,12 +492,13 @@ def test_default_output_directory_comes_from_the_config(tmp_path, monkeypatch):
 
 
 def test_importing_the_cli_leaves_heavy_scipy_modules_unloaded():
-    # the run path needs scipy.linalg.lapack only; scipy.interpolate would
-    # pull in scipy.sparse, scipy.special and more (about 23 MiB)
+    # the run path needs two routines of the extension scipy.linalg._flapack
+    # only; the scipy.linalg package init would add about 24 MiB, and
+    # scipy.interpolate would pull in scipy.sparse, scipy.special and more
     src = str(Path(convstab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, convstab.cli; print(sorted(m for m in sys.modules if m in "
-            "('scipy.interpolate', 'scipy.sparse', 'scipy.special')))")
+            "('scipy.interpolate', 'scipy.linalg', 'scipy.sparse', 'scipy.special')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"

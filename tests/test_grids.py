@@ -1,11 +1,18 @@
 """Grid containers, discrete norms, and the perturbation primitive."""
 
+import os
+import subprocess
+import sys
+from importlib.machinery import PathFinder
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+import convstab
 from convstab import CellGrid, LineGrid, Profile, builtin_flux, norm, primitive, solve_stationary
-from convstab.grids import _next, _periodic_spline, _prev, _toeplitz_solve
+from convstab.grids import _load_flapack, _next, _periodic_spline, _prev, _toeplitz_solve
 
 
 def test_cell_grid_centers_are_midpoints():
@@ -183,3 +190,22 @@ def test_toeplitz_solve_raises_on_bad_matrices_and_non_finite_results(periodic):
     rhs[3] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
         _toeplitz_solve(4.0, 1.0, rhs, periodic)
+
+
+def test_lapack_routines_are_scipys_own_when_scipy_linalg_comes_later():
+    # grids loads scipy.linalg._flapack without the scipy.linalg package; a
+    # later import of scipy.linalg.lapack must hand out the same functions
+    src = str(Path(convstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, convstab.grids as g; assert 'scipy.linalg' not in sys.modules; "
+            "import scipy.linalg.lapack as l; print(g.dgtsv is l.dgtsv, g.dpttrs is l.dpttrs)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["True", "True"]
+
+
+def test_a_missing_lapack_extension_raises_an_import_error_naming_it(monkeypatch):
+    monkeypatch.setattr(PathFinder, "find_spec", classmethod(lambda cls, name, path=None: None))
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack in .*linalg") as caught:
+        _load_flapack()
+    assert caught.value.name == "scipy.linalg._flapack"
