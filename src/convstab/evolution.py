@@ -178,28 +178,21 @@ def _max_speed(kernel: StepKernel, u: np.ndarray) -> float:
     return float(max(w.max(), -w.min()))
 
 
-def _policy_dt(policy: StepPolicy, h: float, speed: float) -> float:
-    """The policy's step for the CFL speed max|d_u f| = speed."""
-    if speed == 0.0:
-        return policy.dt_max
-    return min(policy.dt_max, policy.cfl_fraction * h / speed)
-
-
 def cfl_timestep(state: State, kernel: StepKernel, policy: StepPolicy) -> float:
     """Largest step the policy allows for the current state."""
-    return _policy_dt(policy, state.grid.h, _max_speed(kernel, state.u))
+    speed = _max_speed(kernel, state.u)
+    if speed == 0.0:
+        return policy.dt_max
+    return min(policy.dt_max, policy.cfl_fraction * state.grid.h / speed)
 
 
-def step(state: State, kernel: StepKernel, dt: float,
-         _speed: Optional[float] = None) -> State:
+def step(state: State, kernel: StepKernel, dt: float) -> State:
     """Advance one IMEX step; raises CFLError if dt exceeds the CFL bound
     and ValueError if the state lives on another grid than the kernel.
 
-    ``_speed`` is for ``evolve``, which passes the max|d_u f| of ``state``
-    it already computed for dt, so the CFL guard reads that number instead
-    of recomputing it.  Periodic domains conserve the discrete mass exactly
-    (up to solver roundoff); pinned domains exchange mass with the zero ghost
-    cells, which the run-level diagnostics monitor.
+    Periodic domains conserve the discrete mass exactly (up to solver
+    roundoff); pinned domains exchange mass with the zero ghost cells, which
+    the run-level diagnostics monitor.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -207,7 +200,7 @@ def step(state: State, kernel: StepKernel, dt: float,
     if grid != kernel.grid:
         raise ValueError(f"the state's grid {grid} is not the kernel's grid {kernel.grid}")
     h = grid.h
-    speed = _max_speed(kernel, u) if _speed is None else _speed
+    speed = _max_speed(kernel, u)
     if dt * speed > h * (1.0 + 1e-9):
         raise CFLError(f"dt={dt:.3e} exceeds the CFL bound h/max|d_u f|={h / speed:.3e}")
 
@@ -273,14 +266,11 @@ def evolve(
         targets.append(t_end)
 
     kernel = StepKernel.from_flux(flux, state.grid)
-    h = state.grid.h
     current = state
     for target in targets:
         while current.time < target - 1e-13:
-            # one speed per step: it sets dt as in cfl_timestep and is step's guard
-            speed = _max_speed(kernel, current.u)
-            dt = min(_policy_dt(policy, h, speed), target - current.time)
-            current = step(current, kernel, dt, speed)
+            dt = min(cfl_timestep(current, kernel, policy), target - current.time)
+            current = step(current, kernel, dt)
         # land exactly on the target to keep snapshot bookkeeping deterministic
         current = State(current.grid, current.u, float(target))
         if snaps.size and np.any(np.abs(snaps - target) <= 1e-14):

@@ -585,7 +585,10 @@ def _write_snapshot(path, frame: np.ndarray, u: np.ndarray) -> None:
 def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
     """Run the scenario and, given out_dir, write its artifacts there."""
     config = setup.config
-    snapshots = np.unique(np.concatenate([[0.0], config.schedule_times, [config.t_end]]))
+    # the sorted distinct times, as np.unique gives them; np.unique would
+    # import numpy.ma (about 20 ms) inside the run
+    times = np.sort(np.concatenate([[0.0], config.schedule_times, [config.t_end]]))
+    snapshots = times[np.concatenate([[True], times[1:] != times[:-1]])]
     observer = make_observer(setup)
     snapshots_dir = None
     family_path = None

@@ -502,3 +502,17 @@ def test_importing_the_cli_leaves_heavy_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_a_run_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma (about 20 ms) on its first call; nothing
+    # else the run path loads brings it in
+    config = write_config(tmp_path)
+    src = str(Path(convstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, convstab.cli as c; "
+            f"c.main(['evolve', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split()[-1] == "False"

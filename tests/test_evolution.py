@@ -308,25 +308,6 @@ def test_step_is_deterministic():
     assert np.array_equal(a.u, b.u)
 
 
-def test_evolve_takes_one_speed_per_step_and_steps_as_the_public_loop(monkeypatch):
-    grid = periodic_line()
-    u0 = random_zero_mean(grid, 5)
-    policy = cs.StepPolicy(cfl_fraction=1.0, dt_max=0.013)
-    kernel = cs.StepKernel.from_flux(forced(), grid)
-    state, steps = initial_state(grid, u0), 0
-    while state.time < 0.3 - 1e-13:
-        state = cs.step(state, kernel, min(cs.cfl_timestep(state, kernel, policy),
-                                           0.3 - state.time))
-        steps += 1
-    speeds = []
-    max_speed = evolution._max_speed
-    monkeypatch.setattr(evolution, "_max_speed",
-                        lambda *args: speeds.append(max_speed(*args)) or speeds[-1])
-    final, _ = cs.evolve(initial_state(grid, u0), forced(), 0.3, policy)
-    assert len(speeds) == steps
-    assert np.array_equal(final.u, state.u)
-
-
 def _counting(flux, counts):
     """Copy of ``flux`` whose four callables count their calls in counts[0]."""
     def counted(fn):
