@@ -1,11 +1,35 @@
 """Time integration: finite volumes in space, IMEX in time.
 
-One step treats convection explicitly with the Engquist-Osher interface flux
-(evaluated with the local interface coordinate, shared by both one-sided
-integrals) and diffusion implicitly with backward Euler and the 3-point
-Laplacian:
+One step treats convection explicitly with a split Engquist-Osher interface
+flux (evaluated with the local interface coordinate) and diffusion implicitly
+with backward Euler and the 3-point Laplacian:
 
     u* = u^k - dt/h (F_{i+1/2} - F_{i-1/2}),      (I - dt D2) u^{k+1} = u*.
+
+Every flux is f = c0 + c1 u + c2 u^2 / 2 (``fluxes``), and F is the sum of
+the Engquist-Osher fluxes of c1 u and of c2 u^2 / 2, both with sonic point 0:
+
+    F(a, b) = c0 + max(c1, 0) a + min(c1, 0) b
+                 + a max(c2 a, 0) / 2 + b min(c2 b, 0) / 2,
+
+that is c2/2 (max(a, 0)^2 + min(b, 0)^2) on convex faces, with the inner max
+and min swapped on concave ones.  F(u, u) = f(u), F(0, 0) = c0, and
+d_a F = max(c1, 0) + max(c2 a, 0) >= 0 >= min(c1, 0) + min(c2 b, 0) = d_b F,
+so F is a monotone flux (Engquist & Osher 1981; Crandall & Majda 1980).
+
+The explicit half is monotone.  Cell i's new value depends on u_(i-1), u_i
+and u_(i+1) with the coefficients dt/h d_a F_(i-1/2)(u_(i-1)) >= 0,
+-dt/h d_b F_(i+1/2)(u_(i+1)) >= 0 and
+
+    1 - dt/h (max(c1, 0)_(i+1/2) - min(c1, 0)_(i-1/2)
+              + max(c2_(i+1/2) u_i, 0) - min(c2_(i-1/2) u_i, 0)).
+
+The bracket is at most B0 + G |u_i|, where B0 = max_i (max(c1_(i+1/2), 0) -
+min(c1_(i-1/2), 0)) and G is the same maximum over c2 taken for both signs
+of u (max|c2| at the faces when c2 keeps one sign); each off-diagonal term
+is at most dt/h (B0 + G |u_(i-+1)|).  With S(u) = B0 + G max|u|, every
+dt <= h / S(u) puts the three coefficients in [0, 1]: ``cfl_timestep``
+takes dt <= cfl_fraction h / S(u), and ``step`` refuses dt above h / S(u).
 
 The implicit half is an M-matrix solve, and on periodic domains the step
 conserves the discrete mass exactly.  Its matrix tridiag(-lam, 1 + 2 lam, -lam),
@@ -13,24 +37,19 @@ lam = dt / h^2, has constant coefficients, so it is solved without a
 factorization: one LAPACK dpttrs call with the limit pivot of its Cholesky
 factor, and a closed-form rank-1 (pinned) or rank-2 (periodic) correction
 from the powers r^i of one ratio, cut to zero once |r|^i < eps (1 - |r|), so
-the dropped tail stays below eps times the right-hand side and no lam runs
-into subnormal arithmetic.  The step size obeys
-dt <= cfl_fraction * h / max_i |d_u f(u_i, x_i)|, with speeds at the cell
-centers, and ``step`` refuses dt above h / max_i |d_u f(u_i, x_i)|.  That does
-not make the explicit half monotone: its diagonal coefficient
-1 - dt/h (max(d_u f(u_i, x_{i+1/2}), 0) - min(d_u f(u_i, x_{i-1/2}), 0))
-reads interface speeds and can turn negative at cfl_fraction = 1, so ordering
-and L1 contraction are checked by the tests and trials, not implied.
-Pinned domains hold one ghost cell at zero on each side: runs evolve the
-perturbation under a flux normalized about w_p, for which zero is the pinned
-state w_p itself and an exact fixed point.
+each dropped entry stays below eps times its correction's coefficient and no
+lam runs into subnormal arithmetic.  Both halves are monotone, so two states
+stepped with one dt that both their bounds allow (no state between them has
+a larger S) keep their order and do not move apart in L1.
 
-Every flux is quadratic in u, so the Engquist-Osher split integrals have a
-closed form in f(0, x), d_u f(0, x) and d_uu f(0, x) at the interfaces; a
-``StepKernel``, which ``step`` and ``cfl_timestep`` take in place of the flux,
-samples these and the center speeds from the flux's coefficients once per run.
-Where f is convex in u at every interface, as for the Burgers-type built-ins
-and their normalizations about w_p, the interface flux skips its branches.
+``step`` pads u with one ghost cell on each side and differences the n + 1
+face fluxes.  Periodic ghosts are u[-1] and u[0], and the kernel samples face
+n at x = 0, the same point as face 0, so the two end fluxes are the same bits
+and the mass telescopes.  Pinned ghosts sit at zero: runs evolve the
+perturbation under a flux normalized about w_p, for which zero is the pinned
+state w_p itself and an exact fixed point.  A ``StepKernel``, which ``step``
+and ``cfl_timestep`` take in place of the flux, samples the face
+coefficients and the two scalars B0 and G once per run.
 """
 
 from __future__ import annotations
@@ -42,7 +61,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsSeries
 from .fluxes import FluxModel
-from .grids import LineGrid, _prev, _readonly, _toeplitz_solve
+from .grids import LineGrid, _readonly, _toeplitz_solve
 
 __all__ = [
     "CFLError",
@@ -56,12 +75,16 @@ __all__ = [
 
 
 class CFLError(RuntimeError):
-    """Requested time step exceeds the CFL bound h / max|d_u f|."""
+    """Requested time step exceeds the monotonicity bound h / S(u), with
+    S(u) = B0 + G max|u| the kernel's bound on the explicit half's
+    coefficients."""
 
 
 @dataclass(frozen=True)
 class StepPolicy:
-    """Step-size policy: dt = cfl_fraction * h / max|d_u f| capped by dt_max."""
+    """Step-size policy: dt = cfl_fraction * h / S(u) capped by dt_max, with
+    S(u) = B0 + G max|u|; every cfl_fraction in (0, 1] keeps the explicit
+    half monotone."""
 
     cfl_fraction: float = 0.9
     dt_max: float = 0.1
@@ -98,97 +121,75 @@ class State:
 
 @dataclass(frozen=True)
 class StepKernel:
-    """The flux sampled on one grid by ``from_flux``.  Read-only: f = f0 + f1 u
-    + half_f2 u^2 at the interfaces a step uses (periodic domains drop the
-    last), its sonic point u_star = -f1 / f2 (0 where f is linear in u), the
-    masks f2 > 0 and |f2| < 1e-13, and d_u f(u, x) = center_f1 + center_f2 u
-    at the centers."""
+    """The flux sampled on one grid by ``from_flux``.  Read-only: at the
+    n + 1 faces a step uses (periodic domains sample face n at x = 0, the
+    point of face 0), f0 = c0, f1_pos = max(c1, 0), f1_neg = min(c1, 0) and
+    half_f2 = c2 / 2; and the speed bound S(u) = speed_floor + speed_slope
+    max|u|, speed_floor = B0 = max_i (f1_pos_(i+1) - f1_neg_i) over the
+    cells, speed_slope = G, the same for c2 with both signs of u."""
 
     grid: LineGrid
     f0: np.ndarray
-    f1: np.ndarray
+    f1_pos: np.ndarray
+    f1_neg: np.ndarray
     half_f2: np.ndarray
-    u_star: np.ndarray
-    convex: np.ndarray
-    linear: np.ndarray
-    all_convex: bool  # convex and not linear at every interface
-    center_f1: np.ndarray
-    center_f2: np.ndarray
+    speed_floor: float
+    speed_slope: float
 
     @classmethod
     def from_flux(cls, flux: FluxModel, grid: LineGrid) -> "StepKernel":
         faces = grid.interfaces()
-        f0, f1, f2 = flux.sample(faces[:-1] if grid.boundary_mode == "periodic" else faces)
-        _, center_f1, center_f2 = flux.sample(grid.centers())
-        linear, convex = np.abs(f2) < 1e-13, f2 > 0
-        u_star = np.where(linear, 0.0, -f1 / np.where(linear, 1.0, f2))
-        derived = dict(half_f2=0.5 * f2, u_star=u_star, convex=convex, linear=linear)
+        if grid.boundary_mode == "periodic":
+            faces[-1] = 0.0
+        f0, f1, f2 = flux.sample(faces)
+        f1_pos, f1_neg = np.maximum(f1, 0.0), np.minimum(f1, 0.0)
+        f2_pos, f2_neg = np.maximum(f2, 0.0), np.minimum(f2, 0.0)
+        # cell i lies between faces i and i + 1; u_i > 0 meets max(c2, 0) on
+        # the right and -min(c2, 0) on the left, u_i < 0 the other two
+        slope = max((f2_pos[1:] - f2_neg[:-1]).max(), (f2_pos[:-1] - f2_neg[1:]).max())
+        derived = dict(f1_pos=f1_pos, f1_neg=f1_neg, half_f2=0.5 * f2)
         for array in derived.values():
             array.setflags(write=False)
-        return cls(grid, f0=f0, f1=f1, all_convex=bool(convex.all() and not linear.any()),
-                   center_f1=center_f1, center_f2=center_f2, **derived)
+        return cls(grid, f0=f0, speed_floor=float((f1_pos[1:] - f1_neg[:-1]).max()),
+                   speed_slope=float(slope), **derived)
 
 
-def _eo_flux(kernel: StepKernel, u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
-    """Engquist-Osher flux F(a, b; x) in closed form at the kernel's interfaces.
-
-    Convex f gives f(a') + f(b') - f(u*) with a' = max(a, u*), b' = min(b, u*);
-    concave f clips the other way; f linear in u is plain upwinding.  As
-    f'(u*) = 0, f(c) - f(u*) = f2 (c - u*)^2 / 2: the clipped state farther
-    from u* enters through f, the nearer through that square, so a distant u*
-    (tiny f2) cancels nothing and F(0, 0) = f(0) exactly.  When every point
-    is convex the masks are skipped; the result is the same bit for bit.
-    The sum is accumulated in its own temporaries, in the order written
-    above; u_left and u_right are not written to.
-    """
-    f0, f1, half_f2, u_star = kernel.f0, kernel.f1, kernel.half_f2, kernel.u_star
-    if kernel.all_convex:
-        # a' >= u* >= b': the distances to u* need no abs
-        a, b = np.maximum(u_left, u_star), np.minimum(u_right, u_star)
-        dist_a, dist_b = a - u_star, u_star - b
-    else:
-        a = np.where(kernel.convex, np.maximum(u_left, u_star), np.minimum(u_left, u_star))
-        b = np.where(kernel.convex, np.minimum(u_right, u_star), np.maximum(u_right, u_star))
-        dist_a, dist_b = np.abs(a - u_star), np.abs(b - u_star)
-    # b becomes the state farther from u*; the nearer enters squared, so its
-    # distance (both are >= 0) stands in for c - u*
-    far = b
-    np.copyto(far, a, where=dist_a >= dist_b)
-    near = np.minimum(dist_a, dist_b, out=dist_a)
-    # f0 + f1 far + f2/2 far^2 + f2/2 near^2, summed left to right in place
-    quadratic = np.multiply(f1, far, out=a)
-    quadratic += f0
-    term = np.multiply(half_f2, far, out=dist_b)
-    term *= far
-    quadratic += term
-    np.multiply(half_f2, near, out=term)
-    term *= near
-    quadratic += term
-    if kernel.all_convex:
-        return quadratic
-    upwind = f0 + np.maximum(f1, 0.0) * u_left + np.minimum(f1, 0.0) * u_right
-    return np.where(kernel.linear, upwind, quadratic)
+def _interface_flux(kernel: StepKernel, u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
+    """Split Engquist-Osher flux F(a, b; x) at the kernel's faces, written as
+    a (max(c1, 0) + max(c2 a / 2, 0)) + b (min(c1, 0) + min(c2 b / 2, 0)) + c0
+    and summed in that order in two temporaries of its own; u_left and
+    u_right are not written to."""
+    up = np.multiply(kernel.half_f2, u_left)
+    np.maximum(up, 0.0, out=up)
+    up += kernel.f1_pos
+    up *= u_left
+    down = np.multiply(kernel.half_f2, u_right)
+    np.minimum(down, 0.0, out=down)
+    down += kernel.f1_neg
+    down *= u_right
+    up += down
+    up += kernel.f0
+    return up
 
 
-def _max_speed(kernel: StepKernel, u: np.ndarray) -> float:
-    """max_i |d_u f(u_i, x_i)| = max_i |center_f1 + center_f2 u_i|, the same
-    bits as np.abs(w).max() without forming |w|."""
-    w = kernel.center_f2 * u
-    w += kernel.center_f1
-    return float(max(w.max(), -w.min()))
+def _speed_bound(kernel: StepKernel, u: np.ndarray) -> float:
+    """S(u) = B0 + G max|u|, with max|u| from two reductions."""
+    return kernel.speed_floor + kernel.speed_slope * float(max(u.max(), -u.min()))
 
 
 def cfl_timestep(state: State, kernel: StepKernel, policy: StepPolicy) -> float:
-    """Largest step the policy allows for the current state."""
-    speed = _max_speed(kernel, state.u)
+    """Largest step the policy allows for the current state:
+    min(dt_max, cfl_fraction h / S(u)), and dt_max where S(u) = 0."""
+    speed = _speed_bound(kernel, state.u)
     if speed == 0.0:
         return policy.dt_max
     return min(policy.dt_max, policy.cfl_fraction * state.grid.h / speed)
 
 
 def step(state: State, kernel: StepKernel, dt: float) -> State:
-    """Advance one IMEX step; raises CFLError if dt exceeds the CFL bound
-    and ValueError if the state lives on another grid than the kernel.
+    """Advance one IMEX step; raises CFLError if dt exceeds the monotonicity
+    bound h / S(u) and ValueError if the state lives on another grid than the
+    kernel.
 
     Periodic domains conserve the discrete mass exactly (up to solver
     roundoff); pinned domains exchange mass with the zero ghost cells, which
@@ -200,24 +201,18 @@ def step(state: State, kernel: StepKernel, dt: float) -> State:
     if grid != kernel.grid:
         raise ValueError(f"the state's grid {grid} is not the kernel's grid {kernel.grid}")
     h = grid.h
-    speed = _max_speed(kernel, u)
+    speed = _speed_bound(kernel, u)
     if dt * speed > h * (1.0 + 1e-9):
-        raise CFLError(f"dt={dt:.3e} exceeds the CFL bound h/max|d_u f|={h / speed:.3e}")
+        raise CFLError(f"dt={dt:.3e} exceeds the monotonicity bound h/S(u)={h / speed:.3e}")
 
     periodic = grid.boundary_mode == "periodic"
+    padded = np.empty(u.size + 2)
+    padded[1:-1] = u
+    padded[0], padded[-1] = (u[-1], u[0]) if periodic else (0.0, 0.0)
+    flux_vals = _interface_flux(kernel, padded[:-1], padded[1:])
     # u - dt (F_{i+1/2} - F_{i-1/2}) / h, built in one buffer
-    rhs = np.empty_like(u)
-    if periodic:
-        flux_vals = _eo_flux(kernel, _prev(u), u)
-        np.subtract(flux_vals[1:], flux_vals[:-1], out=rhs[:-1])
-        rhs[-1] = flux_vals[0] - flux_vals[-1]
-    else:
-        # one ghost cell on each side, held at zero
-        padded = np.concatenate([[0.0], u, [0.0]])
-        flux_vals = _eo_flux(kernel, padded[:-1], padded[1:])
-        np.subtract(flux_vals[1:], flux_vals[:-1], out=rhs)
-    rhs /= h
-    rhs *= dt
+    rhs = np.subtract(flux_vals[1:], flux_vals[:-1])
+    rhs *= dt / h
     np.subtract(u, rhs, out=rhs)
     lam = dt / h**2
     u_new = _toeplitz_solve(1.0 + 2.0 * lam, -lam, rhs, periodic)

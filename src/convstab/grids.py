@@ -261,10 +261,10 @@ def _cyclic_solve(dl, d, du, first, last, block) -> tuple:
 def _powers(r: float, n: int) -> np.ndarray:
     """r^i for |r| < 1 and i < m <= n, where m keeps the computed powers with
     |r|^i >= eps (1 - |r|), eps the float64 machine epsilon, and cuts the
-    rest.  A dot product of the kept powers with any v leaves out a geometric
-    tail of at most |r|^m max|v| / (1 - |r|) < eps max|v|, the size of the
-    dot's own rounding, and every kept power is a normal number (at least
-    eps 2^-53 >> tiny), so no lam runs into subnormal arithmetic.
+    rest.  A column c r^i cut there leaves out entries of at most
+    |c| |r|^m < eps |c|, the size of its own rounding, and every kept power
+    is a normal number (at least eps 2^-53 >> tiny), so no lam runs into
+    subnormal arithmetic.
     r^(64 j + i) is the outer product of two short np.power calls, r^(64 j)
     and r^i for i < 64."""
     a = abs(r)
@@ -299,13 +299,14 @@ def _toeplitz_solve(d: float, e: float, rhs: np.ndarray, periodic: bool) -> np.n
         T^-1 e_0 = (r^i - r^(n+1) r^(n-1-i)) / (p (1 - r^2)),
         T^-1 e_(n-1) = r^(n-1-i) / p.
 
-    So x = T^-1 (rhs - U c) with (I + C W) c = C U^T T^-1 rhs, W = U^T T^-1 U,
-    where U^T T^-1 rhs takes two dot products with the powers of r.  Those
-    run over ``_powers``, which cuts r^i once |r|^i < eps (1 - |r|): each dot
-    leaves out less than eps max|rhs|, so at lam = 150-213 on 8192 cells the
-    dots span 470-570 entries, not 8192.  rhs is not written to.  A
-    non-finite or not diagonally dominant (d, e), a nonzero info or a
-    non-finite result raises LinAlgError.
+    So x = z - T^-1 U c with z = T^-1 rhs and (I + C W) c = C U^T z,
+    W = U^T T^-1 U; T is symmetric, so U^T T^-1 rhs is z's two end entries.
+    The two columns are subtracted over ``_powers``, which cuts r^i once
+    |r|^i < eps (1 - |r|): each leaves out less than eps times its
+    coefficient, so at lam = 150-213 on 8192 cells they span 470-570
+    entries, not 8192; on short domains the two spans overlap.  rhs is not
+    written to.  A non-finite or not diagonally dominant (d, e), a nonzero
+    info or a non-finite result raises LinAlgError.
     """
     if not (math.isfinite(d) and d > 2.0 * abs(e)):
         raise np.linalg.LinAlgError(f"Toeplitz solve needs finite d > 2|e|, got d={d}, e={e}")
@@ -316,12 +317,10 @@ def _toeplitz_solve(d: float, e: float, rhs: np.ndarray, periodic: bool) -> np.n
     # 1 - r^2 = (p - |e|)(p + |e|) / p^2, p - |e| = root_minus (root_minus + root_plus) / 2
     one_minus_r2 = 0.5 * root_minus * (root_minus + root_plus) * (p + abs(e)) / (p * p)
     r_last = r ** (n - 1)
-    # U^T T^-1 rhs from the closed-form columns; einsum, unlike a BLAS dot,
-    # sums in the same order whatever the thread count
-    pw = _powers(r, n)
-    head = np.einsum("i,i", pw, rhs[:pw.size])
-    tail = np.einsum("i,i", pw, rhs[::-1][:pw.size])
-    y0, y1 = (head - r * r * r_last * tail) / (p * one_minus_r2), tail / p
+    x, info = dpttrs(np.full(n, p), np.full(n - 1, e / p), rhs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Toeplitz solve failed (LAPACK dpttrs info={info})")
+    y0, y1 = x[0], x[-1]
     g = e * e / p
     # W = U^T T^-1 U
     w00, w01, w11 = (1.0 - (r * r_last) ** 2) / (p * one_minus_r2), r_last / p, 1.0 / p
@@ -332,12 +331,14 @@ def _toeplitz_solve(d: float, e: float, rhs: np.ndarray, periodic: bool) -> np.n
         c0, c1 = (s11 * v0 - s01 * v1) / det, (s00 * v1 - s10 * v0) / det
     else:
         c0, c1 = g * y0 / (1.0 + g * w00), 0.0
-    b = np.array(rhs, dtype=float)
-    b[0] -= c0
-    b[-1] -= c1
-    x, info = dpttrs(np.full(n, p), np.full(n - 1, e / p), b, overwrite_b=True)
-    if info != 0 or not np.isfinite(x).all():
-        raise np.linalg.LinAlgError(f"Toeplitz solve failed (LAPACK dpttrs info={info})")
+    # x -= c0 T^-1 e_0 + c1 T^-1 e_(n-1): r^i from the head, r^(n-1-i) from the tail
+    pw = _powers(r, n)
+    head = c0 / (p * one_minus_r2)
+    tail = c1 / p - head * r * r * r_last
+    x[:pw.size] -= head * pw
+    x[n - pw.size:] -= tail * pw[::-1]
+    if not np.isfinite(x).all():
+        raise np.linalg.LinAlgError("Toeplitz solve failed: non-finite result")
     return x
 
 

@@ -13,9 +13,10 @@
   ``convstab.lap_number`` counted before it skipped to the turning points.
 * ``profile_at`` -- w_p at per-cell means through an interpolant's own
   profile cubics: the forward map that ``FamilyInterpolant.invert`` undoes.
-* ``eo_flux_reference`` -- the Engquist-Osher interface flux written with a
-  fresh array for every operation, as ``convstab.evolution._eo_flux`` was
-  before it worked in place; the stepper must match it byte for byte.
+* ``interface_flux_reference`` -- the split Engquist-Osher interface flux
+  written with a fresh array for every operation; the stepper's
+  ``_interface_flux``, which works in two temporaries, must match it byte
+  for byte.
 * ``build_family_reference`` -- the family walk with its Newton and bordered
   solves (``solve_stationary_reference``, ``solve_dp_w_reference``) as
   ``convstab.build_family`` ran them before the walk was trimmed, verbatim;
@@ -231,24 +232,13 @@ def hysteresis_walk(samples) -> int:
     return reversals
 
 
-def eo_flux_reference(kernel: StepKernel, u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
-    """Engquist-Osher flux at a kernel's interfaces, one temporary per operation
-    and ``np.where`` for every choice, in the order ``_eo_flux`` evaluates."""
-    f0, f1, half_f2, u_star = kernel.f0, kernel.f1, kernel.half_f2, kernel.u_star
-    if kernel.all_convex:
-        a, b = np.maximum(u_left, u_star), np.minimum(u_right, u_star)
-        dist_a, dist_b = a - u_star, u_star - b
-    else:
-        a = np.where(kernel.convex, np.maximum(u_left, u_star), np.minimum(u_left, u_star))
-        b = np.where(kernel.convex, np.minimum(u_right, u_star), np.maximum(u_right, u_star))
-        dist_a, dist_b = np.abs(a - u_star), np.abs(b - u_star)
-    a_far = dist_a >= dist_b
-    far, near = np.where(a_far, a, b), np.where(a_far, dist_b, dist_a)
-    quadratic = f0 + f1 * far + half_f2 * far * far + half_f2 * near * near
-    if kernel.all_convex:
-        return quadratic
-    upwind = f0 + np.maximum(f1, 0.0) * u_left + np.minimum(f1, 0.0) * u_right
-    return np.where(kernel.linear, upwind, quadratic)
+def interface_flux_reference(kernel: StepKernel, u_left: np.ndarray,
+                             u_right: np.ndarray) -> np.ndarray:
+    """Split Engquist-Osher flux at a kernel's faces, one fresh array per
+    operation, in the order ``_interface_flux`` evaluates."""
+    up = (np.maximum(kernel.half_f2 * u_left, 0.0) + kernel.f1_pos) * u_left
+    down = (np.minimum(kernel.half_f2 * u_right, 0.0) + kernel.f1_neg) * u_right
+    return up + down + kernel.f0
 
 
 # --- the stationary family as it was built before its walk was trimmed; the

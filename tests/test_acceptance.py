@@ -97,19 +97,34 @@ def test_criterion_2_family_invariants():
     assert family.alpha == pytest.approx(0.9220552811713707, rel=1e-9)
 
 
-def test_criterion_3_semigroup_trio(tmp_path):
+def semigroup_trio(config_path, out, name):
     start = time.perf_counter()
-    code = cli.main(["verify", "--config", str(CONFIG_DIR / "verify_forced_burgers.json"),
-                     "--out", str(tmp_path), "--trials", "20", "--seed", "0"])
+    code = cli.main(["verify", "--config", str(config_path),
+                     "--out", str(out), "--trials", "20", "--seed", "0"])
     seconds = time.perf_counter() - start
-    verdicts = json.loads((tmp_path / "verdicts.json").read_text())["verdicts"]
+    verdicts = json.loads((out / "verdicts.json").read_text())["verdicts"]
     worst = {k: verdicts[k]["worst"] for k in ("comparison", "contraction", "conservation")}
     ok = (code == 0 and worst["comparison"] <= 1e-12 and worst["contraction"] <= 1e-10
           and worst["conservation"] <= 1e-10 and seconds < 300.0)
-    report("criterion 3 (semigroup trio)", ok,
+    report(name, ok,
            f"exit={code}, comparison {worst['comparison']:.1e}, "
            f"contraction {worst['contraction']:.1e}, conservation {worst['conservation']:.1e}, "
            f"{seconds:.1f}s")
+
+
+def test_criterion_3_semigroup_trio(tmp_path):
+    semigroup_trio(CONFIG_DIR / "verify_forced_burgers.json", tmp_path,
+                   "criterion 3 (semigroup trio)")
+
+
+def test_criterion_3_semigroup_trio_at_cfl_fraction_one(tmp_path):
+    # the largest step the policy accepts, where the scheme's monotonicity
+    # bound is met with equality
+    doc = json.loads((CONFIG_DIR / "verify_forced_burgers.json").read_text())
+    doc["run"]["cfl_fraction"] = 1.0
+    config = tmp_path / "verify_cfl1.json"
+    config.write_text(json.dumps(doc))
+    semigroup_trio(config, tmp_path / "out", "criterion 3 (semigroup trio, cfl_fraction = 1)")
 
 
 def test_criterion_4_duhamel_oracle():

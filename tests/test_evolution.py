@@ -9,14 +9,19 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
 import convstab as cs
 from convstab import evolution, scenarios
-from convstab.evolution import _eo_flux
+from convstab.evolution import _interface_flux
 from convstab.grids import _cyclic_tridiagonal, _powers, _toeplitz_solve
-from oracles import PicardDivergenceError, duhamel_picard, eo_flux_reference
+from oracles import PicardDivergenceError, duhamel_picard, interface_flux_reference
+
+
+EPS = np.finfo(float).eps
 
 
 def forced():
@@ -48,9 +53,12 @@ def kernel_on(flux, n_cells, n_periods=1, boundary_mode="periodic"):
 
 
 def kernel_faces(grid):
-    """The interfaces a step's kernel samples: periodic domains drop the last."""
+    """The n + 1 faces a step's kernel samples: periodic domains sample the
+    last at x = 0, the point of the first."""
     faces = grid.interfaces()
-    return faces[:-1] if grid.boundary_mode == "periodic" else faces
+    if grid.boundary_mode == "periodic":
+        faces[-1] = 0.0
+    return faces
 
 
 def wrapped_heat_matrix(x, length, h, t):
@@ -79,23 +87,20 @@ def test_zero_state_is_an_exact_fixed_point_of_a_normalized_flux(boundary_mode):
 
 
 # ---------------------------------------------------------------------------
-# the Engquist-Osher closed form against its definition
+# the split Engquist-Osher flux against its definition
 
 
 def _eo_by_quadrature(flux, a, b, x):
-    """F(a, b) = f(0) + int_0^a max(f_u, 0) + int_0^b min(f_u, 0), split at u*."""
-    fu = lambda u: float(flux.d_u(u, x))
-    f1, f2 = fu(0.0), float(flux.d_uu(0.0, x))
-    sonic = [-f1 / f2] if f2 != 0.0 else []
+    """F(a, b) = c0 + int_0^a max(c1, 0) + int_0^b min(c1, 0)
+    + int_0^a max(c2 s, 0) ds + int_0^b min(c2 s, 0) ds: the Engquist-Osher
+    fluxes of c1 u and of c2 u^2 / 2, both integrals taken by quadrature."""
+    c0, c1, c2 = (float(c) for c in flux.sample(x))
 
     def integral(end, part):
-        lo, hi = sorted((0.0, end))
-        knots = [lo] + [s for s in sonic if lo < s < hi] + [hi]
-        total = sum(quad(lambda u: part(fu(u), 0.0), p, q)[0]
-                    for p, q in zip(knots[:-1], knots[1:]))
-        return total if end >= 0.0 else -total
+        value = quad(lambda s: part(c1, 0.0) + part(c2 * s, 0.0), *sorted((0.0, end)))[0]
+        return value if end >= 0.0 else -value
 
-    return float(flux.eval(0.0, x)) + integral(a, max) + integral(b, min)
+    return c0 + integral(a, max) + integral(b, min)
 
 
 EO_FLUXES = [
@@ -106,7 +111,7 @@ EO_FLUXES = [
         "linear": [0.4, -0.3, 0.6, 0.1, -0.5],
         "quadratic": [-1.0, -0.6, -1.4, -0.8, -1.2],
     }),
-    # a tiny quadratic puts the sonic point -f1/f2 at -+1e10
+    # a tiny quadratic: the old sonic point -c1/c2 sat at -+1e10
     cs.builtin_flux("custom_table", {"linear": 1.0, "quadratic": 1e-10}),
     cs.builtin_flux("custom_table", {"linear": -1.0, "quadratic": 1e-10}),
 ]
@@ -121,10 +126,10 @@ def test_eo_closed_form_matches_its_definition(flux):
     x = kernel_faces(kernel.grid)
     a = rng.uniform(-2.0, 2.0, x.size)
     b = rng.uniform(-2.0, 2.0, x.size)
-    closed = _eo_flux(kernel, a, b)
+    closed = _interface_flux(kernel, a, b)
     ref = np.array([_eo_by_quadrature(flux, ai, bi, xi) for ai, bi, xi in zip(a, b, x)])
     gap = np.abs(closed - ref).max()
-    assert gap < 1e-14, f"closed-form vs quadrature Engquist-Osher flux: {gap:.2e}"
+    assert gap < 1e-14, f"closed-form vs quadrature split Engquist-Osher flux: {gap:.2e}"
 
 
 def normalized_forced():
@@ -132,62 +137,67 @@ def normalized_forced():
     return cs.normalize_about_wp(forced(), cs.solve_stationary(forced(), 0.7, cell))
 
 
-@pytest.mark.parametrize("flux", [
-    forced(),
-    cs.builtin_flux("constant_flux_burgers"),
-    normalized_forced(),
-], ids=["forced_burgers", "constant_flux_burgers", "normalized_forced_burgers"])
-def test_eo_fast_path_equals_the_general_path_bit_for_bit(flux):
-    rng = np.random.default_rng(13)
-    fast = kernel_on(flux, 500, 8)  # 4000 interfaces over eight periods
-    assert fast.all_convex, "every point of a Burgers-type flux is convex"
-    general = replace(fast, all_convex=False)
-    n = fast.u_star.size
-    # states at u*, near it, at the unit scale and far from it, on both sides
-    for spread in (0.0, 1e-9, 1.0, 1e4, 1e9):
-        for centre in (0.0, fast.u_star):
-            a = centre + spread * rng.standard_normal(n)
-            b = centre + spread * rng.standard_normal(n)
-            assert _eo_flux(fast, a, b).tobytes() == _eo_flux(general, a, b).tobytes()
+SPLIT_FLUXES = [*EO_FLUXES, normalized_forced()]
+SPLIT_FLUX_IDS = [*EO_FLUX_IDS, "normalized_forced_burgers"]
 
 
-@pytest.mark.parametrize("flux", [
-    cs.builtin_flux("periodic_advection", {"amplitude": 0.5}),
-    cs.builtin_flux("custom_table", {"quadratic": [1.0, -0.5, 0.8, -1.2]}),
-    # convex, but below the 1e-13 cut under which f counts as linear
-    cs.builtin_flux("custom_table", {"linear": 1.0, "quadratic": 1e-14}),
-], ids=["periodic_advection", "sign_changing_custom_table", "nearly_linear_custom_table"])
-def test_linear_or_sign_changing_fluxes_take_the_general_path(flux):
-    kernel = kernel_on(flux, 64, 2)
-    assert not kernel.all_convex
-    # the branches matter: the convex-only path gives another flux here
-    rng = np.random.default_rng(3)
-    a, b = rng.standard_normal((2, kernel.f0.size))
-    assert not np.array_equal(_eo_flux(replace(kernel, all_convex=True), a, b),
-                              _eo_flux(kernel, a, b))
+@pytest.mark.parametrize("boundary_mode", ["periodic", "pinned_to_wp"])
+@pytest.mark.parametrize("flux", SPLIT_FLUXES, ids=SPLIT_FLUX_IDS)
+def test_split_flux_is_consistent(flux, boundary_mode):
+    # F(u, u) = f(u) to rounding, at every face and over ten decades of u
+    kernel = kernel_on(flux, 60, 2, boundary_mode)
+    c0, c1, c2 = flux.sample(kernel_faces(kernel.grid))
+    rng = np.random.default_rng(19)
+    for spread in (1e-6, 1e-3, 1.0, 1e2, 1e4):
+        u = spread * rng.standard_normal(c0.size)
+        want = flux.sample(kernel_faces(kernel.grid)).value(u)
+        scale = np.abs(c0) + np.abs(c1 * u) + np.abs(c2 * u * u)
+        assert np.all(np.abs(_interface_flux(kernel, u, u) - want) <= 4.0 * EPS * scale)
 
 
-@pytest.mark.parametrize("all_convex", [True, False], ids=["fast", "general"])
-@pytest.mark.parametrize("flux", [*EO_FLUXES, normalized_forced()],
-                         ids=[*EO_FLUX_IDS, "normalized_forced_burgers"])
-def test_eo_flux_equals_the_reference_byte_for_byte(flux, all_convex):
-    # _eo_flux works in place; the reference forms every intermediate afresh.
-    # Forcing all_convex on a flux that is not convex is no valid flux, but
-    # both must still compute the same bits
-    kernel = replace(kernel_on(flux, 60, 4), all_convex=all_convex)
+@pytest.mark.parametrize("flux", SPLIT_FLUXES, ids=SPLIT_FLUX_IDS)
+def test_split_flux_is_nondecreasing_in_a_and_nonincreasing_in_b(flux):
+    # a ladder of 1201 states through 0, against a random partner at each face
+    kernel = kernel_on(flux, 60)
+    n = kernel.f0.size
+    rng = np.random.default_rng(23)
+    ladder = np.linspace(-3.0, 3.0, 1201)
+    partner = rng.uniform(-3.0, 3.0, n)
+    in_a = np.array([_interface_flux(kernel, np.full(n, s), partner) for s in ladder])
+    in_b = np.array([_interface_flux(kernel, partner, np.full(n, s)) for s in ladder])
+    assert np.all(np.diff(in_a, axis=0) >= 0.0)
+    assert np.all(np.diff(in_b, axis=0) <= 0.0)
+
+
+@pytest.mark.parametrize("boundary_mode", ["periodic", "pinned_to_wp"])
+@pytest.mark.parametrize("flux", SPLIT_FLUXES, ids=SPLIT_FLUX_IDS)
+def test_split_flux_at_zero_is_c0_bit_for_bit(flux, boundary_mode):
+    # F(0, 0) = c0 is what makes zero a fixed point of a normalized flux
+    kernel = kernel_on(flux, 60, 2, boundary_mode)
+    zeros = np.zeros(kernel.f0.size)
+    for a, b in ((zeros, zeros), (-zeros, -zeros), (zeros, -zeros), (-zeros, zeros)):
+        assert _interface_flux(kernel, a, b).tobytes() == kernel.f0.tobytes()
+
+
+@pytest.mark.parametrize("flux", SPLIT_FLUXES, ids=SPLIT_FLUX_IDS)
+def test_interface_flux_equals_the_reference_byte_for_byte(flux):
+    # _interface_flux works in two temporaries; the reference forms every
+    # intermediate afresh
+    kernel = kernel_on(flux, 60, 4)
     rng = np.random.default_rng(17)
-    n = kernel.u_star.size
+    n = kernel.f0.size
     zeros, signed = np.zeros(n), np.where(rng.random(n) < 0.5, 0.0, -0.0)
     states = [(zeros, zeros), (-zeros, -zeros), (signed, -signed)]
-    # at u*, near it, at the unit scale and far from it, on both sides
-    for spread in (0.0, 1e-9, 1.0, 1e4, 1e9):
-        for centre in (0.0, kernel.u_star):
-            states.append(tuple(centre + spread * rng.standard_normal((2, n))))
+    for spread in (1e-9, 1.0, 1e4, 1e9):
+        states.append(tuple(spread * rng.standard_normal((2, n))))
+    # the overlapping views of one padded array, as step passes them
+    padded = rng.standard_normal(n + 1)
+    states.append((padded[:-1], padded[1:]))
     for u_left, u_right in states:
-        left, right = u_left.copy(), u_right.copy()
-        got = _eo_flux(kernel, left, right)
-        assert got.tobytes() == eo_flux_reference(kernel, u_left, u_right).tobytes()
-        assert left.tobytes() == u_left.tobytes() and right.tobytes() == u_right.tobytes()
+        before = u_left.tobytes(), u_right.tobytes()
+        got = _interface_flux(kernel, u_left, u_right)
+        assert got.tobytes() == interface_flux_reference(kernel, u_left, u_right).tobytes()
+        assert (u_left.tobytes(), u_right.tobytes()) == before
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +295,28 @@ def test_diffusion_solve_matches_a_banded_oracle_at_8192_cells(lam, periodic):
         got = _toeplitz_solve(1.0 + 2.0 * lam, -lam, rhs, periodic)
         assert rhs.tobytes() == before.tobytes(), "the solve wrote into its right-hand side"
         want = banded_diffusion_oracle(lam, rhs, periodic)
+        assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "pinned"])
+@pytest.mark.parametrize("lam", [0.2, 1e4, 1e6])
+@pytest.mark.parametrize("n", [8, 16])
+def test_the_end_corrections_overlap_on_short_domains(n, lam, periodic):
+    # the powers of r span the whole domain here, so the corrections from the
+    # two ends overlap, and at lam = 1e4 and 1e6 the r^(n+1) term of the
+    # first column is of order one
+    r = lam / (0.5 * (1.0 + 2.0 * lam + np.sqrt(1.0 + 4.0 * lam)))
+    assert _powers(r, n).size == n
+    rng = np.random.default_rng(n)
+    smooth = np.sin(2.0 * np.pi * np.arange(n) / n) + 0.5
+    columns = np.column_stack([rng.standard_normal(n), smooth,
+                               np.eye(n)[:, [0, 1, n // 2, n - 2, n - 1]]])
+    oracle = np.linalg.solve(dense_diffusion_matrix(lam, n, periodic), columns)
+    # the same bound as at 8192 cells; measured gaps reach 1.13 (1 + 4 lam)
+    # eps at lam = 0.2 and 0.03 of it from lam = 1e4 on
+    bound = 2.0 * (1.0 + 4.0 * lam) * EPS
+    for k, want in enumerate(oracle.T):
+        got = _toeplitz_solve(1.0 + 2.0 * lam, -lam, columns[:, k], periodic)
         assert np.abs(got - want).max() <= bound * np.abs(want).max()
 
 
@@ -403,16 +435,27 @@ def test_kernel_samples_equal_the_flux_callables(flux, boundary_mode):
     # two must agree value for value, or a run's bytes would move
     grid = cs.LineGrid(cs.CellGrid(64, flux.period), 3, boundary_mode)
     kernel = cs.StepKernel.from_flux(flux, grid)
-    faces, x = kernel_faces(grid), grid.centers()
-    at_faces, at_centers = np.zeros_like(faces), np.zeros_like(x)
+    faces = kernel_faces(grid)
+    at_faces = np.zeros_like(faces)
+    f1, f2 = flux.d_u(at_faces, faces), flux.d_uu(at_faces, faces)
     assert np.array_equal(kernel.f0, flux.eval(at_faces, faces))
-    assert np.array_equal(kernel.f1, flux.d_u(at_faces, faces))
-    assert np.array_equal(kernel.half_f2, 0.5 * flux.d_uu(at_faces, faces))
-    assert np.array_equal(kernel.center_f1, flux.d_u(at_centers, x))
-    assert np.array_equal(kernel.center_f2, flux.d_uu(at_centers, x))
+    assert np.array_equal(kernel.f1_pos, np.maximum(f1, 0.0))
+    assert np.array_equal(kernel.f1_neg, np.minimum(f1, 0.0))
+    assert np.array_equal(kernel.half_f2, 0.5 * f2)
+    if boundary_mode == "periodic":
+        # the two end faces are one point, so their fluxes telescope
+        for array in (kernel.f0, kernel.f1_pos, kernel.f1_neg, kernel.half_f2):
+            assert array[-1].tobytes() == array[0].tobytes()
+    # B0 and G cell by cell: c1 on the faces u > 0 and u < 0 each meet, and
+    # c2 for both signs of u
+    cells = range(grid.n_total)
+    floor = max(max(f1[i + 1], 0.0) - min(f1[i], 0.0) for i in cells)
+    slope = max(max(max(f2[i + 1], 0.0) - min(f2[i], 0.0),
+                    max(f2[i], 0.0) - min(f2[i + 1], 0.0)) for i in cells)
+    assert kernel.speed_floor == floor and kernel.speed_slope == slope
     arrays = [getattr(kernel, f.name) for f in fields(kernel)
               if isinstance(getattr(kernel, f.name), np.ndarray)]
-    assert len(arrays) == 8 and not any(a.flags.writeable for a in arrays)
+    assert len(arrays) == 4 and not any(a.flags.writeable for a in arrays)
 
 
 def test_policy_validation():
@@ -441,6 +484,137 @@ def test_diffusion_matches_wrapped_heat_kernel():
     assert gaps[400] < 2e-4, f"heat oracle gap {gaps[400]:.3e}"
     ratio = gaps[400] / gaps[800]
     assert 1.7 < ratio < 2.3, f"backward Euler should be first order in dt, ratio {ratio:.3f}"
+
+
+# ---------------------------------------------------------------------------
+# the monotonicity bound: both halves of a step at cfl_fraction = 1
+
+
+MONOTONE_FLUXES = [
+    cs.builtin_flux("constant_flux_burgers"),
+    forced(),
+    cs.builtin_flux("periodic_advection"),
+    cs.builtin_flux("custom_table"),
+    EO_FLUXES[2],
+    # c2 = +-1 at the knots k / 8: on 8 cells a period adjacent faces differ
+    # in sign, and u_i < 0 meets |c2| from both faces, 2 max|c2| in all
+    cs.builtin_flux("custom_table", {"quadratic": [1.0, -1.0] * 4}),
+    normalized_forced(),
+]
+MONOTONE_FLUX_IDS = ["constant_flux_burgers", "forced_burgers", "periodic_advection",
+                     "custom_table", "concave_custom_table", "alternating_custom_table",
+                     "normalized_forced_burgers"]
+
+
+def reach_states(n, seed):
+    """States up to |u| = 3, past the packaged family windows p in [-2, 2]:
+    smooth, rough, constant and alternating ones."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(n) / n
+    normal = rng.standard_normal(n)
+    return [3.0 * normal / np.abs(normal).max(), rng.uniform(-3.0, 3.0, n),
+            2.5 * np.sin(6.0 * np.pi * x) + 0.5, np.full(n, 3.0), np.full(n, -3.0),
+            np.where(np.arange(n) % 2 == 0, 3.0, -3.0), np.zeros(n)]
+
+
+def explicit_coefficients(flux, grid, u, dt):
+    """The explicit half's coefficients on u_(i-1), u_i and u_(i+1), formed
+    from d_a F and d_b F of the split flux at each cell's two faces, with
+    the flux sampled here, not through the kernel."""
+    _, c1, c2 = flux.sample(grid.interfaces())
+    if grid.boundary_mode == "periodic":
+        left, right = np.roll(u, 1), np.roll(u, -1)
+    else:
+        left, right = np.concatenate([[0.0], u[:-1]]), np.concatenate([u[1:], [0.0]])
+    d_a = lambda a, k: np.maximum(c1[k], 0.0) + np.maximum(c2[k] * a, 0.0)
+    d_b = lambda b, k: np.minimum(c1[k], 0.0) + np.minimum(c2[k] * b, 0.0)
+    cells = np.arange(u.size)
+    lam = dt / grid.h
+    lower = lam * d_a(left, cells)
+    upper = -lam * d_b(right, cells + 1)
+    diag = 1.0 - lam * (d_a(u, cells + 1) - d_b(u, cells))
+    return lower, diag, upper
+
+
+@pytest.mark.parametrize("boundary_mode", ["periodic", "pinned_to_wp"])
+@pytest.mark.parametrize("n_cells", [8, 128, 1024])
+@pytest.mark.parametrize("flux", MONOTONE_FLUXES, ids=MONOTONE_FLUX_IDS)
+def test_both_halves_of_a_step_are_monotone_at_cfl_fraction_one(
+        flux, n_cells, boundary_mode, monkeypatch):
+    grid = cs.LineGrid(cs.CellGrid(n_cells, flux.period), 2, boundary_mode)
+    kernel = cs.StepKernel.from_flux(flux, grid)
+    policy = cs.StepPolicy(cfl_fraction=1.0, dt_max=1.0)
+    solves = []
+
+    def recorded(d, e, rhs, periodic):
+        solves.append((d, e, periodic))
+        return _toeplitz_solve(d, e, rhs, periodic)
+
+    monkeypatch.setattr(evolution, "_toeplitz_solve", recorded)
+    # dt meets S(u) = B0 + G max|u| at rounding, so a coefficient that is 0 in
+    # exact arithmetic may come out a few eps below it
+    slack = 8.0 * EPS
+    for k, u in enumerate(reach_states(grid.n_total, n_cells)):
+        state = initial_state(grid, u)
+        dt = cs.cfl_timestep(state, kernel, policy)
+        for coefficient in explicit_coefficients(flux, grid, u, dt):
+            assert coefficient.min() >= -slack and coefficient.max() <= 1.0 + slack, (
+                f"state {k}: explicit coefficient in "
+                f"[{coefficient.min():.3e}, {coefficient.max():.3e}]")
+        cs.step(state, kernel, dt)
+        # the implicit half's matrix tridiag(e, d, e), as step hands it to the
+        # solve: off-diagonals e <= 0, and column sums d + 2 e = 1, or
+        # d + e >= 1 in the two pinned end columns
+        d, e, periodic = solves.pop()
+        assert periodic == (boundary_mode == "periodic")
+        assert e <= 0.0 < d
+        assert abs(d + 2.0 * e - 1.0) <= 4.0 * EPS * d
+        if not periodic:
+            assert d + e >= 1.0 - 4.0 * EPS * d
+
+
+def _table(values):
+    return st.lists(values, min_size=4, max_size=6)
+
+
+SWEPT_FLUXES = st.one_of(
+    st.floats(-2.0, 2.0).map(
+        lambda a: cs.builtin_flux("forced_burgers", {"amplitude": a})),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-0.95, 0.95)).map(
+        lambda p: cs.builtin_flux("periodic_advection", {"a0": p[0], "amplitude": p[1]})),
+    # concave, near-zero and sign-changing c2 over tabulated c0 and c1
+    st.tuples(_table(st.floats(-1.0, 1.0)), _table(st.floats(-1.5, 1.5)),
+              st.one_of(_table(st.floats(-1.5, -0.1)), _table(st.floats(-1e-12, 1e-12)),
+                        _table(st.floats(-1.5, 1.5)))).map(
+        lambda t: cs.builtin_flux("custom_table",
+                                  {"const": t[0], "linear": t[1], "quadratic": t[2]})),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(flux=SWEPT_FLUXES, n_cells=st.integers(8, 256), n_periods=st.integers(1, 2),
+       boundary_mode=st.sampled_from(["periodic", "pinned_to_wp"]),
+       amplitude=st.floats(0.01, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_one_step_at_cfl_fraction_one_orders_contracts_and_conserves(
+        flux, n_cells, n_periods, boundary_mode, amplitude, seed):
+    grid = cs.LineGrid(cs.CellGrid(n_cells, flux.period), n_periods, boundary_mode)
+    kernel = cs.StepKernel.from_flux(flux, grid)
+    rng = np.random.default_rng(seed)
+    u, v = amplitude * rng.uniform(-1.0, 1.0, (2, grid.n_total))
+    w = np.minimum(u + amplitude * rng.random(grid.n_total), amplitude)  # w >= u
+    states = [initial_state(grid, a) for a in (u, v, w)]
+    policy = cs.StepPolicy(cfl_fraction=1.0, dt_max=1.0)
+    dt = min(cs.cfl_timestep(state, kernel, policy) for state in states)
+    u1, v1, w1 = (cs.step(state, kernel, dt).u for state in states)
+    h = grid.h
+    # over the 150 examples w1 - u1 stayed above 1.4e-5 and the L1 distance
+    # fell by at least 2.1e-3; the mass moved by up to 4.5e-14 in rounding
+    assert (w1 - u1).min() >= -1e-13, "ordered states must stay ordered"
+    before, after = h * np.abs(u - v).sum(), h * np.abs(u1 - v1).sum()
+    assert after <= before + 1e-13, f"L1 distance grew: {before!r} -> {after!r}"
+    if boundary_mode == "periodic":
+        for a, b in ((u, u1), (v, v1), (w, w1)):
+            assert abs(h * b.sum() - h * a.sum()) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
