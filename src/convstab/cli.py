@@ -3,9 +3,12 @@
 Every subcommand reads one scenario JSON (--config), writes its artifacts
 under --out (default: the config's output directory), prints one PASS/FAIL
 line per enabled check, writes a machine-readable verdicts.json, and exits
-with the code below.  ``stationary`` and ``verify`` judge their own verdicts;
-the config's checks and fit window, which they skip, are named in one
-``note:`` line on stderr and in the verdict file's notes.
+with the code below.  ``evolve``, ``dispersion`` and ``lap`` judge the
+config's checks with the command's ``REQUIRED_CHECKS`` appended; these are
+written into the document before the config validates it, so the verdict
+file's config echo lists them.  ``stationary`` and ``verify`` judge their
+own verdicts; the config's checks and fit window, which they skip, are named
+in one ``note:`` line on stderr and in the verdict file's notes.
 
     0  every enabled check passed
     1  at least one check failed
@@ -25,13 +28,14 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .entropy import FamilyRangeError, dispersion_fit
+from .entropy import FamilyRangeError
 from .evolution import CFLError
 from .scenarios import (
     ConfigError,
     EdgeBufferError,
-    RunResult,
     ScenarioConfig,
+    _verdict,
+    evaluate_checks,
     prepare_run,
     run_scenario,
     semigroup_trials,
@@ -54,6 +58,14 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_EDGE_BUFFER = 3
 EXIT_SOLVER = 4
+
+# the checks a run command judges on top of the config's own, appended in
+# this order to the document's list before the config is built
+REQUIRED_CHECKS = {
+    "evolve": ("mass_conservation", "l1_dist_nonincreasing"),
+    "dispersion": ("dispersion_exponent",),
+    "lap": ("lap_non_increase", "l1_bound", "linf_V_decay", "l1_decay"),
+}
 
 
 @dataclass
@@ -85,101 +97,6 @@ def _write_verdicts(out_dir: Path, payload: dict) -> None:
     with open(out_dir / "verdicts.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _verdict(passed: bool, **measured) -> dict:
-    out = {"passed": bool(passed)}
-    out.update(measured)
-    return out
-
-
-def evaluate_checks(result: RunResult, checks) -> Dict[str, dict]:
-    """Turn a finished run's diagnostics series into per-check verdicts."""
-    series = result.series
-    setup = result.setup
-    config = setup.config
-    verdicts: Dict[str, dict] = {}
-
-    l1 = series.column("l1_dist")
-    times = series.column("t")
-
-    for name in checks:
-        if name == "mass_conservation":
-            offsets = np.abs(series.column("mass_offset"))
-            if config.boundary_mode == "periodic":
-                drift = float((offsets / np.maximum(1.0, times)).max())
-                verdicts[name] = _verdict(drift <= 1e-10, max_drift_per_time=drift)
-            else:
-                budget = 1e-8 * float(l1[0])
-                leak = float(offsets.max())
-                verdicts[name] = _verdict(leak <= budget, max_leakage=leak, budget=budget)
-        elif name == "l1_dist_nonincreasing":
-            rise = float(np.diff(l1).max()) if l1.size > 1 else 0.0
-            verdicts[name] = _verdict(rise <= 1e-10, max_rise=rise)
-        elif name == "l1_decay":
-            target = 0.1 * float(l1[0])
-            verdicts[name] = _verdict(
-                float(l1[-1]) <= target, final=float(l1[-1]), target=target
-            )
-        elif name == "linf_V_decay":
-            col = series.column("linf_V")
-            target = 0.1 * float(col[0])
-            verdicts[name] = _verdict(
-                float(col[-1]) <= target, final=float(col[-1]), target=target
-            )
-        elif name == "lap_non_increase":
-            laps = series.column("lap_number")
-            rise = float(np.diff(laps).max()) if laps.size > 1 else 0.0
-            verdicts[name] = _verdict(rise <= 0, laps=[int(v) for v in laps])
-        elif name == "l1_bound":
-            laps = series.column("lap_number")
-            bounds = 2.0 * (laps + 1.0) * series.column("linf_V")
-            margin = float((l1 - bounds).max())
-            verdicts[name] = _verdict(margin <= 1e-9, worst_margin=margin)
-        elif name == "weighted_energy_nonincreasing":
-            col = series.column("weighted_energy")
-            rise = float(np.diff(col).max()) if col.size > 1 else 0.0
-            verdicts[name] = _verdict(rise <= 1e-9, max_rise=rise)
-        elif name == "total_eta_nonincreasing":
-            col = series.column("total_eta")
-            rise = float(np.diff(col).max()) if col.size > 1 else 0.0
-            verdicts[name] = _verdict(rise <= 1e-10, max_rise=rise)
-        elif name == "pi_l1_bound":
-            budget = float(l1[0]) / setup.family.alpha
-            worst = float(series.column("l1_pi").max())
-            verdicts[name] = _verdict(worst <= budget + 1e-12, worst=worst, budget=budget)
-        elif name == "eta_nonnegative":
-            # enforced cellwise when each entropy field is evaluated; reaching
-            # this point means no snapshot violated it
-            verdicts[name] = _verdict(True, enforced="cellwise at evaluation")
-        elif name == "dispersion_exponent":
-            fit = dispersion_fit(series, config.fit_window)
-            if fit.converged:
-                verdicts[name] = _verdict(True, converged=True,
-                                          note="distances hit zero inside the window")
-            else:
-                verdicts[name] = _verdict(
-                    fit.exponent <= -0.20,
-                    exponent=fit.exponent,
-                    constant=fit.constant,
-                    r_squared=fit.r_squared,
-                )
-        elif name == "nash_bounded":
-            ratios = series.column("nash_ratio")
-            finite = ratios[np.isfinite(ratios)]
-            worst = float(finite.max()) if finite.size else float("nan")
-            verdicts[name] = _verdict(finite.size == 0 or worst <= 10.0, worst=worst)
-        else:
-            raise ConfigError(f"unknown check {name!r}")
-    return verdicts
-
-
-def _ordered_checks(config_checks, required) -> List[str]:
-    out = list(config_checks)
-    for name in required:
-        if name not in out:
-            out.append(name)
-    return out
 
 
 def _ignored(config: ScenarioConfig, command: str) -> List[str]:
@@ -244,27 +161,11 @@ def cmd_stationary(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
     )
 
 
-def _require_fit_window(config: ScenarioConfig) -> None:
-    """The dispersion fit needs a window with at least 8 snapshots in it."""
-    if config.fit_window is None:
-        raise ConfigError("the dispersion_exponent check needs a fit window "
-                          "(the dispersion command infers one from a log snapshot schedule)")
-    (lo, hi), times = config.fit_window, config.schedule_times
-    in_window = int(np.sum((times >= lo - 1e-12) & (times <= hi + 1e-12)))
-    if in_window < 8:
-        raise ConfigError(f"dispersion fit window {config.fit_window} holds only "
-                          f"{in_window} snapshots; at least 8 are required")
-
-
-def _run_and_judge(config: ScenarioConfig, out_dir: Path, command: str,
-                   required_checks) -> RunArtifact:
-    checks = _ordered_checks(config.checks, required_checks)
-    if "dispersion_exponent" in checks:
-        # refused before the run, not after it has written its artifacts
-        _require_fit_window(config)
+def cmd_run(config: ScenarioConfig, out_dir: Path, command: str) -> RunArtifact:
+    """Run the scenario, write its artifacts and judge the config's checks."""
     setup = prepare_run(config)
     result = run_scenario(setup, out_dir)
-    verdicts = evaluate_checks(result, checks)
+    verdicts = evaluate_checks(result)
     exit_code = EXIT_PASS if all(v["passed"] for v in verdicts.values()) else EXIT_CHECK_FAILED
     return RunArtifact(
         command=command,
@@ -274,28 +175,6 @@ def _run_and_judge(config: ScenarioConfig, out_dir: Path, command: str,
         family_file=result.family_path,
         diagnostics_csv=result.diagnostics_path,
         snapshots_dir=result.snapshots_dir,
-    )
-
-
-def cmd_evolve(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
-    return _run_and_judge(
-        config, out_dir, "evolve", ("mass_conservation", "l1_dist_nonincreasing")
-    )
-
-
-def cmd_dispersion(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
-    return _run_and_judge(config, out_dir, "dispersion", ("dispersion_exponent",))
-
-
-def cmd_lap(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
-    if config.initial.shape == "gaussian_bump":
-        raise ConfigError(
-            "lap tracking needs a zero-mean perturbation; "
-            "gaussian_bump carries mass"
-        )
-    return _run_and_judge(
-        config, out_dir, "lap",
-        ("lap_non_increase", "l1_bound", "linf_V_decay", "l1_decay"),
     )
 
 
@@ -368,12 +247,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _with_overrides(raw, command: str, seed: Optional[int]):
-    """The document with ``--seed`` and the fit window ``dispersion`` infers
-    from a log snapshot schedule written in, so the config is built once and
-    its echo records both."""
+    """The document with ``--seed``, the command's required checks and the fit
+    window ``dispersion`` infers from a log snapshot schedule written in, so
+    the config is built and validated once and its echo records all three."""
     try:
         if seed is not None:
             raw["initial"]["seed"] = seed
+        checks = raw.get("checks", [])
+        raw["checks"] = checks + [c for c in REQUIRED_CHECKS.get(command, ()) if c not in checks]
         schedule = raw["run"]["snapshot_schedule"]
         if command == "dispersion" and raw.get("fit") is None and schedule["kind"] == "log":
             raw["fit"] = {"t_lo": schedule.get("t_lo"),
@@ -394,17 +275,13 @@ def main(argv=None) -> int:
 
         if args.command == "stationary":
             artifact = cmd_stationary(config, out_dir)
-        elif args.command == "evolve":
-            artifact = cmd_evolve(config, out_dir)
-        elif args.command == "dispersion":
-            artifact = cmd_dispersion(config, out_dir)
-        elif args.command == "lap":
-            artifact = cmd_lap(config, out_dir)
-        else:
+        elif args.command == "verify":
             if args.trials < 1:
                 raise ConfigError(f"trials must be >= 1, got {args.trials}")
             seed = 0 if args.seed is None else args.seed
             artifact = cmd_verify(config, out_dir, args.trials, seed)
+        else:
+            artifact = cmd_run(config, out_dir, args.command)
     except EdgeBufferError as exc:
         return _fail(out_dir, args.command, EXIT_EDGE_BUFFER, str(exc))
     except (StationarySolveError, CFLError, FamilyRangeError) as exc:

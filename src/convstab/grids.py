@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 from typing import Literal
@@ -110,14 +110,11 @@ class CellGrid:
 class Profile:
     """A periodic function sampled at the cell centers of one period.
 
-    ``mean`` caches the cell average; it is computed on construction and
-    cannot drift from ``values`` (the dataclass is frozen and the array is
-    marked read-only).
+    The dataclass is frozen and ``values`` is marked read-only.
     """
 
     grid: CellGrid
     values: np.ndarray
-    mean: float = field(init=False)
 
     def __post_init__(self):
         values = _readonly(self.values)
@@ -129,7 +126,6 @@ class Profile:
         if not np.all(np.isfinite(values)):
             raise ValueError("profile values must be finite")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mean", float(values.mean()))
 
 
 @dataclass(frozen=True)
@@ -219,31 +215,21 @@ def _next(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[1:], a[:1]))
 
 
-def _cyclic_tridiagonal(lower, diag, upper, columns) -> tuple:
+def _cyclic_solve(dl, d, du, first, last, block) -> tuple:
     """Sherman-Morrison pieces of the cyclic tridiagonal A whose row i reads
     lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1], indices mod n.
 
-    With g = -diag[0], A = T + u v^T for u = (g, 0, ..., upper[-1]) and
-    v = (1, 0, ..., lower[0] / g); T, the tridiagonal part with diag[0] - g and
-    diag[-1] - upper[-1] lower[0] / g, must be invertible, A need not be.
+    The operands are as dgtsv reads them: the float64 sub-, main and
+    super-diagonals dl = lower[1:], d = diag and du = upper[:-1], the corners
+    first = lower[0] and last = upper[-1], and block, a Fortran-ordered
+    float64 (n, k + 1) array holding k columns and a zero last column.
+    With g = -diag[0], A = T + u v^T for u = (g, 0, ..., last) and
+    v = (1, 0, ..., first / g); T, the tridiagonal part with diag[0] - g and
+    diag[-1] - last first / g, must be invertible, A need not be.
     Returns X = T^-1 [columns, u] (one LAPACK dgtsv call) and the row v^T X
     with 1 added to its last entry; a nonzero info or a non-finite X raises
-    LinAlgError.  No argument is written to.
-    """
-    n, k = diag.size, np.shape(columns)[1]
-    block = np.zeros((n, k + 1), order="F")
-    block[:, :k] = columns
-    return _cyclic_solve(np.array(lower[1:], dtype=float), np.array(diag, dtype=float),
-                         np.array(upper[:-1], dtype=float), lower[0], upper[-1], block)
-
-
-def _cyclic_solve(dl, d, du, first, last, block) -> tuple:
-    """``_cyclic_tridiagonal`` on operands it may overwrite, as dgtsv reads
-    them: the float64 sub-, main and super-diagonals dl = lower[1:],
-    d = diag and du = upper[:-1], the corners first = lower[0] and
-    last = upper[-1], and block, a Fortran-ordered float64 (n, k + 1) array
-    holding the k columns and a zero last column.  All four arrays are
-    overwritten; X is block itself, so nothing is copied.
+    LinAlgError.  All four arrays are overwritten; X is block itself, so
+    nothing is copied.
     """
     gamma = -d[0]
     d[0] -= gamma

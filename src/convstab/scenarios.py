@@ -9,7 +9,8 @@ is the perturbation v = u - w_p and the zero state is an exact fixed point of
 the stepper), the shifted family for the entropy diagnostics, and the theta
 weight.  ``run_scenario`` then marches the state, recording every diagnostic
 column at each snapshot and dumping per-cell snapshot files in the original
-(unshifted) variables.
+(unshifted) variables.  ``CHECKS`` maps each check a document may list to
+its judge, and ``evaluate_checks`` judges a finished run by the config's list.
 
 Zero-mean perturbations are zero-mean exactly: the negative part is rescaled
 to balance the positive part and the leftover roundoff is pushed into the
@@ -27,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .diagnostics import DiagnosticsSeries, lap_number, sign_changes, weighted_energy
-from .entropy import FamilyInterpolant, eta_field, nash_ratio
+from .entropy import FamilyInterpolant, dispersion_fit, eta_field, nash_ratio
 from .evolution import State, StepKernel, StepPolicy, cfl_timestep, evolve, step
 from .floattext import WIDTH, csv_frame, csv_lines, repr_rows
 from .fluxes import FluxModel, builtin_flux, normalize_about_wp
@@ -41,6 +42,7 @@ from .stationary import (
 )
 
 __all__ = [
+    "CHECKS",
     "ConfigError",
     "EdgeBufferError",
     "KNOWN_CHECKS",
@@ -50,6 +52,7 @@ __all__ = [
     "ScenarioConfig",
     "SnapshotSchedule",
     "ZERO_MEAN_CHECKS",
+    "evaluate_checks",
     "perturbation_values",
     "prepare_run",
     "run_scenario",
@@ -65,20 +68,94 @@ class EdgeBufferError(RuntimeError):
     """Perturbation mass reached the pinned-boundary buffer; the box is too small."""
 
 
-KNOWN_CHECKS = (
-    "mass_conservation",
-    "l1_dist_nonincreasing",
-    "l1_decay",
-    "linf_V_decay",
-    "lap_non_increase",
-    "l1_bound",
-    "weighted_energy_nonincreasing",
-    "total_eta_nonincreasing",
-    "pi_l1_bound",
-    "eta_nonnegative",
-    "dispersion_exponent",
-    "nash_bounded",
-)
+def _verdict(passed: bool, **measured) -> dict:
+    return {"passed": bool(passed), **measured}
+
+
+def _rise(col: np.ndarray) -> float:
+    return float(np.diff(col).max()) if col.size > 1 else 0.0
+
+
+def _mass_conservation(series, setup) -> dict:
+    offsets = np.abs(series.column("mass_offset"))
+    if setup.config.boundary_mode == "periodic":
+        drift = float((offsets / np.maximum(1.0, series.column("t"))).max())
+        return _verdict(drift <= 1e-10, max_drift_per_time=drift)
+    budget = 1e-8 * float(series.column("l1_dist")[0])
+    leak = float(offsets.max())
+    return _verdict(leak <= budget, max_leakage=leak, budget=budget)
+
+
+def _nonincreasing(column: str, slack: float):
+    def judge(series, setup) -> dict:
+        rise = _rise(series.column(column))
+        return _verdict(rise <= slack, max_rise=rise)
+    return judge
+
+
+def _tenfold_decay(column: str):
+    def judge(series, setup) -> dict:
+        col = series.column(column)
+        target = 0.1 * float(col[0])
+        return _verdict(float(col[-1]) <= target, final=float(col[-1]), target=target)
+    return judge
+
+
+def _lap_non_increase(series, setup) -> dict:
+    laps = series.column("lap_number")
+    return _verdict(_rise(laps) <= 0, laps=[int(v) for v in laps])
+
+
+def _l1_bound(series, setup) -> dict:
+    bounds = 2.0 * (series.column("lap_number") + 1.0) * series.column("linf_V")
+    margin = float((series.column("l1_dist") - bounds).max())
+    return _verdict(margin <= 1e-9, worst_margin=margin)
+
+
+def _pi_l1_bound(series, setup) -> dict:
+    budget = float(series.column("l1_dist")[0]) / setup.family.alpha
+    worst = float(series.column("l1_pi").max())
+    return _verdict(worst <= budget + 1e-12, worst=worst, budget=budget)
+
+
+def _eta_nonnegative(series, setup) -> dict:
+    # enforced cellwise when each entropy field is evaluated; reaching this
+    # point means no snapshot violated it
+    return _verdict(True, enforced="cellwise at evaluation")
+
+
+def _dispersion_exponent(series, setup) -> dict:
+    fit = dispersion_fit(series, setup.config.fit_window)
+    if fit.converged:
+        return _verdict(True, converged=True, note="distances hit zero inside the window")
+    return _verdict(fit.exponent <= -0.20, exponent=fit.exponent, constant=fit.constant,
+                    r_squared=fit.r_squared)
+
+
+def _nash_bounded(series, setup) -> dict:
+    ratios = series.column("nash_ratio")
+    finite = ratios[np.isfinite(ratios)]
+    worst = float(finite.max()) if finite.size else float("nan")
+    return _verdict(finite.size == 0 or worst <= 10.0, worst=worst)
+
+
+# every check a config may list: its judge turns a finished run's diagnostics
+# series and setup into a verdict
+CHECKS: Dict[str, Callable[[DiagnosticsSeries, RunSetup], dict]] = {
+    "mass_conservation": _mass_conservation,
+    "l1_dist_nonincreasing": _nonincreasing("l1_dist", 1e-10),
+    "l1_decay": _tenfold_decay("l1_dist"),
+    "linf_V_decay": _tenfold_decay("linf_V"),
+    "lap_non_increase": _lap_non_increase,
+    "l1_bound": _l1_bound,
+    "weighted_energy_nonincreasing": _nonincreasing("weighted_energy", 1e-9),
+    "total_eta_nonincreasing": _nonincreasing("total_eta", 1e-10),
+    "pi_l1_bound": _pi_l1_bound,
+    "eta_nonnegative": _eta_nonnegative,
+    "dispersion_exponent": _dispersion_exponent,
+    "nash_bounded": _nash_bounded,
+}
+KNOWN_CHECKS = tuple(CHECKS)
 
 # checks whose statements require a zero-mean perturbation; a gaussian_bump
 # carries mass, and mass conservation then forbids L1 convergence to the
@@ -92,6 +169,13 @@ ZERO_MEAN_CHECKS = frozenset(
         "weighted_energy_nonincreasing",
     }
 )
+
+
+def evaluate_checks(result: RunResult) -> Dict[str, dict]:
+    """The verdicts of the run's config's checks, in the config's order."""
+    setup = result.setup
+    return {name: CHECKS[name](result.series, setup) for name in setup.config.checks}
+
 
 _SHAPES = ("gaussian_bump", "dipole", "random_zero_mean")
 
@@ -199,6 +283,11 @@ class ScenarioConfig:
     and whose last is at most ``t_end``.  A constructor's ValueError becomes a
     ConfigError that names its section.  The four are left out of comparison
     and repr, so two configs are equal when their documents are.
+
+    Every check the document lists must be one the document can support:
+    none of ``ZERO_MEAN_CHECKS`` on a gaussian_bump, and
+    ``dispersion_exponent`` only with a fit window holding at least 8
+    snapshot times.
     """
 
     flux_label: str
@@ -264,12 +353,22 @@ class ScenarioConfig:
             lo, hi = self.fit_window
             if not 0 < lo < hi:
                 raise ConfigError(f"fit window must satisfy 0 < t_lo < t_hi, got {self.fit_window}")
-            sched = self.schedule_times
-            if lo < sched.min() - 1e-12 or hi > sched.max() + 1e-12:
+            if lo < times.min() - 1e-12 or hi > times.max() + 1e-12:
                 raise ConfigError(
                     f"fit window {self.fit_window} lies outside the snapshot "
-                    f"range [{sched.min()}, {sched.max()}]"
+                    f"range [{times.min()}, {times.max()}]"
                 )
+        if "dispersion_exponent" in self.checks:
+            # the fit needs a window with at least 8 snapshots in it
+            if self.fit_window is None:
+                raise ConfigError(
+                    "the dispersion_exponent check needs a fit window "
+                    "(the dispersion command infers one from a log snapshot schedule)")
+            lo, hi = self.fit_window
+            in_window = int(np.sum((times >= lo - 1e-12) & (times <= hi + 1e-12)))
+            if in_window < 8:
+                raise ConfigError(f"dispersion fit window {self.fit_window} holds only "
+                                  f"{in_window} snapshots; at least 8 are required")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -585,10 +684,6 @@ def _write_snapshot(path, frame: np.ndarray, u: np.ndarray) -> None:
 def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
     """Run the scenario and, given out_dir, write its artifacts there."""
     config = setup.config
-    # the sorted distinct times, as np.unique gives them; np.unique would
-    # import numpy.ma (about 20 ms) inside the run
-    times = np.sort(np.concatenate([[0.0], config.schedule_times, [config.t_end]]))
-    snapshots = times[np.concatenate([[True], times[1:] != times[:-1]])]
     observer = make_observer(setup)
     snapshots_dir = None
     family_path = None
@@ -606,7 +701,7 @@ def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
         setup.flux_normalized,
         config.t_end,
         policy=config.policy,
-        snapshot_times=snapshots,
+        snapshot_times=[0.0, *config.schedule_times, config.t_end],
         observers=[collecting_observer],
     )
 

@@ -431,7 +431,8 @@ def build_family_reference(flux: FluxModel, p_min: float, p_max: float, m_interv
     dp_values = np.empty_like(values)
 
     def advance(target_p, source: Profile, source_dp: Profile, depth=0) -> Profile:
-        dp = target_p - source.mean
+        mean = float(source.values.mean())
+        dp = target_p - mean
         guess = source.values + dp * source_dp.values
         try:
             return solve_stationary_reference(flux, target_p, grid, initial=guess)
@@ -440,7 +441,7 @@ def build_family_reference(flux: FluxModel, p_min: float, p_max: float, m_interv
                 raise StationarySolveError(
                     f"continuation failed at p={target_p}: {exc}"
                 ) from exc
-            midway = advance(source.mean + 0.5 * dp, source, source_dp, depth + 1)
+            midway = advance(mean + 0.5 * dp, source, source_dp, depth + 1)
             midway_dp = solve_dp_w_reference(flux, midway)
             return advance(target_p, midway, midway_dp, depth + 1)
 

@@ -208,7 +208,7 @@ def test_dispersion_requires_enough_snapshots(tmp_path):
                      "--out", str(tmp_path / "out")]) == 2
 
 
-@pytest.mark.parametrize("command", ["evolve", "lap"])
+@pytest.mark.parametrize("command", ["evolve", "lap", "stationary", "verify"])
 @pytest.mark.parametrize("schedule, fit", [
     # only the dispersion command infers a window from a log schedule
     ({"kind": "log", "count": 12, "t_lo": 0.2, "t_hi": 2.0}, None),
@@ -216,7 +216,8 @@ def test_dispersion_requires_enough_snapshots(tmp_path):
 ], ids=["no_window", "five_snapshots"])
 def test_a_run_without_a_fit_window_is_refused_before_it_starts(tmp_path, command, schedule,
                                                                 fit):
-    # the window is checked before prepare_run, so nothing is built or written
+    # the window is checked when the config is built, under every command, so
+    # nothing is built or written
     extra = {} if fit is None else {"fit": fit}
     config = write_config(
         tmp_path,
@@ -230,6 +231,12 @@ def test_a_run_without_a_fit_window_is_refused_before_it_starts(tmp_path, comman
     assert "dispersion" in read_verdicts(out)["error"]
     assert not (out / "family.json").exists()
     assert not (out / "diagnostics.csv").exists()
+
+
+def test_the_run_commands_require_known_checks():
+    assert set(cli.REQUIRED_CHECKS) == {"evolve", "dispersion", "lap"}
+    for required in cli.REQUIRED_CHECKS.values():
+        assert set(required) <= set(scenarios.CHECKS)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +271,24 @@ def test_lap_rejects_gaussian_data(tmp_path):
         initial={"shape": "gaussian_bump", "amplitude": 0.3, "width": 0.4, "center": 0.0},
         checks=[],
     )
-    assert cli.main(["lap", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert cli.main(["lap", "--config", str(config), "--out", str(out)]) == 2
+    error = read_verdicts(out)["error"]
+    assert "zero-mean" in error
+    for name in ("lap_non_increase", "l1_bound", "linf_V_decay", "l1_decay"):
+        assert name in error
+    assert not (out / "family.json").exists()
+
+
+def test_lap_echoes_the_config_checks_and_its_own(tmp_path, capsys):
+    config = write_config(tmp_path, checks=["mass_conservation"])
+    out = tmp_path / "out"
+    assert cli.main(["lap", "--config", str(config), "--out", str(out)]) in (0, 1)
+    want = ["mass_conservation", "lap_non_increase", "l1_bound", "linf_V_decay", "l1_decay"]
+    assert read_verdicts(out)["config"]["checks"] == want
+    printed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("[")]
+    assert printed == want
 
 
 # ---------------------------------------------------------------------------

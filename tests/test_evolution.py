@@ -17,7 +17,7 @@ from scipy.linalg import solve_banded
 import convstab as cs
 from convstab import evolution, scenarios
 from convstab.evolution import _interface_flux
-from convstab.grids import _cyclic_tridiagonal, _powers, _toeplitz_solve
+from convstab.grids import _cyclic_solve, _powers, _toeplitz_solve
 from oracles import PicardDivergenceError, duhamel_picard, interface_flux_reference
 
 
@@ -268,8 +268,10 @@ def banded_diffusion_oracle(lam, rhs, periodic):
     with its Sherman-Morrison row when periodic, scipy's banded LU when not."""
     n = rhs.size
     if periodic:
-        off = np.full(n, -lam)
-        sol, row = _cyclic_tridiagonal(off, np.full(n, 1.0 + 2.0 * lam), off, rhs[:, None])
+        block = np.zeros((n, 2), order="F")
+        block[:, 0] = rhs
+        sol, row = _cyclic_solve(np.full(n - 1, -lam), np.full(n, 1.0 + 2.0 * lam),
+                                 np.full(n - 1, -lam), -lam, -lam, block)
         return sol[:, 0] - sol[:, 1] * (row[0] / row[1])
     bands = np.zeros((3, n))
     bands[0, 1:], bands[1], bands[2, :-1] = -lam, 1.0 + 2.0 * lam, -lam

@@ -34,11 +34,10 @@ def test_cell_grid_rejects_bad_periods(period):
         CellGrid(8, period)
 
 
-def test_profile_caches_mean_and_freezes_values():
+def test_profile_freezes_its_values():
     grid = CellGrid(8, 1.0)
     values = np.linspace(-1.0, 1.0, 8)
     prof = Profile(grid, values)
-    assert prof.mean == pytest.approx(values.mean(), abs=0.0)
     with pytest.raises(ValueError):
         prof.values[0] = 3.0  # read-only array
 

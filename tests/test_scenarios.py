@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import convstab
 from convstab import (
     CellGrid,
     ConfigError,
+    DiagnosticsSeries,
     EdgeBufferError,
     LineGrid,
     PerturbationSpec,
@@ -20,7 +22,7 @@ from convstab import (
     run_scenario,
     semigroup_trials,
 )
-from convstab import fluxes
+from convstab import fluxes, scenarios
 from convstab.floattext import repr_rows
 from convstab.scenarios import ScenarioConfig, _snapshot_frame, _write_snapshot
 
@@ -189,6 +191,78 @@ def test_fit_window_must_sit_inside_the_snapshots():
     doc["fit"] = {"t_lo": 0.5, "t_hi": 2.0}
     config = ScenarioConfig.from_dict(doc)
     assert config.fit_window == (0.5, 2.0)
+
+
+def test_dispersion_exponent_needs_a_window_holding_8_snapshots():
+    doc = base_document()
+    doc["checks"] = ["dispersion_exponent"]
+    with pytest.raises(ConfigError, match="needs a fit window"):
+        ScenarioConfig.from_dict(doc)
+    doc["fit"] = {"t_lo": 0.5, "t_hi": 2.0}  # 4 of the 5 linear snapshot times
+    with pytest.raises(ConfigError, match="holds only 4 snapshots"):
+        ScenarioConfig.from_dict(doc)
+    doc["run"]["snapshot_schedule"] = {"kind": "log", "count": 8, "t_lo": 0.5, "t_hi": 2.0}
+    assert ScenarioConfig.from_dict(doc).checks == ("dispersion_exponent",)
+
+
+def test_check_names_are_declared_once_by_the_table():
+    assert scenarios.KNOWN_CHECKS == tuple(scenarios.CHECKS)
+    assert len(scenarios.KNOWN_CHECKS) == 12
+    assert scenarios.ZERO_MEAN_CHECKS <= set(scenarios.CHECKS)
+
+
+def _series(columns, times=None):
+    n = len(next(iter(columns.values())))
+    series = DiagnosticsSeries()
+    for k, t in enumerate(times or range(1, n + 1)):
+        series.append(t, {name: values[k] for name, values in columns.items()})
+    return series
+
+
+# (check, columns inside the threshold, columns past it, times, boundary mode)
+JUDGE_CASES = [
+    ("mass_conservation", {"mass_offset": [0.0, 1.9e-10]}, {"mass_offset": [0.0, 2.2e-10]},
+     [0.0, 2.0], "periodic"),
+    ("mass_conservation", {"l1_dist": [1.0, 0.5], "mass_offset": [0.0, 0.9e-8]},
+     {"l1_dist": [1.0, 0.5], "mass_offset": [0.0, 1.1e-8]}, None, "pinned_to_wp"),
+    ("l1_dist_nonincreasing", {"l1_dist": [1.0, 1.0 + 5e-11]}, {"l1_dist": [1.0, 1.0 + 2e-10]},
+     None, "periodic"),
+    ("l1_decay", {"l1_dist": [1.0, 0.5, 0.1]}, {"l1_dist": [1.0, 0.05, 0.11]}, None, "periodic"),
+    ("linf_V_decay", {"linf_V": [2.0, 0.2]}, {"linf_V": [2.0, 0.21]}, None, "periodic"),
+    ("lap_non_increase", {"lap_number": [3, 3, 1]}, {"lap_number": [3, 1, 2]}, None, "periodic"),
+    ("l1_bound", {"l1_dist": [1.0], "lap_number": [0], "linf_V": [0.5]},
+     {"l1_dist": [1.0 + 1e-8], "lap_number": [0], "linf_V": [0.5]}, None, "periodic"),
+    ("weighted_energy_nonincreasing", {"weighted_energy": [1.0, 1.0 + 5e-10]},
+     {"weighted_energy": [1.0, 1.0 + 2e-9]}, None, "periodic"),
+    ("total_eta_nonincreasing", {"total_eta": [1.0, 1.0 + 5e-11]},
+     {"total_eta": [1.0, 1.0 + 2e-10]}, None, "periodic"),
+    ("pi_l1_bound", {"l1_dist": [1.0, 0.5], "l1_pi": [2.0, 1.0]},
+     {"l1_dist": [1.0, 0.5], "l1_pi": [1.0, 2.0 + 1e-11]}, None, "periodic"),
+    ("dispersion_exponent", {"l2_dist": [t ** -0.5 for t in range(1, 9)]},
+     {"l2_dist": [t ** -0.1 for t in range(1, 9)]}, None, "periodic"),
+    ("nash_bounded", {"nash_ratio": [float("nan"), 10.0]}, {"nash_ratio": [1.0, 10.5]},
+     None, "periodic"),
+]
+
+
+@pytest.mark.parametrize("name, inside, past, times, mode", JUDGE_CASES,
+                         ids=[f"{case[0]}-{case[4]}" for case in JUDGE_CASES])
+def test_each_judge_flips_at_its_threshold(name, inside, past, times, mode):
+    # alpha = 0.5 makes pi_l1_bound's budget 2 l1_dist(0)
+    setup = SimpleNamespace(config=SimpleNamespace(boundary_mode=mode, fit_window=(1.0, 8.0)),
+                            family=SimpleNamespace(alpha=0.5))
+    judge = scenarios.CHECKS[name]
+    assert judge(_series(inside, times), setup)["passed"]
+    assert not judge(_series(past, times), setup)["passed"]
+
+
+def test_evaluate_checks_judges_the_config_list_in_order():
+    config = SimpleNamespace(checks=("nash_bounded", "eta_nonnegative", "l1_decay"))
+    result = SimpleNamespace(setup=SimpleNamespace(config=config),
+                             series=_series({"l1_dist": [1.0, 0.1], "nash_ratio": [1.0, 2.0]}))
+    verdicts = scenarios.evaluate_checks(result)
+    assert list(verdicts) == list(config.checks)
+    assert all(v["passed"] for v in verdicts.values())
 
 
 def test_document_round_trips_through_to_dict():
