@@ -39,7 +39,6 @@ from .scenarios import (
     RunResult,
     RunSetup,
     ScenarioConfig,
-    SnapshotSchedule,
     perturbation_values,
     prepare_run,
     run_scenario,
@@ -76,7 +75,6 @@ __all__ = [
     "RunResult",
     "RunSetup",
     "ScenarioConfig",
-    "SnapshotSchedule",
     "State",
     "StationaryFamily",
     "StationarySolveError",

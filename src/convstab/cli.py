@@ -4,11 +4,13 @@ Every subcommand reads one scenario JSON (--config), writes its artifacts
 under --out (default: the config's output directory), prints one PASS/FAIL
 line per enabled check, writes a machine-readable verdicts.json, and exits
 with the code below.  ``evolve``, ``dispersion`` and ``lap`` judge the
-config's checks with the command's ``REQUIRED_CHECKS`` appended; these are
-written into the document before the config validates it, so the verdict
-file's config echo lists them.  ``stationary`` and ``verify`` judge their
-own verdicts; the config's checks and fit window, which they skip, are named
-in one ``note:`` line on stderr and in the verdict file's notes.
+config's checks with the command's ``REQUIRED_CHECKS`` appended.  These,
+``--seed`` and the fit window ``dispersion`` infers are written into the
+document after it is read and filled in, and before the config validates
+it, so the verdict file's config echo lists them.  ``stationary`` and
+``verify`` judge their own verdicts; the config's checks and fit window,
+which they skip, are named in one ``note:`` line on stderr and in the
+verdict file's notes.
 
     0  every enabled check passed
     1  at least one check failed
@@ -22,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -80,16 +82,7 @@ class RunArtifact:
     notes: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "verdicts": self.verdicts,
-            "exit_code": self.exit_code,
-            "family_file": self.family_file,
-            "diagnostics_csv": self.diagnostics_csv,
-            "snapshots_dir": self.snapshots_dir,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _write_verdicts(out_dir: Path, payload: dict) -> None:
@@ -246,22 +239,18 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_overrides(raw, command: str, seed: Optional[int]):
-    """The document with ``--seed``, the command's required checks and the fit
-    window ``dispersion`` infers from a log snapshot schedule written in, so
-    the config is built and validated once and its echo records all three."""
-    try:
-        if seed is not None:
-            raw["initial"]["seed"] = seed
-        checks = raw.get("checks", [])
-        raw["checks"] = checks + [c for c in REQUIRED_CHECKS.get(command, ()) if c not in checks]
-        schedule = raw["run"]["snapshot_schedule"]
-        if command == "dispersion" and raw.get("fit") is None and schedule["kind"] == "log":
-            raw["fit"] = {"t_lo": schedule.get("t_lo"),
-                          "t_hi": schedule.get("t_hi") or raw["run"]["t_end"]}
-    except (AttributeError, KeyError, TypeError):
-        pass  # a malformed section is left for ScenarioConfig.from_dict to name
-    return raw
+def _with_overrides(doc: dict, command: str, seed: Optional[int]) -> None:
+    """Write ``--seed``, the command's required checks and the fit window
+    ``dispersion`` infers from a log snapshot schedule into the filled
+    document, so the config is built and validated once and its echo records
+    all three."""
+    schedule = doc["run"]["snapshot_schedule"]
+    if seed is not None:
+        doc["initial"]["seed"] = seed
+    doc["checks"] += [c for c in REQUIRED_CHECKS.get(command, ()) if c not in doc["checks"]]
+    if (command == "dispersion" and doc["fit"] is None and schedule["kind"] == "log"
+            and schedule["t_lo"] is not None):
+        doc["fit"] = {"t_lo": schedule["t_lo"], "t_hi": schedule["t_hi"] or doc["run"]["t_end"]}
 
 
 def main(argv=None) -> int:
@@ -269,7 +258,7 @@ def main(argv=None) -> int:
     out_dir: Optional[Path] = Path(args.out) if args.out is not None else None
     try:
         config = ScenarioConfig.from_json(
-            args.config, lambda raw: _with_overrides(raw, args.command, args.seed))
+            args.config, lambda doc: _with_overrides(doc, args.command, args.seed))
         if out_dir is None:
             out_dir = Path(config.output)
 

@@ -2,15 +2,20 @@
 
 A scenario is one JSON document: flux, grids, stationary-family window,
 initial perturbation, run horizon/snapshots, enabled checks, output paths.
-Loading it as a ``ScenarioConfig`` builds the flux, the grids, the step
-policy and the snapshot times once.  ``prepare_run`` adds the rest: the
-stationary profile w_p, the flux normalized about it (so the evolved unknown
-is the perturbation v = u - w_p and the zero state is an exact fixed point of
-the stepper), the shifted family for the entropy diagnostics, and the theta
-weight.  ``run_scenario`` then marches the state, recording every diagnostic
-column at each snapshot and dumping per-cell snapshot files in the original
-(unshifted) variables.  ``CHECKS`` maps each check a document may list to
-its judge, and ``evaluate_checks`` judges a finished run by the config's list.
+Its format is declared once, in ``_DOCUMENT``: each section's keys with
+their kind and default.  Reading a document against that table refuses
+unknown and missing keys, values of the wrong kind and numbers that are not
+finite, and fills in every default; the filled document is what a
+``ScenarioConfig`` holds and what it echoes.  Loading it builds the flux,
+the grids, the step policy, the perturbation and the snapshot times once.
+``prepare_run`` adds the rest: the stationary profile w_p, the flux
+normalized about it (so the evolved unknown is the perturbation v = u - w_p
+and the zero state is an exact fixed point of the stepper), the shifted
+family for the entropy diagnostics, and the theta weight.  ``run_scenario``
+then marches the state, recording every diagnostic column at each snapshot
+and dumping per-cell snapshot files in the original (unshifted) variables.
+``CHECKS`` maps each check a document may list to its judge, and
+``evaluate_checks`` judges a finished run by the config's list.
 
 Zero-mean perturbations are zero-mean exactly: the negative part is rescaled
 to balance the positive part and the leftover roundoff is pushed into the
@@ -20,10 +25,12 @@ construction rather than from quadrature accident.
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +57,6 @@ __all__ = [
     "RunResult",
     "RunSetup",
     "ScenarioConfig",
-    "SnapshotSchedule",
     "ZERO_MEAN_CHECKS",
     "evaluate_checks",
     "perturbation_values",
@@ -179,34 +185,112 @@ def evaluate_checks(result: RunResult) -> Dict[str, dict]:
 
 _SHAPES = ("gaussian_bump", "dipole", "random_zero_mean")
 
+_REQUIRED = "required"
 
-def _as_int(value, name: str) -> int:
+# The scenario document, declared once.  Each section maps its keys to a kind
+# and a default: "int" and "float" are finite numbers, "text" a string,
+# "list" a list of check names, "object" a JSON object whose entries the
+# built object validates, and "section" the section of the key's own name.
+# _REQUIRED keys must be set; a key whose default is None may be null.
+_DOCUMENT = {
+    "scenario": {
+        "flux": ("section", _REQUIRED),
+        "grid": ("section", _REQUIRED),
+        "family": ("section", {}),
+        "initial": ("section", _REQUIRED),
+        "run": ("section", _REQUIRED),
+        "checks": ("list", []),
+        "fit": ("section", None),
+        "output": ("text", _REQUIRED),
+    },
+    "flux": {"label": ("text", _REQUIRED), "params": ("object", {})},
+    "grid": {
+        "n_cells_per_period": ("int", _REQUIRED),
+        "n_periods": ("int", _REQUIRED),
+        "boundary_mode": ("text", _REQUIRED),
+    },
+    "family": {"p_min": ("float", -2.0), "p_max": ("float", 2.0), "M": ("int", 32)},
+    "initial": {
+        "shape": ("text", _REQUIRED),
+        "amplitude": ("float", 0.3),
+        "width": ("float", 0.5),
+        "center": ("float", 2.0),
+        "seed": ("int", None),
+    },
+    "run": {
+        "t_end": ("float", _REQUIRED),
+        "snapshot_schedule": ("section", _REQUIRED),
+        "cfl_fraction": ("float", 0.9),
+        "dt_max": ("float", 0.1),
+        "p": ("float", 0.0),
+    },
+    "snapshot_schedule": {
+        "kind": ("text", _REQUIRED),
+        "count": ("int", _REQUIRED),
+        "t_lo": ("float", None),
+        "t_hi": ("float", None),
+    },
+    "fit": {"t_lo": ("float", _REQUIRED), "t_hi": ("float", _REQUIRED)},
+}
+
+
+def _number(value, where: str, kind: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        article = "an integer" if kind == "int" else "a number"
+        raise ConfigError(f"{where} must be {article}, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    if kind == "float":
+        return float(value)
     if float(value) != int(value):
-        raise ConfigError(f"{name} must be integral, got {value!r}")
+        raise ConfigError(f"{where} must be integral, got {value!r}")
     return int(value)
 
 
-def _as_float(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+def _value(value, where: str, kind: str):
+    """``value`` read as ``kind``; containers are copied."""
+    if kind in ("int", "float"):
+        return _number(value, where, kind)
+    if kind == "text":
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string, got {value!r}")
+        return value
+    if kind == "list":
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ConfigError(f"{where} must be a list of check names")
+        return list(value)
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{where}' section must be an object, got {value!r}")
+    return copy.deepcopy(value)
 
 
-def _object(section, name: str) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{name}' section must be an object, got {section!r}")
-    return section
-
-
-def _take(section: dict, name: str, keys: Sequence[str], required: Sequence[str]):
-    unknown = set(_object(section, name)) - set(keys)
+def _section(raw, name: str) -> dict:
+    """Section ``name`` of a document, checked against ``_DOCUMENT``: every
+    value read as its kind, every absent key filled with its default."""
+    keys = _DOCUMENT[name]
+    if not isinstance(raw, dict):
+        raise ConfigError(f"'{name}' section must be an object, got {raw!r}")
+    unknown = set(raw) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in '{name}' section: {sorted(unknown)}")
-    missing = [k for k in required if k not in section]
+    missing = [key for key, (_, default) in keys.items()
+               if default is _REQUIRED and key not in raw]
     if missing:
         raise ConfigError(f"missing keys in '{name}' section: {missing}")
+    filled = {}
+    for key, (kind, default) in keys.items():
+        value = raw.get(key, default)
+        if value is None and default is None:
+            filled[key] = None
+        elif kind == "section":
+            filled[key] = _section(value, key)
+        else:
+            filled[key] = _value(value, key if name == "scenario" else f"{name}.{key}", kind)
+    return filled
 
 
 def _build(section: str, make, *args):
@@ -220,10 +304,10 @@ def _build(section: str, make, *args):
 @dataclass(frozen=True)
 class PerturbationSpec:
     shape: str
-    amplitude: float = 0.3
-    width: float = 0.5
-    center: float = 2.0
-    seed: Optional[int] = None
+    amplitude: float
+    width: float
+    center: float
+    seed: Optional[int]
 
     def __post_init__(self):
         if self.shape not in _SHAPES:
@@ -234,55 +318,55 @@ class PerturbationSpec:
             raise ConfigError("initial.seed: random_zero_mean needs an integer seed")
 
 
-@dataclass(frozen=True)
-class SnapshotSchedule:
-    kind: str
-    count: int
-    t_lo: Optional[float] = None
-    t_hi: Optional[float] = None
+def _schedule_times(schedule: dict, t_end: float) -> np.ndarray:
+    """The read-only snapshot times of a filled ``snapshot_schedule`` section."""
+    kind, count, t_lo, t_hi = (schedule[k] for k in ("kind", "count", "t_lo", "t_hi"))
+    if kind not in ("linear", "log"):
+        raise ConfigError(f"snapshot_schedule.kind must be linear|log, got {kind!r}")
+    if count < 1:
+        raise ConfigError(f"snapshot_schedule.count must be >= 1, got {count}")
+    if kind == "log":
+        if t_lo is None or t_lo <= 0:
+            raise ConfigError(f"snapshot_schedule.t_lo must be > 0 for a log schedule, got {t_lo}")
+        if t_hi is not None and t_hi <= t_lo:
+            raise ConfigError(
+                f"snapshot_schedule.t_hi={t_hi} must exceed "
+                f"snapshot_schedule.t_lo={t_lo} for a log schedule"
+            )
+    hi = t_end if t_hi is None else t_hi
+    if hi > t_end + 1e-12:
+        raise ConfigError(f"snapshot_schedule.t_hi={hi} reaches beyond run.t_end={t_end}")
+    lo = 0.0 if t_lo is None else t_lo
+    if not 0.0 <= lo < hi:
+        raise ConfigError(f"snapshot_schedule.t_lo={lo} must lie in [0, {hi})")
+    if count == 1:
+        times = np.array([hi])
+    elif kind == "linear":
+        times = np.linspace(lo, hi, count)
+    else:
+        times = np.geomspace(t_lo, hi, count)
+    times.setflags(write=False)
+    return times
 
-    def __post_init__(self):
-        if self.kind not in ("linear", "log"):
-            raise ConfigError(f"snapshot_schedule.kind must be linear|log, got {self.kind!r}")
-        if self.count < 1:
-            raise ConfigError(f"snapshot_schedule.count must be >= 1, got {self.count}")
-        if self.kind == "log":
-            if self.t_lo is None or self.t_lo <= 0:
-                raise ConfigError(f"snapshot_schedule.t_lo must be > 0 for a log schedule, got {self.t_lo}")
-            if self.t_hi is not None and self.t_hi <= self.t_lo:
-                raise ConfigError(
-                    f"snapshot_schedule.t_hi={self.t_hi} must exceed "
-                    f"snapshot_schedule.t_lo={self.t_lo} for a log schedule"
-                )
 
-    def times(self, t_end: float) -> np.ndarray:
-        hi = t_end if self.t_hi is None else self.t_hi
-        if hi > t_end + 1e-12:
-            raise ConfigError(f"snapshot_schedule.t_hi={hi} reaches beyond run.t_end={t_end}")
-        lo = 0.0 if self.t_lo is None else self.t_lo
-        if not 0.0 <= lo < hi:
-            raise ConfigError(f"snapshot_schedule.t_lo={lo} must lie in [0, {hi})")
-        if self.kind == "linear":
-            if self.count == 1:
-                return np.array([hi])
-            return np.linspace(lo, hi, self.count)
-        if self.count == 1:
-            return np.array([hi])
-        return np.geomspace(self.t_lo, hi, self.count)
+def _built():
+    return field(init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A validated scenario document and the run objects built from it.
 
-    The init fields mirror the document (``from_dict``/``to_dict``).
-    ``__post_init__`` builds, once, what every command reads: ``flux``, the
-    built-in flux model; ``line_grid``, whose ``.cell`` is the grid of one
-    period; ``policy``, the step policy; and ``schedule_times``, the read-only
-    times of the snapshot schedule, whose first time lies in [0, last time)
-    and whose last is at most ``t_end``.  A constructor's ValueError becomes a
-    ConfigError that names its section.  The four are left out of comparison
-    and repr, so two configs are equal when their documents are.
+    ``document`` is the document read through ``_DOCUMENT``: every number
+    finite, every absent key filled with its default.  ``__post_init__``
+    builds, once, what every command reads: ``flux``, the built-in flux
+    model; ``line_grid``, whose ``.cell`` is the grid of one period;
+    ``policy``, the step policy; ``initial``, the perturbation;
+    ``schedule_times``, the read-only times of the snapshot schedule, whose
+    first time lies in [0, last time) and whose last is at most ``t_end``;
+    and the scalars a run reads.  A constructor's ValueError becomes a
+    ConfigError that names its section.  Two configs are equal when their
+    documents are.
 
     Every check the document lists must be one the document can support:
     none of ``ZERO_MEAN_CHECKS`` on a gaussian_bump, and
@@ -290,44 +374,50 @@ class ScenarioConfig:
     snapshot times.
     """
 
-    flux_label: str
-    flux_params: Dict[str, float]
-    n_cells_per_period: int
-    n_periods: int
-    boundary_mode: str
-    p_min: float
-    p_max: float
-    m_intervals: int
-    initial: PerturbationSpec
-    t_end: float
-    schedule: SnapshotSchedule
-    cfl_fraction: float
-    dt_max: float
-    p: float
-    checks: Tuple[str, ...]
-    output: str
-    fit_window: Optional[Tuple[float, float]] = None
+    document: dict
 
-    flux: FluxModel = field(init=False, compare=False, repr=False)
-    line_grid: LineGrid = field(init=False, compare=False, repr=False)
-    policy: StepPolicy = field(init=False, compare=False, repr=False)
-    schedule_times: np.ndarray = field(init=False, compare=False, repr=False)
+    flux: FluxModel = _built()
+    line_grid: LineGrid = _built()
+    policy: StepPolicy = _built()
+    initial: PerturbationSpec = _built()
+    schedule_times: np.ndarray = _built()
+    t_end: float = _built()
+    p: float = _built()
+    p_min: float = _built()
+    p_max: float = _built()
+    m_intervals: int = _built()
+    boundary_mode: str = _built()
+    checks: Tuple[str, ...] = _built()
+    fit_window: Optional[Tuple[float, float]] = _built()
+    output: str = _built()
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ConfigError(f"run.t_end must be positive, got {self.t_end}")
-        flux = _build("flux", builtin_flux, self.flux_label, self.flux_params)
-        cell = _build("grid.n_cells_per_period", CellGrid, self.n_cells_per_period, flux.period)
-        times = self.schedule.times(self.t_end)
-        times.setflags(write=False)
-        built = {
+        doc = _section(self.document, "scenario")
+        grid, family, run, fit = doc["grid"], doc["family"], doc["run"], doc["fit"]
+        if run["t_end"] <= 0:
+            raise ConfigError(f"run.t_end must be positive, got {run['t_end']}")
+        flux = _build("flux", builtin_flux, doc["flux"]["label"], doc["flux"]["params"])
+        cell = _build("grid.n_cells_per_period", CellGrid, grid["n_cells_per_period"], flux.period)
+        values = {
+            "document": doc,
             "flux": flux,
-            "line_grid": _build("grid", LineGrid, cell, self.n_periods, self.boundary_mode),
-            "policy": _build("run", StepPolicy, self.cfl_fraction, self.dt_max),
-            "schedule_times": times,
+            "schedule_times": _schedule_times(run["snapshot_schedule"], run["t_end"]),
+            "line_grid": _build("grid", LineGrid, cell, grid["n_periods"], grid["boundary_mode"]),
+            "policy": _build("run", StepPolicy, run["cfl_fraction"], run["dt_max"]),
+            "initial": PerturbationSpec(**doc["initial"]),
+            "t_end": run["t_end"],
+            "p": run["p"],
+            "p_min": family["p_min"],
+            "p_max": family["p_max"],
+            "m_intervals": family["M"],
+            "boundary_mode": grid["boundary_mode"],
+            "checks": tuple(doc["checks"]),
+            "fit_window": None if fit is None else (fit["t_lo"], fit["t_hi"]),
+            "output": doc["output"],
         }
-        for name, value in built.items():
+        for name, value in values.items():
             object.__setattr__(self, name, value)
+        times = self.schedule_times
         if self.m_intervals < 16:
             raise ConfigError(f"family.M must be >= 16, got {self.m_intervals}")
         if not self.p_min < self.p_max:
@@ -371,127 +461,28 @@ class ScenarioConfig:
                                   f"{in_window} snapshots; at least 8 are required")
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        _take(raw, "scenario", ("flux", "grid", "family", "initial", "run", "checks", "fit", "output"),
-              ("flux", "grid", "initial", "run", "output"))
-
-        flux = raw["flux"]
-        _take(flux, "flux", ("label", "params"), ("label",))
-        params = _object(flux.get("params", {}), "flux.params")
-
-        grid = raw["grid"]
-        _take(grid, "grid", ("n_cells_per_period", "n_periods", "boundary_mode"),
-              ("n_cells_per_period", "n_periods", "boundary_mode"))
-
-        fam = raw.get("family", {})
-        _take(fam, "family", ("p_min", "p_max", "M"), ())
-
-        init = raw["initial"]
-        _take(init, "initial", ("shape", "amplitude", "width", "center", "seed"), ("shape",))
-        seed = init.get("seed")
-        spec = PerturbationSpec(
-            shape=init["shape"],
-            amplitude=_as_float(init.get("amplitude", 0.3), "initial.amplitude"),
-            width=_as_float(init.get("width", 0.5), "initial.width"),
-            center=_as_float(init.get("center", 2.0), "initial.center"),
-            seed=None if seed is None else _as_int(seed, "initial.seed"),
-        )
-
-        run = raw["run"]
-        _take(run, "run", ("t_end", "snapshot_schedule", "cfl_fraction", "dt_max", "p"),
-              ("t_end", "snapshot_schedule"))
-        t_end = _as_float(run["t_end"], "run.t_end")
-        sched_raw = run["snapshot_schedule"]
-        _take(sched_raw, "snapshot_schedule", ("kind", "count", "t_lo", "t_hi"), ("kind", "count"))
-        t_lo, t_hi = (None if sched_raw.get(key) is None
-                      else _as_float(sched_raw[key], f"snapshot_schedule.{key}")
-                      for key in ("t_lo", "t_hi"))
-        schedule = SnapshotSchedule(
-            kind=sched_raw["kind"],
-            count=_as_int(sched_raw["count"], "snapshot_schedule.count"),
-            t_lo=t_lo,
-            t_hi=t_hi,
-        )
-
-        fit = raw.get("fit")
-        window = None
-        if fit is not None:
-            _take(fit, "fit", ("t_lo", "t_hi"), ("t_lo", "t_hi"))
-            window = (_as_float(fit["t_lo"], "fit.t_lo"), _as_float(fit["t_hi"], "fit.t_hi"))
-
-        checks = raw.get("checks", [])
-        if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-            raise ConfigError("checks must be a list of check names")
-
-        return cls(
-            flux_label=flux["label"],
-            flux_params=dict(params),
-            n_cells_per_period=_as_int(grid["n_cells_per_period"], "grid.n_cells_per_period"),
-            n_periods=_as_int(grid["n_periods"], "grid.n_periods"),
-            boundary_mode=grid["boundary_mode"],
-            p_min=_as_float(fam.get("p_min", -2.0), "family.p_min"),
-            p_max=_as_float(fam.get("p_max", 2.0), "family.p_max"),
-            m_intervals=_as_int(fam.get("M", 32), "family.M"),
-            initial=spec,
-            t_end=t_end,
-            schedule=schedule,
-            cfl_fraction=_as_float(run.get("cfl_fraction", 0.9), "run.cfl_fraction"),
-            dt_max=_as_float(run.get("dt_max", 0.1), "run.dt_max"),
-            p=_as_float(run.get("p", 0.0), "run.p"),
-            checks=tuple(checks),
-            output=str(raw["output"]),
-            fit_window=window,
-        )
+    def from_dict(cls, raw, edit: Optional[Callable[[dict], None]] = None) -> "ScenarioConfig":
+        """The config of the document ``raw``; ``edit``, when given, first
+        rewrites the filled document in place."""
+        if edit is None:
+            return cls(raw)
+        document = _section(raw, "scenario")
+        edit(document)
+        return cls(document)
 
     @classmethod
-    def from_json(cls, path, edit=lambda raw: raw) -> "ScenarioConfig":
-        """The config of the JSON document at ``path``, rewritten by ``edit``."""
+    def from_json(cls, path, edit: Optional[Callable[[dict], None]] = None) -> "ScenarioConfig":
+        """The config of the JSON document at ``path``, as ``from_dict``."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(edit(raw))
+        return cls.from_dict(raw, edit)
 
     def to_dict(self) -> dict:
-        """Echo of the validated configuration (written into run artifacts)."""
-        return {
-            "flux": {"label": self.flux_label, "params": dict(self.flux_params)},
-            "grid": {
-                "n_cells_per_period": self.n_cells_per_period,
-                "n_periods": self.n_periods,
-                "boundary_mode": self.boundary_mode,
-            },
-            "family": {
-                "p_min": self.p_min,
-                "p_max": self.p_max,
-                "M": self.m_intervals,
-            },
-            "initial": {
-                "shape": self.initial.shape,
-                "amplitude": self.initial.amplitude,
-                "width": self.initial.width,
-                "center": self.initial.center,
-                "seed": self.initial.seed,
-            },
-            "run": {
-                "t_end": self.t_end,
-                "snapshot_schedule": {
-                    "kind": self.schedule.kind,
-                    "count": self.schedule.count,
-                    "t_lo": self.schedule.t_lo,
-                    "t_hi": self.schedule.t_hi,
-                },
-                "cfl_fraction": self.cfl_fraction,
-                "dt_max": self.dt_max,
-                "p": self.p,
-            },
-            "checks": list(self.checks),
-            "fit": None
-            if self.fit_window is None
-            else {"t_lo": self.fit_window[0], "t_hi": self.fit_window[1]},
-            "output": self.output,
-        }
+        """Echo of the filled document (written into run artifacts)."""
+        return copy.deepcopy(self.document)
 
 
 def _gaussian(x: np.ndarray, center: float, width: float) -> np.ndarray:

@@ -8,7 +8,6 @@ doubled-domain variant are module fixtures shared across the later checks.
 
 import json
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +50,13 @@ def canonical(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def doubled(canonical):
-    base = canonical["result"].setup.config
-    config = replace(base, n_periods=128, checks=("dispersion_exponent",),
-                     output="out/doubled")
+def doubled():
+    def edit(doc):
+        doc["grid"]["n_periods"] = 128
+        doc["checks"] = ["dispersion_exponent"]
+        doc["output"] = "out/doubled"
+
+    config = ScenarioConfig.from_json(CONFIG_DIR / "canonical_dipole.json", edit)
     setup = prepare_run(config)
     start = time.perf_counter()
     result = run_scenario(setup)

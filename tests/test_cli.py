@@ -403,6 +403,33 @@ def test_invalid_document_exits_2(tmp_path, capsys):
             assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["stationary", "evolve", "dispersion", "lap", "verify"])
+@pytest.mark.parametrize("override, named", [
+    ({"grid": {"n_periods": float("inf")}}, "grid.n_periods must be finite"),
+    ({"initial": {"width": float("nan")}}, "initial.width must be finite"),
+], ids=["n_periods", "width"])
+def test_non_finite_numbers_exit_2_under_every_command(tmp_path, capsys, command, override,
+                                                       named):
+    # json writes and reads these as Infinity and NaN
+    config = write_config(tmp_path, **override)
+    assert "Infinity" in config.read_text() or "NaN" in config.read_text()
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+    verdicts = read_verdicts(out)
+    assert verdicts["exit_code"] == 2 and named in verdicts["error"], verdicts
+    assert not (out / "family.json").exists()
+    assert f"error: {named}" in capsys.readouterr().err
+
+
+def test_dispersion_names_a_log_schedule_without_t_lo(tmp_path):
+    # no window is inferred from a log schedule that lacks its first time;
+    # the schedule's own rule names the key
+    config = write_config(tmp_path, run={"snapshot_schedule": {"kind": "log", "count": 10}})
+    out = tmp_path / "out"
+    assert cli.main(["dispersion", "--config", str(config), "--out", str(out)]) == 2
+    assert "snapshot_schedule.t_lo must be > 0" in read_verdicts(out)["error"]
+
+
 @pytest.mark.parametrize("schedule", [
     {"kind": "linear", "count": 5, "t_lo": -1.0},
     {"kind": "linear", "count": 5, "t_lo": 9.0},

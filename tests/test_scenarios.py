@@ -1,6 +1,7 @@
 """Scenario documents, perturbations, prepared runs, and semigroup trials."""
 
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -63,8 +64,8 @@ def mutate(path, value):
 
 def test_base_document_parses():
     config = ScenarioConfig.from_dict(base_document())
-    assert config.flux_label == "forced_burgers"
-    assert config.n_cells_per_period == 32
+    assert config.document["flux"]["label"] == "forced_burgers"
+    assert config.document["grid"]["n_cells_per_period"] == 32
     assert config.checks == ("mass_conservation", "l1_dist_nonincreasing")
 
 
@@ -281,6 +282,128 @@ def test_from_json_rejects_bad_files(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the document table
+
+
+def _section_paths(name="scenario", path=()):
+    """(section name, path from the document root) of every table section."""
+    yield name, path
+    for key, (kind, _) in scenarios._DOCUMENT[name].items():
+        if kind == "section":
+            yield from _section_paths(key, path + (key,))
+
+
+NUMBER_KEYS = [(path + (key,), f"{name}.{key}")
+               for name, path in _section_paths()
+               for key, (kind, _) in scenarios._DOCUMENT[name].items()
+               if kind in ("int", "float")]
+
+
+def test_the_table_declares_eighteen_number_keys():
+    assert len(NUMBER_KEYS) == 18
+    assert {named for _, named in NUMBER_KEYS} >= {
+        "grid.n_periods", "run.t_end", "run.dt_max", "family.p_max", "initial.width",
+        "snapshot_schedule.count", "fit.t_hi"}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("path, named", NUMBER_KEYS, ids=[n for _, n in NUMBER_KEYS])
+def test_every_number_key_must_be_finite(path, named, value):
+    doc = base_document()
+    doc["fit"] = {"t_lo": 0.5, "t_hi": 2.0}
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError, match=rf"^{re.escape(named)} must be finite"):
+        ScenarioConfig.from_dict(doc)
+
+
+def test_output_must_be_a_string():
+    with pytest.raises(ConfigError, match="^output must be a string, got 5$"):
+        ScenarioConfig.from_dict(mutate(("output",), 5))
+
+
+def test_a_document_of_required_keys_echoes_every_default():
+    required = {
+        "flux": {"label": "forced_burgers"},
+        "grid": {"n_cells_per_period": 32, "n_periods": 8, "boundary_mode": "periodic"},
+        "initial": {"shape": "dipole"},
+        "run": {"t_end": 2, "snapshot_schedule": {"kind": "linear", "count": 5}},
+        "output": "out/defaults",
+    }
+    assert ScenarioConfig.from_dict(required).to_dict() == {
+        "flux": {"label": "forced_burgers", "params": {}},
+        "grid": {"n_cells_per_period": 32, "n_periods": 8, "boundary_mode": "periodic"},
+        "family": {"p_min": -2.0, "p_max": 2.0, "M": 32},
+        "initial": {"shape": "dipole", "amplitude": 0.3, "width": 0.5, "center": 2.0,
+                    "seed": None},
+        "run": {"t_end": 2.0,
+                "snapshot_schedule": {"kind": "linear", "count": 5, "t_lo": None, "t_hi": None},
+                "cfl_fraction": 0.9, "dt_max": 0.1, "p": 0.0},
+        "checks": [],
+        "fit": None,
+        "output": "out/defaults",
+    }
+
+
+def test_numbers_take_their_kind():
+    doc = mutate(("run", "t_end"), 2)
+    doc["grid"]["n_periods"] = 8.0
+    echo = ScenarioConfig.from_dict(doc).to_dict()
+    assert type(echo["run"]["t_end"]) is float and type(echo["grid"]["n_periods"]) is int
+    with pytest.raises(ConfigError, match=r"^grid\.n_periods must be integral, got 8\.5$"):
+        ScenarioConfig.from_dict(mutate(("grid", "n_periods"), 8.5))
+    with pytest.raises(ConfigError, match=r"^family\.M must be an integer, got True$"):
+        ScenarioConfig.from_dict(mutate(("family", "M"), True))
+    # json reads a long integer literal as an int past the float range
+    for path in (("run", "t_end"), ("grid", "n_periods")):
+        with pytest.raises(ConfigError, match=rf"^{'.'.join(path)} must be finite"):
+            ScenarioConfig.from_dict(mutate(path, json.loads("1" + "0" * 400)))
+
+
+def test_the_echo_and_the_input_are_copies():
+    raw = base_document()
+    config = ScenarioConfig.from_dict(raw)
+    raw["flux"]["params"]["amplitude"] = 0.1
+    raw["checks"].append("nash_bounded")
+    echo = config.to_dict()
+    echo["flux"]["params"]["amplitude"] = 0.2
+    echo["grid"]["n_periods"] = 99
+    echo["checks"].append("l1_decay")
+    assert config.to_dict() == ScenarioConfig.from_dict(base_document()).to_dict()
+    assert config == ScenarioConfig.from_dict(base_document())
+
+
+@pytest.mark.parametrize("name", ["canonical_dipole", "gaussian_l2", "verify_forced_burgers"])
+def test_packaged_configs_round_trip_through_their_echo(name):
+    path = Path(convstab.__file__).parent / "configs" / f"{name}.json"
+    config = ScenarioConfig.from_json(path)
+    assert ScenarioConfig.from_dict(config.to_dict()) == config
+
+
+def test_an_edit_sees_the_filled_document_and_is_validated():
+    seen = []
+
+    def edit(doc):
+        seen.append(doc["family"]["M"])
+        doc["family"]["M"] = 20
+
+    assert ScenarioConfig.from_dict(base_document(), edit).m_intervals == 20
+    base = base_document()
+    del base["family"]
+    ScenarioConfig.from_dict(base, edit)
+    assert seen == [16, 32]
+
+    def infinite(doc):
+        doc["run"]["t_end"] = float("inf")
+
+    with pytest.raises(ConfigError, match=r"^run\.t_end must be finite"):
+        ScenarioConfig.from_dict(base_document(), infinite)
+
+
+# ---------------------------------------------------------------------------
 # perturbations
 
 
@@ -388,7 +511,7 @@ def test_snapshot_files_round_trip_the_final_state(tmp_path, prepared):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert float(path.name[10:-4]) == t_end
     assert np.array_equal(data[:, 0], prepared.config.line_grid.centers())
-    background = np.tile(prepared.w_p.values, prepared.config.n_periods)
+    background = np.tile(prepared.w_p.values, prepared.config.line_grid.n_periods)
     assert np.array_equal(data[:, 2], background)
     assert np.array_equal(data[:, 1], result.final_state.u + background)
 
