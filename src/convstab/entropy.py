@@ -10,10 +10,12 @@ defines pi(t, x) = p(u(t, x), x), and
     eta(u, x) = integral_0^{pi} (u - w_p(x)) dp
 
 is the entropy density.  Because the interpolant is cubic on each p-interval,
-eta is evaluated by integrating it exactly (antiderivative of the piecewise
-polynomial) rather than by sampling: the result is the exact integral of the
-same interpolant the inversion uses, so the two are consistent to roundoff
-and eta inherits nonnegativity from the interpolant's monotonicity.
+eta is evaluated by integrating it exactly rather than by sampling: each cubic
+Hermite piece integrates in closed form to h (y_k + y_{k+1}) / 2 +
+h^2 (d_k - d_{k+1}) / 12, a running sum of those gives the integral at the
+knots, and the cubic's antiderivative fills in between.  The result is the
+exact integral of the same interpolant the inversion uses, so the two are
+consistent to roundoff and eta inherits nonnegativity from its monotonicity.
 
 The inversion brackets u between two knot profiles and solves the cubic on
 that p-interval by Newton's method from the secant, with a sign bracket and
@@ -38,7 +40,7 @@ from typing import Tuple
 import numpy as np
 
 from .evolution import State
-from .grids import _next, _prev
+from .grids import _next, _prev, _readonly
 from .stationary import StationaryFamily
 
 __all__ = [
@@ -118,23 +120,11 @@ def _pchip_coefficients(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack(_hermite(hk, mk, dk[:-1], dk[1:], y[:-1], y[1:]))
 
 
-def _antiderivative(p: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of the continuous antiderivative that vanishes at p[0].
-
-    Each interval's constant is the previous interval's antiderivative at its
-    right end, summed as c4 + c3 s + c2 s^2 + c1 s^3 + c0 s^4 with s^k built by
-    repeated multiplication: the arithmetic of ``PPoly.antiderivative``.
-    """
-    anti = np.zeros((5,) + coeffs.shape[1:])
-    anti[:4] = coeffs / np.array([4.0, 3.0, 2.0, 1.0])[:, None, None]
-    for j in range(1, coeffs.shape[1]):
-        s, prev = p[j] - p[j - 1], anti[:, j - 1]
-        acc, power = 0.0 + prev[4], 1.0
-        for c in prev[3::-1]:
-            power = power * s
-            acc = acc + c * power
-        anti[4, j] = acc
-    return anti
+def _knot_integrals(h, y, d) -> np.ndarray:
+    """integral_{p_0}^{p_k} at every knot of the cubic Hermite interpolant with
+    interval widths h, knot values y and knot slopes d, in closed form."""
+    pieces = h * (y[:-1] + y[1:]) / 2 + h**2 * (d[:-1] - d[1:]) / 12
+    return np.concatenate([np.zeros_like(y[:1]), np.cumsum(pieces, axis=0)])
 
 
 def _rows_at(table: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -147,47 +137,41 @@ class FamilyInterpolant:
     """Monotone-in-p interpolant of a stationary family, per cell.
 
     Two PCHIPs over the family's p-knots, one for the profile table w_p(x_i)
-    and one for the mean-derivative table, and the profile PCHIP's
-    antiderivative, with the arithmetic of scipy's ``PchipInterpolator`` and
-    ``PPoly.antiderivative``.  The profile PCHIP is held as its knot values
-    and slopes, and each evaluation forms the cubics of the cells it needs
-    (bit for bit scipy's coefficients), so the inversion can take the same
-    cubic about either knot; the other two are held as coefficient tables.
-    All evaluations accept per-cell p arrays (interval lookup plus Horner on
-    the gathered cubic coefficients), which is what the entropy field needs --
-    every cell sits at its own pi.
+    and one for the mean-derivative table, with the arithmetic of scipy's
+    ``PchipInterpolator``.  The profile PCHIP is held as its knot values and
+    slopes, and each evaluation forms the cubics of the cells it needs (bit
+    for bit scipy's coefficients), so the inversion can take the same cubic
+    about either knot.  One (9, M, n) table holds the profile cubic's
+    antiderivative from p = 0 (rows 0-4, the constant row in closed form) and
+    the mean-derivative cubic (rows 5-8), read at per-cell p -- every cell
+    sits at its own pi -- with one interval search and one gather.
     """
 
     family: StationaryFamily
 
     def __post_init__(self):
         values, p = self.family.profiles, self.family.p_grid
+        object.__setattr__(self, "_p", p)
         hk, mk, dk = _pchip_slopes(p, values)
         w_coeffs = np.stack(_hermite(hk, mk, dk[:-1], dk[1:], values[:-1], values[1:]))
-        w_anti = _antiderivative(p, w_coeffs)
-        object.__setattr__(self, "_p", p)
+        table = np.empty((9,) + w_coeffs.shape[1:])
+        table[:4] = w_coeffs / np.array([4.0, 3.0, 2.0, 1.0])[:, None, None]
+        # the constant row: integral_{p_min}^{p_k} w, less integral_{p_min}^0 w
+        table[4] = _knot_integrals(hk, values, dk)[:-1]
+        j, s = self._locate(0.0)
+        table[4] -= _horner(table[:5, j], s)
+        table[5:] = _pchip_coefficients(p, self.family.dp_profiles)
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_w_slopes", dk)
-        object.__setattr__(self, "_w_anti", w_anti)
-        object.__setattr__(self, "_dp_coeffs", _pchip_coefficients(p, self.family.dp_profiles))
-        # integral_{p_min}^0 w per cell, which profile_integral subtracts
-        j, s = self._locate(np.zeros(values.shape[1]))
-        object.__setattr__(self, "_w_anti_zero", _horner(w_anti[:, j, np.arange(s.size)], s))
+        object.__setattr__(self, "_table", table)
 
     def _locate(self, p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         j = np.clip(np.searchsorted(self._p, p, side="right") - 1, 0, self._p.size - 2)
         return j, p - self._p[j]
 
-    def _check_cells(self, cells: np.ndarray, size: int) -> None:
-        n = self._values.shape[1]
-        if np.any(cells < 0) or np.any(cells >= n):
-            raise IndexError(f"cell indices must lie in [0, {n})")
-        if cells.size != size:
-            raise ValueError("cells and p arrays must have matching size")
-
     def _flat(self, k, cells):
-        """Flat index of (k, cells) in a (M + 1, n) table: a gather at it costs
-        a fraction of one at [k, cells]."""
+        """Flat index of (k, cells) in a table of n columns, (M + 1, n) or
+        (M, n): a gather at it costs a fraction of one at [k, cells]."""
         return k * self._values.shape[1] + cells
 
     def _hermite_data(self, k, cells):
@@ -200,21 +184,12 @@ class FamilyInterpolant:
         h = self._p[k + 1] - self._p[k]
         return h, (y1 - y0) / h, slopes[at], slopes[at + n], y0, y1
 
-    def dp_at(self, p, cells) -> np.ndarray:
-        """Mean-derivative table interpolated at per-cell p values."""
-        p = np.asarray(p, dtype=float)
-        cells = np.asarray(cells, dtype=int)
-        self._check_cells(cells, p.size)
+    def _integral_and_dp(self, p: np.ndarray, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """integral_0^{p} w_q(x_i) dq, exact for the interpolant, and the
+        mean-derivative table interpolated, at per-cell p values."""
         j, s = self._locate(p)
-        return _horner(_rows_at(self._dp_coeffs, self._flat(j, cells)), s)
-
-    def profile_integral(self, p, cells) -> np.ndarray:
-        """integral_0^{p} w_q(x_i) dq, exact for the interpolant."""
-        p = np.asarray(p, dtype=float)
-        cells = np.asarray(cells, dtype=int)
-        self._check_cells(cells, p.size)
-        j, s = self._locate(p)
-        return _horner(_rows_at(self._w_anti, self._flat(j, cells)), s) - self._w_anti_zero[cells]
+        rows = _rows_at(self._table, self._flat(j, cells))
+        return _horner(rows[:5], s), _horner(rows[5:], s)
 
     def _bracket(self, u: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Per cell, the largest k <= M - 1 with values[k, cell] <= u, by
@@ -250,7 +225,11 @@ class FamilyInterpolant:
         """
         u = np.asarray(u, dtype=float)
         cells = np.asarray(cells, dtype=int)
-        self._check_cells(cells, u.size)
+        n = self._values.shape[1]
+        if np.any(cells < 0) or np.any(cells >= n):
+            raise IndexError(f"cell indices must lie in [0, {n})")
+        if cells.size != u.size:
+            raise ValueError("cells and u arrays must have matching size")
         lo_vals, hi_vals = self._values[0, cells], self._values[-1, cells]
         slack = 1e-10 * (1.0 + np.abs(u))
         below = u < lo_vals - slack
@@ -301,7 +280,9 @@ class FamilyInterpolant:
 
 @dataclass(frozen=True)
 class EntropyField:
-    """pi, eta and their aggregates for one state against one family."""
+    """pi, eta and their aggregates for one state against one family.  pi and
+    eta are held read-only: an array that is not a read-only float64 array
+    owning its data is copied."""
 
     pi: np.ndarray
     eta: np.ndarray
@@ -310,9 +291,7 @@ class EntropyField:
 
     def __post_init__(self):
         for name in ("pi", "eta"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         if self.eta.size and float(self.eta.min()) < 0:
             raise ValueError(f"eta must be nonnegative, got min {float(self.eta.min())!r}")
 
@@ -339,7 +318,8 @@ def eta_field(interpolant: FamilyInterpolant, state: State) -> EntropyField:
     u = state.u
     pi = interpolant.invert(u, cells)
 
-    eta = u * pi - interpolant.profile_integral(pi, cells)
+    integral, dpw = interpolant._integral_and_dp(pi, cells)
+    eta = u * pi - integral
     floor = -1e-12 * (1.0 + pi**2)
     if np.any(eta < floor):
         worst = int(np.argmin(eta - floor))
@@ -353,9 +333,11 @@ def eta_field(interpolant: FamilyInterpolant, state: State) -> EntropyField:
         dpi = (_next(pi) - _prev(pi)) / (2.0 * h)
     else:
         dpi = np.gradient(pi, h)
-    dpw = interpolant.dp_at(pi, cells)
     dissipation = float(h * np.sum(dpw * dpi**2))
     total = float(h * eta.sum())
+    # fresh arrays, handed over read-only so EntropyField keeps them uncopied
+    pi.setflags(write=False)
+    eta.setflags(write=False)
     return EntropyField(pi=pi, eta=eta, total_eta=total, dissipation=dissipation)
 
 

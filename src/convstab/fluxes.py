@@ -76,7 +76,7 @@ class FluxModel:
     label: str
     period: float
     coefficients: Tuple[Coefficient, Coefficient, Coefficient]
-    params: Mapping[str, float] = field(default_factory=dict)
+    params: Mapping[str, Union[float, list]] = field(default_factory=dict)
     eval: Optional[ArrayFn] = field(default=None, repr=False, compare=False)
     d_u: Optional[ArrayFn] = field(default=None, repr=False, compare=False)
     d_uu: Optional[ArrayFn] = field(default=None, repr=False, compare=False)
@@ -141,18 +141,26 @@ def _value_and_slope(coefficient: Coefficient) -> Tuple[XFn, XFn]:
     return (lambda x: value), (lambda x: 0.0)
 
 
-def _take_number(params: dict, name: str, alias: Optional[str], default: float) -> float:
-    """Pop a parameter by its name or alias (the name wins; both are taken)."""
-    value = params.pop(alias, default) if alias else default
-    value = params.pop(name, value)
+def _take_number(params: dict, name: str, default: float) -> float:
+    """Pop a parameter that must be a finite number."""
+    value = params.pop(name, default)
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"flux parameter {name!r} must be a number, got {value!r}") from None
+    return _finite(name, number)
+
+
+def _finite(name: str, values):
+    """values, a number or a table, once NaN and +-Infinity (json reads them)
+    are refused."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"flux parameter {name!r} must be finite")
+    return values
 
 
 def _take_period(params: dict) -> float:
-    period = _take_number(params, "period", "T", 1.0)
+    period = _take_number(params, "period", 1.0)
     if not period > 0:
         raise ValueError(f"flux period must be positive, got {period}")
     return period
@@ -164,7 +172,7 @@ def _constant_burgers(params: dict) -> FluxModel:
 
 
 def _forced_burgers(params: dict) -> FluxModel:
-    amplitude = _take_number(params, "amplitude", "A", 0.5)
+    amplitude = _take_number(params, "amplitude", 0.5)
     period = _take_period(params)
     k = 2.0 * np.pi / period
     forcing = (lambda x: amplitude * np.sin(k * x),
@@ -174,8 +182,8 @@ def _forced_burgers(params: dict) -> FluxModel:
 
 
 def _periodic_advection(params: dict) -> FluxModel:
-    a0 = _take_number(params, "a0", None, 1.0)
-    amplitude = _take_number(params, "amplitude", "A", 0.5)
+    a0 = _take_number(params, "a0", 1.0)
+    amplitude = _take_number(params, "amplitude", 0.5)
     period = _take_period(params)
     if not abs(amplitude) < 1.0:
         raise ValueError(f"periodic_advection requires |amplitude| < 1, got {amplitude}")
@@ -186,24 +194,31 @@ def _periodic_advection(params: dict) -> FluxModel:
                      {"a0": a0, "amplitude": amplitude, "period": period})
 
 
-def _table_coefficient(params: dict, name: str, period: float) -> Coefficient:
-    """A scalar stays constant; a table becomes a periodic cubic spline."""
+def _table_coefficient(params: dict, name: str,
+                       period: float) -> Tuple[Coefficient, Union[float, list]]:
+    """A scalar stays constant; a table becomes a periodic cubic spline.  The
+    coefficient comes with its parameter as recorded: a float, or the table
+    as a list of floats."""
     if np.ndim(params.get(name, 0.0)) == 0:
-        return _take_number(params, name, None, 0.0)
+        value = _take_number(params, name, 0.0)
+        return value, value
     try:
         samples = np.asarray(params.pop(name), dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"flux parameter {name!r} must be a table of numbers") from None
     if samples.ndim != 1 or samples.size < 4:
         raise ValueError("tabulated coefficients need a 1-D table with >= 4 samples")
-    return _periodic_spline(0.0, period, samples)
+    return _periodic_spline(0.0, period, _finite(name, samples)), samples.tolist()
 
 
 def _custom_table(params: dict) -> FluxModel:
     period = _take_period(params)
-    coefficients = tuple(_table_coefficient(params, name, period)
-                         for name in ("const", "linear", "quadratic"))
-    return FluxModel("custom_table", period, coefficients, {"period": period})
+    recorded = {"period": period}
+    coefficients = []
+    for name in ("const", "linear", "quadratic"):
+        coefficient, recorded[name] = _table_coefficient(params, name, period)
+        coefficients.append(coefficient)
+    return FluxModel("custom_table", period, tuple(coefficients), recorded)
 
 
 _BUILDERS = {
@@ -217,9 +232,10 @@ _BUILDERS = {
 def builtin_flux(label: str, params: Optional[Mapping] = None) -> FluxModel:
     """Construct one of the built-in flux models by label.
 
-    Parameters accept both long names (amplitude, period) and the short
-    conventional aliases (A, T).  Unknown labels and out-of-range parameters
-    raise ValueError.
+    Parameters go by their names (amplitude, period, ...) and must be finite
+    numbers, or for ``custom_table`` finite tables; ``FluxModel.params``
+    records them all, tables as lists.  Unknown labels, unused or non-finite
+    parameters and out-of-range values raise ValueError naming them.
     """
     if not isinstance(label, str) or label not in _BUILDERS:
         raise ValueError(f"unknown flux label {label!r}; available: {sorted(_BUILDERS)}")

@@ -392,6 +392,8 @@ def test_invalid_document_exits_2(tmp_path, capsys):
         ({"run": {"snapshot_schedule": 3}}, "'snapshot_schedule'"),
         ({"fit": 3}, "'fit'"),
         ({"flux": {"params": {"amplitude": [1]}}}, "'amplitude'"),
+        # a parameter goes by its name alone: A is not amplitude
+        ({"flux": {"params": {"A": 0.7}}}, "unused flux parameters for 'forced_burgers': ['A']"),
     ]
     for k, (override, named) in enumerate(documents):
         config = write_config(tmp_path, name=f"doc{k}.json", **override)
@@ -407,7 +409,9 @@ def test_invalid_document_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("override, named", [
     ({"grid": {"n_periods": float("inf")}}, "grid.n_periods must be finite"),
     ({"initial": {"width": float("nan")}}, "initial.width must be finite"),
-], ids=["n_periods", "width"])
+    ({"flux": {"params": {"amplitude": float("inf"), "period": 1.0}}},
+     "flux: flux parameter 'amplitude' must be finite"),
+], ids=["n_periods", "width", "amplitude"])
 def test_non_finite_numbers_exit_2_under_every_command(tmp_path, capsys, command, override,
                                                        named):
     # json writes and reads these as Infinity and NaN

@@ -29,7 +29,14 @@ from convstab import (
     nash_ratio,
     normalize_about_wp,
 )
-from convstab.entropy import _antiderivative, _hermite, _horner, _pchip_coefficients
+from convstab.entropy import (
+    EntropyField,
+    _hermite,
+    _horner,
+    _knot_integrals,
+    _pchip_coefficients,
+    _pchip_slopes,
+)
 from oracles import entropy_balance_check, profile_at
 
 
@@ -227,8 +234,16 @@ def test_interpolant_coefficients_equal_scipy_bit_for_bit(forced_family):
     m, n = p.size - 1, forced_family.grid.n_cells
     formed = _hermite(*interp._hermite_data(np.repeat(np.arange(m), n), np.tile(np.arange(n), m)))
     assert _same_bits(np.stack(formed).reshape(4, m, n), w_oracle.c)
-    assert _same_bits(interp._w_anti, w_oracle.antiderivative().c)
-    assert _same_bits(interp._dp_coeffs, dp_oracle.c)
+    # the antiderivative's power rows and the dp cubic, bit for bit
+    anti = w_oracle.antiderivative()
+    assert _same_bits(interp._table[:4], anti.c[:4])
+    assert _same_bits(interp._table[5:], dp_oracle.c)
+    # the constant row is the closed-form integral from p = 0 to each left
+    # knot; scipy's antiderivative sums the pieces otherwise (measured gap
+    # 4.4e-16 against a largest entry of 0.54)
+    want = anti.c[4] - anti(0.0)
+    gap = np.abs(interp._table[4] - want).max()
+    assert gap <= 8 * EPS * np.abs(want).max(), f"constant row off by {gap:.2e}"
 
 
 def test_pchip_coefficients_equal_scipy_on_flat_runs_and_sign_changes():
@@ -246,21 +261,54 @@ def test_pchip_coefficients_equal_scipy_on_flat_runs_and_sign_changes():
     assert flipped.any() and (steep & ~flipped).any()
     assert (np.diff(y, axis=0) == 0).any()
     oracle = PchipInterpolator(p, y, axis=0)
-    coeffs = _pchip_coefficients(p, y)
-    assert _same_bits(coeffs, oracle.c)
-    assert _same_bits(_antiderivative(p, coeffs), oracle.antiderivative().c)
+    assert _same_bits(_pchip_coefficients(p, y), oracle.c)
+    # the closed-form knot integrals against scipy's quadrature of the same
+    # cubics (measured gap 4.4e-16 against a largest integral of 1.65)
+    hk, _, dk = _pchip_slopes(p, y)
+    got = _knot_integrals(hk, y, dk)
+    want = np.stack([oracle.integrate(p[0], q) for q in p])
+    assert np.all(got[0] == 0.0)
+    gap = np.abs(got - want).max()
+    assert gap <= 8 * EPS * np.abs(want).max(), f"knot integrals off by {gap:.2e}"
     two = np.array([-0.5, 0.75])
     assert _same_bits(_pchip_coefficients(two, y[:2]), PchipInterpolator(two, y[:2], axis=0).c)
 
 
 def test_profile_integral_starts_at_zero(forced_family, constant_family):
     cells = np.arange(64)
-    interp = FamilyInterpolant(forced_family)
-    assert np.all(interp.profile_integral(np.zeros(64), cells) == 0.0)
+    integral, _ = FamilyInterpolant(forced_family)._integral_and_dp(np.zeros(64), cells)
+    assert np.all(integral == 0.0)
     # the constant flux's profiles are w_q = q, so the integral is p^2 / 2
+    # and the mean derivative is 1
     p = np.linspace(-1.0, 1.0, 64)
-    got = FamilyInterpolant(constant_family).profile_integral(p, cells)
-    assert np.abs(got - 0.5 * p**2).max() < 1e-14
+    integral, dp = FamilyInterpolant(constant_family)._integral_and_dp(p, cells)
+    assert np.abs(integral - 0.5 * p**2).max() < 1e-14
+    assert np.abs(dp - 1.0).max() < 1e-14
+
+
+@pytest.mark.parametrize("which", ["forced", "pinned"])
+def test_integral_and_dp_match_scipy_at_per_cell_p(which, forced_family, pinned_family):
+    family = forced_family if which == "forced" else pinned_family
+    interp = FamilyInterpolant(family)
+    p, n = family.p_grid, family.grid.n_cells
+    w = PchipInterpolator(p, family.profiles, axis=0).antiderivative()
+    dp = PchipInterpolator(p, family.dp_profiles, axis=0)
+    rng = np.random.default_rng(23)
+    # random p per cell, every knot at every cell, and both ends of the family
+    at = np.concatenate([rng.uniform(p[0], p[-1], 2 * n), np.repeat(p, n), p[[0, -1]].repeat(n)])
+    cells = np.tile(np.arange(n), at.size // n)
+    integral, dpw = interp._integral_and_dp(at, cells)
+    # scipy evaluates every cell at each p: one block of n p values at a time
+    diagonal = lambda oracle: np.concatenate(
+        [np.diagonal(oracle(block)) for block in at.reshape(-1, n)])
+    want_integral = diagonal(w) - w(0.0)[cells]
+    want_dp = diagonal(dp)
+    # measured gaps: the integral 4.4e-16 (forced) and 2.9e-15 (pinned), 3.7
+    # and 6.0 eps of largest entries 0.54 and 2.2; dp 2.2e-16 against 1.08
+    gap = np.abs(integral - want_integral).max()
+    assert gap <= 8 * EPS * np.abs(want_integral).max(), f"integral off by {gap:.2e}"
+    gap = np.abs(dpw - want_dp).max()
+    assert gap <= 2 * EPS * np.abs(want_dp).max(), f"dp off by {gap:.2e}"
 
 
 def test_inversion_rejects_values_outside_the_family(forced_family):
@@ -269,6 +317,15 @@ def test_inversion_rejects_values_outside_the_family(forced_family):
         interp.invert(np.array([5.0]), np.array([0]))
     with pytest.raises(FamilyRangeError):
         interp.invert(np.array([-5.0]), np.array([0]))
+
+
+def test_invert_refuses_bad_cells(forced_family):
+    interp = FamilyInterpolant(forced_family)
+    for cells in ([-1], [64]):
+        with pytest.raises(IndexError, match=r"cell indices must lie in \[0, 64\)"):
+            interp.invert(np.zeros(1), np.array(cells))
+    with pytest.raises(ValueError, match="matching size"):
+        interp.invert(np.zeros(3), np.arange(2))
 
 
 def test_an_out_of_range_message_prints_plain_floats(forced_family):
@@ -328,6 +385,21 @@ def test_eta_sandwich_between_dp_extremes(forced_family):
         upper = 0.5 * max_dp * field.pi**2 + slack(field.pi)
         assert np.all(field.eta >= lower), f"seed {seed}: eta below alpha pi^2/2"
         assert np.all(field.eta <= upper), f"seed {seed}: eta above max-dp pi^2/2"
+
+
+def test_entropy_field_copies_a_writeable_array_and_keeps_eta_fields_own(forced_family):
+    pi, eta = np.linspace(-0.5, 0.5, 8), np.linspace(0.0, 1.0, 8)
+    field = EntropyField(pi=pi, eta=eta, total_eta=1.0, dissipation=0.0)
+    for given, kept in ((pi, field.pi), (eta, field.eta)):
+        assert not np.shares_memory(given, kept) and not kept.flags.writeable
+    pi[0] = eta[0] = 9.0
+    assert field.pi[0] == -0.5 and field.eta[0] == 0.0
+    # eta_field hands over fresh read-only arrays, which are kept as they are
+    made = eta_field(FamilyInterpolant(forced_family), state_on(forced_family, np.zeros(128)))
+    again = EntropyField(made.pi, made.eta, made.total_eta, made.dissipation)
+    assert again.pi is made.pi and again.eta is made.eta
+    with pytest.raises(ValueError, match="nonnegative"):
+        EntropyField(pi=pi, eta=-eta, total_eta=0.0, dissipation=0.0)
 
 
 def test_eta_field_requires_values_in_range(forced_family):

@@ -90,13 +90,37 @@ def test_custom_table_defaults_to_zero_flux():
     assert np.all(flux.d_u(u, x) == 0.0)
 
 
-def test_parameter_aliases_give_identical_models():
-    long = builtin_flux("forced_burgers", {"amplitude": 0.7, "period": 2.0})
-    short = builtin_flux("forced_burgers", {"A": 0.7, "T": 2.0})
-    u = np.linspace(-1, 1, 50)
-    x = np.linspace(0, 2, 50, endpoint=False)
-    assert np.array_equal(long.eval(u, x), short.eval(u, x))
-    assert long.period == short.period == 2.0
+# every number parameter each label reads
+NUMBER_PARAMS = {
+    "constant_flux_burgers": ("period",),
+    "forced_burgers": ("amplitude", "period"),
+    "periodic_advection": ("a0", "amplitude", "period"),
+    "custom_table": ("period", "const", "linear", "quadratic"),
+}
+
+
+@pytest.mark.parametrize("label, name", [(label, name) for label, names in NUMBER_PARAMS.items()
+                                         for name in names])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_parameters_raise_naming_them(label, name, bad):
+    with pytest.raises(ValueError, match=f"flux parameter '{name}' must be finite"):
+        builtin_flux(label, {name: bad})
+
+
+@pytest.mark.parametrize("name", ["const", "linear", "quadratic"])
+def test_a_non_finite_table_sample_raises_naming_its_parameter(name):
+    for bad in (float("nan"), float("inf")):
+        table = [0.0, 0.5, bad, -0.5]
+        with pytest.raises(ValueError, match=f"flux parameter '{name}' must be finite"):
+            builtin_flux("custom_table", {name: table})
+
+
+def test_custom_table_records_its_coefficients():
+    params = {"linear": [0.0, 0.5, 0.0, -0.5], "quadratic": 1, "period": 2}
+    flux = builtin_flux("custom_table", params)
+    assert flux.params == {"const": 0.0, "linear": [0.0, 0.5, 0.0, -0.5],
+                           "quadratic": 1.0, "period": 2.0}
+    assert all(type(flux.params[name]) is float for name in ("const", "quadratic", "period"))
 
 
 def test_unknown_label_and_leftover_params_raise():
@@ -104,6 +128,10 @@ def test_unknown_label_and_leftover_params_raise():
         builtin_flux("kpz")
     with pytest.raises(ValueError):
         builtin_flux("constant_flux_burgers", {"amplitude": 0.5})
+    # a parameter goes by its name alone: the short forms are unused parameters
+    for short in ("A", "T"):
+        with pytest.raises(ValueError, match=f"unused flux parameters .*'{short}'"):
+            builtin_flux("forced_burgers", {short: 0.7})
     # malformed values raise ValueError too, naming the parameter they fail on
     for label, params, named in [
         (["forced_burgers"], {}, "label"),

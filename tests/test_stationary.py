@@ -279,6 +279,25 @@ def test_family_json_round_trip(tmp_path, family_128):
         json.load(handle)
 
 
+def test_family_json_rebuilds_a_custom_table_flux(tmp_path):
+    # the file names the flux its profiles solve, tables included
+    flux = builtin_flux("custom_table", {"linear": [0.0, 0.5, 0.0, -0.5], "quadratic": 1.0,
+                                         "period": 1.0})
+    family = build_family(flux, -1.0, 1.0, 16, CellGrid(32, 1.0))
+    path = tmp_path / "family.json"
+    save_family(family, path)
+    assert json.loads(path.read_text())["flux"] == {
+        "label": "custom_table",
+        "params": {"const": 0.0, "linear": [0.0, 0.5, 0.0, -0.5], "quadratic": 1.0,
+                   "period": 1.0},
+    }
+    back = load_family(path).flux
+    centers = family.grid.centers()
+    for ours, theirs in zip(back.sample(centers), flux.sample(centers)):
+        assert ours.tobytes() == theirs.tobytes()
+    assert np.any(flux.sample(centers).c1 != 0.0)
+
+
 def spliced(table, at, values):
     table = table.copy()
     table[:, at:at + len(values)] = values
