@@ -2,18 +2,19 @@
 
 Every subcommand reads one scenario JSON (--config), writes its artifacts
 under --out (default: the config's output directory), prints one PASS/FAIL
-line per enabled check, writes a machine-readable verdicts.json, and exits
-with the code below.  ``evolve``, ``dispersion`` and ``lap`` judge the
+line per verdict, writes a machine-readable verdicts.json, and exits with
+the code below.  ``evolve``, ``dispersion`` and ``lap`` judge the
 config's checks with the command's ``REQUIRED_CHECKS`` appended.  These,
 ``--seed`` and the fit window ``dispersion`` infers are written into the
 document after it is read and filled in, and before the config validates
-it, so the verdict file's config echo lists them.  ``stationary`` and
-``verify`` judge their own verdicts; the config's checks and fit window,
-which they skip, are named in one ``note:`` line on stderr and in the
-verdict file's notes.
+it, so the verdict file's config echo lists them.  ``stationary`` judges
+its family, and ``verify`` takes its verdicts from ``semigroup_trials``;
+the config's checks and fit window, which they skip, are named in one
+``note:`` line on stderr and in the verdict file's notes.  A finished
+command's exit code follows from its verdicts alone (``RunArtifact``).
 
-    0  every enabled check passed
-    1  at least one check failed
+    0  every verdict passed
+    1  at least one verdict failed
     2  configuration or validation error
     3  edge-buffer abort (perturbation mass reached a pinned boundary)
     4  solver failure (Newton stall, CFL violation, family range)
@@ -72,14 +73,22 @@ REQUIRED_CHECKS = {
 
 @dataclass
 class RunArtifact:
+    """A finished command's verdicts and artifacts, as verdicts.json holds
+    them.  ``exit_code`` is not an argument: it is EXIT_PASS when every
+    verdict passed and EXIT_CHECK_FAILED otherwise."""
+
     command: str
     config: dict
     verdicts: Dict[str, dict]
-    exit_code: int
+    exit_code: int = field(init=False)
     family_file: Optional[str] = None
     diagnostics_csv: Optional[str] = None
     snapshots_dir: Optional[str] = None
     notes: List[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        passed = all(v["passed"] for v in self.verdicts.values())
+        self.exit_code = EXIT_PASS if passed else EXIT_CHECK_FAILED
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -143,12 +152,10 @@ def cmd_stationary(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
     out_dir.mkdir(parents=True, exist_ok=True)
     family_path = out_dir / "family.json"
     save_family(family, family_path)
-    exit_code = EXIT_PASS if all(v["passed"] for v in verdicts.values()) else EXIT_CHECK_FAILED
     return RunArtifact(
         command="stationary",
         config=config.to_dict(),
         verdicts=verdicts,
-        exit_code=exit_code,
         family_file=str(family_path),
         notes=notes,
     )
@@ -159,12 +166,10 @@ def cmd_run(config: ScenarioConfig, out_dir: Path, command: str) -> RunArtifact:
     setup = prepare_run(config)
     result = run_scenario(setup, out_dir)
     verdicts = evaluate_checks(result)
-    exit_code = EXIT_PASS if all(v["passed"] for v in verdicts.values()) else EXIT_CHECK_FAILED
     return RunArtifact(
         command=command,
         config=config.to_dict(),
         verdicts=verdicts,
-        exit_code=exit_code,
         family_file=result.family_path,
         diagnostics_csv=result.diagnostics_path,
         snapshots_dir=result.snapshots_dir,
@@ -172,46 +177,20 @@ def cmd_run(config: ScenarioConfig, out_dir: Path, command: str) -> RunArtifact:
 
 
 def cmd_verify(config: ScenarioConfig, out_dir: Path, trials: int, seed: int) -> RunArtifact:
+    """Run the semigroup trials on the config's flux, grid and policy, up to
+    its t_end; periodic domains only."""
     if config.boundary_mode != "periodic":
         raise ConfigError(
             "verify runs its trials on periodic domains only; "
             f"boundary_mode {config.boundary_mode!r} is not supported"
         )
     notes = _ignored(config, "verify")
-    records = semigroup_trials(config.flux, config.line_grid, config.t_end, trials, seed,
-                               policy=config.policy)
-
-    failing = [
-        r for r in records
-        if not (r["comparison_ok"] and r["contraction_ok"] and r["conservation_ok"])
-    ]
-    verdicts = {
-        "comparison": _verdict(
-            all(r["comparison_ok"] for r in records),
-            worst=max(r["comparison_excess"] for r in records),
-        ),
-        "contraction": _verdict(
-            all(r["contraction_ok"] for r in records),
-            worst=max(r["contraction_excess"] for r in records),
-        ),
-        "conservation": _verdict(
-            all(r["conservation_ok"] for r in records),
-            worst=max(r["conservation_drift"] for r in records),
-        ),
-        "pass_rate": _verdict(
-            not failing,
-            trials=trials,
-            pairs=len(records),
-            failing=[{"trial": r["trial"], "kind": r["kind"], "seed": r["seed"]}
-                     for r in failing],
-        ),
-    }
-    exit_code = EXIT_PASS if not failing else EXIT_CHECK_FAILED
+    verdicts = semigroup_trials(config.flux, config.line_grid, config.t_end, trials, seed,
+                                policy=config.policy)
     return RunArtifact(
         command="verify",
         config=config.to_dict(),
         verdicts=verdicts,
-        exit_code=exit_code,
         notes=[f"{trials} trials, ordered + unordered pairs, seed {seed}"] + notes,
     )
 
@@ -265,8 +244,6 @@ def main(argv=None) -> int:
         if args.command == "stationary":
             artifact = cmd_stationary(config, out_dir)
         elif args.command == "verify":
-            if args.trials < 1:
-                raise ConfigError(f"trials must be >= 1, got {args.trials}")
             seed = 0 if args.seed is None else args.seed
             artifact = cmd_verify(config, out_dir, args.trials, seed)
         else:

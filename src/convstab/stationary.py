@@ -49,13 +49,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .floattext import json_lists
-from .fluxes import FluxModel, FluxSamples
+from .fluxes import FluxModel, FluxSamples, builtin_flux
 from .grids import _EPS, CellGrid, Profile, _cyclic_solve, _next, _prev, _readonly
 
 __all__ = [
@@ -292,10 +292,11 @@ class StationaryFamily:
     ``profiles`` and ``dp_profiles`` are read-only (len(p_grid), n_cells)
     tables of finite values: row k holds w_p and dw/dp at p = p_grid[k],
     sampled at the cell centers of ``grid``.  A read-only float64 table that
-    owns its data is kept, anything else is copied.  ``alpha`` is the least
-    value of the mean-derivative profiles over the whole family; it is the
-    uniform lower bound the entropy diagnostics divide by, so construction
-    fails if it is not strictly positive.
+    owns its data is kept, anything else is copied.  ``alpha`` is not an
+    argument: it is derived as the least value of the mean-derivative
+    profiles over the whole family.  It is the uniform lower bound the
+    entropy diagnostics divide by, so construction fails if it is not
+    strictly positive.
     """
 
     flux: FluxModel
@@ -303,7 +304,7 @@ class StationaryFamily:
     p_grid: np.ndarray
     profiles: np.ndarray
     dp_profiles: np.ndarray
-    alpha: float
+    alpha: float = field(init=False)
 
     def __post_init__(self):
         p = _readonly(self.p_grid)
@@ -319,8 +320,10 @@ class StationaryFamily:
             if not np.all(np.isfinite(table)):
                 raise ValueError(f"{name} values must be finite")
             object.__setattr__(self, name, table)
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        alpha = float(self.dp_profiles.min())
+        if not alpha > 0:
+            raise ValueError(f"alpha = min dp_profiles must be positive, got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "p_grid", p)
 
     def shifted_by(self, flux: FluxModel, background: Profile, mean: float) -> "StationaryFamily":
@@ -329,7 +332,8 @@ class StationaryFamily:
         If w solves the cell problem for f then w - background solves it for
         normalize_about_wp(f, background) at mean p - mean, cell for cell, so
         no re-solve is needed; derivative profiles and alpha are unchanged.
-        ``flux`` is that normalized flux, which the caller already holds.
+        ``flux`` is that normalized flux, which the caller already holds; it
+        has no built-in label, so ``save_family`` refuses the shifted family.
         """
         profiles = self.profiles - background.values
         profiles.setflags(write=False)  # handed over without a copy
@@ -414,16 +418,19 @@ def build_family(
     _family_checks(p_grid, values, dp_values)
     values.setflags(write=False)  # handed over without a copy
     dp_values.setflags(write=False)
-    return StationaryFamily(flux, grid, p_grid, values, dp_values, float(dp_values.min()))
+    return StationaryFamily(flux, grid, p_grid, values, dp_values)
 
 
 def save_family(family: StationaryFamily, path) -> None:
     """Write a family to a structured text (JSON) file.
 
-    The flux is recorded by its label and parameters.  Floats are written
-    with shortest round-trip precision, so the file is byte-stable for
-    identical inputs.
+    The flux is recorded by its label and parameters, so a flux that
+    ``builtin_flux`` cannot rebuild from them (a normalized flux, say) raises
+    its ValueError, naming the label, before the file is opened.  Floats are
+    written with shortest round-trip precision, so the file is byte-stable
+    for identical inputs.
     """
+    builtin_flux(family.flux.label, family.flux.params)
     payload = {
         "format": "convstab-family-1",
         "flux": {"label": family.flux.label, "params": dict(family.flux.params)},

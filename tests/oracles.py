@@ -180,10 +180,12 @@ def load_family(path) -> StationaryFamily:
         raise ValueError(f"unrecognized family file format in {path}")
     flux = builtin_flux(payload["flux"]["label"], payload["flux"]["params"])
     grid = CellGrid(payload["n_cells"], payload["period"])
-    return StationaryFamily(
+    family = StationaryFamily(
         flux, grid, np.array(payload["p_grid"]), np.array(payload["profiles"]),
-        np.array(payload["dp_profiles"]), float(payload["alpha"]),
+        np.array(payload["dp_profiles"]),
     )
+    assert family.alpha == payload["alpha"], "alpha is the least dp_profiles value"
+    return family
 
 
 def profile_at(interp: FamilyInterpolant, p, cells) -> np.ndarray:

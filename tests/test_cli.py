@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -366,6 +367,48 @@ def test_verify_rejects_zero_trials(tmp_path):
     config = write_config(tmp_path)
     assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path / "out"),
                      "--trials", "0"]) == 2
+    assert "trials must be >= 1, got 0" in read_verdicts(tmp_path / "out")["error"]
+
+
+def test_verify_fails_a_pair_that_breaks_the_semigroup_properties(tmp_path, monkeypatch,
+                                                                   capsys):
+    # lift u by 1 after the second step of trial 0's ordered pair: u then
+    # exceeds v = u + bump, |u - v| grows and h sum(u - v) moves, so every
+    # property fails on that pair alone
+    calls = []
+    real = scenarios.step
+
+    def bumped(state, kernel, dt):
+        calls.append(None)
+        out = real(state, kernel, dt)
+        return replace(out, u=out.u + 1.0) if len(calls) == 3 else out
+
+    monkeypatch.setattr(scenarios, "step", bumped)
+    config = write_config(tmp_path, run={"t_end": 0.2, "snapshot_schedule":
+                                         {"kind": "linear", "count": 2},
+                                         "cfl_fraction": 0.9, "dt_max": 0.05, "p": 0.0})
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(config), "--out", str(out),
+                     "--trials", "2", "--seed", "4"]) == 1
+    printed = capsys.readouterr().out
+    for name in ("comparison", "contraction", "conservation", "pass_rate"):
+        assert f"[FAIL] {name} " in printed, name
+    payload = read_verdicts(out)
+    assert payload["exit_code"] == 1
+    rate = payload["verdicts"]["pass_rate"]
+    assert rate["pairs"] == 4
+    assert rate["failing"] == [{"trial": 0, "kind": "ordered", "seed": 4}]
+
+
+def test_a_run_artifact_exits_by_its_verdicts():
+    with pytest.raises(TypeError, match="exit_code"):
+        cli.RunArtifact(command="verify", config={}, verdicts={}, exit_code=0)
+    passed, failed = {"passed": True}, {"passed": False, "worst": 1.0}
+    for verdicts, code in (({}, 0), ({"a": passed}, 0), ({"a": passed, "b": passed}, 0),
+                           ({"a": failed}, 1), ({"a": passed, "b": failed}, 1)):
+        artifact = cli.RunArtifact(command="verify", config={}, verdicts=verdicts)
+        assert artifact.exit_code == code, verdicts
+        assert artifact.to_dict()["exit_code"] == code
 
 
 # ---------------------------------------------------------------------------

@@ -569,16 +569,16 @@ def test_pinned_runs_abort_when_mass_reaches_the_edge(tmp_path):
 def test_semigroup_trials_all_pass_and_reproduce():
     flux = builtin_flux("forced_burgers", {"amplitude": 0.5, "period": 1.0})
     grid = LineGrid(CellGrid(64, 1.0), 8, "periodic")
-    records = semigroup_trials(flux, grid, 1.0, 3, 11)
-    assert len(records) == 6, "each trial runs an ordered and an unordered pair"
-    for rec in records:
-        assert rec["comparison_ok"], f"trial {rec['trial']} ({rec['kind']}): comparison"
-        assert rec["contraction_ok"], f"trial {rec['trial']} ({rec['kind']}): contraction"
-        assert rec["conservation_ok"], f"trial {rec['trial']} ({rec['kind']}): conservation"
-        assert rec["comparison_excess"] <= 1e-12
-        assert rec["contraction_excess"] <= 1e-10
+    verdicts = semigroup_trials(flux, grid, 1.0, 3, 11)
+    assert list(verdicts) == ["comparison", "contraction", "conservation", "pass_rate"]
+    rate = verdicts["pass_rate"]
+    assert rate["pairs"] == 6, "each trial runs an ordered and an unordered pair"
+    assert rate["passed"] and rate["failing"] == [] and rate["trials"] == 3
+    for name, limit in scenarios.TRIAL_LIMITS.items():
+        assert verdicts[name]["passed"], name
+        assert 0.0 <= verdicts[name]["worst"] <= limit, name
     again = semigroup_trials(flux, grid, 1.0, 3, 11)
-    assert records == again, "trials must be a pure function of the seed"
+    assert verdicts == again, "trials must be a pure function of the seed"
 
 
 def test_semigroup_trials_validate_the_trial_count():

@@ -315,13 +315,16 @@ SPLICED = [-0.0, 5e-324, 1e-05, 1e16, 1.5e300, 2.0] + [1.5 * 10.0**k for k in ra
 
 
 def test_family_file_is_the_json_dump_of_its_payload(tmp_path, family_128):
-    # save_family writes piecewise; the bytes must stay json.dump's
-    fam = shifted_about(family_128, 16, 0.0)
+    # save_family writes piecewise; the bytes must stay json.dump's.  The
+    # profiles take every spliced value of either sign; the derivative
+    # profiles only positive ones, so alpha reads 5e-324
+    fam = family_128
     spliced_fam = replace(
         fam,
-        profiles=spliced(fam.profiles, 5, SPLICED),
-        dp_profiles=spliced(fam.dp_profiles, 100, [-v for v in SPLICED]),
+        profiles=spliced(spliced(fam.profiles, 5, SPLICED), 100, [-v for v in SPLICED]),
+        dp_profiles=spliced(fam.dp_profiles, 100, [v for v in SPLICED if v > 0]),
     )
+    assert spliced_fam.alpha == 5e-324
     for fam in (fam, spliced_fam):
         payload = {
             "format": "convstab-family-1",
@@ -337,6 +340,15 @@ def test_family_file_is_the_json_dump_of_its_payload(tmp_path, family_128):
         save_family(fam, path)
         want = json.dumps(payload, sort_keys=True) + "\n"
         assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_a_family_whose_flux_the_file_cannot_name_is_not_saved(tmp_path, family_128):
+    # the shifted family's normalized flux has no built-in label to rebuild from
+    fam = shifted_about(family_128, 16, 0.0)
+    path = tmp_path / "family.json"
+    with pytest.raises(ValueError, match=repr(fam.flux.label)):
+        save_family(fam, path)
+    assert not path.exists()
 
 
 def test_shifted_family_centers_the_background(family_128):
@@ -357,7 +369,7 @@ def test_family_tables_are_checked_read_only_copies(family_128):
     fam = family_128
     assert fam.profiles.shape == fam.dp_profiles.shape == (33, 128)
     assert not fam.profiles.flags.writeable and not fam.dp_profiles.flags.writeable
-    args = dict(flux=fam.flux, grid=fam.grid, p_grid=fam.p_grid, alpha=fam.alpha)
+    args = dict(flux=fam.flux, grid=fam.grid, p_grid=fam.p_grid)
     for name in ("profiles", "dp_profiles"):
         tables = dict(profiles=fam.profiles, dp_profiles=fam.dp_profiles)
         for bad in (tables[name][:-1], tables[name][:, 1:], tables[name][0]):
@@ -374,6 +386,19 @@ def test_family_tables_are_checked_read_only_copies(family_128):
     mine[0, 0] += 1.0
     assert np.array_equal(copy.profiles, fam.profiles)
     assert copy.dp_profiles is fam.dp_profiles
+
+
+def test_family_alpha_is_derived_from_the_derivative_table(family_128):
+    fam = family_128
+    assert fam.alpha == float(fam.dp_profiles.min())
+    args = dict(flux=fam.flux, grid=fam.grid, p_grid=fam.p_grid, profiles=fam.profiles)
+    with pytest.raises(TypeError, match="alpha"):
+        StationaryFamily(**args, dp_profiles=fam.dp_profiles, alpha=1.0)
+    for value in (0.0, -0.0, -1.5e300):
+        bad = fam.dp_profiles.copy()
+        bad[3, 7] = value
+        with pytest.raises(ValueError, match="alpha"):
+            StationaryFamily(**args, dp_profiles=bad)
 
 
 def test_newton_failure_raises(family_128, monkeypatch):
