@@ -49,6 +49,7 @@ from .stationary import (
     StationarySolveError,
     build_family,
     cell_residual,
+    family_verdicts,
     residual_floor,
     save_family,
     solve_dp_w,
@@ -87,6 +88,7 @@ __all__ = [
     "dispersion_fit",
     "eta_field",
     "evolve",
+    "family_verdicts",
     "lap_number",
     "nash_ratio",
     "norm",

@@ -7,8 +7,8 @@ the code below.  ``evolve``, ``dispersion`` and ``lap`` judge the
 config's checks with the command's ``REQUIRED_CHECKS`` appended.  These,
 ``--seed`` and the fit window ``dispersion`` infers are written into the
 document after it is read and filled in, and before the config validates
-it, so the verdict file's config echo lists them.  ``stationary`` judges
-its family, and ``verify`` takes its verdicts from ``semigroup_trials``;
+it, so the verdict file's config echo lists them.  ``stationary`` reports
+``family_verdicts``, and ``verify`` the verdicts of ``semigroup_trials``;
 the config's checks and fit window, which they skip, are named in one
 ``note:`` line on stderr and in the verdict file's notes.  A finished
 command's exit code follows from its verdicts alone (``RunArtifact``).
@@ -17,7 +17,7 @@ command's exit code follows from its verdicts alone (``RunArtifact``).
     1  at least one verdict failed
     2  configuration or validation error
     3  edge-buffer abort (perturbation mass reached a pinned boundary)
-    4  solver failure (Newton stall, CFL violation, family range)
+    4  solver failure (Newton stall, failed family verdict, CFL bound, step budget, family range)
 """
 
 from __future__ import annotations
@@ -29,30 +29,18 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from .entropy import FamilyRangeError
 from .evolution import CFLError
 from .scenarios import (
     ConfigError,
     EdgeBufferError,
     ScenarioConfig,
-    _verdict,
     evaluate_checks,
     prepare_run,
     run_scenario,
     semigroup_trials,
 )
-from .stationary import (
-    DP_MEAN_TOLERANCE,
-    MEAN_TOLERANCE,
-    NEWTON_TOLERANCE,
-    StationarySolveError,
-    build_family,
-    cell_residual,
-    residual_floor,
-    save_family,
-)
+from .stationary import StationarySolveError, build_family, family_verdicts, save_family
 
 __all__ = ["RunArtifact", "main"]
 
@@ -117,45 +105,21 @@ def _ignored(config: ScenarioConfig, command: str) -> List[str]:
 
 
 def cmd_stationary(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
-    """Build the family, write it, and report residual/monotonicity verdicts.
-
-    Only the flux, the cell grid and the family window of the config are
-    read; its perturbation, run and checks are not.
+    """Build the family, write it, and report its ``family_verdicts``, which
+    it passes: ``build_family`` refuses a family that fails one (exit 4, no
+    family.json).  Only the flux, the cell grid and the family window of the
+    config are read; its perturbation, run and checks are not.
     """
     notes = _ignored(config, "stationary")
-    flux, grid = config.flux, config.line_grid.cell
-    family = build_family(flux, config.p_min, config.p_max, config.m_intervals, grid)
-    tol = NEWTON_TOLERANCE
-
-    residual = max(float(np.abs(cell_residual(flux, row, grid)).max())
-                   for row in family.profiles)
-    # stored profiles cannot certify residuals below the double-precision
-    # floor eps * sup|w| / h^2; allow it on top of the solver tolerance
-    floor = residual_floor(family.profiles, grid)
-    mean_gap = float(np.abs(family.profiles.mean(axis=1) - family.p_grid).max())
-    dp_mean_gap = float(np.abs(family.dp_profiles.mean(axis=1) - 1.0).max())
-    monotone = bool(np.all(np.diff(family.profiles, axis=0) > 0))
-
-    verdicts = {
-        "residuals": _verdict(
-            residual <= tol + floor,
-            max_residual=residual,
-            tolerance=tol,
-            storage_floor=floor,
-        ),
-        "means": _verdict(mean_gap <= MEAN_TOLERANCE, max_gap=mean_gap),
-        "monotone": _verdict(monotone),
-        "dp_means": _verdict(dp_mean_gap <= DP_MEAN_TOLERANCE, max_gap=dp_mean_gap),
-        "alpha_positive": _verdict(family.alpha > 0, alpha=family.alpha,
-                                   min_dp=float(family.dp_profiles.min())),
-    }
+    family = build_family(config.flux, config.p_min, config.p_max, config.m_intervals,
+                          config.line_grid.cell)
     out_dir.mkdir(parents=True, exist_ok=True)
     family_path = out_dir / "family.json"
     save_family(family, family_path)
     return RunArtifact(
         command="stationary",
         config=config.to_dict(),
-        verdicts=verdicts,
+        verdicts=family_verdicts(family),
         family_file=str(family_path),
         notes=notes,
     )
@@ -178,20 +142,15 @@ def cmd_run(config: ScenarioConfig, out_dir: Path, command: str) -> RunArtifact:
 
 def cmd_verify(config: ScenarioConfig, out_dir: Path, trials: int, seed: int) -> RunArtifact:
     """Run the semigroup trials on the config's flux, grid and policy, up to
-    its t_end; periodic domains only."""
-    if config.boundary_mode != "periodic":
-        raise ConfigError(
-            "verify runs its trials on periodic domains only; "
-            f"boundary_mode {config.boundary_mode!r} is not supported"
-        )
-    notes = _ignored(config, "verify")
+    its t_end; a run ``semigroup_trials`` refuses prints no note."""
     verdicts = semigroup_trials(config.flux, config.line_grid, config.t_end, trials, seed,
                                 policy=config.policy)
     return RunArtifact(
         command="verify",
         config=config.to_dict(),
         verdicts=verdicts,
-        notes=[f"{trials} trials, ordered + unordered pairs, seed {seed}"] + notes,
+        notes=[f"{trials} trials, ordered + unordered pairs, seed {seed}"]
+        + _ignored(config, "verify"),
     )
 
 

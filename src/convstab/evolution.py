@@ -65,6 +65,7 @@ from .grids import LineGrid, _readonly, _toeplitz_solve
 
 __all__ = [
     "CFLError",
+    "MAX_STEPS",
     "State",
     "StepKernel",
     "StepPolicy",
@@ -77,7 +78,11 @@ __all__ = [
 class CFLError(RuntimeError):
     """Requested time step exceeds the monotonicity bound h / S(u), with
     S(u) = B0 + G max|u| the kernel's bound on the explicit half's
-    coefficients."""
+    coefficients, or t_end lies over ``MAX_STEPS`` CFL steps away."""
+
+
+# a run's step budget; 256 periods to t = 1000 take about 72 thousand steps
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -177,6 +182,15 @@ def _speed_bound(kernel: StepKernel, u: np.ndarray) -> float:
     return kernel.speed_floor + kernel.speed_slope * float(max(u.max(), -u.min()))
 
 
+def _check_step_budget(time_left: float, dt: float, kernel: StepKernel, *states: State) -> None:
+    """Raise CFLError if ``time_left`` takes more than MAX_STEPS steps of the
+    CFL step ``dt`` of ``states``; S(u) is computed for the message only."""
+    if time_left > MAX_STEPS * dt:
+        speed = max(_speed_bound(kernel, state.u) for state in states)
+        raise CFLError(f"{time_left:.3e} time units left need more than MAX_STEPS = "
+                       f"{MAX_STEPS} steps of dt={dt:.3e} (S(u)={speed:.3e})")
+
+
 def cfl_timestep(state: State, kernel: StepKernel, policy: StepPolicy) -> float:
     """Largest step the policy allows for the current state:
     min(dt_max, cfl_fraction h / S(u)), and dt_max where S(u) = 0."""
@@ -236,6 +250,7 @@ def evolve(
     the returned DiagnosticsSeries.  The step sequence is a deterministic
     function of the state, policy and snapshot list, so splitting a run at a
     snapshot and resuming reproduces the remaining steps bit for bit.
+    Raises CFLError once t_end - t exceeds ``MAX_STEPS`` current CFL steps.
     """
     policy = policy or StepPolicy()
     observers = list(observers)
@@ -264,8 +279,9 @@ def evolve(
     current = state
     for target in targets:
         while current.time < target - 1e-13:
-            dt = min(cfl_timestep(current, kernel, policy), target - current.time)
-            current = step(current, kernel, dt)
+            dt = cfl_timestep(current, kernel, policy)
+            _check_step_budget(t_end - current.time, dt, kernel, current)
+            current = step(current, kernel, min(dt, target - current.time))
         # land exactly on the target to keep snapshot bookkeeping deterministic
         current = State(current.grid, current.u, float(target))
         if snaps.size and np.any(np.abs(snaps - target) <= 1e-14):

@@ -205,14 +205,15 @@ def primitive(u: np.ndarray, h: float) -> np.ndarray:
 
 
 def _prev(a: np.ndarray) -> np.ndarray:
-    """a[i - 1] with periodic wrap (np.roll(a, 1) on a 1-d array, without the
-    ravel and recursive call np.roll makes when no axis is given)."""
-    return np.concatenate((a[-1:], a[:-1]))
+    """a[..., i - 1] with periodic wrap along the last axis (np.roll(a, 1,
+    axis=-1), without the index bookkeeping np.roll makes)."""
+    return np.concatenate((a[..., -1:], a[..., :-1]), axis=-1)
 
 
 def _next(a: np.ndarray) -> np.ndarray:
-    """a[i + 1] with periodic wrap (np.roll(a, -1) on a 1-d array)."""
-    return np.concatenate((a[1:], a[:1]))
+    """a[..., i + 1] with periodic wrap along the last axis (np.roll(a, -1,
+    axis=-1))."""
+    return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
 
 
 def _cyclic_solve(dl, d, du, first, last, block) -> tuple:

@@ -38,12 +38,13 @@ import numpy as np
 
 from .diagnostics import DiagnosticsSeries, lap_number, sign_changes, weighted_energy
 from .entropy import FamilyInterpolant, dispersion_fit, eta_field, nash_ratio
-from .evolution import State, StepKernel, StepPolicy, cfl_timestep, evolve, step
+from .evolution import State, StepKernel, StepPolicy, _check_step_budget, cfl_timestep, evolve, step
 from .floattext import WIDTH, csv_frame, csv_lines, repr_rows
 from .fluxes import FluxModel, builtin_flux, normalize_about_wp
 from .grids import CellGrid, LineGrid, Profile, norm, primitive
 from .stationary import (
     StationaryFamily,
+    _verdict,
     build_family,
     save_family,
     solve_stationary,
@@ -75,10 +76,6 @@ class ConfigError(ValueError):
 
 class EdgeBufferError(RuntimeError):
     """Perturbation mass reached the pinned-boundary buffer; the box is too small."""
-
-
-def _verdict(passed: bool, **measured) -> dict:
-    return {"passed": bool(passed), **measured}
 
 
 def _rise(col: np.ndarray) -> float:
@@ -768,8 +765,14 @@ def semigroup_trials(
     ``contraction`` and ``conservation``, each passed when its worst margin
     over all pairs is within its limit, and ``pass_rate``, which names the
     trial, kind and seed of each pair with a margin outside its limit.
-    Raises ConfigError unless ``trials`` >= 1.
+    Raises ConfigError unless ``grid`` is periodic (checked first) and
+    ``trials`` >= 1, and CFLError past the step budget, as ``evolve`` does.
     """
+    if grid.boundary_mode != "periodic":
+        raise ConfigError(
+            "verify runs its trials on periodic domains only; "
+            f"boundary_mode {grid.boundary_mode!r} is not supported"
+        )
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     policy = policy or StepPolicy()
@@ -793,11 +796,10 @@ def semigroup_trials(
             l1_prev = norm(u_state.u - v_state.u, h, "L1")
             margins = dict.fromkeys(TRIAL_LIMITS, 0.0)
             while u_state.time < t_end - 1e-13:
-                dt = min(
-                    cfl_timestep(u_state, kernel, policy),
-                    cfl_timestep(v_state, kernel, policy),
-                    t_end - u_state.time,
-                )
+                dt = min(cfl_timestep(u_state, kernel, policy),
+                         cfl_timestep(v_state, kernel, policy))
+                _check_step_budget(t_end - u_state.time, dt, kernel, u_state, v_state)
+                dt = min(dt, t_end - u_state.time)
                 u_state = step(u_state, kernel, dt)
                 v_state = step(v_state, kernel, dt)
                 if kind == "ordered":

@@ -16,7 +16,8 @@ continuation in p builds the whole family w_p together with the derivative
 profiles dw/dp, which solve the linearized bordered system and have unit mean.
 A ``StationaryFamily`` holds them as two tables, one row per mean p.  The walk
 takes one knot of the p grid per step; a failed solve is retried with halved
-steps.
+steps.  ``family_verdicts`` judges a family on its whole tables;
+``build_family`` refuses one that fails any verdict.
 The Jacobian -D2 + D1 diag(d_u f) is cyclic tridiagonal, so every bordered
 solve costs O(n): the periodic corners and the border enter a tridiagonal
 LAPACK dgtsv solve (``grids._cyclic_solve``) as a rank-two (Woodbury) update.
@@ -50,7 +51,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -63,6 +64,7 @@ __all__ = [
     "StationarySolveError",
     "build_family",
     "cell_residual",
+    "family_verdicts",
     "residual_floor",
     "save_family",
     "solve_dp_w",
@@ -95,7 +97,8 @@ def _check_period(flux: FluxModel, grid: CellGrid) -> None:
 
 def _residual(at_centers: FluxSamples, w: np.ndarray, deviation: np.ndarray,
               h: float) -> np.ndarray:
-    """-D2 w + D1 f(w, .), with D2 applied to w's deviation from a constant."""
+    """-D2 w + D1 f(w, .) of a profile or a table of them, one per row, with
+    D2 applied to w's deviation from a constant."""
     g = at_centers.value(w)
     lap = (_next(deviation) - 2.0 * deviation + _prev(deviation)) / h**2
     # (next(g) - prev(g)) / 2h - lap is -lap + D1 g bit for bit
@@ -105,12 +108,16 @@ def _residual(at_centers: FluxSamples, w: np.ndarray, deviation: np.ndarray,
 def cell_residual(flux: FluxModel, values: np.ndarray, grid: CellGrid) -> np.ndarray:
     """Discrete residual -D2 w + D1 f(w, .) at the cell centers.
 
+    ``values`` is one profile (n,) or a table (k, n) of them, one per row,
+    whose residual is the stack of the rows' residuals, bit for bit.
+
     The Laplacian is applied to the mean-subtracted profile -- identical in
     exact arithmetic (D2 annihilates constants) but it keeps the 1/h^2
     cancellation noise proportional to the profile's variation instead of its
     absolute size, which matters when the solver tolerance is tight.
     """
-    return _residual(flux.sample(grid.centers()), values, values - values.mean(), grid.h)
+    deviation = values - values.mean(axis=-1, keepdims=True)
+    return _residual(flux.sample(grid.centers()), values, deviation, grid.h)
 
 
 def residual_floor(values: np.ndarray, grid: CellGrid) -> float:
@@ -340,26 +347,34 @@ class StationaryFamily:
         return replace(self, flux=flux, p_grid=self.p_grid - mean, profiles=profiles)
 
 
-def _family_checks(p_grid, profiles, dp_profiles):
-    gaps = np.abs(profiles.mean(axis=1) - p_grid)
-    if np.any(gaps > MEAN_TOLERANCE):
-        k = int(np.argmax(gaps > MEAN_TOLERANCE))
-        raise StationarySolveError(
-            f"family member at p={p_grid[k]} misses its mean by {gaps[k]:.3e}"
-        )
-    steps = np.diff(profiles, axis=0)
-    if not np.all(steps > 0):
-        j, i = np.argwhere(steps <= 0)[0]
-        raise StationarySolveError(
-            f"profiles not strictly increasing in p between p={p_grid[j]} and "
-            f"p={p_grid[j + 1]} at cell {i}"
-        )
-    gaps = np.abs(dp_profiles.mean(axis=1) - 1.0)
-    if np.any(gaps > DP_MEAN_TOLERANCE):
-        k = int(np.argmax(gaps > DP_MEAN_TOLERANCE))
-        raise StationarySolveError(
-            f"mean-derivative at p={p_grid[k]} has cell average off by {gaps[k]:.3e}"
-        )
+def _verdict(passed: bool, **measured) -> dict:
+    return {"passed": bool(passed), **measured}
+
+
+def family_verdicts(family: StationaryFamily) -> Dict[str, dict]:
+    """The family's verdicts with what each measured, in this order:
+    ``residuals``, max |cell_residual| of the profile table <= NEWTON_TOLERANCE
+    + the table's residual_floor; ``means``, max |<w_p> - p| <= MEAN_TOLERANCE;
+    ``monotone``, each profile strictly below the next, cell by cell;
+    ``dp_means``, max |<dw/dp> - 1| <= DP_MEAN_TOLERANCE; ``alpha_positive``,
+    alpha > 0.  ``build_family`` refuses a family that fails any of them."""
+    profiles, grid = family.profiles, family.grid
+    residual = float(np.abs(cell_residual(family.flux, profiles, grid)).max())
+    floor = residual_floor(profiles, grid)
+    mean_gap = float(np.abs(profiles.mean(axis=1) - family.p_grid).max())
+    dp_mean_gap = float(np.abs(family.dp_profiles.mean(axis=1) - 1.0).max())
+    return {
+        "residuals": _verdict(
+            residual <= NEWTON_TOLERANCE + floor,
+            max_residual=residual,
+            tolerance=NEWTON_TOLERANCE,
+            storage_floor=floor,
+        ),
+        "means": _verdict(mean_gap <= MEAN_TOLERANCE, max_gap=mean_gap),
+        "monotone": _verdict(np.all(np.diff(profiles, axis=0) > 0)),
+        "dp_means": _verdict(dp_mean_gap <= DP_MEAN_TOLERANCE, max_gap=dp_mean_gap),
+        "alpha_positive": _verdict(family.alpha > 0, alpha=family.alpha),
+    }
 
 
 def build_family(
@@ -374,8 +389,8 @@ def build_family(
     Continuation with warm starts, one knot per step: Newton starts each
     member from the previous one advanced by its mean-derivative; a failed
     solve is retried through the midpoint of its step, halving up to 6 times.
-    The family is validated (means, strict pointwise monotonicity in p,
-    positive derivative profiles with unit mean) before it is returned.
+    A family that fails any of its ``family_verdicts`` raises
+    StationarySolveError naming each failed verdict and what it measured.
 
     The walk's time goes to numpy's per-call overhead and to dgtsv (see the
     module docstring), so the flux is sampled and the period checked once
@@ -415,10 +430,13 @@ def build_family(
         current_dp = _dp_values(at_centers, current, h)
         values[j], dp_values[j] = current, current_dp
 
-    _family_checks(p_grid, values, dp_values)
     values.setflags(write=False)  # handed over without a copy
     dp_values.setflags(write=False)
-    return StationaryFamily(flux, grid, p_grid, values, dp_values)
+    family = StationaryFamily(flux, grid, p_grid, values, dp_values)
+    failed = {name: v for name, v in family_verdicts(family).items() if not v["passed"]}
+    if failed:
+        raise StationarySolveError(f"the family fails its verdicts: {json.dumps(failed)}")
+    return family
 
 
 def save_family(family: StationaryFamily, path) -> None:

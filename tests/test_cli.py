@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import convstab
-from convstab import StepPolicy, cli, scenarios
+from convstab import StepPolicy, cli, evolution, scenarios, stationary
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -66,9 +66,37 @@ def test_stationary_writes_family_and_verdicts(tmp_path, capsys):
         verdicts["residuals"]["tolerance"] + verdicts["residuals"]["storage_floor"]
     )
     assert (out / "family.json").exists()
+    # alpha is min dw/dp by definition, so the verdict reports it once
+    alpha = json.loads((out / "family.json").read_text())["alpha"]
+    assert verdicts["alpha_positive"] == {"passed": True, "alpha": alpha}
     lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
-    assert len(lines) == 5
-    assert all(line.startswith("[PASS]") for line in lines)
+    assert [line.split()[:2] for line in lines] == [
+        ["[PASS]", name] for name in ("residuals", "means", "monotone", "dp_means",
+                                      "alpha_positive")]
+
+
+@pytest.mark.parametrize("command", ["stationary", "evolve"])
+def test_a_family_that_fails_a_verdict_exits_4_without_a_family_file(tmp_path, monkeypatch,
+                                                                     capsys, command):
+    # a zero-sum kink in the p = 0.5 member breaks its residual alone
+    real = stationary._bordered_newton
+
+    def kinked(at_centers, mean, w0, h):
+        w = real(at_centers, mean, w0, h).copy()
+        if mean == 0.5:
+            w[10] += 1e-6
+            w[11] -= 1e-6
+        return w
+
+    monkeypatch.setattr(stationary, "_bordered_newton", kinked)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(write_config(tmp_path)), "--out", str(out)]) == 4
+    payload = read_verdicts(out)
+    assert payload["exit_code"] == 4
+    assert payload["error"].startswith('the family fails its verdicts: {"residuals": '
+                                       '{"passed": false, "max_residual": ')
+    assert payload["error"] in capsys.readouterr().err
+    assert not (out / "family.json").exists()
 
 
 def test_stationary_names_the_checks_and_fit_it_skips(tmp_path, capsys):
@@ -361,6 +389,36 @@ def test_verify_rejects_pinned_boundaries(tmp_path, capsys):
     message = read_verdicts(out)["error"]
     assert "periodic" in message and "pinned_to_wp" in message
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["1", "0"])
+def test_verify_reports_the_pinned_refusal_before_the_trial_count(tmp_path, capsys, trials):
+    # the config lists checks, but a refused run prints no note on skipping them
+    config = write_config(
+        tmp_path,
+        grid={"n_cells_per_period": 32, "n_periods": 8, "boundary_mode": "pinned_to_wp"},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(config), "--out", str(out),
+                     "--trials", trials]) == 2
+    message = read_verdicts(out)["error"]
+    assert "pinned_to_wp" in message
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_on_a_huge_flux_exits_4_naming_the_step_budget(tmp_path):
+    # dt = 0.9 h / S(u) shrinks with the amplitude: t_end = 1 would take
+    # about 1e11 steps, so the trials stop before their first one
+    doc = json.loads((Path(convstab.__file__).parent / "configs"
+                      / "verify_forced_burgers.json").read_text())
+    doc["flux"]["params"]["amplitude"] = 1e10
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(config), "--out", str(out),
+                     "--trials", "1"]) == 4
+    error = read_verdicts(out)["error"]
+    assert f"MAX_STEPS = {evolution.MAX_STEPS}" in error and "S(u)=" in error, error
 
 
 def test_verify_rejects_zero_trials(tmp_path):

@@ -686,6 +686,41 @@ def test_evolve_validates_times():
         cs.evolve(state, forced(), 1.0, snapshot_times=(2.0,))
 
 
+def counted_steps(monkeypatch):
+    steps = []
+    real = evolution.step
+
+    def counting(state, kernel, dt):
+        steps.append(dt)
+        return real(state, kernel, dt)
+
+    monkeypatch.setattr(evolution, "step", counting)
+    return steps
+
+
+def test_evolve_refuses_a_run_past_its_step_budget_before_its_first_step(monkeypatch):
+    grid = periodic_line()
+    state = initial_state(grid, random_zero_mean(grid, 3))
+    steps = counted_steps(monkeypatch)
+    monkeypatch.setattr(evolution, "MAX_STEPS", 10)
+    # the CFL step is about 0.014 here: t = 2 is some 140 steps away
+    with pytest.raises(cs.CFLError, match=r"need more than MAX_STEPS = 10 steps of dt=\S+ "
+                                          r"\(S\(u\)=\S+\)"):
+        cs.evolve(state, forced(), 2.0, snapshot_times=(1.0,))
+    assert steps == []
+    # t = 0.1 is fewer than 10 such steps away: the run goes to its end
+    final, _ = cs.evolve(state, forced(), 0.1)
+    assert final.time == 0.1 and 0 < len(steps) <= 10
+
+
+def test_evolve_refuses_a_huge_finite_horizon_at_once(monkeypatch):
+    grid = periodic_line()
+    steps = counted_steps(monkeypatch)
+    with pytest.raises(cs.CFLError, match=f"MAX_STEPS = {evolution.MAX_STEPS} steps"):
+        cs.evolve(initial_state(grid, random_zero_mean(grid, 3)), forced(), 1e300)
+    assert steps == []
+
+
 # ---------------------------------------------------------------------------
 # the Duhamel/Picard short-time oracle
 

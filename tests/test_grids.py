@@ -124,6 +124,15 @@ def test_periodic_shifts_match_np_roll(n):
     assert _next(a).tobytes() == np.roll(a, -1).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_periodic_shifts_act_along_the_last_axis(n):
+    table = np.random.default_rng(n).standard_normal((3, n))
+    assert _prev(table).tobytes() == np.roll(table, 1, axis=-1).tobytes()
+    assert _next(table).tobytes() == np.roll(table, -1, axis=-1).tobytes()
+    for row, shifted in zip(table, _next(table)):
+        assert _next(row).tobytes() == shifted.tobytes()
+
+
 def _spline_gaps(x0, period, y, rng):
     """Largest value and slope gaps of the periodic spline to scipy's
     CubicSpline(bc_type="periodic") at x inside, left and right of the period

@@ -23,7 +23,7 @@ from convstab import (
     run_scenario,
     semigroup_trials,
 )
-from convstab import fluxes, scenarios
+from convstab import evolution, fluxes, scenarios
 from convstab.floattext import repr_rows
 from convstab.scenarios import ScenarioConfig, _snapshot_frame, _write_snapshot
 
@@ -579,6 +579,27 @@ def test_semigroup_trials_all_pass_and_reproduce():
         assert 0.0 <= verdicts[name]["worst"] <= limit, name
     again = semigroup_trials(flux, grid, 1.0, 3, 11)
     assert verdicts == again, "trials must be a pure function of the seed"
+
+
+@pytest.mark.parametrize("trials", [1, 0])
+def test_semigroup_trials_refuse_a_pinned_grid_before_the_trial_count(trials):
+    flux = builtin_flux("forced_burgers", {"amplitude": 0.5, "period": 1.0})
+    grid = LineGrid(CellGrid(32, 1.0), 4, "pinned_to_wp")
+    with pytest.raises(ConfigError, match="periodic domains only; "
+                                          "boundary_mode 'pinned_to_wp' is not supported"):
+        semigroup_trials(flux, grid, 1.0, trials, 1)
+
+
+def test_semigroup_trials_stop_at_the_step_budget(monkeypatch):
+    flux = builtin_flux("forced_burgers", {"amplitude": 0.5, "period": 1.0})
+    grid = LineGrid(CellGrid(32, 1.0), 4, "periodic")
+    steps = []
+    real = scenarios.step
+    monkeypatch.setattr(scenarios, "step", lambda *args: steps.append(args) or real(*args))
+    monkeypatch.setattr(evolution, "MAX_STEPS", 10)
+    with pytest.raises(convstab.CFLError, match="need more than MAX_STEPS = 10 steps of dt="):
+        semigroup_trials(flux, grid, 1.0, 1, 1)
+    assert steps == []
 
 
 def test_semigroup_trials_validate_the_trial_count():

@@ -24,6 +24,7 @@ from convstab import (
     build_family,
     builtin_flux,
     cell_residual,
+    family_verdicts,
     normalize_about_wp,
     residual_floor,
     save_family,
@@ -32,7 +33,12 @@ from convstab import (
     solve_theta,
 )
 from convstab import stationary
-from convstab.stationary import NEWTON_TOLERANCE, _bordered_solve
+from convstab.stationary import (
+    DP_MEAN_TOLERANCE,
+    MEAN_TOLERANCE,
+    NEWTON_TOLERANCE,
+    _bordered_solve,
+)
 import oracles
 from oracles import load_family
 
@@ -86,7 +92,7 @@ def test_newton_converges_on_fine_grids(n_cells, p):
 
 
 def test_family_builds_at_2048_cells():
-    # build_family validates the family (_family_checks) before returning it
+    # build_family refuses a family that fails any of its family_verdicts
     family = build_family(forced(), -2.0, 2.0, 16, CellGrid(2048, 1.0))
     assert family.alpha == pytest.approx(0.922046, abs=1e-6)
 
@@ -254,6 +260,72 @@ def test_family_residuals(family_128):
     )
     cap = tol + max(residual_floor(prof, fam.grid) for prof in fam.profiles)
     assert worst <= cap, f"family residual {worst:.3e} above {cap:.3e}"
+
+
+@pytest.mark.parametrize("n_cells, m_intervals", [(128, 32), (384, 64)])
+def test_cell_residual_of_a_table_stacks_its_rows_bit_for_bit(n_cells, m_intervals):
+    flux, grid = forced(2.0), CellGrid(n_cells, 1.0)
+    family = build_family(flux, -2.0, 2.0, m_intervals, grid)
+    table = cell_residual(flux, family.profiles, grid)
+    rows = np.stack([cell_residual(flux, row, grid) for row in family.profiles])
+    assert table.shape == family.profiles.shape
+    assert table.tobytes() == rows.tobytes()
+
+
+def test_family_verdicts_in_order(family_128):
+    verdicts = family_verdicts(family_128)
+    assert list(verdicts) == ["residuals", "means", "monotone", "dp_means", "alpha_positive"]
+    assert all(verdict["passed"] for verdict in verdicts.values())
+    assert verdicts["residuals"]["tolerance"] == NEWTON_TOLERANCE
+    assert verdicts["residuals"]["storage_floor"] == residual_floor(family_128.profiles,
+                                                                    family_128.grid)
+    assert verdicts["alpha_positive"] == {"passed": True, "alpha": family_128.alpha}
+
+
+# family_128's row 16 is the p = 0 member, w = 0 up to 1e-20
+ZERO_ROW = 16
+
+
+def residual_kink(fam, scale):
+    # on w = 0 (f(0, .) = 0 for forced Burgers) a kink delta at one cell
+    # makes that cell's residual 2 delta / h^2 and every other one smaller
+    limit = NEWTON_TOLERANCE + residual_floor(fam.profiles, fam.grid)
+    profiles = fam.profiles.copy()
+    profiles[ZERO_ROW] = 0.0
+    profiles[ZERO_ROW, 40] = scale * limit * fam.grid.h**2 / 2.0
+    return {"profiles": profiles}
+
+
+def mean_lift(fam, scale):
+    profiles = fam.profiles.copy()
+    profiles[ZERO_ROW] += scale * MEAN_TOLERANCE
+    return {"profiles": profiles}
+
+
+def touching(fam, scale):
+    # row 8 one ulp above row 7 at cell 5 (inside), or on it (past)
+    profiles = fam.profiles.copy()
+    profiles[8, 5] = np.nextafter(profiles[7, 5], np.inf) if scale < 1 else profiles[7, 5]
+    return {"profiles": profiles}
+
+
+def dp_mean_lift(fam, scale):
+    dp_profiles = fam.dp_profiles.copy()
+    dp_profiles[7] += scale * DP_MEAN_TOLERANCE
+    return {"dp_profiles": dp_profiles}
+
+
+@pytest.mark.parametrize("name, doctor", [
+    ("residuals", residual_kink),
+    ("means", mean_lift),
+    ("monotone", touching),
+    ("dp_means", dp_mean_lift),
+])
+def test_each_family_verdict_flips_at_its_limit(family_128, name, doctor):
+    inside = replace(family_128, **doctor(family_128, 1.0 - 1e-4))
+    past = replace(family_128, **doctor(family_128, 1.0 + 1e-4))
+    assert family_verdicts(inside)[name]["passed"]
+    assert not family_verdicts(past)[name]["passed"]
 
 
 def test_family_refinement_in_p_nests(family_128):
@@ -430,10 +502,52 @@ def test_a_failed_continuation_step_is_retried_through_its_midpoint(family_128, 
     at = means.index(knot)
     assert means[at:at + 3] == [knot, knot - 0.0625, knot]
     assert len(means) == fam.p_grid.size + 2
-    stationary._family_checks(fam.p_grid, fam.profiles, fam.dp_profiles)
+    assert all(verdict["passed"] for verdict in family_verdicts(fam).values())
     assert np.array_equal(fam.p_grid, family_128.p_grid)
     assert np.abs(fam.profiles - family_128.profiles).max() <= NEWTON_TOLERANCE
     assert np.abs(fam.dp_profiles - family_128.dp_profiles).max() <= NEWTON_TOLERANCE
+
+
+def doctored_at(monkeypatch, p, doctor):
+    """Make ``stationary._bordered_newton`` hand back doctor(w) for mean ``p``."""
+    real = stationary._bordered_newton
+
+    def solve(at_centers, mean, w0, h):
+        w = real(at_centers, mean, w0, h)
+        return doctor(w.copy()) if mean == p else w
+
+    monkeypatch.setattr(stationary, "_bordered_newton", solve)
+
+
+def spike(w):
+    # a zero-sum kink: the mean stays, the residual jumps by about 3e-6 / h^2
+    w[40] += 1e-6
+    w[41] -= 1e-6
+    return w
+
+
+def lifted(w):
+    # the member's mean misses p by 1e-9, ten times the limit
+    return w + 1e-9
+
+
+@pytest.mark.parametrize("doctor, failed", [
+    (spike, ["residuals"]),
+    (lifted, ["residuals", "means"]),
+])
+def test_build_family_refuses_a_family_that_fails_a_verdict(family_128, monkeypatch, doctor,
+                                                            failed):
+    doctored_at(monkeypatch, family_128.p_grid[20], doctor)
+    with pytest.raises(StationarySolveError, match="the family fails its verdicts: ") as exc:
+        build_family(forced(), -2.0, 2.0, 32, CellGrid(128, 1.0))
+    # the failed verdicts as family_verdicts gives them, in JSON
+    named = json.loads(str(exc.value).split(": ", 1)[1])
+    assert list(named) == failed, named
+    assert not any(verdict["passed"] for verdict in named.values())
+    assert named["residuals"]["max_residual"] > 1e-9
+    assert sorted(named["residuals"]) == ["max_residual", "passed", "storage_floor", "tolerance"]
+    if "means" in failed:
+        assert MEAN_TOLERANCE < named["means"]["max_gap"] < 2e-9, named
 
 
 def test_a_continuation_step_that_keeps_failing_names_its_target(family_128, monkeypatch):
