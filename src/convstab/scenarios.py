@@ -39,7 +39,6 @@ import numpy as np
 from .diagnostics import DiagnosticsSeries, lap_number, sign_changes, weighted_energy
 from .entropy import FamilyInterpolant, dispersion_fit, eta_field, nash_ratio
 from .evolution import State, StepKernel, StepPolicy, _check_step_budget, cfl_timestep, evolve, step
-from .floattext import WIDTH, csv_frame, csv_lines, repr_rows
 from .fluxes import FluxModel, builtin_flux, normalize_about_wp
 from .grids import CellGrid, LineGrid, Profile, norm, primitive
 from .stationary import (
@@ -657,21 +656,6 @@ class RunResult:
     family_path: Optional[str] = None
 
 
-def _snapshot_frame(x_rows: np.ndarray, background_rows: np.ndarray) -> np.ndarray:
-    """CSV frame of the x and background columns, with room for u between."""
-    return csv_frame(x_rows, np.zeros_like(x_rows), background_rows)
-
-
-def _write_snapshot(path, frame: np.ndarray, u: np.ndarray) -> None:
-    # every value is its repr, the shortest digit string that parses back to
-    # the same double, so the file round-trips bit for bit; the x and
-    # background columns are the same in every snapshot and stay in the frame
-    frame[:, WIDTH + 1:2 * WIDTH + 1] = repr_rows(u)
-    with open(path, "wb") as fh:
-        fh.write(b"x,u,background\n")
-        fh.writelines(csv_lines(frame))
-
-
 def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
     """Run the scenario and, given out_dir, write its artifacts there."""
     config = setup.config
@@ -707,14 +691,11 @@ def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
         snap_dir.mkdir(exist_ok=True)
         snapshots_dir = str(snap_dir)
         bg = config.line_grid.tile(setup.w_p)
-        # the background repeats w_p every period: format one period and tile
-        # its rows, as a temporary that the snapshot writes do not hold
-        frame = _snapshot_frame(
-            repr_rows(config.line_grid.centers()),
-            np.tile(repr_rows(setup.w_p.values), (config.line_grid.n_periods, 1)))
+        # a float64 array in .npy round-trips bit for bit; x and the
+        # background are the same at every snapshot and are written once
+        np.save(snap_dir / "grid.npy", np.stack([config.line_grid.centers(), bg]))
         for state in snapshot_states:
-            name = f"snapshot_t{state.time!r}.csv"
-            _write_snapshot(snap_dir / name, frame, state.u + bg)
+            np.save(snap_dir / f"snapshot_t{state.time!r}.npy", state.u + bg)
 
     return RunResult(
         setup=setup,

@@ -55,7 +55,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .floattext import json_lists
 from .fluxes import FluxModel, FluxSamples, builtin_flux
 from .grids import _EPS, CellGrid, Profile, _cyclic_solve, _next, _prev, _readonly
 
@@ -132,7 +131,7 @@ def residual_floor(values: np.ndarray, grid: CellGrid) -> float:
     Newton itself stops at tolerance plus the same floor taken at the scale of
     the mean-free deviation w - p, which is much smaller.
     """
-    return _roundoff_floor(max(1.0, float(np.abs(values).max())), grid.h)
+    return float(_roundoff_floor(max(1.0, float(np.abs(values).max())), grid.h))
 
 
 def _roundoff_floor(scale: float, h: float) -> float:
@@ -458,17 +457,20 @@ def save_family(family: StationaryFamily, path) -> None:
         "alpha": family.alpha,
     }
     tables = {"profiles": family.profiles, "dp_profiles": family.dp_profiles}
-    # the bytes of json.dump({**payload, **tables}, fh, sort_keys=True) + "\n":
-    # the tables go through floattext (json writes a finite float as its repr,
-    # and a family holds finite tables only), the rest through json.dumps
-    with open(path, "wb") as fh:
+    # the bytes of json.dumps({**payload, **tables}, sort_keys=True) + "\n",
+    # with the tables streamed a row at a time: one json.dumps of the whole
+    # payload would hold the text of every row at once
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i, key in enumerate(sorted([*payload, *tables])):
-            fh.write((("{" if i == 0 else ", ") + json.dumps(key) + ": ").encode())
+            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
             if key in tables:
-                fh.write(json_lists(tables[key]))
+                fh.write("[")
+                for j, row in enumerate(tables[key]):
+                    fh.write((", " if j else "") + json.dumps(row.tolist()))
+                fh.write("]")
             else:
-                fh.write(json.dumps(payload[key], sort_keys=True).encode())
-        fh.write(b"}\n")
+                fh.write(json.dumps(payload[key], sort_keys=True))
+        fh.write("}\n")
 
 
 def solve_theta(flux: FluxModel, grid: CellGrid) -> Profile:

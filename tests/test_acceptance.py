@@ -27,15 +27,14 @@ def report(name, ok, detail):
 
 
 def load_snapshots(result):
-    """Rebuild the normalized states from the snapshot CSV artifacts."""
+    """Rebuild the normalized states from the .npy snapshot artifacts."""
     grid = result.setup.config.line_grid
+    background = np.load(Path(result.snapshots_dir) / "grid.npy")[1]
     states = []
-    for path in sorted(Path(result.snapshots_dir).glob("snapshot_t*.csv"),
+    for path in sorted(Path(result.snapshots_dir).glob("snapshot_t*.npy"),
                        key=lambda p: float(p.name[10:-4])):
         t = float(path.name[10:-4])
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        v = data[:, 1] - data[:, 2]
-        states.append(cs.State(grid, v, t))
+        states.append(cs.State(grid, np.load(path) - background, t))
     return states
 
 
@@ -273,4 +272,4 @@ def test_criterion_8_determinism(tmp_path):
     ok = csv_match and snap_match and len(snaps[0]) > 0
     report("criterion 8 (determinism)", ok,
            f"diagnostics byte-identical: {csv_match}, "
-           f"{len(snaps[0])} snapshots byte-identical: {snap_match}")
+           f"{len(snaps[0])} snapshot files byte-identical: {snap_match}")

@@ -24,8 +24,7 @@ from convstab import (
     semigroup_trials,
 )
 from convstab import evolution, fluxes, scenarios
-from convstab.floattext import repr_rows
-from convstab.scenarios import ScenarioConfig, _snapshot_frame, _write_snapshot
+from convstab.scenarios import ScenarioConfig
 
 
 def base_document():
@@ -499,46 +498,88 @@ def test_run_scenario_writes_reproducible_artifacts(tmp_path, prepared):
     csv_b = (tmp_path / "b" / "diagnostics.csv").read_bytes()
     assert csv_a == csv_b, "identical runs must serialize identically"
     assert (tmp_path / "a" / "family.json").exists()
-    snaps = sorted((tmp_path / "a" / "snapshots").glob("snapshot_t*.csv"))
+    snaps = sorted((tmp_path / "a" / "snapshots").glob("snapshot_t*.npy"))
     assert len(snaps) == len(first.series.rows)
     assert np.array_equal(first.series.column("t"), second.series.column("t"))
+    names = sorted(p.name for p in (tmp_path / "a" / "snapshots").iterdir())
+    assert names == sorted(["grid.npy", *(p.name for p in snaps)]), "no csv or other file"
+    assert names == sorted(p.name for p in (tmp_path / "b" / "snapshots").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / "snapshots" / name).read_bytes() == \
+            (tmp_path / "b" / "snapshots" / name).read_bytes(), name
 
 
 def test_snapshot_files_round_trip_the_final_state(tmp_path, prepared):
     result = run_scenario(prepared, tmp_path)
     t_end = prepared.config.t_end
-    path = Path(result.snapshots_dir) / f"snapshot_t{t_end!r}.csv"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    path = Path(result.snapshots_dir) / f"snapshot_t{t_end!r}.npy"
+    u = np.load(path)
+    grid = np.load(Path(result.snapshots_dir) / "grid.npy")
     assert float(path.name[10:-4]) == t_end
-    assert np.array_equal(data[:, 0], prepared.config.line_grid.centers())
+    n_total = prepared.config.line_grid.n_total
+    assert u.dtype == grid.dtype == np.float64
+    assert u.shape == (n_total,) and grid.shape == (2, n_total)
+    assert np.array_equal(grid[0], prepared.config.line_grid.centers())
     background = np.tile(prepared.w_p.values, prepared.config.line_grid.n_periods)
-    assert np.array_equal(data[:, 2], background)
-    assert np.array_equal(data[:, 1], result.final_state.u + background)
+    assert np.array_equal(grid[1], background)
+    assert np.array_equal(u, result.final_state.u + background)
 
 
-def test_snapshot_rows_match_per_value_formatting(tmp_path):
-    # reference: every value formatted on its own, as the writer first did
-    rng = np.random.default_rng(4)
-    x, u, bg = rng.standard_normal((3, 50)) * np.logspace(-300, 300, 50)
-    u[:3] = [0.0, -0.0, 1e-320]
-    _write_snapshot(tmp_path / "s.csv", _snapshot_frame(repr_rows(x), repr_rows(bg)), u)
-    rows = [f"{float(a)!r},{float(b)!r},{float(c)!r}" for a, b, c in zip(x, u, bg)]
-    assert (tmp_path / "s.csv").read_text() == "\n".join(["x,u,background"] + rows) + "\n"
+def test_snapshot_files_are_named_by_their_times(tmp_path, prepared):
+    # one file per diagnostics row, whose name parses back to the row's time
+    result = run_scenario(prepared, tmp_path)
+    times = result.series.column("t").tolist()
+    names = sorted(p.name for p in Path(result.snapshots_dir).glob("snapshot_t*.npy"))
+    assert names == sorted(f"snapshot_t{t!r}.npy" for t in times)
+    assert sorted(float(name[10:-4]) for name in names) == sorted(times)
+    assert times[0] == 0.0 and times[-1] == prepared.config.t_end
 
 
-def test_a_reused_snapshot_frame_keeps_nothing_of_the_last_snapshot(tmp_path):
-    # long reprs first, then short ones and zeros, through one frame; 2500
-    # lines span several text chunks
-    rng = np.random.default_rng(5)
-    x, bg = rng.standard_normal((2, 2500))
-    frame = _snapshot_frame(repr_rows(x), repr_rows(bg))
-    long_u = -rng.standard_normal(2500) * 1e-300
-    short_u = np.round(rng.standard_normal(2500), 1)
-    short_u[::3] = 0.0
-    for name, u in (("a.csv", long_u), ("b.csv", short_u), ("c.csv", long_u)):
-        _write_snapshot(tmp_path / name, frame, u)
-        rows = [f"{a!r},{b!r},{c!r}" for a, b, c in zip(x.tolist(), u.tolist(), bg.tolist())]
-        assert (tmp_path / name).read_text() == "\n".join(["x,u,background"] + rows) + "\n"
+def test_snapshot_files_are_plain_little_endian_float64_arrays(tmp_path, prepared):
+    # the version 1.0 header alone tells a reader outside numpy how to read
+    # the data: no pickle, no Fortran order, no byte swapping
+    result = run_scenario(prepared, tmp_path)
+    n_total = prepared.config.line_grid.n_total
+    paths = sorted(Path(result.snapshots_dir).iterdir())
+    assert len(paths) == len(result.series.rows) + 1
+    for path in paths:
+        with open(path, "rb") as fh:
+            assert np.lib.format.read_magic(fh) == (1, 0)
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        assert shape == ((2, n_total) if path.name == "grid.npy" else (n_total,)), path.name
+        assert not fortran_order and dtype == np.dtype("<f8"), path.name
+        assert np.load(path, allow_pickle=False).shape == shape
+
+
+def test_every_snapshot_is_at_its_l1_distance_from_the_background(tmp_path, prepared):
+    # the file's u less grid.npy's background gives back the perturbation
+    # whose L1 norm the diagnostics row holds, up to the rounding of u + w_p
+    result = run_scenario(prepared, tmp_path)
+    snap_dir = Path(result.snapshots_dir)
+    background = np.load(snap_dir / "grid.npy")[1]
+    h = prepared.config.line_grid.h
+    rows = zip(result.series.column("t").tolist(), result.series.column("l1_dist").tolist())
+    for t, l1_dist in rows:
+        u = np.load(snap_dir / f"snapshot_t{t!r}.npy")
+        assert h * np.abs(u - background).sum() == pytest.approx(l1_dist, rel=1e-12), t
+
+
+def test_a_run_without_an_output_directory_writes_nothing(tmp_path, prepared, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = run_scenario(prepared)
+    assert result.diagnostics_path is None
+    assert result.family_path is None and result.snapshots_dir is None
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_rerun_into_the_same_directory_rewrites_the_same_files(tmp_path, prepared):
+    def artifacts():
+        return {p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    run_scenario(prepared, tmp_path)
+    first = artifacts()
+    run_scenario(prepared, tmp_path)
+    assert artifacts() == first
 
 
 def test_run_scenario_populates_every_column(tmp_path, prepared):
@@ -560,6 +601,8 @@ def test_pinned_runs_abort_when_mass_reaches_the_edge(tmp_path):
     setup = prepare_run(ScenarioConfig.from_dict(doc))
     with pytest.raises(EdgeBufferError):
         run_scenario(setup, tmp_path)
+    # the snapshots are written after the march, so an aborted run leaves none
+    assert not (tmp_path / "snapshots").exists()
 
 
 # ---------------------------------------------------------------------------

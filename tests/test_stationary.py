@@ -135,6 +135,12 @@ def test_residual_floor_formula():
     assert residual_floor(0.1 * values, grid) == pytest.approx(4 * eps * 128**2, rel=1e-12)
 
 
+def test_residual_floor_is_a_python_float():
+    # a numpy scalar would read np.float64(...) in a message built with repr
+    floor = residual_floor(np.full(128, 2.0), CellGrid(128, 1.0))
+    assert type(floor) is float
+
+
 # ---------------------------------------------------------------------------
 # quadrature oracle for the linear advection cell problem
 
@@ -412,6 +418,78 @@ def test_family_file_is_the_json_dump_of_its_payload(tmp_path, family_128):
         save_family(fam, path)
         want = json.dumps(payload, sort_keys=True) + "\n"
         assert path.read_bytes() == want.encode("utf-8")
+
+
+def json_dump_of(fam) -> bytes:
+    """json.dumps of a family's whole payload, as save_family must write it."""
+    payload = {
+        "format": "convstab-family-1",
+        "flux": {"label": fam.flux.label, "params": dict(fam.flux.params)},
+        "period": fam.grid.period,
+        "n_cells": fam.grid.n_cells,
+        "p_grid": fam.p_grid.tolist(),
+        "profiles": fam.profiles.tolist(),
+        "dp_profiles": fam.dp_profiles.tolist(),
+        "alpha": fam.alpha,
+    }
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+def edge_values() -> np.ndarray:
+    """Finite values where shortest round-trip digits go wrong first.
+
+    Zero, the smallest subnormals, every power of two, the powers of ten and
+    the neighbours of both, the integers next to 2**53, and the switches
+    between positional and exponent form; positive, in no particular order.
+    """
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    knots = np.concatenate([powers, tens])
+    integers = [float(2**53 + d) for d in range(-40, 41)]
+    switches = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0]
+    values = np.concatenate([knots, np.nextafter(knots, np.inf), np.nextafter(knots, 0.0),
+                             integers, switches, np.arange(1, 22) * 5e-324, [0.0]])
+    return values[np.isfinite(values)]
+
+
+@pytest.mark.parametrize("name", ["profiles", "dp_profiles"])
+def test_family_file_round_trips_edge_values_bit_for_bit(tmp_path, family_128, name):
+    # the edge values of either sign, a table at a time; the derivative
+    # table takes positive values only, as alpha must stay positive
+    values = edge_values()
+    values = values[values > 0] if name == "dp_profiles" else np.concatenate([values, -values])
+    table = getattr(family_128, name)
+    path = tmp_path / "family.json"
+    for start in range(0, values.size, table.size):
+        chunk = values[start:start + table.size]
+        filled = table.copy().reshape(-1)
+        filled[:chunk.size] = chunk
+        fam = replace(family_128, **{name: filled.reshape(table.shape)})
+        save_family(fam, path)
+        assert path.read_bytes() == json_dump_of(fam)
+        back = load_family(path)
+        assert getattr(back, name).tobytes() == getattr(fam, name).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_family_file_of_raw_bit_pattern_tables_is_the_json_dump(tmp_path, family_128, seed):
+    # every finite double is as likely as any other: the row-streamed tables
+    # must read as json.dumps writes them, and parse back to the same bits
+    rng = np.random.default_rng(seed)
+    shape = family_128.profiles.shape
+    profiles, dp_profiles = rng.integers(0, 2**64, size=(2, *shape), dtype=np.uint64).view(
+        np.float64)
+    profiles[~np.isfinite(profiles)] = -0.0
+    dp_profiles = np.abs(dp_profiles)
+    dp_profiles[~np.isfinite(dp_profiles) | (dp_profiles == 0.0)] = 5e-324
+    fam = replace(family_128, profiles=profiles, dp_profiles=dp_profiles)
+    path = tmp_path / "family.json"
+    save_family(fam, path)
+    assert path.read_bytes() == json_dump_of(fam)
+    back = load_family(path)
+    assert back.profiles.tobytes() == fam.profiles.tobytes()
+    assert back.dp_profiles.tobytes() == fam.dp_profiles.tobytes()
+    assert back.alpha == fam.alpha
 
 
 def test_a_family_whose_flux_the_file_cannot_name_is_not_saved(tmp_path, family_128):
