@@ -1,11 +1,13 @@
 """Entropy built on the stationary family: pi = p(u, x), eta, dispersion fits.
 
 For each cell x_i the family's profile table gives a strictly increasing
-column p -> w_p(x_i).  A monotone piecewise-cubic interpolant (PCHIP,
-Fritsch & Carlson 1980) in p extends the column between knots; its
-coefficients are computed here with the arithmetic of scipy's
-``PchipInterpolator``, so they equal scipy's bit for bit.  Inverting it
-defines pi(t, x) = p(u(t, x), x), and
+column p -> w_p(x_i), and its mean-derivative table the exact slope dw/dp at
+each knot.  The cubic Hermite interpolant with those knot values and slopes
+extends the column between knots; its coefficients equal those of scipy's
+``CubicHermiteSpline`` bit for bit, and it is monotone where every knot slope
+is at most 3 times the secants next to it (Fritsch & Carlson 1980), which
+``FamilyInterpolant`` checks once.  Inverting it defines
+pi(t, x) = p(u(t, x), x), and
 
     eta(u, x) = integral_0^{pi} (u - w_p(x)) dp
 
@@ -26,8 +28,9 @@ relative accuracy.  A cell stops at the round-off floor of its Horner
 evaluation, 8 eps (sum_j |c_j| |s|^j + |u|), or once its step is at most
 2^-60 of the interval width; no call runs more than 64 rounds.
 
-The dissipation h sum dpw(pi_i, x_i) (D pi)_i^2 uses centered differences of
-pi (wrap-around on periodic domains, one-sided end stencils otherwise).
+The dissipation h sum dpw(pi_i, x_i) (D pi)_i^2 reads dpw as the derivative
+of the same cubic and uses centered differences of pi (wrap-around on
+periodic domains, one-sided end stencils otherwise).
 ``eta_field`` takes a ``FamilyInterpolant``, built once per family and reused
 for every state.
 """
@@ -55,7 +58,14 @@ __all__ = [
 
 
 class FamilyRangeError(ValueError):
-    """A state value falls outside the p-range the family covers."""
+    """A state value falls outside the p-range the family covers, or the
+    family's knot slopes leave the range where its Hermite cubics in p are
+    monotone (``FamilyInterpolant``)."""
+
+
+# Fritsch & Carlson (1980): a cubic Hermite piece with secant m > 0 is
+# monotone when both end slopes lie in [0, 3 m]
+SLOPE_RATIO_LIMIT = 3.0
 
 
 def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -66,39 +76,6 @@ def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _pchip_end(h0, h1, m0, m1):
-    """Moler's shape-preserving one-sided three-point slope at an end knot."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    flipped = np.sign(d) != np.sign(m0)
-    steep = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
-    return np.where(flipped, 0.0, np.where(steep, 3.0 * m0, d))
-
-
-def _pchip_slopes(p: np.ndarray, y: np.ndarray):
-    """Interval widths, secants and knot slopes of the monotone PCHIP through
-    the rows of y at knots p.
-
-    Fritsch-Butland weighted harmonic-mean slopes inside (zero at flat runs
-    and sign changes), Moler's three-point slopes at the ends.
-    """
-    hk = np.diff(p)[:, None]
-    mk = (y[1:] - y[:-1]) / hk
-    if y.shape[0] == 2:
-        return hk, mk, np.concatenate([mk, mk])
-    smk = np.sign(mk)
-    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-    w1 = 2 * hk[1:] + hk[:-1]
-    w2 = hk[1:] + 2 * hk[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = 1.0 / ((w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2))
-    dk = np.concatenate([
-        _pchip_end(hk[0], hk[1], mk[0], mk[1])[None],
-        np.where(flat, 0.0, inner),
-        _pchip_end(hk[-1], hk[-2], mk[-1], mk[-2])[None],
-    ])
-    return hk, mk, dk
-
-
 def _hermite(h, m, d0, d1, y0, y1, right=False):
     """Cubic Hermite coefficient rows, highest power first, of the intervals
     of width h, secant m, end slopes d0, d1 and end values y0, y1: in
@@ -107,17 +84,6 @@ def _hermite(h, m, d0, d1, y0, y1, right=False):
     t = (d0 + d1 - 2 * m) / h
     c2 = np.where(right, (d1 - m) / h + t, (m - d0) / h - t)
     return t / h, c2, np.where(right, d1, d0), np.where(right, y1, y0)
-
-
-def _pchip_coefficients(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(4, len(p) - 1, n) cubic coefficients of the monotone PCHIP through the
-    rows of y at knots p, highest power first in s = p - p_j.
-
-    The arithmetic is that of
-    ``scipy.interpolate.PchipInterpolator(p, y, axis=0).c``, bit for bit.
-    """
-    hk, mk, dk = _pchip_slopes(p, y)
-    return np.stack(_hermite(hk, mk, dk[:-1], dk[1:], y[:-1], y[1:]))
 
 
 def _knot_integrals(h, y, d) -> np.ndarray:
@@ -136,33 +102,51 @@ def _rows_at(table: np.ndarray, at: np.ndarray) -> np.ndarray:
 class FamilyInterpolant:
     """Monotone-in-p interpolant of a stationary family, per cell.
 
-    Two PCHIPs over the family's p-knots, one for the profile table w_p(x_i)
-    and one for the mean-derivative table, with the arithmetic of scipy's
-    ``PchipInterpolator``.  The profile PCHIP is held as its knot values and
-    slopes, and each evaluation forms the cubics of the cells it needs (bit
-    for bit scipy's coefficients), so the inversion can take the same cubic
-    about either knot.  One (9, M, n) table holds the profile cubic's
-    antiderivative from p = 0 (rows 0-4, the constant row in closed form) and
-    the mean-derivative cubic (rows 5-8), read at per-cell p -- every cell
-    sits at its own pi -- with one interval search and one gather.
+    One cubic Hermite interpolant over the family's p-knots: its knot values
+    are the profile table w_p(x_i) and its knot slopes the family's own
+    mean-derivative table dw/dp, so dw/dp between knots is the derivative of
+    the cubic the inversion solves.  Its coefficients are those of scipy's
+    ``CubicHermiteSpline(p_grid, profiles, dp_profiles)`` bit for bit.  The
+    cubic is held as its knot values and slopes, and each evaluation forms
+    the cubics of the cells it needs, so the inversion can take the same cubic
+    about either knot.  One (5, M, n) table holds the cubic's antiderivative
+    from p = 0 (the constant row in closed form), read at per-cell p -- every
+    cell sits at its own pi -- with one interval search and one gather.
+
+    Each piece is monotone when both end slopes are at most
+    ``SLOPE_RATIO_LIMIT`` = 3 times its secant (Fritsch & Carlson 1980), so a
+    family with a knot slope outside that box at some cell raises
+    FamilyRangeError here.
     """
 
     family: StationaryFamily
 
     def __post_init__(self):
-        values, p = self.family.profiles, self.family.p_grid
+        values, slopes, p = self.family.profiles, self.family.dp_profiles, self.family.p_grid
         object.__setattr__(self, "_p", p)
-        hk, mk, dk = _pchip_slopes(p, values)
-        w_coeffs = np.stack(_hermite(hk, mk, dk[:-1], dk[1:], values[:-1], values[1:]))
-        table = np.empty((9,) + w_coeffs.shape[1:])
+        object.__setattr__(self, "_values", values)
+        hk = np.diff(p)[:, None]
+        mk = np.diff(values, axis=0) / hk
+        # slopes are positive, so a ratio <= 0 is a column that does not increase
+        with np.errstate(divide="ignore"):
+            ratio = np.maximum(slopes[:-1], slopes[1:]) / mk
+        outside = ~((ratio > 0) & (ratio <= SLOPE_RATIO_LIMIT))
+        if outside.any():
+            k, cell = np.unravel_index(np.argmax(np.where(outside, np.abs(ratio), -1.0)),
+                                       ratio.shape)
+            raise FamilyRangeError(
+                f"knot slope / secant ratio {float(ratio[k, cell])!r} at cell {int(cell)}, "
+                f"interval {int(k)} (p in [{float(p[k])!r}, {float(p[k + 1])!r}]) is outside "
+                f"(0, {SLOPE_RATIO_LIMIT:g}], where the Hermite cubic is monotone; "
+                "build the family with a larger family.M"
+            )
+        w_coeffs = np.stack(_hermite(hk, mk, slopes[:-1], slopes[1:], values[:-1], values[1:]))
+        table = np.empty((5,) + w_coeffs.shape[1:])
         table[:4] = w_coeffs / np.array([4.0, 3.0, 2.0, 1.0])[:, None, None]
         # the constant row: integral_{p_min}^{p_k} w, less integral_{p_min}^0 w
-        table[4] = _knot_integrals(hk, values, dk)[:-1]
+        table[4] = _knot_integrals(hk, values, slopes)[:-1]
         j, s = self._locate(0.0)
-        table[4] -= _horner(table[:5, j], s)
-        table[5:] = _pchip_coefficients(p, self.family.dp_profiles)
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_w_slopes", dk)
+        table[4] -= _horner(table[:, j], s)
         object.__setattr__(self, "_table", table)
 
     def _locate(self, p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -175,21 +159,23 @@ class FamilyInterpolant:
         return k * self._values.shape[1] + cells
 
     def _hermite_data(self, k, cells):
-        """Width, secant, knot slopes and knot values of the profile PCHIP's
+        """Width, secant, knot slopes and knot values of the interpolant's
         interval k at each cell: the arguments of ``_hermite``."""
         n = self._values.shape[1]
         at = self._flat(k, cells)
-        values, slopes = self._values.ravel(), self._w_slopes.ravel()
+        values, slopes = self._values.ravel(), self.family.dp_profiles.ravel()
         y0, y1 = values[at], values[at + n]
         h = self._p[k + 1] - self._p[k]
         return h, (y1 - y0) / h, slopes[at], slopes[at + n], y0, y1
 
     def _integral_and_dp(self, p: np.ndarray, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """integral_0^{p} w_q(x_i) dq, exact for the interpolant, and the
-        mean-derivative table interpolated, at per-cell p values."""
+        """integral_0^{p} w_q(x_i) dq and dw/dp, both exact for the
+        interpolant, at per-cell p values.  Rows 0-2 of the table hold c3 / 4,
+        c2 / 3 and c1 / 2, so dw/dp = 3 c3 s^2 + 2 c2 s + c1 is Horner over
+        12, 6 and 2 times them."""
         j, s = self._locate(p)
         rows = _rows_at(self._table, self._flat(j, cells))
-        return _horner(rows[:5], s), _horner(rows[5:], s)
+        return _horner(rows, s), (12.0 * rows[0] * s + 6.0 * rows[1]) * s + 2.0 * rows[2]
 
     def _bracket(self, u: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Per cell, the largest k <= M - 1 with values[k, cell] <= u, by

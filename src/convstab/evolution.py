@@ -245,18 +245,21 @@ def evolve(
 ) -> Tuple[State, DiagnosticsSeries]:
     """March to t_end, landing on each snapshot time exactly.
 
-    Observers are called at every snapshot (including one at the initial time
-    if it is listed) and return column -> value mappings that are merged into
-    the returned DiagnosticsSeries.  The step sequence is a deterministic
-    function of the state, policy and snapshot list, so splitting a run at a
-    snapshot and resuming reproduces the remaining steps bit for bit.
+    Observers are called once at every snapshot and return column -> value
+    mappings that are merged into the returned DiagnosticsSeries; the
+    snapshot times within 1e-12 of the start share one observation, of the
+    initial state.  The step sequence is a deterministic function of the
+    state, policy and snapshot list, so splitting a run at a snapshot and
+    resuming reproduces the remaining steps bit for bit.
     Raises CFLError once t_end - t exceeds ``MAX_STEPS`` current CFL steps.
     """
     policy = policy or StepPolicy()
     observers = list(observers)
     series = DiagnosticsSeries()
     snaps = np.array(sorted(set(float(t) for t in snapshot_times)))
-    if snaps.size and (snaps[0] < state.time - 1e-12 or snaps[-1] > t_end + 1e-12):
+    # a snapshot within this slack of the start is the initial observation
+    slack = 1e-12
+    if snaps.size and (snaps[0] < state.time - slack or snaps[-1] > t_end + slack):
         raise ValueError(
             f"snapshot times must lie within [{state.time}, {t_end}]"
         )
@@ -269,22 +272,23 @@ def evolve(
             row.update(obs(current))
         series.append(current.time, row)
 
-    targets = [t for t in snaps if t > state.time + 1e-14]
-    if snaps.size and abs(snaps[0] - state.time) <= 1e-14:
+    targets = [t for t in snaps if t > state.time + slack]
+    if snaps.size and snaps[0] <= state.time + slack:
         observe(state)
+    n_snapshot_targets = len(targets)
     if not targets or targets[-1] < t_end - 1e-14:
         targets.append(t_end)
 
     kernel = StepKernel.from_flux(flux, state.grid)
     current = state
-    for target in targets:
+    for i, target in enumerate(targets):
         while current.time < target - 1e-13:
             dt = cfl_timestep(current, kernel, policy)
             _check_step_budget(t_end - current.time, dt, kernel, current)
             current = step(current, kernel, min(dt, target - current.time))
         # land exactly on the target to keep snapshot bookkeeping deterministic
         current = State(current.grid, current.u, float(target))
-        if snaps.size and np.any(np.abs(snaps - target) <= 1e-14):
+        if i < n_snapshot_targets:
             observe(current)
     return current, series
 

@@ -151,11 +151,18 @@ def _take_number(params: dict, name: str, default: float) -> float:
     return _finite(name, number)
 
 
+# the largest flux parameter magnitude accepted: far above any physical
+# scale, and far enough below the float range that the flux, its Newton
+# solves and the CFL bound do not overflow
+PARAMETER_LIMIT = 1e100
+
+
 def _finite(name: str, values):
-    """values, a number or a table, once NaN and +-Infinity (json reads them)
-    are refused."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"flux parameter {name!r} must be finite")
+    """values, a number or a table, once NaN, +-Infinity (json reads them)
+    and magnitudes above PARAMETER_LIMIT are refused."""
+    if not np.all(np.abs(values) <= PARAMETER_LIMIT):
+        raise ValueError(f"flux parameter {name!r} must be finite and at most "
+                         f"{PARAMETER_LIMIT!r} in magnitude")
     return values
 
 
@@ -233,9 +240,11 @@ def builtin_flux(label: str, params: Optional[Mapping] = None) -> FluxModel:
     """Construct one of the built-in flux models by label.
 
     Parameters go by their names (amplitude, period, ...) and must be finite
-    numbers, or for ``custom_table`` finite tables; ``FluxModel.params``
-    records them all, tables as lists.  Unknown labels, unused or non-finite
-    parameters and out-of-range values raise ValueError naming them.
+    numbers, or for ``custom_table`` finite tables, of magnitude at most
+    ``PARAMETER_LIMIT`` = 1e100; ``FluxModel.params``
+    records them all, tables as lists.  Unknown labels, unused, non-finite
+    or too large parameters and out-of-range values raise ValueError naming
+    them.
     """
     if not isinstance(label, str) or label not in _BUILDERS:
         raise ValueError(f"unknown flux label {label!r}; available: {sorted(_BUILDERS)}")

@@ -36,14 +36,11 @@ dgtsv overwrites.
 
 The module also provides the positive periodic weight used by the
 weighted-energy diagnostic.  Once the flux is normalized so that f(0, .) = 0,
-the weight solves  D1(b * theta) + D2 theta = 0  with b = d_u f(0, .); summing
-that stencil telescopes to the constancy of the discrete flux
-
-    (b_i theta_i + b_{i+1} theta_{i+1}) / 2 + (theta_{i+1} - theta_i) / h = const,
-
-so the weight follows from a one-step recurrence ("quadrature" of the
-once-integrated form) in O(n), with positivity transparent.  The tests hold it
-to a bordered linear solve of the same stencil.
+the weight solves  D1(b * theta) + D2 theta = 0  with b = d_u f(0, .), that is
+-D2 theta + D1((-b) theta) = 0: the cell problem's Jacobian at d_u f = -b.  So
+one bordered solve with mean 1 gives it in O(n), the same solve every Newton
+step and dp solve makes, and positivity is checked afterwards.  The tests hold
+it to a dense solve of the same stencil and to its closed form.
 """
 
 from __future__ import annotations
@@ -478,7 +475,7 @@ def solve_theta(flux: FluxModel, grid: CellGrid) -> Profile:
 
     Solves D1(b * theta) + D2 theta = 0 with b = d_u f(0, .), which requires a
     normalized flux (f(0, .) = 0) whose period matches the grid's, by the
-    one-step recurrence on the constant discrete flux.
+    bordered solve of the family's Newton steps.
     """
     _check_period(flux, grid)
     at_centers = flux.sample(grid.centers())
@@ -489,23 +486,10 @@ def solve_theta(flux: FluxModel, grid: CellGrid) -> Profile:
     h = grid.h
     b = at_centers.speed(0.0)
     if np.abs(b).max() * h >= 2.0:
-        raise StationarySolveError(
-            "weight recurrence needs h * max|b| < 2; refine the grid"
-        )
-
-    b_next = _next(b)
-    denom = 1.0 / h + 0.5 * b_next
-    r = (1.0 / h - 0.5 * b) / denom
-    s = 1.0 / denom
-    # homogeneous and forced prefix solutions of theta_{i+1} = r_i theta_i + Phi s_i
-    A = np.concatenate([[1.0], np.cumprod(r)])
-    B = np.concatenate([[0.0], A[1:] * np.cumsum(s / A[1:])])
-    if B[-1] == 0.0:
-        raise StationarySolveError("degenerate weight recurrence")
-    phi = (1.0 - A[-1]) / B[-1]
-    theta = A[:-1] + phi * B[:-1]
-
-    theta = theta / theta.mean()
+        raise StationarySolveError("weight solve needs h * max|b| < 2; refine the grid")
+    # theta solves -D2 theta + D1((-b) theta) = 0, the bordered system's
+    # homogeneous equation, and the border pins its mean to 1
+    theta, _ = _bordered_solve(-b, h, 0.0, 1.0)
     if theta.min() <= 0.0:
         raise StationarySolveError(
             f"weight is not positive (min {theta.min():.3e}); refine the grid"

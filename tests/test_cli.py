@@ -12,6 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import convstab
@@ -97,6 +98,29 @@ def test_a_family_that_fails_a_verdict_exits_4_without_a_family_file(tmp_path, m
                                        '{"passed": false, "max_residual": ')
     assert payload["error"] in capsys.readouterr().err
     assert not (out / "family.json").exists()
+
+
+def test_a_family_whose_hermite_cubic_is_not_monotone_exits_4_naming_the_limit(
+        tmp_path, monkeypatch, capsys):
+    # one knot slope at four times the smaller secant next to it
+    real = scenarios.build_family
+
+    def steep(*args):
+        family = real(*args)
+        secants = np.diff(family.profiles[:, 3]) / np.diff(family.p_grid)
+        dp = family.dp_profiles.copy()
+        dp[8, 3] = 4.0 * secants[7:9].min()
+        return replace(family, dp_profiles=dp)
+
+    monkeypatch.setattr(scenarios, "build_family", steep)
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 4
+    payload = read_verdicts(out)
+    assert payload["exit_code"] == 4
+    assert payload["error"].startswith("knot slope / secant ratio ")
+    assert "at cell 3, interval " in payload["error"]
+    assert "is outside (0, 3]" in payload["error"]
+    assert payload["error"] in capsys.readouterr().err
 
 
 def test_stationary_names_the_checks_and_fit_it_skips(tmp_path, capsys):

@@ -6,12 +6,13 @@ log-log fit must recover the planted exponent to regression accuracy.
 """
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 import convstab as cs
 from convstab import (
@@ -29,14 +30,7 @@ from convstab import (
     nash_ratio,
     normalize_about_wp,
 )
-from convstab.entropy import (
-    EntropyField,
-    _hermite,
-    _horner,
-    _knot_integrals,
-    _pchip_coefficients,
-    _pchip_slopes,
-)
+from convstab.entropy import SLOPE_RATIO_LIMIT, EntropyField, _hermite, _horner, _knot_integrals
 from oracles import entropy_balance_check, profile_at
 
 
@@ -52,6 +46,12 @@ def forced_family():
 @pytest.fixture(scope="module")
 def constant_family():
     return build_family(builtin_flux("constant_flux_burgers"), -1.0, 1.0, 32, CellGrid(64, 1.0))
+
+
+def hermite_oracle(family):
+    """scipy's cubic Hermite spline through the family's profiles with its
+    own dp_profiles as knot slopes: the interpolant's cubic."""
+    return CubicHermiteSpline(family.p_grid, family.profiles, family.dp_profiles, axis=0)
 
 
 def shifted_about(family, knot):
@@ -120,8 +120,7 @@ def _residual_and_bound(interp, pi, u, cells):
     """|w_pi - u| through profile_at, and 16 eps times the Horner envelope
     sum_j |c_j| |s|^j + |u| of the cubic profile_at evaluates (scipy's
     coefficients, which the interpolant's equal bit for bit)."""
-    family = interp.family
-    coeffs = PchipInterpolator(family.p_grid, family.profiles, axis=0).c
+    coeffs = hermite_oracle(interp.family).c
     j, s = interp._locate(pi)
     envelope = _horner(np.abs(coeffs[:, j, cells]), np.abs(s))
     return np.abs(profile_at(interp, pi, cells) - u), 16 * EPS * (envelope + np.abs(u))
@@ -165,9 +164,9 @@ def test_invert_keeps_sign_and_relative_accuracy_next_to_a_zero_member(pinned_fa
     assert np.all(pinned_family.profiles[zero] == 0.0)
     cells = np.array([5, 100, 200])
     pi = interp.invert(np.full(cells.size, u), cells)
-    # the interpolant's slope at the knot, which both adjacent cubics share
-    oracle = PchipInterpolator(pinned_family.p_grid, pinned_family.profiles, axis=0)
-    slope = oracle.derivative()(0.0)[cells]
+    # the interpolant's slope at the knot, which both adjacent cubics share:
+    # the zero member's own dw/dp
+    slope = pinned_family.dp_profiles[zero, cells]
     assert np.all(np.sign(pi) == np.sign(u)), f"pi = {pi} for u = {u}"
     assert np.all(np.abs(pi * slope / u - 1.0) <= 1e-8), f"pi = {pi} for u = {u}"
 
@@ -228,50 +227,41 @@ def _same_bits(ours, theirs):
 def test_interpolant_coefficients_equal_scipy_bit_for_bit(forced_family):
     interp = FamilyInterpolant(forced_family)
     p = forced_family.p_grid
-    w_oracle = PchipInterpolator(p, forced_family.profiles, axis=0)
-    dp_oracle = PchipInterpolator(p, forced_family.dp_profiles, axis=0)
+    w_oracle = hermite_oracle(forced_family)
     # the profile cubics that profile_at and invert form per cell, at every cell
     m, n = p.size - 1, forced_family.grid.n_cells
     formed = _hermite(*interp._hermite_data(np.repeat(np.arange(m), n), np.tile(np.arange(n), m)))
     assert _same_bits(np.stack(formed).reshape(4, m, n), w_oracle.c)
-    # the antiderivative's power rows and the dp cubic, bit for bit
+    # the antiderivative's power rows, bit for bit, in a (5, M, n) table
     anti = w_oracle.antiderivative()
+    assert interp._table.shape == (5, m, n)
     assert _same_bits(interp._table[:4], anti.c[:4])
-    assert _same_bits(interp._table[5:], dp_oracle.c)
     # the constant row is the closed-form integral from p = 0 to each left
     # knot; scipy's antiderivative sums the pieces otherwise (measured gap
-    # 4.4e-16 against a largest entry of 0.54)
+    # 3.9e-16 against a largest entry of 0.54)
     want = anti.c[4] - anti(0.0)
     gap = np.abs(interp._table[4] - want).max()
     assert gap <= 8 * EPS * np.abs(want).max(), f"constant row off by {gap:.2e}"
 
 
-def test_pchip_coefficients_equal_scipy_on_flat_runs_and_sign_changes():
+def test_hermite_coefficients_and_knot_integrals_match_scipy_with_arbitrary_slopes():
     rng = np.random.default_rng(17)
     p = np.sort(rng.uniform(-1.0, 1.0, 12))
+    # flat runs, sign changes and slopes of either sign, none of them monotone
     y = rng.integers(-2, 3, (12, 400)) * rng.choice([1.0, 0.3, 1e-3], (12, 400))
-    # both shape-preserving branches at the ends must run: a three-point
-    # slope against the first secant's sign, and one over 3x a secant that
-    # changes sign
-    h0, h1 = p[1] - p[0], p[2] - p[1]
-    m0, m1 = (y[1] - y[0]) / h0, (y[2] - y[1]) / h1
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    flipped = np.sign(d) != np.sign(m0)
-    steep = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
-    assert flipped.any() and (steep & ~flipped).any()
+    d = rng.standard_normal((12, 400)) * rng.choice([1.0, 10.0, 1e-3], (12, 400))
     assert (np.diff(y, axis=0) == 0).any()
-    oracle = PchipInterpolator(p, y, axis=0)
-    assert _same_bits(_pchip_coefficients(p, y), oracle.c)
+    oracle = CubicHermiteSpline(p, y, d, axis=0)
+    hk = np.diff(p)[:, None]
+    coeffs = _hermite(hk, np.diff(y, axis=0) / hk, d[:-1], d[1:], y[:-1], y[1:])
+    assert _same_bits(np.stack(coeffs), oracle.c)
     # the closed-form knot integrals against scipy's quadrature of the same
-    # cubics (measured gap 4.4e-16 against a largest integral of 1.65)
-    hk, _, dk = _pchip_slopes(p, y)
-    got = _knot_integrals(hk, y, dk)
+    # cubics (measured gap 5.0e-16 against a largest integral of 1.6)
+    got = _knot_integrals(hk, y, d)
     want = np.stack([oracle.integrate(p[0], q) for q in p])
     assert np.all(got[0] == 0.0)
     gap = np.abs(got - want).max()
     assert gap <= 8 * EPS * np.abs(want).max(), f"knot integrals off by {gap:.2e}"
-    two = np.array([-0.5, 0.75])
-    assert _same_bits(_pchip_coefficients(two, y[:2]), PchipInterpolator(two, y[:2], axis=0).c)
 
 
 def test_profile_integral_starts_at_zero(forced_family, constant_family):
@@ -291,8 +281,8 @@ def test_integral_and_dp_match_scipy_at_per_cell_p(which, forced_family, pinned_
     family = forced_family if which == "forced" else pinned_family
     interp = FamilyInterpolant(family)
     p, n = family.p_grid, family.grid.n_cells
-    w = PchipInterpolator(p, family.profiles, axis=0).antiderivative()
-    dp = PchipInterpolator(p, family.dp_profiles, axis=0)
+    w = hermite_oracle(family).antiderivative()
+    dp = hermite_oracle(family).derivative()
     rng = np.random.default_rng(23)
     # random p per cell, every knot at every cell, and both ends of the family
     at = np.concatenate([rng.uniform(p[0], p[-1], 2 * n), np.repeat(p, n), p[[0, -1]].repeat(n)])
@@ -303,12 +293,58 @@ def test_integral_and_dp_match_scipy_at_per_cell_p(which, forced_family, pinned_
         [np.diagonal(oracle(block)) for block in at.reshape(-1, n)])
     want_integral = diagonal(w) - w(0.0)[cells]
     want_dp = diagonal(dp)
-    # measured gaps: the integral 4.4e-16 (forced) and 2.9e-15 (pinned), 3.7
-    # and 6.0 eps of largest entries 0.54 and 2.2; dp 2.2e-16 against 1.08
+    # measured gaps: the integral 4.4e-16 (forced) and 3.1e-15 (pinned), 3.7
+    # and 6.5 eps of largest entries 0.54 and 2.2; dp 2.2e-16 against 1.08
+    # (0.93 eps): 6 (c2 / 3) is c2 up to one rounding
     gap = np.abs(integral - want_integral).max()
     assert gap <= 8 * EPS * np.abs(want_integral).max(), f"integral off by {gap:.2e}"
     gap = np.abs(dpw - want_dp).max()
-    assert gap <= 2 * EPS * np.abs(want_dp).max(), f"dp off by {gap:.2e}"
+    assert gap <= 8 * EPS * np.abs(want_dp).max(), f"dp off by {gap:.2e}"
+
+
+def test_midpoints_match_the_refined_family():
+    # the canonical family (128 cells, p in [-2, 2]) at M = 32, read at its
+    # interval midpoints, where the odd members of the M = 64 family sit;
+    # measured 4.95e-9 in w and 8.53e-10 in dw/dp, against 1.29e-6 and
+    # 2.33e-5 from monotone PCHIPs with secant-based slopes
+    coarse, fine = (build_family(forced(), -2.0, 2.0, m, CellGrid(128, 1.0)) for m in (32, 64))
+    interp = FamilyInterpolant(coarse)
+    mid = fine.p_grid[1::2]
+    assert np.array_equal(mid, (coarse.p_grid[:-1] + coarse.p_grid[1:]) / 2)
+    at, cells = np.repeat(mid, 128), np.tile(np.arange(128), mid.size)
+    w_gap = np.abs(profile_at(interp, at, cells) - fine.profiles[1::2].ravel()).max()
+    dp_gap = np.abs(interp._integral_and_dp(at, cells)[1] - fine.dp_profiles[1::2].ravel()).max()
+    assert w_gap < 2e-8, f"w off by {w_gap:.2e} at the midpoints"
+    assert dp_gap < 4e-9, f"dw/dp off by {dp_gap:.2e} at the midpoints"
+
+
+def _with_slope(family, knot, cell, times_secant):
+    """The family with dp_profiles[knot, cell] set to times_secant times the
+    smaller secant of the two intervals at that knot."""
+    secants = np.diff(family.profiles[:, cell]) / np.diff(family.p_grid)
+    dp = family.dp_profiles.copy()
+    dp[knot, cell] = times_secant * min(secants[knot - 1], secants[knot])
+    return replace(family, dp_profiles=dp), secants
+
+
+def test_a_knot_slope_past_three_secants_is_refused_naming_the_limit(forced_family):
+    assert SLOPE_RATIO_LIMIT == 3.0
+    inside, _ = _with_slope(forced_family, 5, 7, 2.99)
+    FamilyInterpolant(inside)
+    outside, secants = _with_slope(forced_family, 5, 7, 3.01)
+    # the worst ratio is the one over the smaller secant
+    k = 4 if secants[4] < secants[5] else 5
+    ratio = float(outside.dp_profiles[5, 7] / secants[k])
+    with pytest.raises(FamilyRangeError) as info:
+        FamilyInterpolant(outside)
+    message = str(info.value)
+    assert message.startswith(f"knot slope / secant ratio {ratio!r} at cell 7, interval {k} ")
+    assert "is outside (0, 3]" in message and "larger family.M" in message
+    # a column that does not increase has a ratio <= 0 and is refused too
+    profiles = forced_family.profiles.copy()
+    profiles[1, 3] = profiles[0, 3]
+    with pytest.raises(FamilyRangeError, match="ratio inf at cell 3, interval 0 "):
+        FamilyInterpolant(replace(forced_family, profiles=profiles))
 
 
 def test_inversion_rejects_values_outside_the_family(forced_family):

@@ -686,6 +686,22 @@ def test_evolve_validates_times():
         cs.evolve(state, forced(), 1.0, snapshot_times=(2.0,))
 
 
+@pytest.mark.parametrize("early", [-1e-12, -5e-13, -1e-14, 0.0, 5e-13, 1e-12])
+def test_a_snapshot_at_the_start_within_the_slack_is_observed_once(early):
+    grid = periodic_line()
+    state = cs.State(grid, random_zero_mean(grid, 3), 1.0)
+    observer = lambda s: {"l1_dist": float(np.abs(s.u).sum())}
+    _, series = cs.evolve(state, forced(), 1.5, snapshot_times=(1.0 + early, 1.5),
+                          observers=[observer])
+    assert series.column("t").tolist() == [1.0, 1.5]
+    # several times inside the slack, and t_end at the start, still observe once
+    _, series = cs.evolve(state, forced(), 1.0, snapshot_times=(1.0 - 5e-13, 1.0),
+                          observers=[observer])
+    assert series.column("t").tolist() == [1.0]
+    with pytest.raises(ValueError, match="snapshot times must lie within"):
+        cs.evolve(state, forced(), 1.5, snapshot_times=(1.0 - 2e-12, 1.5))
+
+
 def counted_steps(monkeypatch):
     steps = []
     real = evolution.step

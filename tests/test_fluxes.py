@@ -115,6 +115,27 @@ def test_a_non_finite_table_sample_raises_naming_its_parameter(name):
             builtin_flux("custom_table", {name: table})
 
 
+@pytest.mark.parametrize("label, name", [(label, name) for label, names in NUMBER_PARAMS.items()
+                                         for name in names])
+@pytest.mark.parametrize("big", [1.0000000000000002e100, -1e150, 1e308])
+def test_parameters_past_the_magnitude_limit_raise_naming_it(label, name, big):
+    with pytest.raises(ValueError, match=f"flux parameter '{name}' must be finite and at most "
+                                         r"1e\+100 in magnitude"):
+        builtin_flux(label, {name: big})
+
+
+def test_parameters_at_the_magnitude_limit_are_accepted():
+    assert builtin_flux("forced_burgers", {"amplitude": -1e100}).params["amplitude"] == -1e100
+    flux = builtin_flux("custom_table", {"quadratic": [1.0, 1e100, -1e100, 0.5]})
+    assert flux.params["quadratic"][1] == 1e100
+
+
+@pytest.mark.parametrize("name", ["const", "linear", "quadratic"])
+def test_a_table_entry_past_the_magnitude_limit_raises_naming_its_parameter(name):
+    with pytest.raises(ValueError, match=f"flux parameter '{name}' must be finite and at most"):
+        builtin_flux("custom_table", {name: [0.0, 0.5, -1e101, -0.5]})
+
+
 def test_custom_table_records_its_coefficients():
     params = {"linear": [0.0, 0.5, 0.0, -0.5], "quadratic": 1, "period": 2}
     flux = builtin_flux("custom_table", params)
