@@ -69,6 +69,7 @@ __all__ = [
     "State",
     "StepKernel",
     "StepPolicy",
+    "TIME_SLACK",
     "cfl_timestep",
     "evolve",
     "step",
@@ -80,6 +81,10 @@ class CFLError(RuntimeError):
     S(u) = B0 + G max|u| the kernel's bound on the explicit half's
     coefficients, or t_end lies over ``MAX_STEPS`` CFL steps away."""
 
+
+# times closer than this are one time: a snapshot time this near either end
+# of a run is that end, and a march this near its target takes no step
+TIME_SLACK = 1e-12
 
 # a run's step budget; 256 periods to t = 1000 take about 72 thousand steps
 MAX_STEPS = 10**7
@@ -245,50 +250,45 @@ def evolve(
 ) -> Tuple[State, DiagnosticsSeries]:
     """March to t_end, landing on each snapshot time exactly.
 
-    Observers are called once at every snapshot and return column -> value
-    mappings that are merged into the returned DiagnosticsSeries; the
-    snapshot times within 1e-12 of the start share one observation, of the
-    initial state.  The step sequence is a deterministic function of the
-    state, policy and snapshot list, so splitting a run at a snapshot and
-    resuming reproduces the remaining steps bit for bit.
+    A snapshot time within ``TIME_SLACK`` of the start or of t_end is that
+    end.  The march visits the snapshot times and t_end in order, taking no
+    step to a target within ``TIME_SLACK``, so a run shorter than that takes
+    none.  Observers are called once at each snapshot time, the start only
+    when listed, and their column -> value rows make the DiagnosticsSeries.
+    The step sequence is a deterministic function of the state, policy and
+    snapshot list, so splitting a run at a snapshot and resuming reproduces
+    the remaining steps bit for bit.
     Raises CFLError once t_end - t exceeds ``MAX_STEPS`` current CFL steps.
     """
     policy = policy or StepPolicy()
     observers = list(observers)
     series = DiagnosticsSeries()
-    snaps = np.array(sorted(set(float(t) for t in snapshot_times)))
-    # a snapshot within this slack of the start is the initial observation
-    slack = 1e-12
-    if snaps.size and (snaps[0] < state.time - slack or snaps[-1] > t_end + slack):
-        raise ValueError(
-            f"snapshot times must lie within [{state.time}, {t_end}]"
-        )
+    t_end = float(t_end)
+
+    def snapped(t: float) -> float:
+        for end in (float(state.time), t_end):
+            if end - TIME_SLACK <= t <= end + TIME_SLACK:
+                return end
+        return t
+
+    times = {snapped(float(t)) for t in snapshot_times}
+    if times and (min(times) < state.time or max(times) > t_end):
+        raise ValueError(f"snapshot times must lie within [{state.time}, {t_end}]")
     if t_end < state.time:
         raise ValueError("t_end precedes the state's current time")
 
-    def observe(current: State) -> None:
-        row = {}
-        for obs in observers:
-            row.update(obs(current))
-        series.append(current.time, row)
-
-    targets = [t for t in snaps if t > state.time + slack]
-    if snaps.size and snaps[0] <= state.time + slack:
-        observe(state)
-    n_snapshot_targets = len(targets)
-    if not targets or targets[-1] < t_end - 1e-14:
-        targets.append(t_end)
-
     kernel = StepKernel.from_flux(flux, state.grid)
     current = state
-    for i, target in enumerate(targets):
-        while current.time < target - 1e-13:
+    for target in sorted({*times, t_end}):
+        while current.time < target - TIME_SLACK:
             dt = cfl_timestep(current, kernel, policy)
             _check_step_budget(t_end - current.time, dt, kernel, current)
             current = step(current, kernel, min(dt, target - current.time))
         # land exactly on the target to keep snapshot bookkeeping deterministic
-        current = State(current.grid, current.u, float(target))
-        if i < n_snapshot_targets:
-            observe(current)
+        current = State(current.grid, current.u, target)
+        if target in times:
+            row = {}
+            for obs in observers:
+                row.update(obs(current))
+            series.append(current.time, row)
     return current, series
-

@@ -5,11 +5,12 @@ Every flux is
     f(u, x) = c0(x) + c1(x) u + c2(x) u^2 / 2
 
 and a :class:`FluxModel` is that (c0, c1, c2) triple of periodic
-coefficients, each a float or a (value, slope) pair of vectorized functions
-of x.  This module is the only one that reads the triple's format: the rest
-of the package samples it with ``FluxModel.sample``, whose ``value`` and
-``speed`` give f and d_u f at the sample points.  The built-in labels are
-coefficient declarations:
+coefficients, each a real number or one vectorized function of x.  That
+triple is the only representation of a flux, and this module is the only one
+that reads its format: the rest of the package samples it with
+``FluxModel.sample``, whose ``value`` and ``speed`` give f and d_u f, and
+whose ``c2`` gives d_uu f, at the sample points.  No run path needs d_x f.
+The built-in labels are coefficient declarations:
 
 * ``constant_flux_burgers``   c2 = 1
 * ``forced_burgers``          c1 = A sin(2 pi x / T),  c2 = 1
@@ -25,6 +26,7 @@ value at which pinned ghost cells sit -- is an exact fixed point of the scheme.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional, Tuple, Union
 
@@ -41,8 +43,8 @@ __all__ = [
 
 ArrayFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 XFn = Callable[[np.ndarray], np.ndarray]
-# a constant, or a pair (c, dc/dx) of vectorized periodic functions of x
-Coefficient = Union[float, Tuple[XFn, XFn]]
+# a real number, or a vectorized periodic function of x
+Coefficient = Union[float, XFn]
 
 
 class FluxSamples(NamedTuple):
@@ -66,11 +68,13 @@ class FluxModel:
     """f = c0 + c1 u + c2 u^2 / 2 with one period T in x: the triple
     ``coefficients`` is the flux, and the package reads it through ``sample``.
 
-    ``eval``, ``d_u``, ``d_uu`` and ``d_x`` (f and its derivatives at
-    broadcastable u and x) are views derived from the triple when not given.
-    They exist only for instrumentation, which swaps them with
-    ``dataclasses.replace``; no run path calls them.  As ``replace`` keeps
-    the views, a model with other coefficients comes from the constructor.
+    A coefficient that is neither a real number nor callable, such as a
+    (value, slope) pair, raises ValueError naming its position.
+
+    ``eval``, ``d_u``, ``d_uu`` and ``d_x`` are tracer slots: they default to
+    None, nothing derives them and the package never reads them.  They exist
+    only because the bench's instrumentation passes all four to
+    ``dataclasses.replace``; ROADMAP item 5 removes them with that tracer.
     """
 
     label: str
@@ -85,34 +89,22 @@ class FluxModel:
     def __post_init__(self):
         if not self.period > 0:
             raise ValueError(f"flux period must be positive, got {self.period}")
-
-        def view(read, part=0):
-            def call(u, x):
-                u, x = np.broadcast_arrays(np.asarray(u, float), np.asarray(x, float))
-                return read(_sampled(self.coefficients, x, part), u)
-            return call
-
-        views = dict(eval=view(FluxSamples.value), d_u=view(FluxSamples.speed),
-                     d_uu=view(lambda at, u: at.c2), d_x=view(FluxSamples.value, part=1))
-        for name, fn in views.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, fn)
+        for position, coefficient in enumerate(self.coefficients):
+            real = isinstance(coefficient, numbers.Real) and not isinstance(coefficient, bool)
+            if not (real or callable(coefficient)):
+                raise ValueError(f"flux coefficient c{position} must be a real number or a "
+                                 f"vectorized function of x, got {coefficient!r}")
 
     def sample(self, points) -> FluxSamples:
         """The coefficients at ``points``, sampled once for many values of u."""
-        return _sampled(self.coefficients, np.asarray(points, dtype=float), 0)
-
-
-def _sampled(coefficients, points: np.ndarray, part: int) -> FluxSamples:
-    """The coefficients' values (part 0) or slopes (part 1) at points; the
-    slopes as a FluxSamples give d_x f through ``value``."""
-    arrays = []
-    for coefficient in coefficients:
-        # + 0.0 makes a fresh array of the points' shape, from a constant too
-        array = np.broadcast_to(_value_and_slope(coefficient)[part](points), points.shape) + 0.0
-        array.setflags(write=False)
-        arrays.append(array)
-    return FluxSamples(*arrays)
+        points = np.asarray(points, dtype=float)
+        arrays = []
+        for coefficient in self.coefficients:
+            # + 0.0 makes a fresh array of the points' shape, from a constant too
+            array = np.broadcast_to(_function(coefficient)(points), points.shape) + 0.0
+            array.setflags(write=False)
+            arrays.append(array)
+        return FluxSamples(*arrays)
 
 
 def normalize_about_wp(flux: FluxModel, background: Profile) -> FluxModel:
@@ -120,25 +112,24 @@ def normalize_about_wp(flux: FluxModel, background: Profile) -> FluxModel:
 
     Returns g(v, x) = f(v + w(x), x) - f(w(x), x) with w the periodic cubic
     spline of ``grids`` through the profile samples at the cell centers: the
-    coefficient map c0 -> 0, c1 -> c1 + c2 w (slope c1' + c2' w + c2 w'),
-    c2 -> c2.  g(0, .) vanishes identically, which the weight solver and the
-    normalized evolution runs require.
+    coefficient map c0 -> 0, c1 -> c1 + c2 w, c2 -> c2.  g(0, .) vanishes
+    identically, which the weight solver and the normalized evolution runs
+    require.
     """
     grid = background.grid
-    w, dw = _periodic_spline(grid.centers()[0], grid.period, background.values)
+    w = _periodic_spline(grid.centers()[0], grid.period, background.values)
     _, c1, c2 = flux.coefficients
-    (v1, s1), (v2, s2) = _value_and_slope(c1), _value_and_slope(c2)
-    shifted_c1 = (lambda x: v1(x) + v2(x) * w(x),
-                  lambda x: s1(x) + s2(x) * w(x) + v2(x) * dw(x))
-    return FluxModel(f"{flux.label}_shifted", flux.period, (0.0, shifted_c1, c2),
-                     dict(flux.params))
+    v1, v2 = _function(c1), _function(c2)
+    return FluxModel(f"{flux.label}_shifted", flux.period,
+                     (0.0, lambda x: v1(x) + v2(x) * w(x), c2), dict(flux.params))
 
 
-def _value_and_slope(coefficient: Coefficient) -> Tuple[XFn, XFn]:
-    if isinstance(coefficient, tuple):
+def _function(coefficient: Coefficient) -> XFn:
+    """The coefficient as a function of x; a constant returns its float."""
+    if callable(coefficient):
         return coefficient
     value = float(coefficient)
-    return (lambda x: value), (lambda x: 0.0)
+    return lambda x: value
 
 
 def _take_number(params: dict, name: str, default: float) -> float:
@@ -182,9 +173,8 @@ def _forced_burgers(params: dict) -> FluxModel:
     amplitude = _take_number(params, "amplitude", 0.5)
     period = _take_period(params)
     k = 2.0 * np.pi / period
-    forcing = (lambda x: amplitude * np.sin(k * x),
-               lambda x: amplitude * k * np.cos(k * x))
-    return FluxModel("forced_burgers", period, (0.0, forcing, 1.0),
+    return FluxModel("forced_burgers", period,
+                     (0.0, lambda x: amplitude * np.sin(k * x), 1.0),
                      {"amplitude": amplitude, "period": period})
 
 
@@ -195,9 +185,8 @@ def _periodic_advection(params: dict) -> FluxModel:
     if not abs(amplitude) < 1.0:
         raise ValueError(f"periodic_advection requires |amplitude| < 1, got {amplitude}")
     k = 2.0 * np.pi / period
-    speed = (lambda x: a0 * (1.0 + amplitude * np.cos(k * x)),
-             lambda x: -a0 * amplitude * k * np.sin(k * x))
-    return FluxModel("periodic_advection", period, (0.0, speed, 0.0),
+    return FluxModel("periodic_advection", period,
+                     (0.0, lambda x: a0 * (1.0 + amplitude * np.cos(k * x)), 0.0),
                      {"a0": a0, "amplitude": amplitude, "period": period})
 
 

@@ -29,7 +29,7 @@ import os
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 import scipy
@@ -329,13 +329,13 @@ def _toeplitz_solve(d: float, e: float, rhs: np.ndarray, periodic: bool) -> np.n
     return x
 
 
-def _periodic_spline(x0: float, period: float, samples) -> tuple:
+def _periodic_spline(x0: float, period: float, samples) -> Callable[[np.ndarray], np.ndarray]:
     """Periodic cubic spline through samples[i] at x0 + i h, h = period / n.
 
     The knot second derivatives M solve the cyclic system
     M[i-1] + 4 M[i] + M[i+1] = 6 (y[i+1] - 2 y[i] + y[i-1]) / h^2 in one
-    ``_toeplitz_solve`` call.  Returns vectorized (value, slope) callables
-    of x that wrap any real x into [x0, x0 + period).
+    ``_toeplitz_solve`` call.  Returns the spline as one vectorized callable
+    of x that wraps any real x into [x0, x0 + period).
     """
     y = np.asarray(samples, dtype=float)
     n = y.size
@@ -347,17 +347,10 @@ def _periodic_spline(x0: float, period: float, samples) -> tuple:
     coeffs = np.stack([(m_next - m) / (6.0 * h), 0.5 * m,
                        (_next(y) - y) / h - h * (2.0 * m + m_next) / 6.0, y])
 
-    def locate(x):
+    def value(x):
         t = np.mod(np.asarray(x, dtype=float) - x0, period)
         i = np.clip((t / h).astype(int), 0, n - 1)
-        return coeffs[:, i], t - i * h
-
-    def value(x):
-        (a, b, c, d), s = locate(x)
+        (a, b, c, d), s = coeffs[:, i], t - i * h
         return ((a * s + b) * s + c) * s + d
 
-    def slope(x):
-        (a, b, c, _), s = locate(x)
-        return (3.0 * a * s + 2.0 * b) * s + c
-
-    return value, slope
+    return value

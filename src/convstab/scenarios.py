@@ -38,8 +38,9 @@ import numpy as np
 
 from .diagnostics import DiagnosticsSeries, lap_number, sign_changes, weighted_energy
 from .entropy import FamilyInterpolant, dispersion_fit, eta_field, nash_ratio
-from .evolution import State, StepKernel, StepPolicy, _check_step_budget, cfl_timestep, evolve, step
-from .fluxes import FluxModel, builtin_flux, normalize_about_wp
+from .evolution import (TIME_SLACK, State, StepKernel, StepPolicy, _check_step_budget, cfl_timestep,
+                        evolve, step)
+from .fluxes import PARAMETER_LIMIT, FluxModel, builtin_flux, normalize_about_wp
 from .grids import CellGrid, LineGrid, Profile, norm, primitive
 from .stationary import (
     StationaryFamily,
@@ -187,9 +188,10 @@ _SHAPES = ("gaussian_bump", "dipole", "random_zero_mean")
 _REQUIRED = "required"
 
 # The scenario document, declared once.  Each section maps its keys to a kind
-# and a default: "int" and "float" are finite numbers, "text" a string,
-# "list" a list of check names, "object" a JSON object whose entries the
-# built object validates, and "section" the section of the key's own name.
+# and a default: "int" and "float" are finite numbers of magnitude at most
+# PARAMETER_LIMIT, "text" a string, "list" a list of check names, "object" a
+# JSON object whose entries the built object validates, and "section" the
+# section of the key's own name.
 # _REQUIRED keys must be set; a key whose default is None may be null.
 _DOCUMENT = {
     "scenario": {
@@ -243,6 +245,9 @@ def _number(value, where: str, kind: str):
         finite = False
     if not finite:
         raise ConfigError(f"{where} must be finite, got {value!r}")
+    if abs(value) > PARAMETER_LIMIT:
+        raise ConfigError(f"{where} must be finite and at most {PARAMETER_LIMIT!r} in "
+                          f"magnitude, got {value!r}")
     if kind == "float":
         return float(value)
     if float(value) != int(value):
@@ -333,7 +338,7 @@ def _schedule_times(schedule: dict, t_end: float) -> np.ndarray:
                 f"snapshot_schedule.t_lo={t_lo} for a log schedule"
             )
     hi = t_end if t_hi is None else t_hi
-    if hi > t_end + 1e-12:
+    if hi > t_end + TIME_SLACK:
         raise ConfigError(f"snapshot_schedule.t_hi={hi} reaches beyond run.t_end={t_end}")
     lo = 0.0 if t_lo is None else t_lo
     if not 0.0 <= lo < hi:
@@ -357,10 +362,11 @@ class ScenarioConfig:
     """A validated scenario document and the run objects built from it.
 
     ``document`` is the document read through ``_DOCUMENT``: every number
-    finite, every absent key filled with its default.  ``__post_init__``
-    builds, once, what every command reads: ``flux``, the built-in flux
-    model; ``line_grid``, whose ``.cell`` is the grid of one period;
-    ``policy``, the step policy; ``initial``, the perturbation;
+    finite and at most ``PARAMETER_LIMIT`` in magnitude, every absent key
+    filled with its default.  ``__post_init__`` builds, once, what every
+    command reads: ``flux``, the built-in flux model; ``line_grid``, whose
+    ``.cell`` is the grid of one period; ``policy``, the step policy;
+    ``initial``, the perturbation;
     ``schedule_times``, the read-only times of the snapshot schedule, whose
     first time lies in [0, last time) and whose last is at most ``t_end``;
     and the scalars a run reads.  A constructor's ValueError becomes a
@@ -485,7 +491,10 @@ class ScenarioConfig:
 
 
 def _gaussian(x: np.ndarray, center: float, width: float) -> np.ndarray:
-    return np.exp(-((x - center) ** 2) / (2.0 * width**2))
+    """exp(-(x - center)^2 / (2 width^2)), quietly 0 where the exponent
+    overflows, which a width whose square underflows makes it off the center."""
+    with np.errstate(over="ignore"):
+        return np.exp(-((x - center) ** 2) / max(2.0 * width**2, np.finfo(float).tiny))
 
 
 def _settle_zero_sum(values: np.ndarray) -> np.ndarray:
@@ -528,30 +537,33 @@ def perturbation_values(spec: PerturbationSpec, grid: LineGrid) -> np.ndarray:
     Centers are measured from the domain midpoint.  dipole puts its positive
     lobe at midpoint - center and its negative lobe at midpoint + center;
     random_zero_mean draws six signed bumps in the middle 60% of the domain.
-    Both are balanced to zero discrete sum up to summation roundoff.
+    Both are balanced to zero discrete sum up to summation roundoff.  A
+    nonzero amplitude whose field is zero on every cell raises ConfigError
+    naming initial.center and initial.width.
     """
     x = grid.centers()
     mid = 0.5 * grid.length
     amp, width = spec.amplitude, spec.width
     if spec.shape == "gaussian_bump":
-        return amp * _gaussian(x, mid + spec.center, width)
-    if spec.shape == "dipole":
+        raw = amp * _gaussian(x, mid + spec.center, width)
+    elif spec.shape == "dipole":
         raw = amp * (
             _gaussian(x, mid - spec.center, width) - _gaussian(x, mid + spec.center, width)
         )
-        if amp == 0.0:
-            return raw
-        return _balance_signed(raw)
-    rng = np.random.default_rng(spec.seed)
-    raw = np.zeros_like(x)
-    signs = rng.permutation([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-    for sign in signs:
-        center = rng.uniform(0.2 * grid.length, 0.8 * grid.length)
-        w = width * rng.uniform(0.6, 1.6)
-        raw += sign * amp * rng.uniform(0.4, 1.0) * _gaussian(x, center, w)
+    else:
+        rng = np.random.default_rng(spec.seed)
+        raw = np.zeros_like(x)
+        signs = rng.permutation([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        for sign in signs:
+            center = rng.uniform(0.2 * grid.length, 0.8 * grid.length)
+            w = width * rng.uniform(0.6, 1.6)
+            raw += sign * amp * rng.uniform(0.4, 1.0) * _gaussian(x, center, w)
     if amp == 0.0:
         return raw
-    return _balance_signed(raw)
+    if not raw.any():
+        raise ConfigError("initial.center and initial.width place the perturbation off "
+                          "every cell: it is zero on the whole grid")
+    return raw if spec.shape == "gaussian_bump" else _balance_signed(raw)
 
 
 @dataclass(frozen=True)
@@ -776,7 +788,7 @@ def semigroup_trials(
             mass_gap0 = float(h * (u_state.u - v_state.u).sum())
             l1_prev = norm(u_state.u - v_state.u, h, "L1")
             margins = dict.fromkeys(TRIAL_LIMITS, 0.0)
-            while u_state.time < t_end - 1e-13:
+            while u_state.time < t_end - TIME_SLACK:
                 dt = min(cfl_timestep(u_state, kernel, policy),
                          cfl_timestep(v_state, kernel, policy))
                 _check_step_budget(t_end - u_state.time, dt, kernel, u_state, v_state)

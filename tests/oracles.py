@@ -1,5 +1,8 @@
 """Independent oracles that only the tests use.
 
+* ``flux_value``, ``flux_speed``, ``flux_curvature`` -- f, d_u f and
+  d_uu f at broadcast u and x, computed from ``FluxModel.sample``: the flux's
+  coefficients are its only representation.
 * ``duhamel_picard`` -- the short-time mild-solution oracle of criterion 4: it
   iterates the integral (Duhamel) form of the equation with a sampled
   mass-one heat kernel, circular convolutions and a midpoint rule in time,
@@ -49,6 +52,28 @@ from convstab.entropy import _hermite, _horner
 from convstab.fluxes import FluxSamples
 from convstab.grids import _next, _prev
 from convstab.stationary import NEWTON_DAMPING, NEWTON_MAX_ITERATIONS, NEWTON_TOLERANCE
+
+
+def _sampled_at(flux: FluxModel, u, x):
+    u, x = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(x, dtype=float))
+    return flux.sample(x), u
+
+
+def flux_value(flux: FluxModel, u, x) -> np.ndarray:
+    """f(u, x) = c0 + c1 u + c2 u^2 / 2."""
+    at, u = _sampled_at(flux, u, x)
+    return at.value(u)
+
+
+def flux_speed(flux: FluxModel, u, x) -> np.ndarray:
+    """d_u f(u, x) = c1 + c2 u."""
+    at, u = _sampled_at(flux, u, x)
+    return at.speed(u)
+
+
+def flux_curvature(flux: FluxModel, u, x) -> np.ndarray:
+    """d_uu f(u, x) = c2, in the broadcast shape of u and x."""
+    return _sampled_at(flux, u, x)[0].c2
 
 
 class PicardDivergenceError(RuntimeError):
@@ -116,6 +141,7 @@ def duhamel_picard(
         w = (s - t0) / (t1 - t0)
         return (1.0 - w) * traj_values[j - 1] + w * traj_values[j]
 
+    at_x = flux.sample(x)
     for _ in range(iterations):
         new = np.empty_like(traj)
         new[0] = u0
@@ -126,7 +152,7 @@ def duhamel_picard(
             for k in range(sub):
                 s = (k + 0.5) * ds
                 _, grad = kernels(tau - s)
-                g = flux.eval(sample(traj, s), x)
+                g = at_x.value(sample(traj, s))
                 acc -= ds * convolve(grad, g)
             new[row] = acc
         sup = float(np.abs(new).max())

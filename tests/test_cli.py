@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -548,6 +549,29 @@ def test_non_finite_numbers_exit_2_under_every_command(tmp_path, capsys, command
     assert verdicts["exit_code"] == 2 and named in verdicts["error"], verdicts
     assert not (out / "family.json").exists()
     assert f"error: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, override, named", [
+    ("stationary", {"family": {"p_min": -1e300}}, "family.p_min"),
+    ("stationary", {"family": {"p_max": 1e300}}, "family.p_max"),
+    ("evolve", {"initial": {"amplitude": 1e308}}, "initial.amplitude"),
+    ("evolve", {"initial": {"amplitude": -1e308}}, "initial.amplitude"),
+    ("evolve", {"initial": {"width": 1e300}}, "initial.width"),
+    ("evolve", {"initial": {"width": 1e-300}}, "initial.center and initial.width"),
+    ("evolve", {"initial": {"shape": "gaussian_bump", "center": 1e100}},
+     "initial.center and initial.width"),
+], ids=["p_min", "p_max", "amplitude", "-amplitude", "wide", "narrow", "far"])
+def test_numbers_near_the_float_range_exit_2_naming_their_key(tmp_path, capsys, command,
+                                                              override, named):
+    config = write_config(tmp_path, checks=[], **override)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+    verdicts = read_verdicts(out)
+    assert verdicts["exit_code"] == 2 and named in verdicts["error"], verdicts
+    assert not (out / "family.json").exists()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_dispersion_names_a_log_schedule_without_t_lo(tmp_path):

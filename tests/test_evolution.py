@@ -18,7 +18,14 @@ import convstab as cs
 from convstab import evolution, scenarios
 from convstab.evolution import _interface_flux
 from convstab.grids import _cyclic_solve, _powers, _toeplitz_solve
-from oracles import PicardDivergenceError, duhamel_picard, interface_flux_reference
+from oracles import (
+    PicardDivergenceError,
+    duhamel_picard,
+    flux_curvature,
+    flux_speed,
+    flux_value,
+    interface_flux_reference,
+)
 
 
 EPS = np.finfo(float).eps
@@ -342,44 +349,23 @@ def test_step_is_deterministic():
     assert np.array_equal(a.u, b.u)
 
 
-def _counting(flux, counts):
-    """Copy of ``flux`` whose four callables count their calls in counts[0]."""
-    def counted(fn):
+def _raising_slots(flux):
+    """Copy of ``flux`` whose four tracer slots raise when called."""
+    def slot(name):
         def call(*args):
-            counts[0] += 1
-            return fn(*args)
+            raise AssertionError(f"a run path called the tracer slot {name}")
         return call
-    return replace(flux, **{name: counted(getattr(flux, name))
-                            for name in ("eval", "d_u", "d_uu", "d_x")})
+    return replace(flux, **{name: slot(name) for name in ("eval", "d_u", "d_uu", "d_x")})
 
 
-def test_evolve_reads_the_flux_through_its_coefficients_only(monkeypatch, tmp_path):
-    g = normalized_forced()
-    grid = cs.LineGrid(cs.CellGrid(64, 1.0), 4, "periodic")
-    u0 = random_zero_mean(grid, 4)
-    steps = [0]
-
-    def counted_step(*args):
-        steps[0] += 1
-        return step(*args)
-
-    step = evolution.step
-    monkeypatch.setattr(evolution, "step", counted_step)
-    for n_steps in (10, 100):
-        steps[0], counts = 0, [0]
-        cs.evolve(initial_state(grid, u0), _counting(g, counts), 0.02,
-                  cs.StepPolicy(dt_max=0.02 / n_steps))
-        assert steps[0] == n_steps
-        assert counts[0] == 0, f"{counts[0]} flux callable calls in {n_steps} steps"
-
-    # a whole run, with the raw and the normalized flux counted, and the
-    # stationary command's family build and residual check
-    counts = [0]
+def test_runs_and_family_builds_never_call_the_tracer_slots(monkeypatch, tmp_path):
+    # instrumentation fills the four slots with dataclasses.replace; a run,
+    # the verify trials and the stationary command's family build and
+    # residual check complete with every slot raising
     builtin, normalize = scenarios.builtin_flux, scenarios.normalize_about_wp
-    monkeypatch.setattr(scenarios, "builtin_flux",
-                        lambda *args: _counting(builtin(*args), counts))
+    monkeypatch.setattr(scenarios, "builtin_flux", lambda *args: _raising_slots(builtin(*args)))
     monkeypatch.setattr(scenarios, "normalize_about_wp",
-                        lambda *args: _counting(normalize(*args), counts))
+                        lambda *args: _raising_slots(normalize(*args)))
     config = cs.ScenarioConfig.from_dict({
         "flux": {"label": "forced_burgers", "params": {"amplitude": 0.5}},
         "grid": {"n_cells_per_period": 32, "n_periods": 8, "boundary_mode": "periodic"},
@@ -391,15 +377,51 @@ def test_evolve_reads_the_flux_through_its_coefficients_only(monkeypatch, tmp_pa
     })
     setup = cs.prepare_run(config)
     cs.run_scenario(setup, tmp_path)
-    flux, cell = _counting(forced(), counts), cs.CellGrid(32, 1.0)
+    verdicts = cs.semigroup_trials(config.flux, config.line_grid, 0.05, 1, 0)
+    assert all(v["passed"] for v in verdicts.values())
+    flux, cell = _raising_slots(forced()), cs.CellGrid(32, 1.0)
     family = cs.build_family(flux, -1.0, 1.0, 16, cell)
     for row in family.profiles:
         cs.cell_residual(flux, row, cell)
-    assert counts[0] == 0, f"{counts[0]} flux callable calls in a run and a family build"
-    # the counters were live: the run held the counted fluxes
-    setup.flux_normalized.d_x(0.0, 0.0)
-    setup.family_raw.flux.eval(0.0, 0.0)
-    assert counts[0] == 2
+    # the raising slots were live: the run held the fluxes that carry them
+    for held in (setup.flux_normalized, setup.family_raw.flux, config.flux):
+        with pytest.raises(AssertionError, match="tracer slot d_x"):
+            held.d_x(0.0, 0.0)
+
+
+def test_evolve_samples_the_coefficients_once_per_run(monkeypatch):
+    g = normalized_forced()
+    calls = [0]
+
+    def counted(coefficient):
+        if not callable(coefficient):
+            return coefficient
+
+        def call(x):
+            calls[0] += 1
+            return coefficient(x)
+        return call
+
+    counted_flux = cs.FluxModel(g.label, g.period, tuple(map(counted, g.coefficients)))
+    grid = cs.LineGrid(cs.CellGrid(64, 1.0), 4, "periodic")
+    u0 = random_zero_mean(grid, 4)
+    steps = [0]
+
+    def counted_step(*args):
+        steps[0] += 1
+        return step(*args)
+
+    step = evolution.step
+    monkeypatch.setattr(evolution, "step", counted_step)
+    reads = []
+    for n_steps in (10, 100):
+        steps[0], calls[0] = 0, 0
+        cs.evolve(initial_state(grid, u0), counted_flux, 0.02,
+                  cs.StepPolicy(dt_max=0.02 / n_steps))
+        assert steps[0] == n_steps
+        reads.append(calls[0])
+    # the shifted c1 is the one function of x: one kernel, one read
+    assert reads == [1, 1]
 
 
 def test_step_refuses_a_kernel_built_for_another_grid():
@@ -433,14 +455,14 @@ def test_step_refuses_a_kernel_built_for_another_grid():
 ], ids=["constant_flux_burgers", "forced_burgers", "periodic_advection", "custom_table",
         "normalized_forced_burgers"])
 def test_kernel_samples_equal_the_flux_callables(flux, boundary_mode):
-    # the kernel reads the coefficients, the callables derive from them: the
-    # two must agree value for value, or a run's bytes would move
+    # the kernel holds f, d_u f and d_uu f at u = 0 on the faces, as the
+    # flux's sampled coefficients give them, value for value
     grid = cs.LineGrid(cs.CellGrid(64, flux.period), 3, boundary_mode)
     kernel = cs.StepKernel.from_flux(flux, grid)
     faces = kernel_faces(grid)
     at_faces = np.zeros_like(faces)
-    f1, f2 = flux.d_u(at_faces, faces), flux.d_uu(at_faces, faces)
-    assert np.array_equal(kernel.f0, flux.eval(at_faces, faces))
+    f1, f2 = flux_speed(flux, at_faces, faces), flux_curvature(flux, at_faces, faces)
+    assert np.array_equal(kernel.f0, flux_value(flux, at_faces, faces))
     assert np.array_equal(kernel.f1_pos, np.maximum(f1, 0.0))
     assert np.array_equal(kernel.f1_neg, np.minimum(f1, 0.0))
     assert np.array_equal(kernel.half_f2, 0.5 * f2)
@@ -700,6 +722,40 @@ def test_a_snapshot_at_the_start_within_the_slack_is_observed_once(early):
     assert series.column("t").tolist() == [1.0]
     with pytest.raises(ValueError, match="snapshot times must lie within"):
         cs.evolve(state, forced(), 1.5, snapshot_times=(1.0 - 2e-12, 1.5))
+
+
+def test_a_snapshot_within_the_slack_past_t_end_ends_the_run_at_t_end():
+    grid = periodic_line()
+    state = initial_state(grid, random_zero_mean(grid, 3))
+    observer = lambda s: {"l1_dist": float(np.abs(s.u).sum())}
+    for late in (5e-13, evolution.TIME_SLACK, -5e-13):
+        final, series = cs.evolve(state, forced(), 1.0, snapshot_times=[0.5, 1.0 + late],
+                                  observers=[observer])
+        assert final.time == 1.0
+        assert series.column("t").tolist() == [0.5, 1.0]
+    # the start is an ordinary target: observed once when listed, never otherwise
+    _, series = cs.evolve(state, forced(), 0.5, snapshot_times=[0.5], observers=[observer])
+    assert series.column("t").tolist() == [0.5]
+
+
+def test_a_run_shorter_than_the_slack_takes_no_step(monkeypatch):
+    grid = periodic_line()
+    state = initial_state(grid, random_zero_mean(grid, 3))
+    steps = counted_steps(monkeypatch)
+    final, series = cs.evolve(state, forced(), 5e-13, snapshot_times=[0.0, 5e-13],
+                              observers=[lambda s: {"l1_dist": 0.0}])
+    assert steps == [] and final.time == 5e-13 and final.u is state.u
+    # both ends are one time: the snapshots share the start's observation
+    assert series.column("t").tolist() == [0.0]
+    # the verify trials end their march by the same slack
+    trial_steps = []
+    monkeypatch.setattr(scenarios, "step",
+                        lambda *args: trial_steps.append(args[2]) or evolution.step(*args))
+    cs.semigroup_trials(forced(), grid, 5e-13, 1, 0)
+    assert trial_steps == []
+    cs.semigroup_trials(forced(), grid, 2e-12, 1, 0)
+    # one step of each state of both pairs
+    assert trial_steps == [2e-12] * 4
 
 
 def counted_steps(monkeypatch):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from oracles import flux_curvature, flux_speed, flux_value
 
-from convstab import CellGrid, builtin_flux, normalize_about_wp, solve_stationary
+from convstab import CellGrid, FluxModel, builtin_flux, normalize_about_wp, solve_stationary
 from convstab.grids import _periodic_spline
 
 LABELS = ("constant_flux_burgers", "forced_burgers", "periodic_advection", "custom_table")
@@ -21,17 +22,15 @@ SHIFT_PARAMS = {
 
 
 def _fd_check(flux, seed=0, n=200, delta=1e-6):
-    """Worst mismatch between analytic derivatives and central differences."""
+    """Worst mismatch between the sampled u-derivatives and central differences."""
     rng = np.random.default_rng(seed)
     u = rng.uniform(-2.0, 2.0, n)
     x = rng.uniform(0.0, flux.period, n)
-    du = (flux.eval(u + delta, x) - flux.eval(u - delta, x)) / (2 * delta)
-    duu = (flux.d_u(u + delta, x) - flux.d_u(u - delta, x)) / (2 * delta)
-    dx = (flux.eval(u, x + delta) - flux.eval(u, x - delta)) / (2 * delta)
+    du = (flux_value(flux, u + delta, x) - flux_value(flux, u - delta, x)) / (2 * delta)
+    duu = (flux_speed(flux, u + delta, x) - flux_speed(flux, u - delta, x)) / (2 * delta)
     return max(
-        np.abs(du - flux.d_u(u, x)).max(),
-        np.abs(duu - flux.d_uu(u, x)).max(),
-        np.abs(dx - flux.d_x(u, x)).max(),
+        np.abs(du - flux_speed(flux, u, x)).max(),
+        np.abs(duu - flux_curvature(flux, u, x)).max(),
     )
 
 
@@ -49,8 +48,8 @@ def test_periodicity_in_x(label):
     rng = np.random.default_rng(3)
     u = rng.uniform(-2.0, 2.0, 100)
     x = rng.uniform(0.0, flux.period, 100)
-    for fn in (flux.eval, flux.d_u, flux.d_x):
-        gap = np.abs(fn(u, x + flux.period) - fn(u, x)).max()
+    for fn in (flux_value, flux_speed):
+        gap = np.abs(fn(flux, u, x + flux.period) - fn(flux, u, x)).max()
         assert gap < 1e-12, f"{label}: period-{flux.period} shift changes values by {gap:.2e}"
 
 
@@ -58,9 +57,10 @@ def test_constant_flux_burgers_closed_form():
     flux = builtin_flux("constant_flux_burgers")
     u = np.linspace(-3, 3, 13)
     x = np.zeros_like(u)
-    assert np.array_equal(flux.eval(u, x), 0.5 * u * u)
-    assert np.array_equal(flux.d_u(u, x), u)
-    assert np.all(flux.d_x(u, x) == 0.0)
+    assert np.array_equal(flux_value(flux, u, x), 0.5 * u * u)
+    assert np.array_equal(flux_speed(flux, u, x), u)
+    c0, c1, c2 = flux.sample(x + 0.37)
+    assert np.all(c0 == 0.0) and np.all(c1 == 0.0) and np.all(c2 == 1.0)
 
 
 def test_forced_burgers_closed_form_and_zero_at_origin():
@@ -68,9 +68,9 @@ def test_forced_burgers_closed_form_and_zero_at_origin():
     x = np.linspace(0.0, 1.0, 17, endpoint=False)
     u = np.linspace(-2.0, 2.0, 17)
     expected = 0.5 * u * u + 0.5 * np.sin(2 * np.pi * x) * u
-    assert np.allclose(flux.eval(u, x), expected, atol=1e-15)
+    assert np.allclose(flux_value(flux, u, x), expected, atol=1e-15)
     # f(0, x) = 0: the zero state is stationary
-    assert np.all(flux.eval(np.zeros_like(x), x) == 0.0)
+    assert np.all(flux_value(flux, np.zeros_like(x), x) == 0.0)
 
 
 def test_periodic_advection_is_linear_in_u():
@@ -78,16 +78,16 @@ def test_periodic_advection_is_linear_in_u():
     x = np.linspace(0.0, 1.0, 11, endpoint=False)
     u = np.linspace(-2.0, 2.0, 11)
     a = 1.0 + 0.5 * np.cos(2 * np.pi * x)
-    assert np.allclose(flux.eval(u, x), a * u, atol=1e-15)
-    assert np.all(flux.d_uu(u, x) == 0.0)
+    assert np.allclose(flux_value(flux, u, x), a * u, atol=1e-15)
+    assert np.all(flux_curvature(flux, u, x) == 0.0)
 
 
 def test_custom_table_defaults_to_zero_flux():
     flux = builtin_flux("custom_table")
     u = np.linspace(-2.0, 2.0, 9)
     x = np.linspace(0.0, 1.0, 9, endpoint=False)
-    assert np.all(flux.eval(u, x) == 0.0)
-    assert np.all(flux.d_u(u, x) == 0.0)
+    assert np.all(flux_value(flux, u, x) == 0.0)
+    assert np.all(flux_speed(flux, u, x) == 0.0)
 
 
 # every number parameter each label reads
@@ -166,7 +166,7 @@ def test_unknown_label_and_leftover_params_raise():
 
 
 def _normalized(label):
-    """(f, w_p, g, the cell grid, the spline of w_p as (value, slope))."""
+    """(f, w_p, g, the cell grid, the spline of w_p)."""
     flux = builtin_flux(label, SHIFT_PARAMS.get(label))
     grid = CellGrid(64, flux.period)
     w = solve_stationary(flux, 0.7, grid)
@@ -179,28 +179,48 @@ def test_normalize_about_wp_vanishes_at_zero(label):
     _, _, g, grid, _ = _normalized(label)
     for x in (grid.centers(), grid.centers() + grid.h / 3):
         z = np.zeros_like(x)
-        assert np.all(g.eval(z, x) == 0.0), "normalized flux must vanish on the zero state"
+        assert np.all(flux_value(g, z, x) == 0.0), "normalized flux must vanish on the zero state"
 
 
 @pytest.mark.parametrize("label", LABELS)
 def test_normalize_about_wp_is_a_shift_of_the_original(label):
-    flux, w, g, grid, (w_of, dw_of) = _normalized(label)
+    flux, w, g, grid, w_of = _normalized(label)
     x = grid.centers()
     rng = np.random.default_rng(5)
     v = rng.uniform(-1.0, 1.0, x.size)
-    expected = flux.eval(w.values + v, x) - flux.eval(w.values, x)
-    assert np.allclose(g.eval(v, x), expected, atol=1e-14)
-    assert np.allclose(g.d_u(v, x), flux.d_u(w.values + v, x), atol=1e-14)
-    # off the knots w is the spline; d_x g carries the chain rule through w'
+    expected = flux_value(flux, w.values + v, x) - flux_value(flux, w.values, x)
+    assert np.allclose(flux_value(g, v, x), expected, atol=1e-14)
+    assert np.allclose(flux_speed(g, v, x), flux_speed(flux, w.values + v, x), atol=1e-14)
+    # off the knots w is the spline
     y = x + grid.h / 3
-    wy, dwy = w_of(y), dw_of(y)
-    assert np.allclose(g.eval(v, y), flux.eval(wy + v, y) - flux.eval(wy, y), atol=1e-14)
-    assert np.allclose(g.d_u(v, y), flux.d_u(wy + v, y), atol=1e-14)
-    assert np.allclose(g.d_uu(v, y), flux.d_uu(wy + v, y), atol=1e-14)
-    d_x = (flux.d_x(wy + v, y) - flux.d_x(wy, y)
-           + (flux.d_u(wy + v, y) - flux.d_u(wy, y)) * dwy)
-    assert np.allclose(g.d_x(v, y), d_x, atol=1e-13)
+    wy = w_of(y)
+    assert np.allclose(flux_value(g, v, y),
+                       flux_value(flux, wy + v, y) - flux_value(flux, wy, y), atol=1e-14)
+    assert np.allclose(flux_speed(g, v, y), flux_speed(flux, wy + v, y), atol=1e-14)
+    assert np.allclose(flux_curvature(g, v, y), flux_curvature(flux, wy + v, y), atol=1e-14)
     worst = _fd_check(g)
     assert worst < 5e-9, f"{label}: normalized flux vs FD derivative mismatch {worst:.2e}"
     assert g.period == flux.period
     assert g.label == f"{label}_shifted"
+
+
+@pytest.mark.parametrize("position, coefficients", [
+    (1, (0.0, (np.sin, np.cos), 1.0)),
+    (0, ("0.5", 0.0, 1.0)),
+    (2, (0.0, 0.0, None)),
+    (2, (0.0, 0.0, True)),
+])
+def test_a_coefficient_neither_real_nor_callable_raises_naming_its_position(position,
+                                                                           coefficients):
+    # the retired (value, slope) pair included: refused at construction, not in sample
+    with pytest.raises(ValueError, match=f"flux coefficient c{position} must be a real number"):
+        FluxModel("retired", 1.0, coefficients)
+
+
+def test_coefficients_are_numbers_or_functions_and_the_tracer_slots_stay_empty():
+    flux = FluxModel("mixed", 2.0, (np.float64(0.25), lambda x: np.cos(np.pi * x), 1))
+    x = np.linspace(0.0, 2.0, 7)
+    c0, c1, c2 = flux.sample(x)
+    assert np.all(c0 == 0.25) and np.array_equal(c1, np.cos(np.pi * x)) and np.all(c2 == 1.0)
+    for made in (flux, builtin_flux("forced_burgers"), _normalized("forced_burgers")[2]):
+        assert (made.eval, made.d_u, made.d_uu, made.d_x) == (None, None, None, None)

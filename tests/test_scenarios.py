@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,6 +26,7 @@ from convstab import (
 )
 from convstab import evolution, fluxes, scenarios
 from convstab.scenarios import ScenarioConfig
+from oracles import flux_value
 
 
 def base_document():
@@ -305,8 +307,9 @@ def test_the_table_declares_eighteen_number_keys():
         "snapshot_schedule.count", "fit.t_hi"}
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
-                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e300, -1e308,
+                                   json.loads("1" + "0" * 101)],
+                         ids=["nan", "inf", "-inf", "1e300", "-1e308", "int_1e101"])
 @pytest.mark.parametrize("path, named", NUMBER_KEYS, ids=[n for _, n in NUMBER_KEYS])
 def test_every_number_key_must_be_finite(path, named, value):
     doc = base_document()
@@ -315,7 +318,9 @@ def test_every_number_key_must_be_finite(path, named, value):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    with pytest.raises(ConfigError, match=rf"^{re.escape(named)} must be finite"):
+    # a finite magnitude past PARAMETER_LIMIT = 1e100 names the limit
+    tail = ", got" if not np.isfinite(float(value)) else r" and at most 1e\+100 in magnitude"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(named)} must be finite{tail}"):
         ScenarioConfig.from_dict(doc)
 
 
@@ -444,6 +449,37 @@ def test_gaussian_bump_is_positive_with_requested_amplitude():
     assert values.max() == pytest.approx(0.3, rel=1e-3)
 
 
+@pytest.mark.parametrize("center, width", [(1e100, 1e100), (-1e100, 1e-300), (0.0, 1e-300),
+                                           (1e100, 1e-300), (0.3, 1e-160), (2.0, 1e-100)])
+def test_gaussian_is_quiet_for_every_accepted_center_and_width(center, width):
+    x = line_grid().centers()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = scenarios._gaussian(x, center, width)
+        spike = scenarios._gaussian(np.array([center]), center, width)
+    assert np.all((values >= 0.0) & (values <= 1.0)) and spike.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("shape, center, width", [
+    ("gaussian_bump", 1e100, 0.5),
+    ("gaussian_bump", -1e100, 1e40),
+    ("gaussian_bump", 0.0, 1e-300),
+    ("dipole", 2.0, 1e-300),
+    ("dipole", 1e100, 0.5),
+    ("random_zero_mean", 0.0, 1e-300),
+])
+def test_a_perturbation_zero_on_every_cell_names_center_and_width(shape, center, width):
+    spec = PerturbationSpec(shape, 0.3, width, center, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"^initial\.center and initial\.width place the "
+                                              r"perturbation off every cell"):
+            perturbation_values(spec, line_grid())
+    # a zero amplitude asks for the zero field
+    zero = PerturbationSpec(shape, 0.0, width, center, 1)
+    assert not perturbation_values(zero, line_grid()).any()
+
+
 # ---------------------------------------------------------------------------
 # prepared runs
 
@@ -488,7 +524,7 @@ def test_prepare_run_weight_is_positive_unit_mean(prepared):
 
 def test_prepare_run_normalized_flux_kills_the_background(prepared):
     x = prepared.config.line_grid.cell.centers()
-    assert np.all(prepared.flux_normalized.eval(np.zeros_like(x), x) == 0.0)
+    assert np.all(flux_value(prepared.flux_normalized, np.zeros_like(x), x) == 0.0)
 
 
 def test_run_scenario_writes_reproducible_artifacts(tmp_path, prepared):
