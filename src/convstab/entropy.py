@@ -11,26 +11,26 @@ pi(t, x) = p(u(t, x), x), and
 
     eta(u, x) = integral_0^{pi} (u - w_p(x)) dp
 
-is the entropy density.  Because the interpolant is cubic on each p-interval,
-eta is evaluated by integrating it exactly rather than by sampling: each cubic
-Hermite piece integrates in closed form to h (y_k + y_{k+1}) / 2 +
-h^2 (d_k - d_{k+1}) / 12, a running sum of those gives the integral at the
-knots, and the cubic's antiderivative fills in between.  The result is the
-exact integral of the same interpolant the inversion uses, so the two are
-consistent to roundoff and eta inherits nonnegativity from its monotonicity.
+is the entropy density.
 
-The inversion brackets u between two knot profiles and solves the cubic on
-that p-interval by Newton's method from the secant, with a sign bracket and
-a midpoint fallback.  The cubic is evaluated about the knot nearer to u (both
-forms come from the same knot values and slopes), so values next to a knot
-profile, such as the zero member of a shifted family, come back with their
-relative accuracy.  A cell stops at the round-off floor of its Horner
-evaluation, 8 eps (sum_j |c_j| |s|^j + |u|), or once its step is at most
-2^-60 of the interval width; no call runs more than 64 rounds.
+One routine brackets u between two knot profiles and forms that interval's
+cubic about the knot nearer to u (both forms come from the same knot values
+and slopes), so values next to a knot profile, such as the zero member of a
+shifted family, come back with their relative accuracy.  It solves the cubic
+by Newton's method from the secant, with a sign bracket and a midpoint
+fallback.  A cell stops at the round-off floor of its Horner evaluation,
+8 eps (sum_j |c_j| |s|^j + |u|), or once its step is at most 2^-60 of the
+interval width; no call runs more than 64 rounds.  The same cubic then gives
+the rest: integral_0^{pi} w is the integral at that knot plus the cubic's
+antiderivative from the knot to pi, and dw/dp is its derivative at pi.  Each
+cubic Hermite piece integrates in closed form to h (y_k + y_{k+1}) / 2 +
+h^2 (d_k - d_{k+1}) / 12, and a running sum of those, less its value at
+p = 0, gives the integral at every knot.  So eta is the exact integral of the
+interpolant the inversion solves, consistent with it to roundoff, and next to
+the zero member it keeps its relative accuracy too.
 
-The dissipation h sum dpw(pi_i, x_i) (D pi)_i^2 reads dpw as the derivative
-of the same cubic and uses centered differences of pi (wrap-around on
-periodic domains, one-sided end stencils otherwise).
+The dissipation h sum dpw(pi_i, x_i) (D pi)_i^2 uses centered differences of
+pi (wrap-around on periodic domains, one-sided end stencils otherwise).
 ``eta_field`` takes a ``FamilyInterpolant``, built once per family and reused
 for every state.
 """
@@ -42,7 +42,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .evolution import State
+from .evolution import TIME_SLACK, State
 from .grids import _next, _prev, _readonly
 from .stationary import StationaryFamily
 
@@ -68,14 +68,6 @@ class FamilyRangeError(ValueError):
 SLOPE_RATIO_LIMIT = 3.0
 
 
-def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Evaluate per-cell polynomials (coefficient rows, highest first) at s."""
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        acc = acc * s + c
-    return acc
-
-
 def _hermite(h, m, d0, d1, y0, y1, right=False):
     """Cubic Hermite coefficient rows, highest power first, of the intervals
     of width h, secant m, end slopes d0, d1 and end values y0, y1: in
@@ -93,9 +85,9 @@ def _knot_integrals(h, y, d) -> np.ndarray:
     return np.concatenate([np.zeros_like(y[:1]), np.cumsum(pieces, axis=0)])
 
 
-def _rows_at(table: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """table[:, k, cells] of an (r, M, n) table, given the flat index of (k, cells)."""
-    return np.take(table.reshape(table.shape[0], -1), at, axis=1)
+def _antiderivative(c3, c2, c1, c0, s):
+    """integral_0^s of the cubic ((c3 s + c2) s + c1) s + c0."""
+    return (((c3 / 4.0 * s + c2 / 3.0) * s + c1 / 2.0) * s + c0) * s
 
 
 @dataclass(frozen=True)
@@ -108,10 +100,10 @@ class FamilyInterpolant:
     the cubic the inversion solves.  Its coefficients are those of scipy's
     ``CubicHermiteSpline(p_grid, profiles, dp_profiles)`` bit for bit.  The
     cubic is held as its knot values and slopes, and each evaluation forms
-    the cubics of the cells it needs, so the inversion can take the same cubic
-    about either knot.  One (5, M, n) table holds the cubic's antiderivative
-    from p = 0 (the constant row in closed form), read at per-cell p -- every
-    cell sits at its own pi -- with one interval search and one gather.
+    the cubics of the cells it needs, about either knot.  One (M + 1, n)
+    table holds integral_0^{p_k} w at every knot, in closed form; the
+    integral to any pi adds the antiderivative of the cubic the inversion
+    solved, from its knot to pi.
 
     Each piece is monotone when both end slopes are at most
     ``SLOPE_RATIO_LIMIT`` = 3 times its secant (Fritsch & Carlson 1980), so a
@@ -126,10 +118,9 @@ class FamilyInterpolant:
         object.__setattr__(self, "_p", p)
         object.__setattr__(self, "_values", values)
         hk = np.diff(p)[:, None]
-        mk = np.diff(values, axis=0) / hk
         # slopes are positive, so a ratio <= 0 is a column that does not increase
         with np.errstate(divide="ignore"):
-            ratio = np.maximum(slopes[:-1], slopes[1:]) / mk
+            ratio = np.maximum(slopes[:-1], slopes[1:]) / (np.diff(values, axis=0) / hk)
         outside = ~((ratio > 0) & (ratio <= SLOPE_RATIO_LIMIT))
         if outside.any():
             k, cell = np.unravel_index(np.argmax(np.where(outside, np.abs(ratio), -1.0)),
@@ -140,22 +131,20 @@ class FamilyInterpolant:
                 f"(0, {SLOPE_RATIO_LIMIT:g}], where the Hermite cubic is monotone; "
                 "build the family with a larger family.M"
             )
-        w_coeffs = np.stack(_hermite(hk, mk, slopes[:-1], slopes[1:], values[:-1], values[1:]))
-        table = np.empty((5,) + w_coeffs.shape[1:])
-        table[:4] = w_coeffs / np.array([4.0, 3.0, 2.0, 1.0])[:, None, None]
-        # the constant row: integral_{p_min}^{p_k} w, less integral_{p_min}^0 w
-        table[4] = _knot_integrals(hk, values, slopes)[:-1]
+        # integral_{p_min}^{p_k} w, less integral_{p_min}^0 w (exactly 0 at a knot p = 0)
+        integrals = _knot_integrals(hk, values, slopes)
         j, s = self._locate(0.0)
-        table[4] -= _horner(table[:, j], s)
-        object.__setattr__(self, "_table", table)
+        integrals -= integrals[j] + _antiderivative(
+            *_hermite(*self._hermite_data(j, np.arange(values.shape[1]))), s)
+        object.__setattr__(self, "_integrals", integrals)
 
     def _locate(self, p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         j = np.clip(np.searchsorted(self._p, p, side="right") - 1, 0, self._p.size - 2)
         return j, p - self._p[j]
 
     def _flat(self, k, cells):
-        """Flat index of (k, cells) in a table of n columns, (M + 1, n) or
-        (M, n): a gather at it costs a fraction of one at [k, cells]."""
+        """Flat index of (k, cells) in an (M + 1, n) table: a gather at it
+        costs a fraction of one at [k, cells]."""
         return k * self._values.shape[1] + cells
 
     def _hermite_data(self, k, cells):
@@ -167,15 +156,6 @@ class FamilyInterpolant:
         y0, y1 = values[at], values[at + n]
         h = self._p[k + 1] - self._p[k]
         return h, (y1 - y0) / h, slopes[at], slopes[at + n], y0, y1
-
-    def _integral_and_dp(self, p: np.ndarray, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """integral_0^{p} w_q(x_i) dq and dw/dp, both exact for the
-        interpolant, at per-cell p values.  Rows 0-2 of the table hold c3 / 4,
-        c2 / 3 and c1 / 2, so dw/dp = 3 c3 s^2 + 2 c2 s + c1 is Horner over
-        12, 6 and 2 times them."""
-        j, s = self._locate(p)
-        rows = _rows_at(self._table, self._flat(j, cells))
-        return _horner(rows, s), (12.0 * rows[0] * s + 6.0 * rows[1]) * s + 2.0 * rows[2]
 
     def _bracket(self, u: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Per cell, the largest k <= M - 1 with values[k, cell] <= u, by
@@ -209,6 +189,12 @@ class FamilyInterpolant:
         FamilyRangeError (a relative slack of 1e-10 absorbs roundoff by
         clamping to the end knot).
         """
+        return self._solve(u, cells)[0]
+
+    def _solve(self, u, cells) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``invert``'s pi, with integral_0^{pi} w_q(x_i) dq and dw/dp at pi,
+        both read from the cubic the inversion solved: the knot integral plus
+        its antiderivative from the knot to pi, and its derivative at pi."""
         u = np.asarray(u, dtype=float)
         cells = np.asarray(cells, dtype=int)
         n = self._values.shape[1]
@@ -233,7 +219,8 @@ class FamilyInterpolant:
         data = self._hermite_data(k, cells)
         width, secant, _, _, y_lo, y_hi = data
         right = y_hi - u < u - y_lo
-        c3, c2, c1, c0 = _hermite(*data, right)
+        cubic = _hermite(*data, right)
+        c3, c2, c1, c0 = cubic
         # s = p - origin on [lo, hi]; at u equal to a knot value s stays 0
         p_lo, p_hi = self._p[k], self._p[k + 1]
         origin = np.where(right, p_hi, p_lo)
@@ -260,8 +247,10 @@ class FamilyInterpolant:
                     break
                 live, s, lo, hi, u, tol = live[go], nxt[go], lo[go], hi[go], u[go], tol[go]
                 c3, c2, c1, c0 = c3[go], c2[go], c1[go], c0[go]
+        knot = self._integrals.ravel()[self._flat(k + right, cells)]
+        dpw = (3.0 * cubic[0] * out + 2.0 * cubic[1]) * out + cubic[2]
         # origin + s may round past the far knot of the bracket
-        return np.clip(origin + out, p_lo, p_hi)
+        return np.clip(origin + out, p_lo, p_hi), knot + _antiderivative(*cubic, out), dpw
 
 
 @dataclass(frozen=True)
@@ -298,19 +287,19 @@ def eta_field(interpolant: FamilyInterpolant, state: State) -> EntropyField:
     eta_i = u_i pi_i - integral_0^{pi_i} w_p(x_i) dp, with the integral taken
     exactly on the family interpolant.  Roundoff can leave eta a hair below
     zero near pi = 0; anything above -1e-12 (1 + pi^2) is clamped, anything
-    below that raises, since it would mean the interpolant lost monotonicity.
+    below that raises FamilyRangeError, since it would mean the interpolant
+    lost monotonicity.
     """
     cells = _cell_phase(state, interpolant.family)
     u = state.u
-    pi = interpolant.invert(u, cells)
-
-    integral, dpw = interpolant._integral_and_dp(pi, cells)
+    pi, integral, dpw = interpolant._solve(u, cells)
     eta = u * pi - integral
     floor = -1e-12 * (1.0 + pi**2)
     if np.any(eta < floor):
         worst = int(np.argmin(eta - floor))
-        raise ValueError(
-            f"eta = {float(eta[worst])!r} at cell {worst} is negative beyond roundoff"
+        raise FamilyRangeError(
+            f"eta = {float(eta[worst])!r} at cell {worst} is negative beyond roundoff: "
+            "the family interpolant is not monotone there"
         )
     eta = np.maximum(eta, 0.0)
 
@@ -351,7 +340,7 @@ def dispersion_fit(diagnostics, window: Tuple[float, float]) -> DispersionFit:
         raise ValueError(f"window must satisfy 0 < t_lo < t_hi, got {window}")
     times = diagnostics.column("t")
     dists = diagnostics.column("l2_dist")
-    mask = (times >= t_lo - 1e-12) & (times <= t_hi + 1e-12) & ~np.isnan(dists)
+    mask = (times >= t_lo - TIME_SLACK) & (times <= t_hi + TIME_SLACK) & ~np.isnan(dists)
     if mask.sum() < 8:
         raise ValueError(
             f"dispersion fit needs >= 8 snapshots in [{t_lo}, {t_hi}], "

@@ -448,7 +448,7 @@ class ScenarioConfig:
             lo, hi = self.fit_window
             if not 0 < lo < hi:
                 raise ConfigError(f"fit window must satisfy 0 < t_lo < t_hi, got {self.fit_window}")
-            if lo < times.min() - 1e-12 or hi > times.max() + 1e-12:
+            if lo < times.min() - TIME_SLACK or hi > times.max() + TIME_SLACK:
                 raise ConfigError(
                     f"fit window {self.fit_window} lies outside the snapshot "
                     f"range [{times.min()}, {times.max()}]"
@@ -460,7 +460,7 @@ class ScenarioConfig:
                     "the dispersion_exponent check needs a fit window "
                     "(the dispersion command infers one from a log snapshot schedule)")
             lo, hi = self.fit_window
-            in_window = int(np.sum((times >= lo - 1e-12) & (times <= hi + 1e-12)))
+            in_window = int(np.sum((times >= lo - TIME_SLACK) & (times <= hi + TIME_SLACK)))
             if in_window < 8:
                 raise ConfigError(f"dispersion fit window {self.fit_window} holds only "
                                   f"{in_window} snapshots; at least 8 are required")
@@ -538,8 +538,8 @@ def perturbation_values(spec: PerturbationSpec, grid: LineGrid) -> np.ndarray:
     lobe at midpoint - center and its negative lobe at midpoint + center;
     random_zero_mean draws six signed bumps in the middle 60% of the domain.
     Both are balanced to zero discrete sum up to summation roundoff.  A
-    nonzero amplitude whose field is zero on every cell raises ConfigError
-    naming initial.center and initial.width.
+    nonzero amplitude whose field is zero on every cell, off the grid or with
+    cancelling lobes, raises ConfigError naming initial.center and initial.width.
     """
     x = grid.centers()
     mid = 0.5 * grid.length
@@ -561,8 +561,8 @@ def perturbation_values(spec: PerturbationSpec, grid: LineGrid) -> np.ndarray:
     if amp == 0.0:
         return raw
     if not raw.any():
-        raise ConfigError("initial.center and initial.width place the perturbation off "
-                          "every cell: it is zero on the whole grid")
+        raise ConfigError("initial.center and initial.width give a perturbation that is zero "
+                          "on every cell: it lies off the grid or its lobes cancel")
     return raw if spec.shape == "gaussian_bump" else _balance_signed(raw)
 
 

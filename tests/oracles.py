@@ -48,7 +48,7 @@ from convstab import (
     StepKernel,
     builtin_flux,
 )
-from convstab.entropy import _hermite, _horner
+from convstab.entropy import _hermite
 from convstab.fluxes import FluxSamples
 from convstab.grids import _next, _prev
 from convstab.stationary import NEWTON_DAMPING, NEWTON_MAX_ITERATIONS, NEWTON_TOLERANCE
@@ -212,6 +212,14 @@ def load_family(path) -> StationaryFamily:
     )
     assert family.alpha == payload["alpha"], "alpha is the least dp_profiles value"
     return family
+
+
+def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Evaluate per-cell polynomials (coefficient rows, highest first) at s."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * s + c
+    return acc
 
 
 def profile_at(interp: FamilyInterpolant, p, cells) -> np.ndarray:

@@ -30,8 +30,8 @@ from convstab import (
     nash_ratio,
     normalize_about_wp,
 )
-from convstab.entropy import SLOPE_RATIO_LIMIT, EntropyField, _hermite, _horner, _knot_integrals
-from oracles import entropy_balance_check, profile_at
+from convstab.entropy import SLOPE_RATIO_LIMIT, EntropyField, _hermite, _knot_integrals
+from oracles import _horner, entropy_balance_check, profile_at
 
 
 def forced():
@@ -157,6 +157,13 @@ def pinned_family():
     return shifted_about(family, 32)
 
 
+@pytest.fixture(scope="module")
+def canonical_family():
+    # the canonical run's family (128 cells, M = 32), shifted about its p = 0 member
+    family = build_family(forced(), -2.0, 2.0, 32, CellGrid(128, 1.0))
+    return shifted_about(family, 16)
+
+
 @pytest.mark.parametrize("u", [1e-30, -1e-30, 1e-20, -1e-20])
 def test_invert_keeps_sign_and_relative_accuracy_next_to_a_zero_member(pinned_family, u):
     interp = FamilyInterpolant(pinned_family)
@@ -232,16 +239,14 @@ def test_interpolant_coefficients_equal_scipy_bit_for_bit(forced_family):
     m, n = p.size - 1, forced_family.grid.n_cells
     formed = _hermite(*interp._hermite_data(np.repeat(np.arange(m), n), np.tile(np.arange(n), m)))
     assert _same_bits(np.stack(formed).reshape(4, m, n), w_oracle.c)
-    # the antiderivative's power rows, bit for bit, in a (5, M, n) table
+    # the (M + 1, n) knot-integral table is the closed-form integral from
+    # p = 0 to each knot; scipy's antiderivative sums the pieces otherwise
+    # (measured gap 4.4e-16 against a largest entry of 0.54)
     anti = w_oracle.antiderivative()
-    assert interp._table.shape == (5, m, n)
-    assert _same_bits(interp._table[:4], anti.c[:4])
-    # the constant row is the closed-form integral from p = 0 to each left
-    # knot; scipy's antiderivative sums the pieces otherwise (measured gap
-    # 3.9e-16 against a largest entry of 0.54)
-    want = anti.c[4] - anti(0.0)
-    gap = np.abs(interp._table[4] - want).max()
-    assert gap <= 8 * EPS * np.abs(want).max(), f"constant row off by {gap:.2e}"
+    want = anti(p) - anti(0.0)
+    assert interp._integrals.shape == (m + 1, n)
+    gap = np.abs(interp._integrals - want).max()
+    assert gap <= 8 * EPS * np.abs(want).max(), f"knot integrals off by {gap:.2e}"
 
 
 def test_hermite_coefficients_and_knot_integrals_match_scipy_with_arbitrary_slopes():
@@ -266,12 +271,16 @@ def test_hermite_coefficients_and_knot_integrals_match_scipy_with_arbitrary_slop
 
 def test_profile_integral_starts_at_zero(forced_family, constant_family):
     cells = np.arange(64)
-    integral, _ = FamilyInterpolant(forced_family)._integral_and_dp(np.zeros(64), cells)
-    assert np.all(integral == 0.0)
+    # the p = 0 member's own values invert to p = 0 exactly, where the
+    # integral is zero exactly
+    interp = FamilyInterpolant(forced_family)
+    assert forced_family.p_grid[16] == 0.0 and np.all(interp._integrals[16] == 0.0)
+    pi, integral, _ = interp._solve(forced_family.profiles[16], cells)
+    assert np.all(pi == 0.0) and np.all(integral == 0.0)
     # the constant flux's profiles are w_q = q, so the integral is p^2 / 2
     # and the mean derivative is 1
     p = np.linspace(-1.0, 1.0, 64)
-    integral, dp = FamilyInterpolant(constant_family)._integral_and_dp(p, cells)
+    _, integral, dp = FamilyInterpolant(constant_family)._solve(p, cells)
     assert np.abs(integral - 0.5 * p**2).max() < 1e-14
     assert np.abs(dp - 1.0).max() < 1e-14
 
@@ -284,18 +293,20 @@ def test_integral_and_dp_match_scipy_at_per_cell_p(which, forced_family, pinned_
     w = hermite_oracle(family).antiderivative()
     dp = hermite_oracle(family).derivative()
     rng = np.random.default_rng(23)
-    # random p per cell, every knot at every cell, and both ends of the family
-    at = np.concatenate([rng.uniform(p[0], p[-1], 2 * n), np.repeat(p, n), p[[0, -1]].repeat(n)])
-    cells = np.tile(np.arange(n), at.size // n)
-    integral, dpw = interp._integral_and_dp(at, cells)
+    # random p per cell, every knot at every cell, and both ends of the family,
+    # each given as its value on the interpolant; scipy is read at the pi found
+    p_star = np.concatenate([rng.uniform(p[0], p[-1], 2 * n), np.repeat(p, n),
+                             p[[0, -1]].repeat(n)])
+    cells = np.tile(np.arange(n), p_star.size // n)
+    at, integral, dpw = interp._solve(profile_at(interp, p_star, cells), cells)
     # scipy evaluates every cell at each p: one block of n p values at a time
     diagonal = lambda oracle: np.concatenate(
         [np.diagonal(oracle(block)) for block in at.reshape(-1, n)])
     want_integral = diagonal(w) - w(0.0)[cells]
     want_dp = diagonal(dp)
     # measured gaps: the integral 4.4e-16 (forced) and 3.1e-15 (pinned), 3.7
-    # and 6.5 eps of largest entries 0.54 and 2.2; dp 2.2e-16 against 1.08
-    # (0.93 eps): 6 (c2 / 3) is c2 up to one rounding
+    # and 6.5 eps of largest entries 0.54 and 2.2; dp 4.4e-16 against 1.08
+    # (1.9 eps) on both, from the cubic about the nearer knot
     gap = np.abs(integral - want_integral).max()
     assert gap <= 8 * EPS * np.abs(want_integral).max(), f"integral off by {gap:.2e}"
     gap = np.abs(dpw - want_dp).max()
@@ -312,8 +323,10 @@ def test_midpoints_match_the_refined_family():
     mid = fine.p_grid[1::2]
     assert np.array_equal(mid, (coarse.p_grid[:-1] + coarse.p_grid[1:]) / 2)
     at, cells = np.repeat(mid, 128), np.tile(np.arange(128), mid.size)
-    w_gap = np.abs(profile_at(interp, at, cells) - fine.profiles[1::2].ravel()).max()
-    dp_gap = np.abs(interp._integral_and_dp(at, cells)[1] - fine.dp_profiles[1::2].ravel()).max()
+    w = profile_at(interp, at, cells)
+    w_gap = np.abs(w - fine.profiles[1::2].ravel()).max()
+    # dw/dp at the pi of each midpoint's value on the interpolant
+    dp_gap = np.abs(interp._solve(w, cells)[2] - fine.dp_profiles[1::2].ravel()).max()
     assert w_gap < 2e-8, f"w off by {w_gap:.2e} at the midpoints"
     assert dp_gap < 4e-9, f"dw/dp off by {dp_gap:.2e} at the midpoints"
 
@@ -442,6 +455,34 @@ def test_eta_field_requires_values_in_range(forced_family):
     state = state_on(forced_family, np.full(128, 3.0))
     with pytest.raises(FamilyRangeError):
         eta_field(FamilyInterpolant(forced_family), state)
+
+
+def test_eta_below_roundoff_is_a_family_range_error_naming_the_cell(forced_family):
+    # knot integrals offset at one cell stand for an interpolant that lost
+    # monotonicity there: eta = u pi - integral reads about -1 at that cell
+    interp = FamilyInterpolant(forced_family)
+    integrals = interp._integrals.copy()
+    integrals[:, 37] += 1.0
+    object.__setattr__(interp, "_integrals", integrals)
+    with pytest.raises(FamilyRangeError, match=r"^eta = -\S+ at cell 37 is negative beyond roundoff"):
+        eta_field(interp, state_on(forced_family, np.zeros(128)))
+
+
+@pytest.mark.parametrize("u", [1e-20, -1e-20, 1e-8, -1e-8])
+@pytest.mark.parametrize("which", ["canonical", "pinned"])
+def test_eta_keeps_relative_accuracy_next_to_a_zero_member(which, u, canonical_family,
+                                                           pinned_family):
+    # eta = u^2 / (2 dw/dp) to leading order at the zero member, on either
+    # side of it: the integral is read from the cubic about that knot
+    # (measured 2.2e-16 relative at 1e-20 and 8.5e-11 at 1e-8, on both families)
+    family = canonical_family if which == "canonical" else pinned_family
+    zero = int(np.flatnonzero(family.p_grid == 0.0)[0])
+    assert np.all(family.profiles[zero] == 0.0)
+    n = family.grid.n_cells
+    field = eta_field(FamilyInterpolant(family), state_on(family, np.full(n, u), n_periods=1))
+    want = u**2 / (2.0 * family.dp_profiles[zero])
+    gap = np.abs(field.eta / want - 1.0).max()
+    assert gap <= 1e-8, f"eta off u^2 / (2 dw/dp) by {gap:.2e} relative at u = {u}"
 
 
 # ---------------------------------------------------------------------------

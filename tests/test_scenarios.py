@@ -467,13 +467,14 @@ def test_gaussian_is_quiet_for_every_accepted_center_and_width(center, width):
     ("dipole", 2.0, 1e-300),
     ("dipole", 1e100, 0.5),
     ("random_zero_mean", 0.0, 1e-300),
+    ("dipole", 0.0, 0.5),  # the lobes cancel on the grid
 ])
 def test_a_perturbation_zero_on_every_cell_names_center_and_width(shape, center, width):
     spec = PerturbationSpec(shape, 0.3, width, center, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigError, match=r"^initial\.center and initial\.width place the "
-                                              r"perturbation off every cell"):
+        with pytest.raises(ConfigError, match=r"^initial\.center and initial\.width give a "
+                                              r"perturbation that is zero on every cell"):
             perturbation_values(spec, line_grid())
     # a zero amplitude asks for the zero field
     zero = PerturbationSpec(shape, 0.0, width, center, 1)
