@@ -105,10 +105,11 @@ def _ignored(config: ScenarioConfig, command: str) -> List[str]:
 
 
 def cmd_stationary(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
-    """Build the family, write it, and report its ``family_verdicts``, which
-    it passes: ``build_family`` refuses a family that fails one (exit 4, no
-    family.json).  Only the flux, the cell grid and the family window of the
-    config are read; its perturbation, run and checks are not.
+    """Build the family, write it (``family.json`` and ``family.npy``, by
+    ``save_family``), and report its ``family_verdicts``, which it passes:
+    ``build_family`` refuses a family that fails one (exit 4, neither file).
+    Only the flux, the cell grid and the family window of the config are
+    read; its perturbation, run and checks are not.
     """
     notes = _ignored(config, "stationary")
     family = build_family(config.flux, config.p_min, config.p_max, config.m_intervals,

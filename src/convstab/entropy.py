@@ -298,8 +298,8 @@ def eta_field(interpolant: FamilyInterpolant, state: State) -> EntropyField:
     if np.any(eta < floor):
         worst = int(np.argmin(eta - floor))
         raise FamilyRangeError(
-            f"eta = {float(eta[worst])!r} at cell {worst} is negative beyond roundoff: "
-            "the family interpolant is not monotone there"
+            f"eta = {float(eta[worst])!r} at cell {int(cells[worst])} is negative beyond "
+            f"roundoff (line position {worst}): the family interpolant is not monotone there"
         )
     eta = np.maximum(eta, 0.0)
 

@@ -701,6 +701,9 @@ def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
         save_family(setup.family_raw, family_path)
         snap_dir = out_dir / "snapshots"
         snap_dir.mkdir(exist_ok=True)
+        # an earlier run into the same directory leaves snapshots at its own times
+        for stale in snap_dir.glob("snapshot_t*.npy"):
+            stale.unlink()
         snapshots_dir = str(snap_dir)
         bg = config.line_grid.tile(setup.w_p)
         # a float64 array in .npy round-trips bit for bit; x and the

@@ -48,6 +48,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Dict, Optional
 
 import numpy as np
@@ -436,38 +437,33 @@ def build_family(
 
 
 def save_family(family: StationaryFamily, path) -> None:
-    """Write a family to a structured text (JSON) file.
+    """Write a family as a JSON header at ``path`` and its tables as ``.npy``.
 
-    The flux is recorded by its label and parameters, so a flux that
-    ``builtin_flux`` cannot rebuild from them (a normalized flux, say) raises
-    its ValueError, naming the label, before the file is opened.  Floats are
-    written with shortest round-trip precision, so the file is byte-stable
-    for identical inputs.
+    ``profiles`` and ``dp_profiles``, stacked as one float64 (2, M+1, n)
+    array, go to ``path`` with the suffix ``.npy``, written first so that a
+    header never exists without its tables.  ``path`` gets
+    ``json.dumps(header, sort_keys=True)`` plus a newline; the header holds
+    the format, the flux by its label and parameters, the period,
+    ``n_cells``, ``p_grid`` and ``alpha``.  A flux that ``builtin_flux``
+    cannot rebuild from its label and parameters (a normalized flux, say)
+    raises its ValueError, naming the label, before either file is opened.
+    Both files are byte-stable for identical inputs.
     """
     builtin_flux(family.flux.label, family.flux.params)
-    payload = {
-        "format": "convstab-family-1",
+    path = Path(path)
+    tables = path.with_suffix(".npy")
+    if tables == path:
+        raise ValueError(f"the family header and its tables would both be {path}")
+    np.save(tables, np.stack([family.profiles, family.dp_profiles]))
+    header = {
+        "format": "convstab-family-2",
         "flux": {"label": family.flux.label, "params": dict(family.flux.params)},
         "period": family.grid.period,
         "n_cells": family.grid.n_cells,
         "p_grid": family.p_grid.tolist(),
         "alpha": family.alpha,
     }
-    tables = {"profiles": family.profiles, "dp_profiles": family.dp_profiles}
-    # the bytes of json.dumps({**payload, **tables}, sort_keys=True) + "\n",
-    # with the tables streamed a row at a time: one json.dumps of the whole
-    # payload would hold the text of every row at once
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, key in enumerate(sorted([*payload, *tables])):
-            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
-            if key in tables:
-                fh.write("[")
-                for j, row in enumerate(tables[key]):
-                    fh.write((", " if j else "") + json.dumps(row.tolist()))
-                fh.write("]")
-            else:
-                fh.write(json.dumps(payload[key], sort_keys=True))
-        fh.write("}\n")
+    path.write_text(json.dumps(header, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
 
 
 def solve_theta(flux: FluxModel, grid: CellGrid) -> Profile:

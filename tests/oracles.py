@@ -10,8 +10,9 @@
 * ``entropy_balance_check`` -- the centered-difference residual of
   d/dt total_eta + dissipation = 0 over uniformly spaced snapshots
   (criterion 5's refinement check).
-* ``load_family`` -- reads back a ``family.json`` written by
-  ``convstab.save_family``, for the round-trip test.
+* ``load_family`` -- reads back a ``family.json`` header and its
+  ``family.npy`` tables written by ``convstab.save_family``, for the
+  round-trip tests.
 * ``hysteresis_walk`` -- the lap count as a walk over every sample, the way
   ``convstab.lap_number`` counted before it skipped to the turning points.
 * ``profile_at`` -- w_p at per-cell means through an interpolant's own
@@ -31,6 +32,7 @@ Test modules import them as ``from oracles import ...``; ``tests/`` has no
 
 import json
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -199,18 +201,17 @@ def entropy_balance_check(
 
 
 def load_family(path) -> StationaryFamily:
-    """Read a family file written by ``convstab.save_family``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "convstab-family-1":
+    """Read a family written by ``convstab.save_family``: the JSON header at
+    ``path`` and the stacked tables beside it in ``family.npy``."""
+    path = Path(path)
+    header = json.loads(path.read_text(encoding="utf-8"))
+    if header.get("format") != "convstab-family-2":
         raise ValueError(f"unrecognized family file format in {path}")
-    flux = builtin_flux(payload["flux"]["label"], payload["flux"]["params"])
-    grid = CellGrid(payload["n_cells"], payload["period"])
-    family = StationaryFamily(
-        flux, grid, np.array(payload["p_grid"]), np.array(payload["profiles"]),
-        np.array(payload["dp_profiles"]),
-    )
-    assert family.alpha == payload["alpha"], "alpha is the least dp_profiles value"
+    profiles, dp_profiles = np.load(path.with_suffix(".npy"))
+    flux = builtin_flux(header["flux"]["label"], header["flux"]["params"])
+    grid = CellGrid(header["n_cells"], header["period"])
+    family = StationaryFamily(flux, grid, np.array(header["p_grid"]), profiles, dp_profiles)
+    assert family.alpha == header["alpha"], "alpha is the least dp_profiles value"
     return family
 
 

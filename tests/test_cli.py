@@ -68,6 +68,7 @@ def test_stationary_writes_family_and_verdicts(tmp_path, capsys):
         verdicts["residuals"]["tolerance"] + verdicts["residuals"]["storage_floor"]
     )
     assert (out / "family.json").exists()
+    assert (out / "family.npy").exists()
     # alpha is min dw/dp by definition, so the verdict reports it once
     alpha = json.loads((out / "family.json").read_text())["alpha"]
     assert verdicts["alpha_positive"] == {"passed": True, "alpha": alpha}
@@ -99,6 +100,7 @@ def test_a_family_that_fails_a_verdict_exits_4_without_a_family_file(tmp_path, m
                                        '{"passed": false, "max_residual": ')
     assert payload["error"] in capsys.readouterr().err
     assert not (out / "family.json").exists()
+    assert not (out / "family.npy").exists()
 
 
 def test_a_family_whose_hermite_cubic_is_not_monotone_exits_4_naming_the_limit(
@@ -153,6 +155,7 @@ def test_stationary_builds_only_the_family(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["stationary", "--config", str(config), "--out", str(out)]) == 0
     assert (out / "family.json").exists()
+    assert (out / "family.npy").exists()
     assert read_verdicts(out)["exit_code"] == 0
     assert cli.main(["evolve", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
 
@@ -284,6 +287,7 @@ def test_a_run_without_a_fit_window_is_refused_before_it_starts(tmp_path, comman
     assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
     assert "dispersion" in read_verdicts(out)["error"]
     assert not (out / "family.json").exists()
+    assert not (out / "family.npy").exists()
     assert not (out / "diagnostics.csv").exists()
 
 
@@ -332,6 +336,7 @@ def test_lap_rejects_gaussian_data(tmp_path):
     for name in ("lap_non_increase", "l1_bound", "linf_V_decay", "l1_decay"):
         assert name in error
     assert not (out / "family.json").exists()
+    assert not (out / "family.npy").exists()
 
 
 def test_lap_echoes_the_config_checks_and_its_own(tmp_path, capsys):
@@ -548,6 +553,7 @@ def test_non_finite_numbers_exit_2_under_every_command(tmp_path, capsys, command
     verdicts = read_verdicts(out)
     assert verdicts["exit_code"] == 2 and named in verdicts["error"], verdicts
     assert not (out / "family.json").exists()
+    assert not (out / "family.npy").exists()
     assert f"error: {named}" in capsys.readouterr().err
 
 
@@ -571,6 +577,7 @@ def test_numbers_near_the_float_range_exit_2_naming_their_key(tmp_path, capsys, 
     verdicts = read_verdicts(out)
     assert verdicts["exit_code"] == 2 and named in verdicts["error"], verdicts
     assert not (out / "family.json").exists()
+    assert not (out / "family.npy").exists()
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -600,6 +607,7 @@ def test_a_bad_snapshot_schedule_is_refused_before_anything_runs(tmp_path, sched
         verdicts = read_verdicts(out)
         assert verdicts["exit_code"] == 2 and "snapshot_schedule" in verdicts["error"]
         assert not (out / "family.json").exists()
+        assert not (out / "family.npy").exists()
 
 
 def test_each_command_builds_the_flux_once(tmp_path, monkeypatch):

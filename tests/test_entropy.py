@@ -468,6 +468,20 @@ def test_eta_below_roundoff_is_a_family_range_error_naming_the_cell(forced_famil
         eta_field(interp, state_on(forced_family, np.zeros(128)))
 
 
+def test_eta_refusal_in_a_later_period_names_the_family_cell(forced_family):
+    # the offset sits at knots p >= 0.5 only, so only the second period,
+    # whose cell 37 reads w_1, is at fault there: line position 64 + 37
+    interp = FamilyInterpolant(forced_family)
+    integrals = interp._integrals.copy()
+    integrals[forced_family.p_grid >= 0.5, 37] += 1.0
+    object.__setattr__(interp, "_integrals", integrals)
+    u = np.concatenate([np.zeros(64), forced_family.profiles[-1]])
+    with pytest.raises(FamilyRangeError,
+                       match=r"^eta = -\S+ at cell 37 is negative beyond roundoff "
+                             r"\(line position 101\)"):
+        eta_field(interp, state_on(forced_family, u))
+
+
 @pytest.mark.parametrize("u", [1e-20, -1e-20, 1e-8, -1e-8])
 @pytest.mark.parametrize("which", ["canonical", "pinned"])
 def test_eta_keeps_relative_accuracy_next_to_a_zero_member(which, u, canonical_family,

@@ -572,6 +572,23 @@ def test_snapshot_files_are_named_by_their_times(tmp_path, prepared):
     assert times[0] == 0.0 and times[-1] == prepared.config.t_end
 
 
+def test_a_rerun_into_one_directory_leaves_only_its_own_snapshots(tmp_path, prepared):
+    # a shorter schedule into the directory of a longer run: the snapshot
+    # times are exactly the second run's, and a file that is no snapshot stays
+    run_scenario(prepared, tmp_path)
+    (tmp_path / "snapshots" / "notes.txt").write_text("kept")
+    doc = base_document()
+    doc["run"].update(t_end=1.0, snapshot_schedule={"kind": "linear", "count": 3})
+    second = run_scenario(prepare_run(ScenarioConfig.from_dict(doc)), tmp_path)
+    snap_dir = tmp_path / "snapshots"
+    times = sorted(float(p.name[10:-4]) for p in snap_dir.glob("snapshot_t*.npy"))
+    assert times == second.series.column("t").tolist()
+    assert times == [0.0, 0.5, 1.0]
+    assert (snap_dir / "notes.txt").read_text() == "kept"
+    assert np.array_equal(np.load(snap_dir / "snapshot_t1.0.npy"),
+                          second.final_state.u + np.load(snap_dir / "grid.npy")[1])
+
+
 def test_snapshot_files_are_plain_little_endian_float64_arrays(tmp_path, prepared):
     # the version 1.0 header alone tells a reader outside numpy how to read
     # the data: no pickle, no Fortran order, no byte swapping

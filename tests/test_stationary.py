@@ -352,9 +352,24 @@ def test_family_json_round_trip(tmp_path, family_128):
     assert np.array_equal(back.profiles, family_128.profiles), "values must round-trip exactly"
     assert np.array_equal(back.dp_profiles, family_128.dp_profiles)
     assert back.flux.label == "forced_burgers"
-    # the file is plain JSON
-    with open(path) as handle:
-        json.load(handle)
+    # the header is plain JSON without the tables; they sit beside it
+    header = json.loads(path.read_text())
+    assert "profiles" not in header and "dp_profiles" not in header
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["family.json", "family.npy"]
+
+
+def test_family_tables_are_one_plain_little_endian_float64_array(tmp_path, family_128):
+    # the version 1.0 header alone tells a reader outside numpy how to read
+    # the (2, M+1, n) tables: no pickle, no Fortran order, no byte swapping
+    save_family(family_128, tmp_path / "family.json")
+    with open(tmp_path / "family.npy", "rb") as fh:
+        assert np.lib.format.read_magic(fh) == (1, 0)
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    assert (shape, fortran_order, dtype.str) == ((2, *family_128.profiles.shape), False, "<f8")
+    tables = np.load(tmp_path / "family.npy", allow_pickle=False)
+    assert tables[0].tobytes() == family_128.profiles.tobytes()
+    assert tables[1].tobytes() == family_128.dp_profiles.tobytes()
+    assert tables[1].min() == json.loads((tmp_path / "family.json").read_text())["alpha"]
 
 
 def test_family_json_rebuilds_a_custom_table_flux(tmp_path):
@@ -392,8 +407,21 @@ def shifted_about(family, knot, mean):
 SPLICED = [-0.0, 5e-324, 1e-05, 1e16, 1.5e300, 2.0] + [1.5 * 10.0**k for k in range(-5, 17)]
 
 
+def header_dump_of(fam) -> bytes:
+    """json.dumps of a family's header, as save_family must write it."""
+    header = {
+        "format": "convstab-family-2",
+        "flux": {"label": fam.flux.label, "params": dict(fam.flux.params)},
+        "period": fam.grid.period,
+        "n_cells": fam.grid.n_cells,
+        "p_grid": fam.p_grid.tolist(),
+        "alpha": fam.alpha,
+    }
+    return (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
+
+
 def test_family_file_is_the_json_dump_of_its_payload(tmp_path, family_128):
-    # save_family writes piecewise; the bytes must stay json.dump's.  The
+    # the header's bytes are json.dumps'; the tables sit in family.npy.  The
     # profiles take every spliced value of either sign; the derivative
     # profiles only positive ones, so alpha reads 5e-324
     fam = family_128
@@ -404,35 +432,22 @@ def test_family_file_is_the_json_dump_of_its_payload(tmp_path, family_128):
     )
     assert spliced_fam.alpha == 5e-324
     for fam in (fam, spliced_fam):
-        payload = {
-            "format": "convstab-family-1",
-            "flux": {"label": fam.flux.label, "params": dict(fam.flux.params)},
-            "period": fam.grid.period,
-            "n_cells": fam.grid.n_cells,
-            "p_grid": fam.p_grid.tolist(),
-            "profiles": [prof.tolist() for prof in fam.profiles],
-            "dp_profiles": [prof.tolist() for prof in fam.dp_profiles],
-            "alpha": fam.alpha,
-        }
         path = tmp_path / "family.json"
         save_family(fam, path)
-        want = json.dumps(payload, sort_keys=True) + "\n"
-        assert path.read_bytes() == want.encode("utf-8")
+        assert path.read_bytes() == header_dump_of(fam)
+        assert_tables_round_trip(path, fam)
+    assert b'"alpha": 5e-324' in path.read_bytes()
 
 
-def json_dump_of(fam) -> bytes:
-    """json.dumps of a family's whole payload, as save_family must write it."""
-    payload = {
-        "format": "convstab-family-1",
-        "flux": {"label": fam.flux.label, "params": dict(fam.flux.params)},
-        "period": fam.grid.period,
-        "n_cells": fam.grid.n_cells,
-        "p_grid": fam.p_grid.tolist(),
-        "profiles": fam.profiles.tolist(),
-        "dp_profiles": fam.dp_profiles.tolist(),
-        "alpha": fam.alpha,
-    }
-    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+def assert_tables_round_trip(path, fam):
+    """family.npy beside ``path`` and load_family both give fam's tables, bit
+    for bit."""
+    tables = np.load(path.with_suffix(".npy"))
+    back = load_family(path)
+    for k, name in enumerate(("profiles", "dp_profiles")):
+        assert tables[k].tobytes() == getattr(fam, name).tobytes(), name
+        assert getattr(back, name).tobytes() == getattr(fam, name).tobytes(), name
+    assert back.alpha == fam.alpha
 
 
 def edge_values() -> np.ndarray:
@@ -466,15 +481,14 @@ def test_family_file_round_trips_edge_values_bit_for_bit(tmp_path, family_128, n
         filled[:chunk.size] = chunk
         fam = replace(family_128, **{name: filled.reshape(table.shape)})
         save_family(fam, path)
-        assert path.read_bytes() == json_dump_of(fam)
-        back = load_family(path)
-        assert getattr(back, name).tobytes() == getattr(fam, name).tobytes()
+        assert path.read_bytes() == header_dump_of(fam)
+        assert_tables_round_trip(path, fam)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_family_file_of_raw_bit_pattern_tables_is_the_json_dump(tmp_path, family_128, seed):
-    # every finite double is as likely as any other: the row-streamed tables
-    # must read as json.dumps writes them, and parse back to the same bits
+    # every finite double is as likely as any other: the header must read as
+    # json.dumps writes it, and the tables come back with the same bits
     rng = np.random.default_rng(seed)
     shape = family_128.profiles.shape
     profiles, dp_profiles = rng.integers(0, 2**64, size=(2, *shape), dtype=np.uint64).view(
@@ -485,20 +499,27 @@ def test_family_file_of_raw_bit_pattern_tables_is_the_json_dump(tmp_path, family
     fam = replace(family_128, profiles=profiles, dp_profiles=dp_profiles)
     path = tmp_path / "family.json"
     save_family(fam, path)
-    assert path.read_bytes() == json_dump_of(fam)
-    back = load_family(path)
-    assert back.profiles.tobytes() == fam.profiles.tobytes()
-    assert back.dp_profiles.tobytes() == fam.dp_profiles.tobytes()
-    assert back.alpha == fam.alpha
+    assert path.read_bytes() == header_dump_of(fam)
+    assert_tables_round_trip(path, fam)
 
 
 def test_a_family_whose_flux_the_file_cannot_name_is_not_saved(tmp_path, family_128):
-    # the shifted family's normalized flux has no built-in label to rebuild from
+    # the shifted family's normalized flux has no built-in label to rebuild
+    # from: neither the header nor the tables are written
     fam = shifted_about(family_128, 16, 0.0)
     path = tmp_path / "family.json"
     with pytest.raises(ValueError, match=repr(fam.flux.label)):
         save_family(fam, path)
-    assert not path.exists()
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_header_path_that_is_its_own_table_path_is_refused(tmp_path, family_128):
+    # the tables go to path.with_suffix(".npy"), so a header path ending in
+    # .npy would be overwritten by its own header
+    path = tmp_path / "family.npy"
+    with pytest.raises(ValueError, match="header and its tables would both be"):
+        save_family(family_128, path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_shifted_family_centers_the_background(family_128):
