@@ -2,20 +2,23 @@
 
 Every subcommand reads one scenario JSON (--config), writes its artifacts
 under --out (default: the config's output directory), prints one PASS/FAIL
-line per verdict, writes a machine-readable verdicts.json, and exits with
-the code below.  ``evolve``, ``dispersion`` and ``lap`` judge the
-config's checks with the command's ``REQUIRED_CHECKS`` appended.  These,
-``--seed`` and the fit window ``dispersion`` infers are written into the
-document after it is read and filled in, and before the config validates
-it, so the verdict file's config echo lists them.  ``stationary`` reports
-``family_verdicts``, and ``verify`` the verdicts of ``semigroup_trials``;
-the config's checks and fit window, which they skip, are named in one
-``note:`` line on stderr and in the verdict file's notes.  A finished
-command's exit code follows from its verdicts alone (``RunArtifact``).
+line per verdict, writes a machine-readable verdict file, and exits with
+the code below.  Once the output directory is known, and before the command
+runs, every file of ``scenarios.OUTPUT_FILES`` there is deleted, so a
+directory holds only the files of the last command run into it.  ``evolve``,
+``dispersion`` and ``lap`` judge the config's checks with the command's
+``REQUIRED_CHECKS`` appended.  These, ``--seed`` and the fit window
+``dispersion`` infers are written into the document after it is read and
+filled in, and before the config validates it, so the verdict file's config
+echo lists them.  ``stationary`` reports ``family_verdicts``, and ``verify``
+the verdicts of ``semigroup_trials``; the config's checks and fit window,
+which they skip, are named in one ``note:`` line on stderr and in the
+verdict file's notes.  A finished command's exit code follows from its
+verdicts alone (``RunArtifact``).
 
     0  every verdict passed
     1  at least one verdict failed
-    2  configuration or validation error
+    2  configuration or validation error, or out of memory
     3  edge-buffer abort (perturbation mass reached a pinned boundary)
     4  solver failure (Newton stall, failed family verdict, CFL bound, step budget, family range)
 """
@@ -34,13 +37,16 @@ from .evolution import CFLError
 from .scenarios import (
     ConfigError,
     EdgeBufferError,
+    OUTPUT_FILES,
     ScenarioConfig,
+    clear_outputs,
     evaluate_checks,
     prepare_run,
     run_scenario,
     semigroup_trials,
+    write_outputs,
 )
-from .stationary import StationarySolveError, build_family, family_verdicts, save_family
+from .stationary import StationarySolveError, build_family, family_verdicts
 
 __all__ = ["RunArtifact", "main"]
 
@@ -61,8 +67,8 @@ REQUIRED_CHECKS = {
 
 @dataclass
 class RunArtifact:
-    """A finished command's verdicts and artifacts, as verdicts.json holds
-    them.  ``exit_code`` is not an argument: it is EXIT_PASS when every
+    """A finished command's verdicts and artifact paths, as its verdict file
+    holds them.  ``exit_code`` is not an argument: it is EXIT_PASS when every
     verdict passed and EXIT_CHECK_FAILED otherwise."""
 
     command: str
@@ -84,7 +90,7 @@ class RunArtifact:
 
 def _write_verdicts(out_dir: Path, payload: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "verdicts.json", "w", encoding="utf-8") as fh:
+    with open(out_dir / OUTPUT_FILES["verdicts"], "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -105,54 +111,36 @@ def _ignored(config: ScenarioConfig, command: str) -> List[str]:
 
 
 def cmd_stationary(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
-    """Build the family, write it (``family.json`` and ``family.npy``, by
-    ``save_family``), and report its ``family_verdicts``, which it passes:
-    ``build_family`` refuses a family that fails one (exit 4, neither file).
-    Only the flux, the cell grid and the family window of the config are
-    read; its perturbation, run and checks are not.
+    """Build the family, write it (``write_outputs``), and report its
+    ``family_verdicts``, which it passes: ``build_family`` refuses a family
+    that fails one (exit 4, no family file).  Only the flux, the cell grid
+    and the family window of the config are read; its perturbation, run and
+    checks are not.
     """
     notes = _ignored(config, "stationary")
     family = build_family(config.flux, config.p_min, config.p_max, config.m_intervals,
                           config.line_grid.cell)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    family_path = out_dir / "family.json"
-    save_family(family, family_path)
-    return RunArtifact(
-        command="stationary",
-        config=config.to_dict(),
-        verdicts=family_verdicts(family),
-        family_file=str(family_path),
-        notes=notes,
-    )
+    return RunArtifact(command="stationary", config=config.to_dict(),
+                       verdicts=family_verdicts(family), notes=notes,
+                       **write_outputs(out_dir, family))
 
 
 def cmd_run(config: ScenarioConfig, out_dir: Path, command: str) -> RunArtifact:
-    """Run the scenario, write its artifacts and judge the config's checks."""
-    setup = prepare_run(config)
-    result = run_scenario(setup, out_dir)
+    """Run the scenario, judge the config's checks and write its artifacts."""
+    result = run_scenario(prepare_run(config))
     verdicts = evaluate_checks(result)
-    return RunArtifact(
-        command=command,
-        config=config.to_dict(),
-        verdicts=verdicts,
-        family_file=result.family_path,
-        diagnostics_csv=result.diagnostics_path,
-        snapshots_dir=result.snapshots_dir,
-    )
+    return RunArtifact(command=command, config=config.to_dict(), verdicts=verdicts,
+                       **write_outputs(out_dir, result.setup.family_raw, result))
 
 
-def cmd_verify(config: ScenarioConfig, out_dir: Path, trials: int, seed: int) -> RunArtifact:
+def cmd_verify(config: ScenarioConfig, trials: int, seed: int) -> RunArtifact:
     """Run the semigroup trials on the config's flux, grid and policy, up to
     its t_end; a run ``semigroup_trials`` refuses prints no note."""
     verdicts = semigroup_trials(config.flux, config.line_grid, config.t_end, trials, seed,
                                 policy=config.policy)
-    return RunArtifact(
-        command="verify",
-        config=config.to_dict(),
-        verdicts=verdicts,
-        notes=[f"{trials} trials, ordered + unordered pairs, seed {seed}"]
-        + _ignored(config, "verify"),
-    )
+    notes = [f"{trials} trials, ordered + unordered pairs, seed {seed}"]
+    return RunArtifact(command="verify", config=config.to_dict(), verdicts=verdicts,
+                       notes=notes + _ignored(config, "verify"))
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -194,18 +182,22 @@ def _with_overrides(doc: dict, command: str, seed: Optional[int]) -> None:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    out_dir: Optional[Path] = Path(args.out) if args.out is not None else None
+    out_dir: Optional[Path] = None
     try:
+        if args.out is not None:
+            out_dir = Path(args.out)
+            clear_outputs(out_dir)
         config = ScenarioConfig.from_json(
             args.config, lambda doc: _with_overrides(doc, args.command, args.seed))
         if out_dir is None:
             out_dir = Path(config.output)
+            clear_outputs(out_dir)
 
         if args.command == "stationary":
             artifact = cmd_stationary(config, out_dir)
         elif args.command == "verify":
             seed = 0 if args.seed is None else args.seed
-            artifact = cmd_verify(config, out_dir, args.trials, seed)
+            artifact = cmd_verify(config, args.trials, seed)
         else:
             artifact = cmd_run(config, out_dir, args.command)
     except EdgeBufferError as exc:
@@ -214,6 +206,8 @@ def main(argv=None) -> int:
         return _fail(out_dir, args.command, EXIT_SOLVER, str(exc))
     except (ConfigError, ValueError, OSError) as exc:
         return _fail(out_dir, args.command, EXIT_CONFIG, str(exc))
+    except MemoryError as exc:
+        return _fail(out_dir, args.command, EXIT_CONFIG, f"out of memory: {exc}")
 
     _write_verdicts(out_dir, artifact.to_dict())
     for name, verdict in artifact.verdicts.items():

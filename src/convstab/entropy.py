@@ -43,7 +43,7 @@ from typing import Tuple
 import numpy as np
 
 from .evolution import TIME_SLACK, State
-from .grids import _next, _prev, _readonly
+from .grids import _next, _prev, _readonly, same_period
 from .stationary import StationaryFamily
 
 __all__ = [
@@ -273,9 +273,8 @@ class EntropyField:
 
 def _cell_phase(state: State, family: StationaryFamily) -> np.ndarray:
     n_cells = family.grid.n_cells
-    if state.grid.cell.n_cells != n_cells or not np.isclose(
-        state.grid.cell.period, family.grid.period, rtol=1e-12, atol=0.0
-    ):
+    if (state.grid.cell.n_cells != n_cells
+            or not same_period(state.grid.cell.period, family.grid.period)):
         raise ValueError("state grid and family grid do not match")
     return np.arange(state.grid.n_total) % n_cells
 

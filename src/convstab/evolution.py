@@ -55,7 +55,7 @@ coefficients and the two scalars B0 and G once per run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -246,22 +246,21 @@ def evolve(
     t_end: float,
     policy: Optional[StepPolicy] = None,
     snapshot_times: Sequence[float] = (),
-    observers: Iterable[Callable[[State], dict]] = (),
+    observe: Optional[Callable[[State], dict]] = None,
 ) -> Tuple[State, DiagnosticsSeries]:
     """March to t_end, landing on each snapshot time exactly.
 
     A snapshot time within ``TIME_SLACK`` of the start or of t_end is that
     end.  The march visits the snapshot times and t_end in order, taking no
     step to a target within ``TIME_SLACK``, so a run shorter than that takes
-    none.  Observers are called once at each snapshot time, the start only
-    when listed, and their column -> value rows make the DiagnosticsSeries.
+    none.  ``observe`` is called once at each snapshot time, the start only
+    when listed, and its column -> value rows make the DiagnosticsSeries.
     The step sequence is a deterministic function of the state, policy and
     snapshot list, so splitting a run at a snapshot and resuming reproduces
     the remaining steps bit for bit.
     Raises CFLError once t_end - t exceeds ``MAX_STEPS`` current CFL steps.
     """
     policy = policy or StepPolicy()
-    observers = list(observers)
     series = DiagnosticsSeries()
     t_end = float(t_end)
 
@@ -287,8 +286,5 @@ def evolve(
         # land exactly on the target to keep snapshot bookkeeping deterministic
         current = State(current.grid, current.u, target)
         if target in times:
-            row = {}
-            for obs in observers:
-                row.update(obs(current))
-            series.append(current.time, row)
+            series.append(current.time, {} if observe is None else observe(current))
     return current, series

@@ -84,6 +84,13 @@ def _readonly(values) -> np.ndarray:
     return out
 
 
+def same_period(period: float, reference: float) -> bool:
+    """Whether ``period`` agrees with ``reference`` to the relative bound
+    1e-14: the one rule by which two cell grids, or a cell grid and a flux,
+    share a period."""
+    return abs(period - reference) <= 1e-14 * abs(reference)
+
+
 @dataclass(frozen=True)
 class CellGrid:
     """One spatial period split into uniform cells, nodes at cell centers."""
@@ -169,9 +176,8 @@ class LineGrid:
 
     def tile(self, profile: Profile) -> np.ndarray:
         """Tile a one-period profile over the whole line domain (exact copy)."""
-        if profile.grid.n_cells != self.cell.n_cells or not np.isclose(
-            profile.grid.period, self.cell.period, rtol=1e-14, atol=0.0
-        ):
+        if (profile.grid.n_cells != self.cell.n_cells
+                or not same_period(profile.grid.period, self.cell.period)):
             raise ValueError("profile grid does not match the line's cell grid")
         return np.tile(profile.values, self.n_periods)
 

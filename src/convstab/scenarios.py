@@ -12,8 +12,10 @@ the grids, the step policy, the perturbation and the snapshot times once.
 normalized about it (so the evolved unknown is the perturbation v = u - w_p
 and the zero state is an exact fixed point of the stepper), the shifted
 family for the entropy diagnostics, and the theta weight.  ``run_scenario``
-then marches the state, recording every diagnostic column at each snapshot
-and dumping per-cell snapshot files in the original (unshifted) variables.
+then marches the state, recording every diagnostic column and the state at
+each snapshot.  ``OUTPUT_FILES`` names every file a command may write;
+``clear_outputs`` deletes them, and ``write_outputs`` writes the family and a
+run's diagnostics and snapshots.
 ``CHECKS`` maps each check a document may list to its judge, and
 ``evaluate_checks`` judges a finished run by the config's list.
 ``semigroup_trials`` runs the verify command's trials and judges them
@@ -56,17 +58,20 @@ __all__ = [
     "ConfigError",
     "EdgeBufferError",
     "KNOWN_CHECKS",
+    "OUTPUT_FILES",
     "PerturbationSpec",
     "RunResult",
     "RunSetup",
     "ScenarioConfig",
     "TRIAL_LIMITS",
     "ZERO_MEAN_CHECKS",
+    "clear_outputs",
     "evaluate_checks",
     "perturbation_values",
     "prepare_run",
     "run_scenario",
     "semigroup_trials",
+    "write_outputs",
 ]
 
 
@@ -578,9 +583,6 @@ class RunSetup:
     theta: Profile
     initial: np.ndarray             # perturbation v(0, .)
 
-    def initial_state(self) -> State:
-        return State(grid=self.config.line_grid, u=self.initial, time=0.0)
-
 
 def prepare_run(config: ScenarioConfig) -> RunSetup:
     """Build the family and assemble the normalized run pieces."""
@@ -598,15 +600,8 @@ def prepare_run(config: ScenarioConfig) -> RunSetup:
     shifted = family.shifted_by(flux_normalized, w_p, config.p)
     theta = solve_theta(flux_normalized, cell_grid)
     initial = perturbation_values(config.initial, config.line_grid)
-    return RunSetup(
-        config=config,
-        flux_normalized=flux_normalized,
-        family_raw=family,
-        family=shifted,
-        w_p=w_p,
-        theta=theta,
-        initial=initial,
-    )
+    return RunSetup(config=config, flux_normalized=flux_normalized, family_raw=family,
+                    family=shifted, w_p=w_p, theta=theta, initial=initial)
 
 
 def make_observer(setup: RunSetup) -> Callable[[State], dict]:
@@ -622,7 +617,7 @@ def make_observer(setup: RunSetup) -> Callable[[State], dict]:
     interpolant = FamilyInterpolant(setup.family)
     n_buffer = max(1, int(round(0.1 * line_grid.n_total)))
     pinned = line_grid.boundary_mode == "pinned_to_wp"
-    mass0: List[float] = []
+    mass0 = float(h * setup.initial.sum())
 
     def observe(state: State) -> dict:
         v = state.u
@@ -635,9 +630,6 @@ def make_observer(setup: RunSetup) -> Callable[[State], dict]:
                     f"{buffer_mass / total:.3e} of the perturbation mass (limit 1e-6); "
                     "enlarge the domain or shorten the run"
                 )
-        mass = float(h * v.sum())
-        if not mass0:
-            mass0.append(mass)
         V = primitive(v, h)
         ef = eta_field(interpolant, state)
         return {
@@ -652,7 +644,7 @@ def make_observer(setup: RunSetup) -> Callable[[State], dict]:
             "nash_ratio": nash_ratio(ef.pi, h),
             "lap_number": lap_number(V),
             "sign_changes": sign_changes(v),
-            "mass_offset": mass - mass0[0],
+            "mass_offset": float(h * v.sum()) - mass0,
         }
 
     return observe
@@ -663,63 +655,75 @@ class RunResult:
     setup: RunSetup
     final_state: State
     series: DiagnosticsSeries
-    diagnostics_path: Optional[str] = None
-    snapshots_dir: Optional[str] = None
-    family_path: Optional[str] = None
+    snapshots: Tuple[State, ...]    # the normalized state at each series row
 
 
-def run_scenario(setup: RunSetup, out_dir: Optional[Path] = None) -> RunResult:
-    """Run the scenario and, given out_dir, write its artifacts there."""
+def run_scenario(setup: RunSetup) -> RunResult:
+    """Run the scenario, recording the diagnostics and the state at each
+    snapshot time; nothing is written."""
     config = setup.config
     observer = make_observer(setup)
-    snapshots_dir = None
-    family_path = None
-    diagnostics_path = None
+    snapshots: List[State] = []
 
-    snapshot_states: List[State] = []
-
-    def collecting_observer(state: State) -> dict:
-        if out_dir is not None:
-            snapshot_states.append(state)
+    def record(state: State) -> dict:
+        snapshots.append(state)
         return observer(state)
 
-    final_state, series = evolve(
-        setup.initial_state(),
-        setup.flux_normalized,
-        config.t_end,
-        policy=config.policy,
-        snapshot_times=[0.0, *config.schedule_times, config.t_end],
-        observers=[collecting_observer],
-    )
+    times = [0.0, *config.schedule_times, config.t_end]
+    final_state, series = evolve(State(config.line_grid, setup.initial, 0.0),
+                                 setup.flux_normalized, config.t_end, policy=config.policy,
+                                 snapshot_times=times, observe=record)
+    return RunResult(setup, final_state, series, tuple(snapshots))
 
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        diagnostics_path = str(out_dir / "diagnostics.csv")
-        series.to_csv(diagnostics_path)
-        family_path = str(out_dir / "family.json")
-        save_family(setup.family_raw, family_path)
-        snap_dir = out_dir / "snapshots"
-        snap_dir.mkdir(exist_ok=True)
-        # an earlier run into the same directory leaves snapshots at its own times
-        for stale in snap_dir.glob("snapshot_t*.npy"):
-            stale.unlink()
-        snapshots_dir = str(snap_dir)
-        bg = config.line_grid.tile(setup.w_p)
-        # a float64 array in .npy round-trips bit for bit; x and the
-        # background are the same at every snapshot and are written once
-        np.save(snap_dir / "grid.npy", np.stack([config.line_grid.centers(), bg]))
-        for state in snapshot_states:
-            np.save(snap_dir / f"snapshot_t{state.time!r}.npy", state.u + bg)
 
-    return RunResult(
-        setup=setup,
-        final_state=final_state,
-        series=series,
-        diagnostics_path=diagnostics_path,
-        snapshots_dir=snapshots_dir,
-        family_path=family_path,
-    )
+# The output contract: every file a command may leave in its output directory,
+# by role.  A snapshot's * is the repr of its time; save_family puts the
+# family tables beside the family header.
+OUTPUT_FILES = {
+    "verdicts": "verdicts.json",
+    "diagnostics": "diagnostics.csv",
+    "family": "family.json",
+    "family_tables": "family.npy",
+    "grid": "snapshots/grid.npy",
+    "snapshot": "snapshots/snapshot_t*.npy",
+}
+
+
+def clear_outputs(out_dir: Path) -> None:
+    """Delete every file ``OUTPUT_FILES`` names under ``out_dir``, and the
+    snapshots folder if that leaves it empty; nothing else is touched."""
+    for pattern in OUTPUT_FILES.values():
+        for path in out_dir.glob(pattern):
+            if path.is_file():
+                path.unlink()
+    snap_dir = (out_dir / OUTPUT_FILES["grid"]).parent
+    if snap_dir.is_dir() and not any(snap_dir.iterdir()):
+        snap_dir.rmdir()
+
+
+def write_outputs(out_dir: Path, family: StationaryFamily,
+                  run: Optional[RunResult] = None) -> Dict[str, str]:
+    """Write ``family`` under ``out_dir`` and, given a run, its diagnostics
+    and snapshots, named by ``OUTPUT_FILES``: each snapshot u in the original
+    (unshifted) variables, and once the cell centres and tiled background.
+    Returns the paths written, by the ``RunArtifact`` field echoing each."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {"family_file": str(out_dir / OUTPUT_FILES["family"])}
+    save_family(family, paths["family_file"])
+    if run is None:
+        return paths
+    paths["diagnostics_csv"] = str(out_dir / OUTPUT_FILES["diagnostics"])
+    run.series.to_csv(paths["diagnostics_csv"])
+    grid_path = out_dir / OUTPUT_FILES["grid"]
+    grid_path.parent.mkdir(exist_ok=True)
+    paths["snapshots_dir"] = str(grid_path.parent)
+    line_grid = run.setup.config.line_grid
+    bg = line_grid.tile(run.setup.w_p)
+    # a float64 array in .npy round-trips bit for bit
+    np.save(grid_path, np.stack([line_grid.centers(), bg]))
+    for state in run.snapshots:
+        np.save(out_dir / OUTPUT_FILES["snapshot"].replace("*", repr(state.time)), state.u + bg)
+    return paths
 
 
 def _random_field(rng: np.random.Generator, grid: LineGrid, n_bumps: int = 4,

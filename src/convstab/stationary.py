@@ -54,7 +54,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .fluxes import FluxModel, FluxSamples, builtin_flux
-from .grids import _EPS, CellGrid, Profile, _cyclic_solve, _next, _prev, _readonly
+from .grids import _EPS, CellGrid, Profile, _cyclic_solve, _next, _prev, _readonly, same_period
 
 __all__ = [
     "StationaryFamily",
@@ -87,8 +87,7 @@ def _mean(x: np.ndarray) -> float:
 
 
 def _check_period(flux: FluxModel, grid: CellGrid) -> None:
-    # np.isclose(grid.period, flux.period, rtol=1e-12, atol=0.0) on two floats
-    if not abs(grid.period - flux.period) <= 1e-12 * abs(flux.period):
+    if not same_period(grid.period, flux.period):
         raise ValueError(f"grid period {grid.period} != flux period {flux.period}")
 
 

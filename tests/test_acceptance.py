@@ -15,7 +15,7 @@ import pytest
 
 import convstab as cs
 from convstab import cli
-from convstab.scenarios import ScenarioConfig, prepare_run, run_scenario
+from convstab.scenarios import ScenarioConfig, prepare_run, run_scenario, write_outputs
 from oracles import duhamel_picard, entropy_balance_check
 
 CONFIG_DIR = Path(cs.__file__).parent / "configs"
@@ -26,12 +26,13 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def load_snapshots(result):
+def load_snapshots(result, snapshots_dir):
     """Rebuild the normalized states from the .npy snapshot artifacts."""
     grid = result.setup.config.line_grid
-    background = np.load(Path(result.snapshots_dir) / "grid.npy")[1]
+    snapshots_dir = Path(snapshots_dir)
+    background = np.load(snapshots_dir / "grid.npy")[1]
     states = []
-    for path in sorted(Path(result.snapshots_dir).glob("snapshot_t*.npy"),
+    for path in sorted(snapshots_dir.glob("snapshot_t*.npy"),
                        key=lambda p: float(p.name[10:-4])):
         t = float(path.name[10:-4])
         states.append(cs.State(grid, np.load(path) - background, t))
@@ -44,8 +45,9 @@ def canonical(tmp_path_factory):
     out = tmp_path_factory.mktemp("canonical")
     setup = prepare_run(config)
     start = time.perf_counter()
-    result = run_scenario(setup, out)
-    return {"result": result, "seconds": time.perf_counter() - start}
+    result = run_scenario(setup)
+    paths = write_outputs(out, setup.family_raw, result)
+    return {"result": result, "paths": paths, "seconds": time.perf_counter() - start}
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +175,7 @@ def test_criterion_5_entropy_suite(canonical):
     # which grows with the knot spacing; it sits three orders below the
     # physical gap (max_dp - alpha) pi^2 / 2 between the two bounds
     eta_min, sandwich_low, sandwich_high = np.inf, np.inf, -np.inf
-    for state in load_snapshots(result):
+    for state in load_snapshots(result, canonical["paths"]["snapshots_dir"]):
         field = cs.eta_field(interp, state)
         slack = 1e-7 * (1.0 + field.pi**2)
         eta_min = min(eta_min, float(field.eta.min()))
@@ -209,7 +211,7 @@ def test_criterion_5_entropy_suite(canonical):
 
         cs.evolve(cs.State(line, v0, 0.0), g, 3.0,
                   cs.StepPolicy(dt_max=0.02 * 32 / n),
-                  snapshot_times=np.linspace(1.0, 3.0, n_snap), observers=[observe])
+                  snapshot_times=np.linspace(1.0, 3.0, n_snap), observe=observe)
         residuals.append(entropy_balance_check(fields, times).max_residual)
     halving = (residuals[0] / residuals[1], residuals[1] / residuals[2])
 

@@ -699,8 +699,11 @@ def test_solver_failure_exits_4(tmp_path):
 def test_default_output_directory_comes_from_the_config(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     config = write_config(tmp_path, output="artifacts/run1")
+    (tmp_path / "artifacts" / "run1").mkdir(parents=True)
+    (tmp_path / "artifacts" / "run1" / "diagnostics.csv").write_text("stale")
     assert cli.main(["stationary", "--config", str(config)]) == 0
-    assert (tmp_path / "artifacts" / "run1" / "verdicts.json").exists()
+    assert files_under(tmp_path / "artifacts" / "run1") == ["family.json", "family.npy",
+                                                           "verdicts.json"]
 
 
 def test_importing_the_cli_leaves_heavy_scipy_modules_unloaded():
@@ -728,3 +731,129 @@ def test_a_run_leaves_numpy_ma_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.split()[-1] == "False"
+
+
+# ---------------------------------------------------------------------------
+# the output contract: before a command runs, every file of
+# scenarios.OUTPUT_FILES in its output directory is deleted, and nothing else
+
+GAUSSIAN = Path(convstab.__file__).parent / "configs" / "gaussian_l2.json"
+
+
+def gaussian_copy(tmp_path, name, edit):
+    doc = json.loads(GAUSSIAN.read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def files_under(out_dir):
+    return sorted(p.relative_to(out_dir).as_posix() for p in Path(out_dir).rglob("*")
+                  if p.is_file())
+
+
+def contents(out_dir):
+    return {name: (Path(out_dir) / name).read_bytes() for name in files_under(out_dir)}
+
+
+def run_into(out_dir, command, config):
+    extra = ["--trials", "1"] if command == "verify" else []
+    return cli.main([command, "--config", str(config), "--out", str(out_dir), *extra])
+
+
+def test_a_refused_rerun_leaves_only_its_own_verdict_file(tmp_path):
+    out = tmp_path / "out"
+    assert run_into(out, "evolve", GAUSSIAN) == 0
+    assert len(files_under(out)) > 4
+    short = gaussian_copy(tmp_path, "short.json", lambda doc: doc["grid"].update(n_periods=8))
+    assert run_into(out, "evolve", short) == 3
+    assert files_under(out) == ["verdicts.json"]
+    payload = read_verdicts(out)
+    assert payload["exit_code"] == 3 and "edge buffer" in payload["error"]
+
+
+@pytest.mark.parametrize("edit, code", [
+    (lambda doc: doc.update(grid=5), 2),
+    (lambda doc: doc["flux"]["params"].update(amplitude=20.0), 4),
+], ids=["config_error", "solver_failure"])
+def test_every_refusal_into_a_run_directory_leaves_only_its_verdict_file(tmp_path, edit, code):
+    out = tmp_path / "out"
+    assert run_into(out, "evolve", GAUSSIAN) == 0
+    assert run_into(out, "evolve", gaussian_copy(tmp_path, "bad.json", edit)) == code
+    assert files_under(out) == ["verdicts.json"]
+    assert read_verdicts(out)["exit_code"] == code
+
+
+def test_an_unreadable_config_still_clears_the_given_directory(tmp_path):
+    out = tmp_path / "out"
+    assert run_into(out, "evolve", GAUSSIAN) == 0
+    assert run_into(out, "evolve", tmp_path / "missing.json") == 2
+    assert files_under(out) == ["verdicts.json"]
+
+
+@pytest.mark.parametrize("command, left", [
+    ("verify", ["verdicts.json"]),
+    ("stationary", ["family.json", "family.npy", "verdicts.json"]),
+])
+def test_a_command_into_a_run_directory_leaves_only_its_own_files(tmp_path, command, left):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_into(out, "evolve", config) == 0
+    assert run_into(out, command, config) == 0
+    assert files_under(out) == left
+    assert sorted(p.name for p in out.iterdir()) == left, "an emptied snapshots folder stays"
+
+
+@pytest.mark.parametrize("command", ["stationary", "evolve", "verify", "dispersion", "lap"])
+def test_files_outside_the_table_survive_every_command(tmp_path, command):
+    # dispersion refuses this config (no fit window): a refusal keeps them too
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_into(out, "evolve", config) == 0
+    kept = {"notes.txt": b"notes", "snapshots/keep.txt": b"keep"}
+    for name, data in kept.items():
+        (out / name).write_bytes(data)
+    run_into(out, command, config)
+    assert {name: (out / name).read_bytes() for name in kept} == kept
+
+
+def test_an_output_directory_of_dot_clears_only_the_table_names(tmp_path, monkeypatch):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_into(out, "evolve", config) == 0
+    (out / "notes.txt").write_text("notes")
+    monkeypatch.chdir(out)
+    assert run_into(".", "stationary", config) == 0
+    assert files_under(out) == ["family.json", "family.npy", "notes.txt", "verdicts.json"]
+
+
+def test_a_rerun_into_a_used_directory_writes_what_a_fresh_one_holds(tmp_path):
+    out = tmp_path / "out"
+    assert run_into(out, "evolve", GAUSSIAN) == 0
+    fresh = contents(out)
+    assert run_into(out, "evolve", write_config(tmp_path)) == 0
+    assert set(files_under(out)) - set(fresh), "the other run leaves names of its own"
+    assert run_into(out, "evolve", GAUSSIAN) == 0
+    assert contents(out) == fresh
+
+
+def _overcommits_always():
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip() == "1"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(_overcommits_always(),
+                    reason="with overcommit mode 1 the kernel may grant the allocation")
+def test_running_out_of_memory_exits_2_with_the_allocation_message(tmp_path, capsys):
+    # 10**13 snapshot times ask for 72.8 TiB, which numpy refuses before
+    # allocating any of it
+    huge = gaussian_copy(tmp_path, "huge.json",
+                         lambda doc: doc["run"]["snapshot_schedule"].update(count=10**13))
+    out = tmp_path / "out"
+    assert run_into(out, "evolve", huge) == 2
+    payload = read_verdicts(out)
+    assert payload["exit_code"] == 2 and "Unable to allocate" in payload["error"]
+    assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate")

@@ -376,7 +376,7 @@ def test_runs_and_family_builds_never_call_the_tracer_slots(monkeypatch, tmp_pat
         "output": str(tmp_path),
     })
     setup = cs.prepare_run(config)
-    cs.run_scenario(setup, tmp_path)
+    scenarios.write_outputs(tmp_path, setup.family_raw, cs.run_scenario(setup))
     verdicts = cs.semigroup_trials(config.flux, config.line_grid, 0.05, 1, 0)
     assert all(v["passed"] for v in verdicts.values())
     flux, cell = _raising_slots(forced()), cs.CellGrid(32, 1.0)
@@ -714,11 +714,11 @@ def test_a_snapshot_at_the_start_within_the_slack_is_observed_once(early):
     state = cs.State(grid, random_zero_mean(grid, 3), 1.0)
     observer = lambda s: {"l1_dist": float(np.abs(s.u).sum())}
     _, series = cs.evolve(state, forced(), 1.5, snapshot_times=(1.0 + early, 1.5),
-                          observers=[observer])
+                          observe=observer)
     assert series.column("t").tolist() == [1.0, 1.5]
     # several times inside the slack, and t_end at the start, still observe once
     _, series = cs.evolve(state, forced(), 1.0, snapshot_times=(1.0 - 5e-13, 1.0),
-                          observers=[observer])
+                          observe=observer)
     assert series.column("t").tolist() == [1.0]
     with pytest.raises(ValueError, match="snapshot times must lie within"):
         cs.evolve(state, forced(), 1.5, snapshot_times=(1.0 - 2e-12, 1.5))
@@ -730,11 +730,11 @@ def test_a_snapshot_within_the_slack_past_t_end_ends_the_run_at_t_end():
     observer = lambda s: {"l1_dist": float(np.abs(s.u).sum())}
     for late in (5e-13, evolution.TIME_SLACK, -5e-13):
         final, series = cs.evolve(state, forced(), 1.0, snapshot_times=[0.5, 1.0 + late],
-                                  observers=[observer])
+                                  observe=observer)
         assert final.time == 1.0
         assert series.column("t").tolist() == [0.5, 1.0]
     # the start is an ordinary target: observed once when listed, never otherwise
-    _, series = cs.evolve(state, forced(), 0.5, snapshot_times=[0.5], observers=[observer])
+    _, series = cs.evolve(state, forced(), 0.5, snapshot_times=[0.5], observe=observer)
     assert series.column("t").tolist() == [0.5]
 
 
@@ -743,7 +743,7 @@ def test_a_run_shorter_than_the_slack_takes_no_step(monkeypatch):
     state = initial_state(grid, random_zero_mean(grid, 3))
     steps = counted_steps(monkeypatch)
     final, series = cs.evolve(state, forced(), 5e-13, snapshot_times=[0.0, 5e-13],
-                              observers=[lambda s: {"l1_dist": 0.0}])
+                              observe=lambda s: {"l1_dist": 0.0})
     assert steps == [] and final.time == 5e-13 and final.u is state.u
     # both ends are one time: the snapshots share the start's observation
     assert series.column("t").tolist() == [0.0]

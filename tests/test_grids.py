@@ -77,6 +77,27 @@ def test_line_grid_tile_rejects_mismatched_profile():
         line.tile(Profile(CellGrid(16, 1.0), np.zeros(16)))
 
 
+@pytest.mark.parametrize("offset, same", [(5e-15, True), (1e-13, False)])
+def test_one_relative_bound_decides_when_two_periods_make_one_grid(offset, same):
+    # a flux of period 1, and a cell grid of period 1 + offset: the family
+    # build, the entropy's grid check and tile all draw the line at 1e-14
+    flux = builtin_flux("forced_burgers", {"amplitude": 0.5, "period": 1.0})
+    cell, other = CellGrid(64, 1.0), CellGrid(64, 1.0 + offset)
+    family = convstab.build_family(flux, -1.0, 1.0, 16, cell)
+    state = convstab.State(LineGrid(other, 2, "periodic"), np.zeros(128), 0.0)
+    checks = {
+        "build_family": lambda: convstab.build_family(flux, -1.0, 1.0, 16, other),
+        "eta_field": lambda: convstab.eta_field(convstab.FamilyInterpolant(family), state),
+        "tile": lambda: LineGrid(cell, 2, "periodic").tile(Profile(other, np.zeros(64))),
+    }
+    for name, check in checks.items():
+        if same:
+            check()
+        else:
+            with pytest.raises(ValueError, match="period|match"):
+                check()
+
+
 def test_line_grid_rejects_unknown_boundary_and_bad_periods():
     cell = CellGrid(8, 1.0)
     with pytest.raises(ValueError):

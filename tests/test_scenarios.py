@@ -3,6 +3,7 @@
 import json
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,7 +26,7 @@ from convstab import (
     semigroup_trials,
 )
 from convstab import evolution, fluxes, scenarios
-from convstab.scenarios import ScenarioConfig
+from convstab.scenarios import RunResult, ScenarioConfig, clear_outputs, write_outputs
 from oracles import flux_value
 
 
@@ -528,9 +529,15 @@ def test_prepare_run_normalized_flux_kills_the_background(prepared):
     assert np.all(flux_value(prepared.flux_normalized, np.zeros_like(x), x) == 0.0)
 
 
-def test_run_scenario_writes_reproducible_artifacts(tmp_path, prepared):
-    first = run_scenario(prepared, tmp_path / "a")
-    second = run_scenario(prepared, tmp_path / "b")
+def written(setup, out_dir):
+    """A run of ``setup`` and the paths ``write_outputs`` wrote it to."""
+    result = run_scenario(setup)
+    return result, write_outputs(out_dir, setup.family_raw, result)
+
+
+def test_write_outputs_writes_reproducible_artifacts(tmp_path, prepared):
+    first, _ = written(prepared, tmp_path / "a")
+    second, _ = written(prepared, tmp_path / "b")
     csv_a = (tmp_path / "a" / "diagnostics.csv").read_bytes()
     csv_b = (tmp_path / "b" / "diagnostics.csv").read_bytes()
     assert csv_a == csv_b, "identical runs must serialize identically"
@@ -546,12 +553,24 @@ def test_run_scenario_writes_reproducible_artifacts(tmp_path, prepared):
             (tmp_path / "b" / "snapshots" / name).read_bytes(), name
 
 
+def test_write_outputs_returns_the_paths_it_wrote(tmp_path, prepared):
+    # keyed by the verdict file's fields; a family alone writes only its files
+    _, paths = written(prepared, tmp_path / "run")
+    assert paths == {"family_file": str(tmp_path / "run" / "family.json"),
+                     "diagnostics_csv": str(tmp_path / "run" / "diagnostics.csv"),
+                     "snapshots_dir": str(tmp_path / "run" / "snapshots")}
+    paths = write_outputs(tmp_path / "family", prepared.family_raw)
+    assert paths == {"family_file": str(tmp_path / "family" / "family.json")}
+    assert sorted(p.name for p in (tmp_path / "family").iterdir()) == ["family.json",
+                                                                       "family.npy"]
+
+
 def test_snapshot_files_round_trip_the_final_state(tmp_path, prepared):
-    result = run_scenario(prepared, tmp_path)
+    result, paths = written(prepared, tmp_path)
     t_end = prepared.config.t_end
-    path = Path(result.snapshots_dir) / f"snapshot_t{t_end!r}.npy"
+    path = Path(paths["snapshots_dir"]) / f"snapshot_t{t_end!r}.npy"
     u = np.load(path)
-    grid = np.load(Path(result.snapshots_dir) / "grid.npy")
+    grid = np.load(Path(paths["snapshots_dir"]) / "grid.npy")
     assert float(path.name[10:-4]) == t_end
     n_total = prepared.config.line_grid.n_total
     assert u.dtype == grid.dtype == np.float64
@@ -564,22 +583,23 @@ def test_snapshot_files_round_trip_the_final_state(tmp_path, prepared):
 
 def test_snapshot_files_are_named_by_their_times(tmp_path, prepared):
     # one file per diagnostics row, whose name parses back to the row's time
-    result = run_scenario(prepared, tmp_path)
+    result, paths = written(prepared, tmp_path)
     times = result.series.column("t").tolist()
-    names = sorted(p.name for p in Path(result.snapshots_dir).glob("snapshot_t*.npy"))
+    names = sorted(p.name for p in Path(paths["snapshots_dir"]).glob("snapshot_t*.npy"))
     assert names == sorted(f"snapshot_t{t!r}.npy" for t in times)
     assert sorted(float(name[10:-4]) for name in names) == sorted(times)
     assert times[0] == 0.0 and times[-1] == prepared.config.t_end
 
 
-def test_a_rerun_into_one_directory_leaves_only_its_own_snapshots(tmp_path, prepared):
+def test_a_cleared_rerun_into_one_directory_leaves_only_its_own_snapshots(tmp_path, prepared):
     # a shorter schedule into the directory of a longer run: the snapshot
     # times are exactly the second run's, and a file that is no snapshot stays
-    run_scenario(prepared, tmp_path)
+    written(prepared, tmp_path)
     (tmp_path / "snapshots" / "notes.txt").write_text("kept")
     doc = base_document()
     doc["run"].update(t_end=1.0, snapshot_schedule={"kind": "linear", "count": 3})
-    second = run_scenario(prepare_run(ScenarioConfig.from_dict(doc)), tmp_path)
+    clear_outputs(tmp_path)
+    second, _ = written(prepare_run(ScenarioConfig.from_dict(doc)), tmp_path)
     snap_dir = tmp_path / "snapshots"
     times = sorted(float(p.name[10:-4]) for p in snap_dir.glob("snapshot_t*.npy"))
     assert times == second.series.column("t").tolist()
@@ -589,14 +609,33 @@ def test_a_rerun_into_one_directory_leaves_only_its_own_snapshots(tmp_path, prep
                           second.final_state.u + np.load(snap_dir / "grid.npy")[1])
 
 
+def test_clear_outputs_deletes_the_table_names_and_nothing_else(tmp_path, prepared):
+    written(prepared, tmp_path)
+    (tmp_path / "verdicts.json").write_text("{}")
+    kept = [tmp_path / "notes.txt", tmp_path / "family.json.bak", tmp_path / "snapshot_t1.npy",
+            tmp_path / "snapshots" / "keep.txt", tmp_path / "sub" / "diagnostics.csv"]
+    for path in kept:
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("kept")
+    clear_outputs(tmp_path)
+    left = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert left == sorted(kept)
+    # an emptied snapshots folder goes with its files; a missing directory is no error
+    (tmp_path / "snapshots" / "keep.txt").unlink()
+    clear_outputs(tmp_path)
+    assert not (tmp_path / "snapshots").exists()
+    clear_outputs(tmp_path / "absent")
+    assert not (tmp_path / "absent").exists()
+
+
 def test_snapshot_files_are_plain_little_endian_float64_arrays(tmp_path, prepared):
     # the version 1.0 header alone tells a reader outside numpy how to read
     # the data: no pickle, no Fortran order, no byte swapping
-    result = run_scenario(prepared, tmp_path)
+    result, paths = written(prepared, tmp_path)
     n_total = prepared.config.line_grid.n_total
-    paths = sorted(Path(result.snapshots_dir).iterdir())
-    assert len(paths) == len(result.series.rows) + 1
-    for path in paths:
+    files = sorted(Path(paths["snapshots_dir"]).iterdir())
+    assert len(files) == len(result.series.rows) + 1
+    for path in files:
         with open(path, "rb") as fh:
             assert np.lib.format.read_magic(fh) == (1, 0)
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
@@ -608,8 +647,8 @@ def test_snapshot_files_are_plain_little_endian_float64_arrays(tmp_path, prepare
 def test_every_snapshot_is_at_its_l1_distance_from_the_background(tmp_path, prepared):
     # the file's u less grid.npy's background gives back the perturbation
     # whose L1 norm the diagnostics row holds, up to the rounding of u + w_p
-    result = run_scenario(prepared, tmp_path)
-    snap_dir = Path(result.snapshots_dir)
+    result, paths = written(prepared, tmp_path)
+    snap_dir = Path(paths["snapshots_dir"])
     background = np.load(snap_dir / "grid.npy")[1]
     h = prepared.config.line_grid.h
     rows = zip(result.series.column("t").tolist(), result.series.column("l1_dist").tolist())
@@ -618,21 +657,24 @@ def test_every_snapshot_is_at_its_l1_distance_from_the_background(tmp_path, prep
         assert h * np.abs(u - background).sum() == pytest.approx(l1_dist, rel=1e-12), t
 
 
-def test_a_run_without_an_output_directory_writes_nothing(tmp_path, prepared, monkeypatch):
+def test_run_scenario_writes_nothing_and_keeps_each_snapshot_state(tmp_path, prepared,
+                                                                   monkeypatch):
     monkeypatch.chdir(tmp_path)
     result = run_scenario(prepared)
-    assert result.diagnostics_path is None
-    assert result.family_path is None and result.snapshots_dir is None
     assert list(tmp_path.iterdir()) == []
+    assert [f.name for f in fields(RunResult)] == ["setup", "final_state", "series", "snapshots"]
+    assert [s.time for s in result.snapshots] == result.series.column("t").tolist()
+    assert result.snapshots[0].u.tolist() == prepared.initial.tolist()
+    assert result.snapshots[-1] is result.final_state
 
 
 def test_a_rerun_into_the_same_directory_rewrites_the_same_files(tmp_path, prepared):
     def artifacts():
         return {p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
 
-    run_scenario(prepared, tmp_path)
+    written(prepared, tmp_path)
     first = artifacts()
-    run_scenario(prepared, tmp_path)
+    written(prepared, tmp_path)
     assert artifacts() == first
 
 
@@ -647,16 +689,14 @@ def test_run_scenario_populates_every_column(tmp_path, prepared):
     assert np.array_equal(laps, laps.astype(int)), "lap counts must be integral"
 
 
-def test_pinned_runs_abort_when_mass_reaches_the_edge(tmp_path):
+def test_pinned_runs_abort_when_mass_reaches_the_edge():
     doc = base_document()
     doc["grid"]["n_periods"] = 4
     doc["grid"]["boundary_mode"] = "pinned_to_wp"
     doc["initial"] = {"shape": "dipole", "amplitude": 0.3, "width": 0.4, "center": 1.7}
     setup = prepare_run(ScenarioConfig.from_dict(doc))
     with pytest.raises(EdgeBufferError):
-        run_scenario(setup, tmp_path)
-    # the snapshots are written after the march, so an aborted run leaves none
-    assert not (tmp_path / "snapshots").exists()
+        run_scenario(setup)
 
 
 # ---------------------------------------------------------------------------
