@@ -67,17 +67,15 @@ REQUIRED_CHECKS = {
 
 @dataclass
 class RunArtifact:
-    """A finished command's verdicts and artifact paths, as its verdict file
-    holds them.  ``exit_code`` is not an argument: it is EXIT_PASS when every
-    verdict passed and EXIT_CHECK_FAILED otherwise."""
+    """A finished command's verdicts, as its verdict file holds them; the
+    files beside it are those ``scenarios.OUTPUT_FILES`` names.  ``exit_code``
+    is not an argument: it is EXIT_PASS when every verdict passed and
+    EXIT_CHECK_FAILED otherwise."""
 
     command: str
     config: dict
     verdicts: Dict[str, dict]
     exit_code: int = field(init=False)
-    family_file: Optional[str] = None
-    diagnostics_csv: Optional[str] = None
-    snapshots_dir: Optional[str] = None
     notes: List[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -120,17 +118,17 @@ def cmd_stationary(config: ScenarioConfig, out_dir: Path) -> RunArtifact:
     notes = _ignored(config, "stationary")
     family = build_family(config.flux, config.p_min, config.p_max, config.m_intervals,
                           config.line_grid.cell)
+    write_outputs(out_dir, family)
     return RunArtifact(command="stationary", config=config.to_dict(),
-                       verdicts=family_verdicts(family), notes=notes,
-                       **write_outputs(out_dir, family))
+                       verdicts=family_verdicts(family), notes=notes)
 
 
 def cmd_run(config: ScenarioConfig, out_dir: Path, command: str) -> RunArtifact:
     """Run the scenario, judge the config's checks and write its artifacts."""
     result = run_scenario(prepare_run(config))
     verdicts = evaluate_checks(result)
-    return RunArtifact(command=command, config=config.to_dict(), verdicts=verdicts,
-                       **write_outputs(out_dir, result.setup.family_raw, result))
+    write_outputs(out_dir, result.setup.family_raw, result)
+    return RunArtifact(command=command, config=config.to_dict(), verdicts=verdicts)
 
 
 def cmd_verify(config: ScenarioConfig, trials: int, seed: int) -> RunArtifact:

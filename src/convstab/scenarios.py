@@ -702,28 +702,23 @@ def clear_outputs(out_dir: Path) -> None:
 
 
 def write_outputs(out_dir: Path, family: StationaryFamily,
-                  run: Optional[RunResult] = None) -> Dict[str, str]:
+                  run: Optional[RunResult] = None) -> None:
     """Write ``family`` under ``out_dir`` and, given a run, its diagnostics
     and snapshots, named by ``OUTPUT_FILES``: each snapshot u in the original
-    (unshifted) variables, and once the cell centres and tiled background.
-    Returns the paths written, by the ``RunArtifact`` field echoing each."""
+    (unshifted) variables, and once the cell centres and tiled background."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {"family_file": str(out_dir / OUTPUT_FILES["family"])}
-    save_family(family, paths["family_file"])
+    save_family(family, out_dir / OUTPUT_FILES["family"])
     if run is None:
-        return paths
-    paths["diagnostics_csv"] = str(out_dir / OUTPUT_FILES["diagnostics"])
-    run.series.to_csv(paths["diagnostics_csv"])
+        return
+    run.series.to_csv(out_dir / OUTPUT_FILES["diagnostics"])
     grid_path = out_dir / OUTPUT_FILES["grid"]
     grid_path.parent.mkdir(exist_ok=True)
-    paths["snapshots_dir"] = str(grid_path.parent)
     line_grid = run.setup.config.line_grid
     bg = line_grid.tile(run.setup.w_p)
     # a float64 array in .npy round-trips bit for bit
     np.save(grid_path, np.stack([line_grid.centers(), bg]))
     for state in run.snapshots:
         np.save(out_dir / OUTPUT_FILES["snapshot"].replace("*", repr(state.time)), state.u + bg)
-    return paths
 
 
 def _random_field(rng: np.random.Generator, grid: LineGrid, n_bumps: int = 4,

@@ -17,6 +17,10 @@
   ``convstab.lap_number`` counted before it skipped to the turning points.
 * ``profile_at`` -- w_p at per-cell means through an interpolant's own
   profile cubics: the forward map that ``FamilyInterpolant.invert`` undoes.
+* ``reference_family_solve`` -- pi, integral_0^pi w and dw/dp at pi as
+  ``FamilyInterpolant._solve`` computed them with a fresh array for every
+  operation, a binary-search bracket and boolean-mask compaction, verbatim;
+  the in-place solve must match it bit for bit.
 * ``interface_flux_reference`` -- the split Engquist-Osher interface flux
   written with a fresh array for every operation; the stepper's
   ``_interface_flux``, which works in two temporaries, must match it byte
@@ -50,7 +54,7 @@ from convstab import (
     StepKernel,
     builtin_flux,
 )
-from convstab.entropy import _hermite
+from convstab.entropy import _antiderivative, _hermite
 from convstab.fluxes import FluxSamples
 from convstab.grids import _next, _prev
 from convstab.stationary import NEWTON_DAMPING, NEWTON_MAX_ITERATIONS, NEWTON_TOLERANCE
@@ -228,6 +232,66 @@ def profile_at(interp: FamilyInterpolant, p, cells) -> np.ndarray:
     same Hermite cubic per cell and interval that ``invert`` solves."""
     j, s = interp._locate(np.asarray(p, dtype=float))
     return _horner(_hermite(*interp._hermite_data(j, np.asarray(cells, dtype=int))), s)
+
+
+def _bracket_reference(interp: FamilyInterpolant, u: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Per cell, the largest k <= M - 1 with values[k, cell] <= u, by binary
+    search down the cell's column."""
+    n = interp._values.shape[1]
+    lo = np.zeros(u.size, dtype=int)
+    hi = np.full(u.size, interp._p.size - 1)
+    values = interp._values.ravel()
+    for _ in range((interp._p.size - 2).bit_length()):
+        mid = (lo + hi) // 2
+        right = values[mid * n + cells] <= u
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return lo
+
+
+def reference_family_solve(interp: FamilyInterpolant, u, cells):
+    """pi with w_pi(x_i) = u_i, integral_0^pi w_q(x_i) dq and dw/dp at pi, as
+    ``FamilyInterpolant._solve`` computed them before it worked in place:
+    the nearer-knot cubic of a binary-search bracket, solved by safeguarded
+    Newton with the live cells compacted by boolean masks."""
+    u = np.asarray(u, dtype=float)
+    cells = np.asarray(cells, dtype=int)
+    lo_vals, hi_vals = interp._values[0, cells], interp._values[-1, cells]
+    u = np.clip(u, lo_vals, hi_vals)
+
+    k = _bracket_reference(interp, u, cells)
+    data = interp._hermite_data(k, cells)
+    width, secant, _, _, y_lo, y_hi = data
+    right = y_hi - u < u - y_lo
+    cubic = _hermite(*data, right)
+    c3, c2, c1, c0 = cubic
+    p_lo, p_hi = interp._p[k], interp._p[k + 1]
+    origin = np.where(right, p_hi, p_lo)
+    lo, hi = np.where(right, -width, 0.0), np.where(right, 0.0, width)
+    s = (u - c0) / secant
+
+    out = s.copy()
+    live = np.arange(u.size)
+    tol = 2.0**-60 * width
+    eps8 = 8.0 * np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(64):
+            r = ((c3 * s + c2) * s + c1) * s + c0 - u
+            a = np.abs(s)
+            settled = np.abs(r) <= eps8 * (
+                ((np.abs(c3) * a + np.abs(c2)) * a + np.abs(c1)) * a + np.abs(c0) + np.abs(u))
+            lo, hi = np.where(r < 0, s, lo), np.where(r > 0, s, hi)
+            nxt = s - r / ((3.0 * c3 * s + 2.0 * c2) * s + c1)
+            nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            nxt = np.where(settled, s, nxt)
+            out[live] = nxt
+            go = ~(settled | (np.abs(nxt - s) <= tol))
+            if not go.any():
+                break
+            live, s, lo, hi, u, tol = live[go], nxt[go], lo[go], hi[go], u[go], tol[go]
+            c3, c2, c1, c0 = c3[go], c2[go], c1[go], c0[go]
+    knot = interp._integrals.ravel()[(k + right) * interp._values.shape[1] + cells]
+    dpw = (3.0 * cubic[0] * out + 2.0 * cubic[1]) * out + cubic[2]
+    return np.clip(origin + out, p_lo, p_hi), knot + _antiderivative(*cubic, out), dpw
 
 
 def hysteresis_walk(samples) -> int:

@@ -46,8 +46,8 @@ def canonical(tmp_path_factory):
     setup = prepare_run(config)
     start = time.perf_counter()
     result = run_scenario(setup)
-    paths = write_outputs(out, setup.family_raw, result)
-    return {"result": result, "paths": paths, "seconds": time.perf_counter() - start}
+    write_outputs(out, setup.family_raw, result)
+    return {"result": result, "out": out, "seconds": time.perf_counter() - start}
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +175,7 @@ def test_criterion_5_entropy_suite(canonical):
     # which grows with the knot spacing; it sits three orders below the
     # physical gap (max_dp - alpha) pi^2 / 2 between the two bounds
     eta_min, sandwich_low, sandwich_high = np.inf, np.inf, -np.inf
-    for state in load_snapshots(result, canonical["paths"]["snapshots_dir"]):
+    for state in load_snapshots(result, canonical["out"] / "snapshots"):
         field = cs.eta_field(interp, state)
         slack = 1e-7 * (1.0 + field.pi**2)
         eta_min = min(eta_min, float(field.eta.min()))

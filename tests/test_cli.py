@@ -828,6 +828,21 @@ def test_an_output_directory_of_dot_clears_only_the_table_names(tmp_path, monkey
     assert files_under(out) == ["family.json", "family.npy", "notes.txt", "verdicts.json"]
 
 
+@pytest.mark.parametrize("command", ["stationary", "evolve"])
+def test_a_verdict_file_records_no_output_path(tmp_path, command):
+    # the files beside it are named by scenarios.OUTPUT_FILES, so two runs
+    # into different directories write the same verdict bytes
+    config = write_config(tmp_path)
+    outs = [tmp_path / "one", tmp_path / "two"]
+    for out in outs:
+        assert run_into(out, command, config) == 0
+    first, second = ((out / "verdicts.json").read_bytes() for out in outs)
+    assert first == second
+    assert sorted(read_verdicts(outs[0])) == ["command", "config", "exit_code", "notes",
+                                              "verdicts"]
+    assert str(tmp_path).encode() not in first
+
+
 def test_a_rerun_into_a_used_directory_writes_what_a_fresh_one_holds(tmp_path):
     out = tmp_path / "out"
     assert run_into(out, "evolve", GAUSSIAN) == 0

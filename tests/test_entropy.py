@@ -31,7 +31,8 @@ from convstab import (
     normalize_about_wp,
 )
 from convstab.entropy import SLOPE_RATIO_LIMIT, EntropyField, _hermite, _knot_integrals
-from oracles import _horner, entropy_balance_check, profile_at
+from convstab.grids import _next, _prev
+from oracles import _horner, entropy_balance_check, profile_at, reference_family_solve
 
 
 def forced():
@@ -225,6 +226,67 @@ def test_invert_sweep(which, cell, knot, kind, ulps, tiny, sign, frac):
         assert pi[0] == interp._p[int(np.flatnonzero(column == u[0])[0])]
     residual, bound = _residual_and_bound(interp, pi, u, cells)
     assert residual[0] <= bound[0], f"residual {residual[0]:.3e} above {bound[0]:.3e}"
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_interpolant(n_cells, m, zero):
+    """An interpolant with M = m intervals on [-1, 1] at n_cells cells, the
+    family shifted about its knot ``zero`` so that member reads 0.  M below
+    16, which build_family refuses, takes every (60 / M)-th row of M = 60."""
+    if m < 16:
+        base = build_family(forced(), -1.0, 1.0, 60, CellGrid(n_cells, 1.0))
+        rows = np.arange(0, 61, 60 // m)
+        family = cs.StationaryFamily(base.flux, base.grid, base.p_grid[rows],
+                                     base.profiles[rows], base.dp_profiles[rows])
+    else:
+        family = build_family(forced(), -1.0, 1.0, m, CellGrid(n_cells, 1.0))
+    return FamilyInterpolant(shifted_about(family, zero))
+
+
+def _mixed_state(interp, cells, seed):
+    """Per line position one of: a value spread over the cell's column, a
+    knot value (every knot, the ends included), a value outside an end by
+    less than the 1e-10 slack, or +-1e-30 next to the zero member."""
+    rng = np.random.default_rng(seed)
+    table = interp._values
+    lo, hi = table[0, cells], table[-1, cells]
+    spread = rng.uniform(lo, hi)
+    knots = table[np.arange(cells.size) % table.shape[0], cells]
+    past = rng.uniform(0.0, 0.99e-10, cells.size)
+    slack = np.where(rng.random(cells.size) < 0.5, lo - past * (1.0 + np.abs(lo)),
+                     hi + past * (1.0 + np.abs(hi)))
+    tiny = rng.choice([-1e-30, 1e-30], cells.size)
+    kinds = rng.integers(0, 4, cells.size)
+    return np.choose(kinds, [spread, knots, slack, tiny])
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(
+    n_cells=st.sampled_from([8, 1024]),
+    m=st.sampled_from([1, 2, 3, 5, 32, 64, 100]),
+    zero_at=st.floats(0.0, 1.0),
+    n_periods=st.integers(1, 3),
+    mode=st.sampled_from(["periodic", "pinned_to_wp"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_matches_the_reference_bit_for_bit(n_cells, m, zero_at, n_periods, mode, seed):
+    interp = _oracle_interpolant(n_cells, m, int(round(zero_at * m)))
+    grid = LineGrid(interp.family.grid, n_periods, mode)
+    cells = np.arange(grid.n_total) % n_cells
+    u = _mixed_state(interp, cells, seed)
+    want = reference_family_solve(interp, u, cells)
+    for got, expected, name in zip(interp._solve(u, cells), want, ("pi", "integral", "dpw")):
+        assert _same_bits(got, expected), f"{name}: {np.count_nonzero(got != expected)} cells differ"
+    # eta_field on the line: the same pi, and eta and the dissipation formed
+    # from the reference as eta_field forms them
+    field = eta_field(interp, State(grid, u, 0.0))
+    pi, integral, dpw = want
+    eta = np.maximum(u * pi - integral, 0.0)
+    h = grid.h
+    dpi = (_next(pi) - _prev(pi)) / (2.0 * h) if mode == "periodic" else np.gradient(pi, h)
+    assert _same_bits(field.pi, pi) and _same_bits(field.eta, eta)
+    assert field.total_eta == float(h * eta.sum())
+    assert field.dissipation == float(h * np.sum(dpw * dpi**2))
 
 
 def _same_bits(ours, theirs):
@@ -449,6 +511,30 @@ def test_entropy_field_copies_a_writeable_array_and_keeps_eta_fields_own(forced_
     assert again.pi is made.pi and again.eta is made.eta
     with pytest.raises(ValueError, match="nonnegative"):
         EntropyField(pi=pi, eta=-eta, total_eta=0.0, dissipation=0.0)
+
+
+def test_results_stay_unchanged_by_later_calls(forced_family):
+    # the work arrays are reused by every call; what a call returned is not
+    interp = FamilyInterpolant(forced_family)
+    rng = np.random.default_rng(21)
+    first = eta_field(interp, state_on(forced_family, rng.uniform(-0.6, 0.6, 128)))
+    solved = interp._solve(rng.uniform(-0.6, 0.6, 128), np.arange(128) % 64)
+    kept = [a.copy() for a in (first.pi, first.eta, *solved)]
+    for n_periods in (2, 3, 2):
+        eta_field(interp, state_on(forced_family, rng.uniform(-0.6, 0.6, 64 * n_periods),
+                                   n_periods))
+        interp._solve(rng.uniform(-0.6, 0.6, 64 * n_periods), np.arange(64 * n_periods) % 64)
+    for now, then in zip((first.pi, first.eta, *solved), kept):
+        assert _same_bits(now, then)
+    assert not any(np.shares_memory(a, b) for a in (first.pi, first.eta, *solved)
+                   for ws in interp._workspaces.values() for b in (ws.rows, ws.index, ws.masks))
+
+
+def test_an_out_of_range_value_in_a_later_period_names_the_family_cell(forced_family):
+    u = np.zeros(192)
+    u[2 * 64 + 11] = 5.0
+    with pytest.raises(FamilyRangeError, match=r"^value 5\.0 at cell 11 is outside"):
+        eta_field(FamilyInterpolant(forced_family), state_on(forced_family, u, 3))
 
 
 def test_eta_field_requires_values_in_range(forced_family):

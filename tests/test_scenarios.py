@@ -530,9 +530,10 @@ def test_prepare_run_normalized_flux_kills_the_background(prepared):
 
 
 def written(setup, out_dir):
-    """A run of ``setup`` and the paths ``write_outputs`` wrote it to."""
+    """A run of ``setup``, written by ``write_outputs``, and its snapshots folder."""
     result = run_scenario(setup)
-    return result, write_outputs(out_dir, setup.family_raw, result)
+    write_outputs(out_dir, setup.family_raw, result)
+    return result, out_dir / "snapshots"
 
 
 def test_write_outputs_writes_reproducible_artifacts(tmp_path, prepared):
@@ -553,24 +554,23 @@ def test_write_outputs_writes_reproducible_artifacts(tmp_path, prepared):
             (tmp_path / "b" / "snapshots" / name).read_bytes(), name
 
 
-def test_write_outputs_returns_the_paths_it_wrote(tmp_path, prepared):
-    # keyed by the verdict file's fields; a family alone writes only its files
-    _, paths = written(prepared, tmp_path / "run")
-    assert paths == {"family_file": str(tmp_path / "run" / "family.json"),
-                     "diagnostics_csv": str(tmp_path / "run" / "diagnostics.csv"),
-                     "snapshots_dir": str(tmp_path / "run" / "snapshots")}
-    paths = write_outputs(tmp_path / "family", prepared.family_raw)
-    assert paths == {"family_file": str(tmp_path / "family" / "family.json")}
+def test_write_outputs_writes_the_names_of_the_output_table(tmp_path, prepared):
+    # the names are fixed by OUTPUT_FILES, so nothing is returned; a family
+    # alone writes only its files
+    written(prepared, tmp_path / "run")
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "diagnostics.csv", "family.json", "family.npy", "snapshots"]
+    assert write_outputs(tmp_path / "family", prepared.family_raw) is None
     assert sorted(p.name for p in (tmp_path / "family").iterdir()) == ["family.json",
                                                                        "family.npy"]
 
 
 def test_snapshot_files_round_trip_the_final_state(tmp_path, prepared):
-    result, paths = written(prepared, tmp_path)
+    result, snap_dir = written(prepared, tmp_path)
     t_end = prepared.config.t_end
-    path = Path(paths["snapshots_dir"]) / f"snapshot_t{t_end!r}.npy"
+    path = snap_dir / f"snapshot_t{t_end!r}.npy"
     u = np.load(path)
-    grid = np.load(Path(paths["snapshots_dir"]) / "grid.npy")
+    grid = np.load(snap_dir / "grid.npy")
     assert float(path.name[10:-4]) == t_end
     n_total = prepared.config.line_grid.n_total
     assert u.dtype == grid.dtype == np.float64
@@ -583,9 +583,9 @@ def test_snapshot_files_round_trip_the_final_state(tmp_path, prepared):
 
 def test_snapshot_files_are_named_by_their_times(tmp_path, prepared):
     # one file per diagnostics row, whose name parses back to the row's time
-    result, paths = written(prepared, tmp_path)
+    result, snap_dir = written(prepared, tmp_path)
     times = result.series.column("t").tolist()
-    names = sorted(p.name for p in Path(paths["snapshots_dir"]).glob("snapshot_t*.npy"))
+    names = sorted(p.name for p in snap_dir.glob("snapshot_t*.npy"))
     assert names == sorted(f"snapshot_t{t!r}.npy" for t in times)
     assert sorted(float(name[10:-4]) for name in names) == sorted(times)
     assert times[0] == 0.0 and times[-1] == prepared.config.t_end
@@ -631,9 +631,9 @@ def test_clear_outputs_deletes_the_table_names_and_nothing_else(tmp_path, prepar
 def test_snapshot_files_are_plain_little_endian_float64_arrays(tmp_path, prepared):
     # the version 1.0 header alone tells a reader outside numpy how to read
     # the data: no pickle, no Fortran order, no byte swapping
-    result, paths = written(prepared, tmp_path)
+    result, snap_dir = written(prepared, tmp_path)
     n_total = prepared.config.line_grid.n_total
-    files = sorted(Path(paths["snapshots_dir"]).iterdir())
+    files = sorted(snap_dir.iterdir())
     assert len(files) == len(result.series.rows) + 1
     for path in files:
         with open(path, "rb") as fh:
@@ -647,8 +647,7 @@ def test_snapshot_files_are_plain_little_endian_float64_arrays(tmp_path, prepare
 def test_every_snapshot_is_at_its_l1_distance_from_the_background(tmp_path, prepared):
     # the file's u less grid.npy's background gives back the perturbation
     # whose L1 norm the diagnostics row holds, up to the rounding of u + w_p
-    result, paths = written(prepared, tmp_path)
-    snap_dir = Path(paths["snapshots_dir"])
+    result, snap_dir = written(prepared, tmp_path)
     background = np.load(snap_dir / "grid.npy")[1]
     h = prepared.config.line_grid.h
     rows = zip(result.series.column("t").tolist(), result.series.column("l1_dist").tolist())
